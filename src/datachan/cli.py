@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,8 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--words", type=int, metavar="N", help="number of parallel words")
         sp.add_argument("--seed", type=int, metavar="N", help="stimulus seed")
         sp.add_argument("--out", metavar="DIR", default="out", help="output directory")
-        sp.add_argument("--jobs", type=int, metavar="N", default=1,
-                        help="scenarios to run concurrently")
 
     run_p = sub.add_parser("run", help="full pipeline with all requested artifacts")
     common(run_p)
@@ -93,12 +90,7 @@ def _run_command(args) -> int:
     scenarios = _scenarios_from_args(args)
     out_dir = Path(args.out)
 
-    if args.jobs > 1 and len(scenarios) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(
-                lambda sc: run_scenario(config, sc, out_dir), scenarios))
-    else:
-        results = [run_scenario(config, sc, out_dir) for sc in scenarios]
+    results = [run_scenario(config, sc, out_dir) for sc in scenarios]
 
     code = EXIT_OK
     for res in results:

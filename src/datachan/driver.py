@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -27,7 +27,7 @@ _RC_SPAN = (math.acos(-0.6) - math.acos(0.6)) / math.pi
 
 @dataclass
 class WaveformTrace:
-    """Uniformly sampled voltage series."""
+    """Uniformly sampled series: a voltage waveform or a supply current."""
 
     dt_ps: float
     samples: np.ndarray
@@ -37,67 +37,85 @@ class WaveformTrace:
         return self.t0_ps + self.dt_ps * np.arange(len(self.samples))
 
 
-@dataclass
-class CurrentTrace:
-    """Uniformly sampled current series (non-negative)."""
-
-    dt_ps: float
-    samples: np.ndarray
-    t0_ps: float = 0.0
-
-    def times(self) -> np.ndarray:
-        return self.t0_ps + self.dt_ps * np.arange(len(self.samples))
+def _history_arrays(hist: list[tuple[int, Level]]) -> tuple[np.ndarray, np.ndarray]:
+    """(times, levels) of one net's history as int64 and object arrays."""
+    if not hist:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=object)
+    times, levels = zip(*hist)
+    return np.asarray(times, dtype=np.int64), np.asarray(levels, dtype=object)
 
 
 def _sink_timeline(traces: SignalTraces, nets: tuple[str, str],
                    t_start: int, t_end: int) -> list[tuple[int, bool]]:
     """Merged (time, sinking) steps: sinking while either net is pulled low."""
-    times = sorted({t for net in nets for t, _ in traces.events[net]
-                    if t_start < t < t_end})
-    steps = []
-    state = any(traces.level_at(net, t_start) is LOW for net in nets)
-    steps.append((t_start, state))
-    for t in times:
-        state = any(traces.level_at(net, t) is LOW for net in nets)
-        if state != steps[-1][1]:
-            steps.append((t, state))
-    return steps
+    hists = [_history_arrays(traces.events[net]) for net in nets]
+    inner = np.concatenate([ev_t[(ev_t > t_start) & (ev_t < t_end)] for ev_t, _ in hists])
+    times = np.concatenate((np.array([t_start], dtype=np.int64), np.unique(inner)))
+    state = np.zeros(len(times), dtype=bool)
+    for ev_t, levels in hists:
+        if len(ev_t):
+            # the level at each time is the last change at or before it
+            idx = np.searchsorted(ev_t, times, side="right") - 1
+            state |= (idx >= 0) & (levels[np.maximum(idx, 0)] == LOW)
+    keep = np.ones(len(times), dtype=bool)
+    keep[1:] = state[1:] != state[:-1]
+    return list(zip(times[keep].tolist(), state[keep].tolist()))
+
+
+# elements of the work arrays in one numpy pass of the analog back end
+_PASS_CELLS = 1 << 16
 
 
 def _shape_segments(steps: list[tuple[int, bool]], params: DriverParams,
                     dt_ps: float, t_start: float, n: int) -> np.ndarray:
-    v_hi, v_lo = params.v_standby, params.v_sink
-    out = np.empty(n)
-    v = v_lo if steps[0][1] else v_hi
+    """Edge-shaped leg voltage on ``n`` samples from its (time, sinking) steps.
 
-    if params.edge_model == "EXPONENTIAL":
+    The level reached at the end of each segment is a scalar recurrence over
+    the steps; the samples are then filled a chunk of the grid at a time.
+    """
+    v_hi, v_lo = params.v_standby, params.v_sink
+    exponential = params.edge_model == "EXPONENTIAL"
+    if exponential:
         tau = params.t_rf_ps / LN4 if params.t_rf_ps > 0 else 0.0
+        instant = tau == 0.0
     else:
         t_full = params.t_rf_ps / _RC_SPAN if params.t_rf_ps > 0 else 0.0
+        instant = t_full == 0.0
 
-    bounds = [t for t, _ in steps[1:]] + [t_start + n * dt_ps]
-    for (seg_t, sinking), seg_end in zip(steps, bounds):
-        target = v_lo if sinking else v_hi
-        i0 = max(0, math.ceil((seg_t - t_start) / dt_ps))
-        i1 = min(n, math.ceil((seg_end - t_start) / dt_ps))
-        ts = t_start + dt_ps * np.arange(i0, i1)
-        rel = ts - seg_t
-        if params.edge_model == "EXPONENTIAL":
-            if tau == 0.0:
-                out[i0:i1] = target
-                v = target
-            else:
-                out[i0:i1] = target + (v - target) * np.exp(-rel / tau)
-                v = target + (v - target) * math.exp(-(seg_end - seg_t) / tau)
+    seg_t = [t for t, _ in steps]
+    targets = [v_lo if sinking else v_hi for _, sinking in steps]
+    v_start = []
+    v = v_lo if steps[0][1] else v_hi
+    for t, seg_end, target in zip(seg_t, seg_t[1:] + [t_start + n * dt_ps], targets):
+        v_start.append(v)
+        if instant:
+            v = target
+        elif exponential:
+            v = target + (v - target) * math.exp(-(seg_end - t) / tau)
         else:
-            if t_full == 0.0:
-                out[i0:i1] = target
-                v = target
-            else:
-                u = np.clip(rel / t_full, 0.0, 1.0)
-                out[i0:i1] = v + (target - v) * 0.5 * (1.0 - np.cos(np.pi * u))
-                ue = min(max((seg_end - seg_t) / t_full, 0.0), 1.0)
-                v = v + (target - v) * 0.5 * (1.0 - math.cos(math.pi * ue))
+            ue = min(max((seg_end - t) / t_full, 0.0), 1.0)
+            v = v + (target - v) * 0.5 * (1.0 - math.cos(math.pi * ue))
+
+    # sample i belongs to the last segment whose first sample index is <= i
+    first = np.clip(np.ceil((np.asarray(seg_t) - t_start) / dt_ps), 0, n).astype(np.int64)
+    goals, v_starts = np.asarray(targets), np.asarray(v_start)
+    seg_ts = np.asarray(seg_t, dtype=float)
+    out = np.empty(n)
+    for s in range(0, n, _PASS_CELLS):
+        e = min(n, s + _PASS_CELLS)
+        i = np.arange(s, e)
+        seg = np.searchsorted(first, i, side="right") - 1
+        goal = goals[seg]
+        if instant:
+            out[s:e] = goal
+            continue
+        v0 = v_starts[seg]
+        rel = t_start + dt_ps * i - seg_ts[seg]
+        if exponential:
+            out[s:e] = goal + (v0 - goal) * np.exp(-rel / tau)
+        else:
+            u = np.clip(rel / t_full, 0.0, 1.0)
+            out[s:e] = v0 + (goal - v0) * 0.5 * (1.0 - np.cos(np.pi * u))
     return out
 
 
@@ -133,48 +151,65 @@ def line_transition_times(traces: SignalTraces,
                           nets: tuple[str, ...] = ("Even", "Odd", "nEven", "nOdd"),
                           ) -> list[int]:
     """Settled HIGH<->LOW transition times on the pre-driver lines."""
-    out = []
+    out: list[int] = []
     for net in nets:
-        prev = None
-        for t, lvl in traces.events[net]:
-            if {prev, lvl} == {HIGH, LOW}:
-                out.append(t)
-            prev = lvl
+        hist = traces.events[net]
+        _, levels = _history_arrays(hist)
+        low, high = levels == LOW, levels == HIGH
+        settled = np.flatnonzero((low[1:] & high[:-1]) | (high[1:] & low[:-1])) + 1
+        # reuse the events' own time objects: new ints would stay alive as
+        # long as the caller keeps the list, about 1 MB per 30k transitions
+        out += map(itemgetter(0), map(hist.__getitem__, settled.tolist()))
     out.sort()
     return out
 
 
-def _deposit_spike(samples: np.ndarray, t0: float, dt: float,
-                   center: float, q: float, w: float) -> None:
-    """Add one triangular spike, conserving its charge bin-exactly."""
-    a, b = center - w / 2.0, center + w / 2.0
-    i0 = max(0, int(math.floor((a - t0) / dt + 0.5)))
-    i1 = min(len(samples) - 1, int(math.ceil((b - t0) / dt + 0.5)))
-    if i1 < i0:
-        return
-    edges = t0 + dt * (np.arange(i0, i1 + 2) - 0.5)
+def _deposit_spikes(samples: np.ndarray, t0: float, dt: float,
+                    centers: list[float], q: float, w: float) -> None:
+    """Add one triangular spike per center, conserving each charge bin-exactly.
 
-    t = np.clip(edges, a, b)
-    left = np.minimum(t, center)
-    right = np.maximum(t, center)
-    cum = 2.0 * q * (left - a) ** 2 / w**2 + (q - 2.0 * q * (b - right) ** 2 / w**2)
-    cum -= q / 2.0  # remove double-counted apex value
-    samples[i0:i1 + 1] += np.diff(cum) / (dt * 1e-12)  # charge per bin -> amperes
+    Every spike covers the bins its base overlaps, clipped to the window.
+    Spikes are added in the order given, so overlapping spikes accumulate
+    in the same floating-point order as adding them one at a time.
+    """
+    centers = np.asarray(centers, dtype=float)
+    a, b = centers - w / 2.0, centers + w / 2.0
+    n = len(samples)
+    # clip before the integer cast so far-away spikes cannot overflow it
+    i0 = np.clip(np.floor((a - t0) / dt + 0.5), 0, n).astype(np.int64)
+    i1 = np.clip(np.ceil((b - t0) / dt + 0.5), -1, n - 1).astype(np.int64)
+    hit = i1 >= i0
+    a, b, centers, i0, i1 = a[hit], b[hit], centers[hit], i0[hit], i1[hit]
+    if not len(centers):
+        return
+    cols = np.arange(int((i1 - i0).max()) + 2)  # bin edges of the widest spike
+    rows = max(1, _PASS_CELLS // len(cols))
+    for s in range(0, len(centers), rows):
+        part = slice(s, s + rows)
+        ca, cb, cc = a[part, None], b[part, None], centers[part, None]
+        idx = i0[part, None] + cols
+        t = np.clip(t0 + dt * (idx - 0.5), ca, cb)
+        left = np.minimum(t, cc)
+        right = np.maximum(t, cc)
+        cum = 2.0 * q * (left - ca) ** 2 / w**2 + (q - 2.0 * q * (cb - right) ** 2 / w**2)
+        cum -= q / 2.0  # remove double-counted apex value
+        inside = idx[:, :-1] <= i1[part, None]
+        np.add.at(samples, idx[:, :-1][inside],
+                  (np.diff(cum, axis=1) / (dt * 1e-12))[inside])  # charge per bin -> amperes
 
 
 def supply_current(transition_times_ps: list[float], model: SpikeModel,
-                   dt_ps: float, t0_ps: float, horizon_ps: float) -> CurrentTrace:
+                   dt_ps: float, t0_ps: float, horizon_ps: float) -> WaveformTrace:
     """Quiescent DC draw plus one charge spike per line transition."""
     model.validate()
     n = int((horizon_ps - t0_ps) / dt_ps)
     samples = np.full(n, model.i_dc_a)
-    for t in transition_times_ps:
-        _deposit_spike(samples, t0_ps, dt_ps, float(t), model.q_c, model.w_ps)
-    return CurrentTrace(dt_ps, samples, t0_ps)
+    _deposit_spikes(samples, t0_ps, dt_ps, transition_times_ps, model.q_c, model.w_ps)
+    return WaveformTrace(dt_ps, samples, t0_ps)
 
 
 def naive_supply_current(bitstream: BitStream, model: SpikeModel,
-                         dt_ps: float) -> CurrentTrace:
+                         dt_ps: float) -> WaveformTrace:
     """Single-pre-driver baseline: spikes only where the raw data toggles.
 
     Each data transition flips both legs of the differential pre-driver
@@ -186,18 +221,31 @@ def naive_supply_current(bitstream: BitStream, model: SpikeModel,
     horizon = t0 + float(len(bitstream.bits) * bitstream.bit_period)
     n = int((horizon - t0) / dt_ps)
     samples = np.full(n, model.i_dc_a)
-    for t in bitstream.transition_times():
-        _deposit_spike(samples, t0, dt_ps, float(t), 2.0 * model.q_c, model.w_ps)
-    return CurrentTrace(dt_ps, samples, t0)
+    _deposit_spikes(samples, t0, dt_ps, bitstream.transition_times(),
+                    2.0 * model.q_c, model.w_ps)
+    return WaveformTrace(dt_ps, samples, t0)
 
 
 # --------------------------------------------------------------------------
 # CSV export
 
-def trace_to_csv(trace: WaveformTrace | CurrentTrace) -> str:
-    lines = ["time_ps,value"]
-    t = trace.t0_ps
-    for v in trace.samples:
-        lines.append(f"{t:.3f},{v:.6g}")
-        t += trace.dt_ps
-    return "\n".join(lines) + "\n"
+# values formatted per pass by the bulk writers
+_FORMAT_CHUNK = 1 << 14
+
+
+def format_rows(rows: np.ndarray, line_fmt: str) -> str:
+    """One ``line_fmt % row`` line per row of a 2-D array.
+
+    Rows are converted with ``tolist()`` (formatting numpy scalars is slow)
+    and formatted a chunk at a time with a single ``%`` each.
+    """
+    step = max(1, _FORMAT_CHUNK // max(1, rows.shape[1]))
+    return "".join(line_fmt * len(chunk) % tuple(chunk.ravel().tolist())
+                   for chunk in (rows[s:s + step] for s in range(0, len(rows), step)))
+
+
+def trace_to_csv(trace: WaveformTrace) -> str:
+    """``time_ps,value`` lines; the i-th timestamp is ``t0_ps + i*dt_ps``."""
+    values = np.asarray(trace.samples, dtype=float)
+    times = trace.t0_ps + trace.dt_ps * np.arange(len(values))
+    return "time_ps,value\n" + format_rows(np.column_stack((times, values)), "%.3f,%.6g\n")

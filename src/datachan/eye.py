@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import WaveformTrace
+from .driver import WaveformTrace, format_rows
 from .errors import AlignmentError
 
 
@@ -36,10 +36,10 @@ class EyeHistogram:
                             self.t_edges_ui, self.v_edges, self.fold_offset_ps)
 
     def to_csv(self) -> str:
-        lines = []
-        for row in self.counts:
-            lines.append(",".join(str(int(c)) for c in row))
-        return "\n".join(lines) + "\n"
+        """One line of comma-separated counts per voltage bin."""
+        if not len(self.counts):
+            return "\n"
+        return format_rows(self.counts, ",".join(["%d"] * self.counts.shape[1]) + "\n")
 
 
 @dataclass

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import CurrentTrace
+from .driver import WaveformTrace, format_rows
 from .errors import ResolutionError
 
 
@@ -19,13 +19,12 @@ class Spectrum:
     rbw_hz: float
 
     def to_csv(self) -> str:
-        lines = ["freq_hz,magnitude_a"]
-        for f, m in zip(self.freqs_hz, self.mags_a):
-            lines.append(f"{f:.6g},{m:.6g}")
-        return "\n".join(lines) + "\n"
+        rows = np.column_stack((np.asarray(self.freqs_hz, dtype=float),
+                                np.asarray(self.mags_a, dtype=float)))
+        return "freq_hz,magnitude_a\n" + format_rows(rows, "%.6g,%.6g\n")
 
 
-def spectrum(trace: CurrentTrace) -> Spectrum:
+def spectrum(trace: WaveformTrace) -> Spectrum:
     """Rectangular-window DFT magnitude, mean-padded to a power of two.
 
     Padding with the mean (rather than zero) keeps bin 0 equal to the

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .logic import SignalTraces
+import numpy as np
+
+from .logic import UNKNOWN, Level, SignalTraces
 
 _ID_CHARS = [chr(c) for c in range(33, 127)]
 
@@ -41,23 +43,35 @@ def traces_to_vcd(traces: SignalTraces, module: str = "channel") -> str:
 
     out.append("#0")
     out.append("$dumpvars")
-    changes: dict[int, list[str]] = {}
+    times: list[int] = []
+    values: list[str] = []
     for net in nets:
         hist = traces.events[net]
-        first = hist[0] if hist else None
-        if first is not None and first[0] == 0:
-            out.append(f"{first[1].vcd_char}{ids[net]}")
-            rest = hist[1:]
+        value_of = {lvl: lvl.vcd_char + ids[net] for lvl in Level}
+        if hist and hist[0][0] == 0:
+            out.append(value_of[hist[0][1]])
+            hist = hist[1:]
         else:
-            out.append(f"x{ids[net]}")
-            rest = hist
-        for t, lvl in rest:
-            changes.setdefault(t, []).append(f"{lvl.vcd_char}{ids[net]}")
+            out.append(value_of[UNKNOWN])
+        if hist:
+            net_times, levels = zip(*hist)
+            times += net_times
+            values += map(value_of.__getitem__, levels)
     out.append("$end")
 
-    for t in sorted(changes):
-        out.append(f"#{t}")
-        out.extend(changes[t])
+    if times:
+        # a "#t" line before the changes at each time, nets in declaration order
+        t = np.asarray(times, dtype=np.int64)
+        order = np.argsort(t, kind="stable")
+        t = t[order]
+        new_time = np.ones(len(t), dtype=bool)
+        new_time[1:] = t[1:] != t[:-1]
+        heads = np.cumsum(new_time)  # "#t" lines up to and including each change
+        body = np.empty(len(t) + heads[-1], dtype=object)
+        body[np.arange(len(t)) + heads] = np.asarray(values, dtype=object)[order]
+        body[np.flatnonzero(new_time) + heads[new_time] - 1] = list(
+            map("#{}".format, t[new_time].tolist()))
+        out += body.tolist()
     out.append(f"#{traces.horizon_ps}")
     return "\n".join(out) + "\n"
 

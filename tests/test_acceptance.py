@@ -150,7 +150,7 @@ def test_criterion_5_edge_times(long_run):
 def _trimmed_spectrum(trace):
     assert len(trace.samples) >= POW2_SAMPLES
     return specmod.spectrum(
-        drv.CurrentTrace(trace.dt_ps, trace.samples[:POW2_SAMPLES], trace.t0_ps))
+        drv.WaveformTrace(trace.dt_ps, trace.samples[:POW2_SAMPLES], trace.t0_ps))
 
 
 def test_criterion_6_low_band_supply_noise(long_run):
@@ -195,17 +195,17 @@ def test_criterion_7_eye_mask(long_run):
 def test_criterion_8_numerical_kernels():
     rng = np.random.default_rng(3)
     x = 1e-3 + 2e-4 * rng.standard_normal(4096)
-    spec = specmod.spectrum(drv.CurrentTrace(10.0, x))
+    spec = specmod.spectrum(drv.WaveformTrace(10.0, x))
     parseval = abs(specmod.mean_square(spec) / float(np.mean(x**2)) - 1.0)
 
-    const = specmod.spectrum(drv.CurrentTrace(10.0, np.full(1024, 2e-3)))
+    const = specmod.spectrum(drv.WaveformTrace(10.0, np.full(1024, 2e-3)))
     const_ok = (abs(const.mags_a[0] - 2e-3) < 1e-15
                 and np.all(const.mags_a[1:] < 1e-15))
 
     n, dt = 4096, 10.0
     k = 100
     t = np.arange(n) * dt * 1e-12
-    tone = specmod.spectrum(drv.CurrentTrace(
+    tone = specmod.spectrum(drv.WaveformTrace(
         dt, 1e-3 + 3e-4 * np.cos(2 * np.pi * (k / (n * dt * 1e-12)) * t)))
     tone_ok = abs(tone.mags_a[k] - 3e-4) < 1e-12
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from datachan.config import DriverParams
-from datachan.driver import CurrentTrace, WaveformTrace
+from datachan.driver import WaveformTrace
 from datachan.errors import (AlignmentError, NoSettleError, NoTransitionError,
                              ResolutionError)
 from datachan.eye import EyeHistogram, EyeMask, build_eye, mask_check
@@ -165,7 +165,7 @@ def test_mask_margin_shrinks_toward_mask():
 # spectra
 
 def test_spectrum_constant_is_pure_dc():
-    trace = CurrentTrace(10.0, np.full(1024, 2.5e-3))
+    trace = WaveformTrace(10.0, np.full(1024, 2.5e-3))
     spec = spectrum(trace)
     assert spec.mags_a[0] == pytest.approx(2.5e-3, rel=1e-12)
     assert np.all(spec.mags_a[1:] < 1e-15)
@@ -177,7 +177,7 @@ def test_spectrum_single_tone_amplitude():
     t = np.arange(n) * dt * 1e-12
     f = k / (n * dt * 1e-12)
     x = 1.0e-3 + 0.2e-3 * np.cos(2 * np.pi * f * t)
-    spec = spectrum(CurrentTrace(dt, x))
+    spec = spectrum(WaveformTrace(dt, x))
     assert spec.mags_a[k] == pytest.approx(0.2e-3, rel=1e-9)
     assert spec.mags_a[0] == pytest.approx(1.0e-3, rel=1e-9)
     others = np.delete(spec.mags_a, [0, k])
@@ -187,19 +187,19 @@ def test_spectrum_single_tone_amplitude():
 def test_spectrum_mean_padding_preserves_dc_bin():
     rng = np.random.default_rng(1)
     x = 1e-3 + 1e-5 * rng.standard_normal(1000)  # padded 1000 -> 1024
-    spec = spectrum(CurrentTrace(10.0, x))
+    spec = spectrum(WaveformTrace(10.0, x))
     assert spec.mags_a[0] == pytest.approx(float(x.mean()), rel=1e-12)
 
 
 def test_parseval_identity():
     rng = np.random.default_rng(7)
     x = 1e-3 + 2e-4 * rng.standard_normal(1024)  # power of two: no padding
-    spec = spectrum(CurrentTrace(10.0, x))
+    spec = spectrum(WaveformTrace(10.0, x))
     assert mean_square(spec) == pytest.approx(float(np.mean(x**2)), rel=1e-6)
 
 
 def test_low_band_ratio_resolution_guard():
-    spec = spectrum(CurrentTrace(10.0, np.full(64, 1e-3)))
+    spec = spectrum(WaveformTrace(10.0, np.full(64, 1e-3)))
     with pytest.raises(ResolutionError):
         low_band_ratio(spec)
 
@@ -210,7 +210,7 @@ def test_low_band_ratio_flags_in_band_tone():
     f = 216 / (n * dt * 1e-12)  # ~330 MHz, snapped onto the bin grid
     assert 0 < f <= 5e8
     x = 1e-3 + 1e-4 * np.cos(2 * np.pi * f * t)
-    ratio = low_band_ratio(spectrum(CurrentTrace(dt, x)))
+    ratio = low_band_ratio(spectrum(WaveformTrace(dt, x)))
     assert ratio == pytest.approx(0.1, rel=1e-6)
 
 

@@ -1,0 +1,72 @@
+"""Pinned sha256 of every artifact of three reference CLI runs.
+
+Acceptance criterion 9 only compares two runs of the same code with each
+other.  These hashes were recorded before the analog back end and the bulk
+writers were vectorised, so any change to the artifact bytes shows up here.
+If a change alters the bytes on purpose, record the new hashes together with
+the reason.
+"""
+
+import hashlib
+
+import pytest
+
+from datachan.cli import main
+
+RUNS = {
+    "stream-random": (["--scenario", "stream-random", "--words", "40", "--seed", "7"], {
+        "stream-random.bits.txt":
+            "311893f2a96240b666aa51f9ea09fe33912ddb5fbb601974efde6a4a9282c6d3",
+        "stream-random.eye.csv":
+            "7242b40106dd8c67f1b2ed266adfe2c6bf720cea15682b460cac290ee417a21b",
+        "stream-random.report.json":
+            "95e60d3e85597d4c03c4463bf5ecc0e90eeabce947eff1061f4256c79a06e392",
+        "stream-random.report.txt":
+            "553b4bb3a6869addc5579ff4ce3bd909b796b28da46874f2b185c756e93a8661",
+        "stream-random.spectrum.csv":
+            "5f1bf901c140b4fa8b2290b2978923c494ccec3653f2d5535d1d574ed81ddae0",
+        "stream-random.tx_minus.csv":
+            "ddf70b60643b23f36225e131acae8b55e1039ff400887eac087de5a56a5176ab",
+        "stream-random.tx_plus.csv":
+            "92ee6888d5bdfc08a4c7809d03d6e5b2d1e80dee808967c059ff4ec08c49593c",
+        "stream-random.vcd":
+            "5cf7f54dd1a3895cbcee31fbac44eab1e857c1778823620c48e4b236d61fe94b",
+    }),
+    "disable-midword": (["--scenario", "disable-midword"], {
+        "disable-midword.bits.txt":
+            "68e77b33d460b0ba94f93782fe4a74115df6edf5b9c6a9927b33b9b0631434ed",
+        "disable-midword.report.json":
+            "e19a8110bc6594a95fe9a750fe871dfe93e0128b7da59dd85f19dfa4566e6c95",
+        "disable-midword.report.txt":
+            "e63795af2363da3dc211fefbe6245e66763ac97e621cb57a28a3f9e3ff90bd1a",
+        "disable-midword.spectrum.csv":
+            "1edc5e2b84e9a68a57d6f1af1c3b0e0f704ce23a25285cc94f81023e91687247",
+        "disable-midword.tx_minus.csv":
+            "45b4554cea070596fb198869c037d26860f0984f5199c7476b9158526cd370a9",
+        "disable-midword.tx_plus.csv":
+            "c87de6f4a16fb7bee20211df901c73e095702011ff8b3e6d3ca61ccda4fab468",
+        "disable-midword.vcd":
+            "edf3f2e07c9790fd24cf4943c3b349db435c73d5eaf80d4e186b6fc48f334cdb",
+    }),
+    "standby": (["--scenario", "standby"], {
+        "standby.report.json":
+            "2ca1d20b8d360f7497d23c8bf8df9ad1cad70ef2a4f424298e1408d2e7d20593",
+        "standby.report.txt":
+            "4599b361c2c238186113b9880b9963c6efa80cdfb4d055e451617595cd7b884b",
+        "standby.tx_minus.csv":
+            "844a853901a2dd3696c14d3acb471796d8ee7e1bc7cc23e131408426d47dce67",
+        "standby.tx_plus.csv":
+            "844a853901a2dd3696c14d3acb471796d8ee7e1bc7cc23e131408426d47dce67",
+        "standby.vcd":
+            "62752e78a2ecb9e5e0f0bda6cfa031aff91837fc5232ab861604480db5c9128d",
+    }),
+}
+
+
+@pytest.mark.parametrize("run", list(RUNS))
+def test_artifact_hashes_are_pinned(run, tmp_path):
+    argv, want = RUNS[run]
+    assert main(["run", *argv, "--out", str(tmp_path)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.iterdir())}
+    assert got == want

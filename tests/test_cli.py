@@ -133,8 +133,7 @@ def test_cli_subcommand_restricts_outputs(tmp_path):
 
 def test_cli_jobs_runs_all_scenarios(tmp_path):
     code = main(["report", "--scenario", "stream-random", "--scenario",
-                 "standby", "--words", "20", "--jobs", "2",
-                 "--out", str(tmp_path)])
+                 "standby", "--words", "20", "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "stream-random.report.json").exists()
     assert (tmp_path / "standby.report.json").exists()

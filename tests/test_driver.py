@@ -91,7 +91,7 @@ def test_line_transition_times_ignore_power_on():
 def test_spike_conserves_charge():
     model = SpikeModel()
     samples = np.zeros(1000)
-    drv._deposit_spike(samples, 0.0, 10.0, 5000.0, model.q_c, model.w_ps)
+    drv._deposit_spikes(samples, 0.0, 10.0, [5000.0], model.q_c, model.w_ps)
     charge = samples.sum() * 10.0 * 1e-12
     assert charge == pytest.approx(model.q_c, rel=1e-9)
 
@@ -100,7 +100,7 @@ def test_spike_charge_survives_misaligned_centers():
     model = SpikeModel()
     for center in (4997.0, 5003.3, 5005.0):
         samples = np.zeros(1000)
-        drv._deposit_spike(samples, 0.0, 10.0, center, model.q_c, model.w_ps)
+        drv._deposit_spikes(samples, 0.0, 10.0, [center], model.q_c, model.w_ps)
         assert samples.sum() * 10.0 * 1e-12 == pytest.approx(model.q_c, rel=1e-9)
 
 
@@ -128,3 +128,14 @@ def test_trace_csv_shape():
     assert lines[0] == "time_ps,value"
     assert lines[1].startswith("100.000,")
     assert len(lines) == 3
+
+
+def test_trace_csv_timestamps_do_not_drift():
+    # 0.1 ps is not exact in binary: summing it 10^5 times drifts by about
+    # 2e-8 ps, which moves this t0 across a rounding boundary of "%.3f"
+    n, dt, t0 = 100_000, 0.1, 0.00049999
+    text = drv.trace_to_csv(drv.WaveformTrace(dt, np.zeros(n), t0))
+    stamps = [line.split(",")[0] for line in text.splitlines()[1:]]
+    assert len(stamps) == n
+    assert stamps[-1] == f"{t0 + (n - 1) * dt:.3f}" == "9999.900"
+    assert stamps == [f"{t0 + i * dt:.3f}" for i in range(n)]
