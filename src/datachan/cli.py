@@ -10,7 +10,7 @@ from pathlib import Path
 from . import __version__
 from .config import ChannelConfig, load_config
 from .errors import ConfigError, DataChanError
-from .scenario import PRESETS, Scenario, load_scenario, run_scenario
+from .scenario import PRESETS, Scenario, load_scenario, run_scenario, validate_scenario
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -88,6 +88,8 @@ def _run_command(args) -> int:
     config = load_config(args.config) if args.config else ChannelConfig()
     config.validate()
     scenarios = _scenarios_from_args(args)
+    for sc in scenarios:
+        validate_scenario(config, sc)
     out_dir = Path(args.out)
 
     results = [run_scenario(config, sc, out_dir) for sc in scenarios]

@@ -8,6 +8,7 @@ flat ``key = value`` text file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -98,16 +99,8 @@ class ChannelConfig:
         return Fraction(10**12, self.serial_rate_hz)
 
     @property
-    def bit_period_ps(self) -> int:
-        return round(10**12 / self.serial_rate_hz)
-
-    @property
     def ui_ps(self) -> float:
         return float(self.bit_period)
-
-    @property
-    def pixel_period(self) -> Fraction:
-        return self.bit_period * self.word_width
 
     @property
     def fo4_delay_ps(self) -> int:
@@ -121,10 +114,21 @@ class ChannelConfig:
             raise ConfigError("word_width must be one of 8, 10, 16")
         if self.ff_delay_ps <= 0 or self.buffer_delay_ps <= 0:
             raise ConfigError("gate delays must be positive")
+        recirculation = self.ff_delay_ps + self.fo4_delay_ps + self.buffer_delay_ps
+        if recirculation >= math.floor(self.bit_period):
+            # the last select must re-arm Start before the next falling clock edge
+            raise ConfigError(
+                f"ff_delay_ps + 5 * buffer_delay_ps = {recirculation} ps must be "
+                f"shorter than the shortest serial period ({math.floor(self.bit_period)} ps)"
+            )
         if self.skew_ps < 0 or self.skew_ps >= self.bit_period / 2:
             raise ConfigError("skew_ps must satisfy 0 <= skew < half serial period")
         if self.dt_ps <= 0:
             raise ConfigError("dt_ps must be positive")
+        if self.dt_ps * 32 > self.ui_ps:
+            raise ConfigError(
+                f"dt_ps = {self.dt_ps} gives fewer than 32 samples per {self.ui_ps} ps interval"
+            )
         if self.loop_limit <= 0:
             raise ConfigError("loop_limit must be positive")
         if self.eye_bins_t < 64 or self.eye_bins_v < 64:

@@ -28,13 +28,6 @@ class EyeHistogram:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def merged_with(self, other: "EyeHistogram") -> "EyeHistogram":
-        if (self.counts.shape != other.counts.shape
-                or not np.array_equal(self.v_edges, other.v_edges)):
-            raise AlignmentError("histograms use different grids")
-        return EyeHistogram(self.ui_ps, self.counts + other.counts,
-                            self.t_edges_ui, self.v_edges, self.fold_offset_ps)
-
     def to_csv(self) -> str:
         """One line of comma-separated counts per voltage bin."""
         if not len(self.counts):

@@ -133,7 +133,3 @@ def format_bitstream(stream: BitStream, cols: int = 80) -> str:
     text = "".join(str(b) for b in stream.bits)
     lines = [text[i:i + cols] for i in range(0, len(text), cols)] or [""]
     return "\n".join(lines) + "\n"
-
-
-def save_bitstream(stream: BitStream, path: str | Path) -> None:
-    Path(path).write_text(format_bitstream(stream))

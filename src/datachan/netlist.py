@@ -12,12 +12,11 @@ pre-driver lines Even/Odd/nEven/nOdd.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 
 from .config import ChannelConfig
 from .errors import ConfigError, ContentionError, OscillationError
-from .logic import HIGH, LOW, UNKNOWN, Level, NetEvent, SignalTraces, k_and, k_not, k_or
+from .logic import HIGH, UNKNOWN, Level, NetEvent, SignalTraces, k_and, k_not, k_or
 
 
 # --------------------------------------------------------------------------
@@ -68,6 +67,19 @@ def eval_reset(state: ResetState, edge: str, disable: Level, enable: Level,
 
 # --------------------------------------------------------------------------
 # netlist components
+#
+# Components describe the netlist.  ``bind`` compiles one into the kernel:
+# it registers, for each input net and each level change that can make the
+# component act, an action bound to integer net indices (see ``Simulator``).
+
+# Inside the kernel a level is its ``Level.value``: 0 LOW, 1 HIGH, 2 UNKNOWN.
+_LEVELS = tuple(Level)
+_SAME = (0, 1, 2)
+_NOT = (1, 0, 2)
+_AND = ((0, 0, 0), (0, 1, 2), (0, 2, 2))
+_OR = ((0, 1, 2), (1, 1, 1), (2, 1, 2))
+_CHANGES = tuple((old, new) for old in _SAME for new in _SAME if old != new)
+
 
 class Buffer:
     def __init__(self, src: str, dst: str, delay_ps: int, invert: bool = False):
@@ -79,11 +91,12 @@ class Buffer:
     def inputs(self):
         return (self.src,)
 
-    def reset(self):
-        pass
-
-    def poke(self, sim: "Simulator", net: str, old: Level, new: Level, t: int):
-        sim.schedule(t + self.delay_ps, self.dst, k_not(new) if self.invert else new)
+    def bind(self, sim: "Simulator"):
+        out = _NOT if self.invert else _SAME
+        dst = sim.index[self.dst] << 2
+        for net in self.inputs:
+            for old, new in _CHANGES:
+                sim.on(net, old, new, (self.delay_ps, dst + out[new], sim.low))
 
 
 class DFlipFlop:
@@ -98,13 +111,11 @@ class DFlipFlop:
     def inputs(self):
         return (self.clk,)
 
-    def reset(self):
-        pass
-
-    def poke(self, sim: "Simulator", net: str, old: Level, new: Level, t: int):
-        trigger = (HIGH, LOW) if self.edge == "fall" else (LOW, HIGH)
-        if (old, new) == trigger:
-            sim.schedule(t + self.delay_ps, self.q, sim.values[self.d])
+    def bind(self, sim: "Simulator"):
+        old, new = (1, 0) if self.edge == "fall" else (0, 1)
+        action = (self.delay_ps, sim.index[self.q] << 2, sim.index[self.d])
+        for net in self.inputs:
+            sim.on(net, old, new, action)
 
 
 class ResetBlock:
@@ -114,33 +125,46 @@ class ResetBlock:
         self.buffered_last = buffered_last
         self.start = start
         self.delay_ps = delay_ps
-        self.state = ResetState()
-        self._target: Level | None = None
 
     @property
     def inputs(self):
         return (self.dclk, self.disable, self.enable, self.buffered_last)
 
-    def reset(self):
-        self.state = ResetState()
-        self._target = None
+    def bind(self, sim: "Simulator"):
+        """Integer form of ``eval_reset``/``ResetState`` with its own state."""
+        values, schedule = sim.values, sim.schedule
+        dis, en, blast = (sim.index[n] for n in
+                          (self.disable, self.enable, self.buffered_last))
+        start_code, delay = sim.index[self.start] << 2, self.delay_ps
+        sampled_dis = sampled_en = armed = 2
+        target = -1  # the Start level last scheduled
 
-    def poke(self, sim: "Simulator", net: str, old: Level, new: Level, t: int):
-        dis = sim.values[self.disable]
-        en = sim.values[self.enable]
-        blast = sim.values[self.buffered_last]
-        if net == self.dclk:
-            if (old, new) == (LOW, HIGH):
-                start = eval_reset(self.state, "rise", dis, en, blast)
-            elif (old, new) == (HIGH, LOW):
-                start = eval_reset(self.state, "fall", dis, en, blast)
-            else:
-                start = self.state.start_level(dis, en, blast)
-        else:
-            start = self.state.start_level(dis, en, blast)
-        if start is not self._target:
-            self._target = start
-            sim.schedule(t + self.delay_ps, self.start, start)
+        def update(t: int):
+            nonlocal target
+            ndis = _NOT[values[dis]]
+            start = _OR[_AND[ndis][armed]][
+                _AND[_AND[ndis][_NOT[values[en]]]][values[blast]]]
+            if start != target:
+                target = start
+                schedule(t + delay, start_code + start)
+
+        def rise(t: int):
+            nonlocal sampled_dis, sampled_en
+            sampled_dis, sampled_en = values[dis], values[en]
+            update(t)
+
+        def fall(t: int):
+            nonlocal armed
+            armed = _AND[_NOT[sampled_dis]][sampled_en]
+            update(t)
+
+        for net in self.inputs:
+            for old, new in _CHANGES:
+                if net != self.dclk or (old, new) not in ((0, 1), (1, 0)):
+                    handler = update
+                else:
+                    handler = rise if new == 1 else fall
+                sim.on(net, old, new, (None, handler, None))
 
 
 class SharedLine:
@@ -155,7 +179,6 @@ class SharedLine:
         self.line = line
         self.pullers = pullers
         self.delay_ps = delay_ps
-        self._target: Level | None = None
 
     @property
     def inputs(self):
@@ -165,28 +188,47 @@ class SharedLine:
             nets.append(src)
         return tuple(dict.fromkeys(nets))
 
-    def reset(self):
-        self._target = None
+    def bind(self, sim: "Simulator"):
+        values, schedule = sim.values, sim.schedule
+        pullers = [(sim.index[sel], sim.index[src], _SAME if active else _NOT)
+                   for sel, src, active in self.pullers]
+        line_code, delay = sim.index[self.line] << 2, self.delay_ps
+        target = -1  # the line level last scheduled
 
-    def _pull_terms(self, values: dict[str, Level]) -> list[tuple[str, Level, Level]]:
-        out = []
-        for sel, src, active in self.pullers:
-            bit = values[src] if active else k_not(values[src])
-            out.append((sel, values[sel], k_and(values[sel], bit)))
-        return out
+        def update(t: int):
+            nonlocal target
+            high = unknown = conflict = False
+            first = -1  # the pull of the first selected block
+            for sel, src, bit in pullers:
+                s = values[sel]
+                if s == 0:
+                    continue
+                pull = bit[values[src]]
+                if s == 1:
+                    if first < 0:
+                        first = pull
+                    elif pull != first:
+                        conflict = True
+                    if pull == 1:
+                        high = True
+                    elif pull == 2:
+                        unknown = True
+                elif pull:  # unknown select: pull is LOW only for a LOW bit
+                    unknown = True
+            if conflict:
+                raise ContentionError(
+                    f"conflicting drive on {self.line} at {t} ps from "
+                    + ", ".join(name for (name, _, _), (sel, _, _)
+                                in zip(self.pullers, pullers) if values[sel] == 1)
+                )
+            level = 0 if high else 2 if unknown else 1
+            if level != target:
+                target = level
+                schedule(t + delay, line_code + level)
 
-    def poke(self, sim: "Simulator", net: str, old: Level, new: Level, t: int):
-        terms = self._pull_terms(sim.values)
-        active = [(sel, pull) for sel, sel_lvl, pull in terms if sel_lvl is HIGH]
-        if len(active) >= 2 and len({p for _, p in active}) > 1:
-            raise ContentionError(
-                f"conflicting drive on {self.line} at {t} ps from "
-                + ", ".join(sel for sel, _ in active)
-            )
-        level = k_not(k_or(*(pull for _, _, pull in terms)))
-        if level is not self._target:
-            self._target = level
-            sim.schedule(t + self.delay_ps, self.line, level)
+        for net in self.inputs:
+            for old, new in _CHANGES:
+                sim.on(net, old, new, (None, update, None))
 
 
 # --------------------------------------------------------------------------
@@ -217,10 +259,6 @@ class ChannelNetlist:
     def splitter(self) -> list[Buffer]:
         return [c for c in self.components
                 if isinstance(c, Buffer) and c.dst in ("Dclk", "Nclk")]
-
-    @property
-    def reset_block(self) -> ResetBlock:
-        return next(c for c in self.components if isinstance(c, ResetBlock))
 
     @property
     def sel_nets(self) -> list[str]:
@@ -297,33 +335,68 @@ def build_channel(config: ChannelConfig) -> ChannelNetlist:
 # simulation kernel
 
 class Simulator:
-    """Single-threaded deterministic event loop over one netlist instance."""
+    """Deterministic event loop, compiled once per netlist instance.
+
+    Nets are interned as their index in ``netlist.nets`` and an event is
+    the code ``net << 2 | level``.  Each component's ``bind`` registers
+    actions per (net, old level, new level), in component and ``inputs``
+    order, so a change runs only the actions it can trigger:
+
+    - ``(delay, base, src)`` schedules code ``base + values[src]`` at
+      ``t + delay``: a flip-flop samples its D net, a buffer reads ``low``,
+      a slot that always holds 0;
+    - ``(None, handler, None)`` calls ``handler(t)``, which may ``schedule``.
+
+    Pending events wait in one FIFO list per timestamp, and a heap holds
+    the distinct timestamps.  Stimulus events at a timestamp precede the
+    events scheduled for it, so a list is processed in exactly the order
+    of (time, order of scheduling); its index counts events against
+    ``config.loop_limit``.
+    """
 
     def __init__(self, netlist: ChannelNetlist):
         self.netlist = netlist
-        self.values: dict[str, Level] = {net: UNKNOWN for net in netlist.nets}
-        self.traces: dict[str, list[tuple[int, Level]]] = {
-            net: [(0, UNKNOWN)] for net in netlist.nets
-        }
-        self.sensitivity: dict[str, list] = {}
+        self.index = {net: i for i, net in enumerate(netlist.nets)}
+        self.low = len(netlist.nets)
+        self.values = [2] * self.low + [0]
+        self.histories: list[list[tuple[int, Level]]] = [
+            [(0, UNKNOWN)] for _ in netlist.nets]
+        times: list[int] = []
+        pending: dict[int, list[int]] = {}
+        self._times, self._pending = times, pending
+
+        def schedule(time_ps: int, code: int):
+            bucket = pending.get(time_ps)
+            if bucket is None:
+                pending[time_ps] = [code]
+                heapq.heappush(times, time_ps)
+            else:
+                bucket.append(code)
+
+        # a closure, not a method: the handlers that call it hold no
+        # reference to the simulator, so a finished run is freed at once
+        self.schedule = schedule
+        self._actions: list[list] = [[] for _ in range(12 * self.low)]
         for comp in netlist.components:
-            comp.reset()
-            for net in comp.inputs:
-                self.sensitivity.setdefault(net, []).append(comp)
-        self._heap: list[tuple[int, int, str, Level]] = []
-        self._seq = itertools.count()
+            comp.bind(self)
+        self._actions = [tuple(a) for a in self._actions]
 
-    def schedule(self, time_ps: int, net: str, level: Level):
-        heapq.heappush(self._heap, (time_ps, next(self._seq), net, level))
+    def on(self, net: str, old: int, new: int, action: tuple):
+        """Register ``action`` for a change of ``net`` from ``old`` to ``new``."""
+        self._actions[((self.index[net] << 2 | new) * 3) + old].append(action)
 
-    def _record(self, net: str, t: int, level: Level):
-        hist = self.traces[net]
-        if hist and hist[-1][0] == t:
-            hist[-1] = (t, level)
-            if len(hist) > 1 and hist[-2][1] is level:
-                hist.pop()
-        else:
-            hist.append((t, level))
+    def _stimulus_buckets(self, stimulus: list[NetEvent]):
+        """The stimulus as (time, event codes) per distinct time, lazily."""
+        index = self.index
+        t_cur, bucket = None, []
+        for t, net, level in stimulus:
+            if t != t_cur:
+                if bucket:
+                    yield t_cur, bucket
+                t_cur, bucket = t, []
+            bucket.append(index[net] << 2 | level.value)
+        if bucket:
+            yield t_cur, bucket
 
     def run(self, stimulus: list[NetEvent], until_ps: int) -> SignalTraces:
         last_t = 0
@@ -333,30 +406,62 @@ class Simulator:
             if ev.time_ps < last_t:
                 raise ValueError("stimulus events must be time-ordered")
             last_t = ev.time_ps
-            self.schedule(ev.time_ps, ev.net, ev.level)
         if until_ps < last_t:
             raise ValueError("simulation horizon ends before the last stimulus event")
 
         limit = self.netlist.config.loop_limit
-        cur_t, count = -1, 0
-        heap = self._heap
-        while heap and heap[0][0] <= until_ps:
-            t, _, net, level = heapq.heappop(heap)
-            if t != cur_t:
-                cur_t, count = t, 0
-            count += 1
-            if count > limit:
-                raise OscillationError(
-                    f"more than {limit} zero-delay events at {t} ps (net {net})"
-                )
-            old = self.values[net]
-            if level is old:
-                continue
-            self.values[net] = level
-            self._record(net, t, level)
-            for comp in self.sensitivity.get(net, ()):
-                comp.poke(self, net, old, level, t)
-        return SignalTraces(events=self.traces, horizon_ps=until_ps)
+        values, histories, actions = self.values, self.histories, self._actions
+        times, pending = self._times, self._pending
+        heappush, heappop, levels = heapq.heappush, heapq.heappop, _LEVELS
+        stim = self._stimulus_buckets(stimulus)
+        nxt = next(stim, None)
+        while True:
+            if nxt is not None and (not times or nxt[0] <= times[0]):
+                t, bucket = nxt
+                nxt = next(stim, None)
+                if times and times[0] == t:
+                    heappop(times)
+                    bucket += pending[t]
+                pending[t] = bucket
+            elif times:
+                t = heappop(times)
+                bucket = pending[t]
+            else:
+                break
+            if t > until_ps:
+                break
+            for count, code in enumerate(bucket, 1):
+                if count > limit:
+                    raise OscillationError(
+                        f"more than {limit} zero-delay events at {t} ps "
+                        f"(net {self.netlist.nets[code >> 2]})"
+                    )
+                net, new = code >> 2, code & 3
+                old = values[net]
+                if new == old:
+                    continue
+                values[net] = new
+                hist = histories[net]
+                if hist[-1][0] != t:
+                    hist.append((t, levels[new]))
+                elif len(hist) > 1 and hist[-2][1] is levels[new]:
+                    hist.pop()
+                else:
+                    hist[-1] = (t, levels[new])
+                for delay, base, src in actions[code * 3 + old]:
+                    if delay is None:
+                        base(t)
+                        continue
+                    at = t + delay  # ``schedule``, inlined
+                    sched = pending.get(at)
+                    if sched is None:
+                        pending[at] = [base + values[src]]
+                        heappush(times, at)
+                    else:
+                        sched.append(base + values[src])
+            del pending[t]
+        return SignalTraces(events=dict(zip(self.netlist.nets, histories)),
+                            horizon_ps=until_ps)
 
 
 def advance(netlist: ChannelNetlist, stimulus: list[NetEvent],

@@ -15,6 +15,7 @@ from .errors import ConfigError, NoSettleError, NoTransitionError
 from .netlist import advance, build_channel
 
 ALL_OUTPUTS = ("vcd", "bits", "tx", "eye", "spectrum", "report")
+SOURCES = ("random", "prbs7", "prbs10", "fixed", "file", "none")
 
 
 @dataclass
@@ -53,7 +54,12 @@ def parse_scenario_text(text: str) -> Scenario:
         if key in ("name", "source", "word_file", "fixed_word"):
             sc = replace(sc, **{key: val})
         elif key in ("n_words", "seed", "disable_at_word"):
-            sc = replace(sc, **{key: int(val)})
+            try:
+                sc = replace(sc, **{key: int(val)})
+            except ValueError:
+                raise ConfigError(
+                    f"scenario line {lineno}: {key} must be an integer, got {val!r}"
+                ) from None
         elif key == "outputs":
             sc = replace(sc, outputs=tuple(v.strip() for v in val.split(",") if v.strip()))
         else:
@@ -81,6 +87,32 @@ class ScenarioResult:
     messages: list[str] = field(default_factory=list)
 
 
+def validate_scenario(config: ChannelConfig, sc: Scenario) -> None:
+    """Raise ``ConfigError`` for a scenario that ``config`` cannot run.
+
+    A file source is read here, to check ``disable_at_word`` against its
+    word count.
+    """
+    if sc.source not in SOURCES:
+        raise ConfigError(f"unknown data source {sc.source!r}")
+    unknown = [kind for kind in sc.outputs if kind not in ALL_OUTPUTS]
+    if unknown:
+        raise ConfigError(f"unknown outputs {', '.join(unknown)} "
+                          f"(known: {', '.join(ALL_OUTPUTS)})")
+    if sc.n_words is not None and sc.n_words < 1:
+        raise ConfigError(f"n_words must be at least 1, got {sc.n_words}")
+    w = config.word_width
+    if sc.fixed_word is not None and (len(sc.fixed_word) != w
+                                      or set(sc.fixed_word) - {"0", "1"}):
+        raise ConfigError(f"fixed_word must be {w} binary digits, got {sc.fixed_word!r}")
+    if sc.disable_at_word is not None and sc.source != "none":
+        n = len(_words_for(config, sc)) if sc.source == "file" else (
+            sc.n_words if sc.n_words is not None else config.horizon_words)
+        if not 0 <= sc.disable_at_word < n:
+            raise ConfigError(f"disable_at_word must be in 0..{n - 1} "
+                              f"for {n} words, got {sc.disable_at_word}")
+
+
 def _words_for(config: ChannelConfig, sc: Scenario) -> list[stimulus.Word]:
     n = sc.n_words if sc.n_words is not None else config.horizon_words
     seed = sc.seed if sc.seed is not None else config.seed
@@ -92,11 +124,12 @@ def _words_for(config: ChannelConfig, sc: Scenario) -> list[stimulus.Word]:
     if sc.source == "fixed":
         pattern = sc.fixed_word or "1" * w
         return [tuple(int(c) for c in reversed(pattern))] * n
-    if sc.source == "file":
-        if not sc.word_file:
-            raise ConfigError("scenario source 'file' needs word_file")
+    if not sc.word_file:
+        raise ConfigError("scenario source 'file' needs word_file")
+    try:
         return golden.load_words(sc.word_file, w)
-    raise ConfigError(f"unknown data source {sc.source!r}")
+    except ValueError as exc:
+        raise ConfigError(f"word file {sc.word_file}: {exc}") from None
 
 
 def _write(out_dir: Path, name: str, text: str) -> Path:
@@ -108,6 +141,7 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 
 def run_scenario(config: ChannelConfig, sc: Scenario, out_dir: str | Path) -> ScenarioResult:
     config.validate()
+    validate_scenario(config, sc)
     out = Path(out_dir)
     result = ScenarioResult(name=sc.name, passed=True)
 

@@ -1,16 +1,16 @@
 """Stimulus generation: serial clock, control schedules, parallel-bus updates.
 
 All edge times are computed on the exact rational bit-period grid and
-rounded per edge, so long runs accumulate no drift.  The parallel bus is
-updated inside the safe window of each selection round (the last slot,
-after the held bits were captured and after the direct bits were used).
+rounded per edge (in integer arithmetic, ties to even), so long runs
+accumulate no drift.  The parallel bus is updated inside the safe window
+of each selection round (the last slot, after the held bits were captured
+and after the direct bits were used).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .config import ChannelConfig
 from .errors import SeedError
@@ -62,11 +62,28 @@ class ProtocolSchedule:
 # --------------------------------------------------------------------------
 # clock grid
 
+def _half_periods(config: ChannelConfig, n: int) -> int:
+    """``round(n * bit_period / 2)`` in integer arithmetic.
+
+    Matches rounding the exact ``Fraction``, ties to even included.
+    """
+    period = config.bit_period
+    return _round_div(n * period.numerator, 2 * period.denominator)
+
+
+def _round_div(num: int, den: int) -> int:
+    """``num / den`` rounded to the nearest integer, ties to even (``den > 0``)."""
+    quot, rem = divmod(num, den)
+    if 2 * rem > den or (2 * rem == den and quot & 1):
+        quot += 1
+    return quot
+
+
 def clock_rise_time(config: ChannelConfig, k: int) -> int:
-    return round(k * config.bit_period)
+    return _half_periods(config, 2 * k)
 
 def clock_fall_time(config: ChannelConfig, k: int) -> int:
-    return round(k * config.bit_period + config.bit_period / 2)
+    return _half_periods(config, 2 * k + 1)
 
 def rising_dclk_time(config: ChannelConfig, k: int) -> int:
     return clock_rise_time(config, k) + config.buffer_delay_ps
@@ -77,16 +94,19 @@ def falling_dclk_time(config: ChannelConfig, k: int) -> int:
 
 def clock_events(config: ChannelConfig, until_ps: int) -> list[NetEvent]:
     """Serial clock toggling from t=0 (low) past ``until_ps``."""
+    period = config.bit_period
+    num, den = period.numerator, 2 * period.denominator
     events = []
-    k = 0
+    n = 0  # half periods: even n rises, odd n falls
     while True:
-        rise, fall = clock_rise_time(config, k), clock_fall_time(config, k)
+        rise = _round_div(n * num, den)
         if rise > until_ps:
             return events
         events.append(NetEvent(rise, "Clock", HIGH))
+        fall = _round_div((n + 1) * num, den)
         if fall <= until_ps:
             events.append(NetEvent(fall, "Clock", LOW))
-        k += 1
+        n += 2
 
 
 @dataclass
@@ -106,7 +126,7 @@ class SlotTiming:
         return falling_dclk_time(cfg, k) + cfg.ff_delay_ps
 
     def slot_mid(self, round_idx: int, slot: int) -> int:
-        return self.slot_start(round_idx, slot) + round(self.config.bit_period / 2)
+        return self.slot_start(round_idx, slot) + _half_periods(self.config, 1)
 
 
 def timing_for_enable(config: ChannelConfig, enable_time_ps: int) -> SlotTiming:
@@ -141,7 +161,15 @@ def word_events(words: list[Word], timing: SlotTiming) -> list[NetEvent]:
 # canned schedules and full-run assembly
 
 def reset_schedule(config: ChannelConfig, assert_at: int | None = None,
-                   hold_periods: int = 12, gap_periods: int = 2) -> ProtocolSchedule:
+                   hold_periods: int | None = None,
+                   gap_periods: int = 2) -> ProtocolSchedule:
+    """Assert Disable, release it, then pulse Enable.
+
+    Disable is held long enough for the unknown power-on levels to drain
+    through the whole ring: by default ``max(12, word_width + 2)`` periods.
+    """
+    if hold_periods is None:
+        hold_periods = max(12, config.word_width + 2)
     period = config.bit_period
     t0 = assert_at if assert_at is not None else round(period / 4)
     t1 = round(t0 + hold_periods * period)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .logic import UNKNOWN, Level, SignalTraces
@@ -75,6 +73,3 @@ def traces_to_vcd(traces: SignalTraces, module: str = "channel") -> str:
     out.append(f"#{traces.horizon_ps}")
     return "\n".join(out) + "\n"
 
-
-def export_vcd(traces: SignalTraces, path: str | Path) -> None:
-    Path(path).write_text(traces_to_vcd(traces))

@@ -1,0 +1,161 @@
+"""The event kernel before it was compiled to integer-coded nets and levels.
+
+A test oracle: ``ReferenceSimulator`` runs a ``ChannelNetlist`` with the
+original loop over a ``(time, seq, net, level)`` heap, string-keyed
+``Level`` values and one ``poke`` per component and input change.  The
+component logic below is the original ``poke`` code, kept on subclasses
+of the netlist description classes.
+"""
+
+from __future__ import annotations
+
+import heapq
+import itertools
+
+from datachan.errors import ContentionError, OscillationError
+from datachan.logic import HIGH, LOW, UNKNOWN, Level, NetEvent, SignalTraces, k_and, k_not, k_or
+from datachan.netlist import (Buffer, ChannelNetlist, DFlipFlop, ResetBlock, ResetState,
+                              SharedLine, eval_reset)
+
+
+class _Reference:
+    @classmethod
+    def of(cls, comp):
+        """A reference twin of the description component ``comp``."""
+        twin = cls.__new__(cls)
+        twin.__dict__.update(comp.__dict__)
+        return twin
+
+
+class RefBuffer(_Reference, Buffer):
+    def reset(self):
+        pass
+
+    def poke(self, sim: "ReferenceSimulator", net: str, old: Level, new: Level, t: int):
+        sim.schedule(t + self.delay_ps, self.dst, k_not(new) if self.invert else new)
+
+
+class RefDFlipFlop(_Reference, DFlipFlop):
+    def reset(self):
+        pass
+
+    def poke(self, sim: "ReferenceSimulator", net: str, old: Level, new: Level, t: int):
+        trigger = (HIGH, LOW) if self.edge == "fall" else (LOW, HIGH)
+        if (old, new) == trigger:
+            sim.schedule(t + self.delay_ps, self.q, sim.values[self.d])
+
+
+class RefResetBlock(_Reference, ResetBlock):
+    def reset(self):
+        self.state = ResetState()
+        self._target = None
+
+    def poke(self, sim: "ReferenceSimulator", net: str, old: Level, new: Level, t: int):
+        dis = sim.values[self.disable]
+        en = sim.values[self.enable]
+        blast = sim.values[self.buffered_last]
+        if net == self.dclk:
+            if (old, new) == (LOW, HIGH):
+                start = eval_reset(self.state, "rise", dis, en, blast)
+            elif (old, new) == (HIGH, LOW):
+                start = eval_reset(self.state, "fall", dis, en, blast)
+            else:
+                start = self.state.start_level(dis, en, blast)
+        else:
+            start = self.state.start_level(dis, en, blast)
+        if start is not self._target:
+            self._target = start
+            sim.schedule(t + self.delay_ps, self.start, start)
+
+
+class RefSharedLine(_Reference, SharedLine):
+    def reset(self):
+        self._target = None
+
+    def _pull_terms(self, values: dict[str, Level]) -> list[tuple[str, Level, Level]]:
+        out = []
+        for sel, src, active in self.pullers:
+            bit = values[src] if active else k_not(values[src])
+            out.append((sel, values[sel], k_and(values[sel], bit)))
+        return out
+
+    def poke(self, sim: "ReferenceSimulator", net: str, old: Level, new: Level, t: int):
+        terms = self._pull_terms(sim.values)
+        active = [(sel, pull) for sel, sel_lvl, pull in terms if sel_lvl is HIGH]
+        if len(active) >= 2 and len({p for _, p in active}) > 1:
+            raise ContentionError(
+                f"conflicting drive on {self.line} at {t} ps from "
+                + ", ".join(sel for sel, _ in active)
+            )
+        level = k_not(k_or(*(pull for _, _, pull in terms)))
+        if level is not self._target:
+            self._target = level
+            sim.schedule(t + self.delay_ps, self.line, level)
+
+
+_TWINS = {Buffer: RefBuffer, DFlipFlop: RefDFlipFlop, ResetBlock: RefResetBlock,
+          SharedLine: RefSharedLine}
+
+
+class ReferenceSimulator:
+    """Single-threaded deterministic event loop over one netlist instance."""
+
+    def __init__(self, netlist: ChannelNetlist):
+        self.netlist = netlist
+        self.values: dict[str, Level] = {net: UNKNOWN for net in netlist.nets}
+        self.traces: dict[str, list[tuple[int, Level]]] = {
+            net: [(0, UNKNOWN)] for net in netlist.nets
+        }
+        self.sensitivity: dict[str, list] = {}
+        for desc in netlist.components:
+            comp = _TWINS[type(desc)].of(desc)
+            comp.reset()
+            for net in comp.inputs:
+                self.sensitivity.setdefault(net, []).append(comp)
+        self._heap: list[tuple[int, int, str, Level]] = []
+        self._seq = itertools.count()
+
+    def schedule(self, time_ps: int, net: str, level: Level):
+        heapq.heappush(self._heap, (time_ps, next(self._seq), net, level))
+
+    def _record(self, net: str, t: int, level: Level):
+        hist = self.traces[net]
+        if hist and hist[-1][0] == t:
+            hist[-1] = (t, level)
+            if len(hist) > 1 and hist[-2][1] is level:
+                hist.pop()
+        else:
+            hist.append((t, level))
+
+    def run(self, stimulus: list[NetEvent], until_ps: int) -> SignalTraces:
+        last_t = 0
+        for ev in stimulus:
+            if ev.net not in self.netlist.primary_inputs:
+                raise ValueError(f"stimulus on non-primary net {ev.net!r}")
+            if ev.time_ps < last_t:
+                raise ValueError("stimulus events must be time-ordered")
+            last_t = ev.time_ps
+            self.schedule(ev.time_ps, ev.net, ev.level)
+        if until_ps < last_t:
+            raise ValueError("simulation horizon ends before the last stimulus event")
+
+        limit = self.netlist.config.loop_limit
+        cur_t, count = -1, 0
+        heap = self._heap
+        while heap and heap[0][0] <= until_ps:
+            t, _, net, level = heapq.heappop(heap)
+            if t != cur_t:
+                cur_t, count = t, 0
+            count += 1
+            if count > limit:
+                raise OscillationError(
+                    f"more than {limit} zero-delay events at {t} ps (net {net})"
+                )
+            old = self.values[net]
+            if level is old:
+                continue
+            self.values[net] = level
+            self._record(net, t, level)
+            for comp in self.sensitivity.get(net, ()):
+                comp.poke(self, net, old, level, t)
+        return SignalTraces(events=self.traces, horizon_ps=until_ps)

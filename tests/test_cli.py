@@ -159,3 +159,72 @@ def test_cli_config_file_round_trip(tmp_path):
 
 def test_cli_selftest():
     assert main(["selftest"]) == 0
+
+
+def test_cli_runs_width_16(tmp_path, capsys):
+    cfg_path = tmp_path / "w16.cfg"
+    save_config(ChannelConfig(word_width=16), cfg_path)
+    code = main(["run", "--config", str(cfg_path), "--words", "12",
+                 "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert "  serial-equivalence: pass" in out
+    assert "  protocol: pass" in out
+    assert code == 0
+
+
+BAD_SCENARIOS = {
+    "n_words": ("n_words = abc\n", "n_words must be an integer"),
+    "fixed-width": ("source = fixed\nfixed_word = 10101\n", "fixed_word must be 10 binary"),
+    "fixed-digits": ("source = fixed\nfixed_word = 1010120101\n", "fixed_word must be 10 binary"),
+    "disable-past-end": ("n_words = 5\ndisable_at_word = 5\n", "disable_at_word must be in 0..4"),
+    "outputs": ("outputs = bits, waveform\n", "unknown outputs waveform"),
+    "source": ("source = noise\n", "unknown data source"),
+}
+
+
+def _usage_error(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
+def test_cli_bad_scenario_is_usage_error(tmp_path, capsys, case):
+    text, message = BAD_SCENARIOS[case]
+    sc = tmp_path / "bad.scenario"
+    sc.write_text(text)
+    err = _usage_error(capsys, ["run", "--scenario", str(sc), "--out", str(tmp_path)])
+    assert message in err
+    assert not list(tmp_path.glob("stream-random.*"))
+
+
+def test_cli_zero_words_is_usage_error(tmp_path, capsys):
+    err = _usage_error(capsys, ["run", "--words", "0", "--out", str(tmp_path)])
+    assert "n_words must be at least 1" in err
+
+
+def test_cli_bad_scenario_stops_before_any_run(tmp_path, capsys):
+    sc = tmp_path / "bad.scenario"
+    sc.write_text("name = late\noutputs = bogus\n")
+    _usage_error(capsys, ["run", "--scenario", "stream-random", "--scenario", str(sc),
+                          "--words", "5", "--out", str(tmp_path)])
+    assert not (tmp_path / "stream-random.report.json").exists()
+
+
+def test_cli_bad_word_file_is_usage_error(tmp_path, capsys):
+    wf = tmp_path / "words.txt"
+    wf.write_text("1111100000\n11111\n")
+    sc = tmp_path / "file.scenario"
+    sc.write_text(f"source = file\nword_file = {wf}\n")
+    err = _usage_error(capsys, ["run", "--scenario", str(sc), "--out", str(tmp_path)])
+    assert "line 2: expected 10 binary digits" in err
+
+
+def test_cli_coarse_sampling_is_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "coarse.cfg"
+    cfg_path.write_text("dt_ps = 40\n")
+    err = _usage_error(capsys, ["run", "--config", str(cfg_path), "--words", "5",
+                                "--out", str(tmp_path)])
+    assert "fewer than 32 samples" in err

@@ -1,0 +1,134 @@
+"""The compiled event kernel against the original kernel and the functional oracles."""
+
+import gc
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from datachan import ChannelConfig, advance, build_channel, golden, protocol, stimulus
+from datachan.errors import ContentionError, OscillationError
+from datachan.logic import HIGH, LOW, UNKNOWN, NetEvent, SignalTraces
+from datachan.netlist import Buffer, ChannelNetlist, SharedLine, Simulator, mux_lines
+from reference_kernel import ReferenceSimulator
+
+
+@st.composite
+def channel_runs(draw):
+    """A configuration that ``validate()`` accepts, words and a disable point."""
+    width = draw(st.sampled_from((8, 10, 16)))
+    rate = draw(st.integers(1_000_000_000, 3_000_000_000))
+    shortest = math.floor(ChannelConfig(serial_rate_hz=rate).bit_period)
+    buf = draw(st.integers(1, (shortest - 2) // 5))
+    ff = draw(st.integers(1, shortest - 1 - 5 * buf))
+    skew = draw(st.integers(0, math.ceil(shortest / 2) - 1))
+    config = ChannelConfig(serial_rate_hz=rate, word_width=width, ff_delay_ps=ff,
+                           buffer_delay_ps=buf, skew_ps=skew)
+    config.validate()
+    words = draw(st.lists(st.tuples(*[st.integers(0, 1)] * width),
+                          min_size=3, max_size=8))
+    disable_at = draw(st.none() | st.integers(0, len(words) - 1))
+    return config, words, disable_at
+
+
+def _stimulus(config, words, disable_at):
+    """Stream ``words``, asserting Disable mid-word like ``run_scenario``."""
+    stim = stimulus.stream_stimulus(config, words)
+    if disable_at is None:
+        return stim
+    t_d = stim.timing.slot_mid(disable_at, config.word_width // 2)
+    schedule = stimulus.ProtocolSchedule(
+        stim.schedule.actions + [(t_d, stimulus.Action.DISABLE_ASSERT)])
+    return stimulus.stream_stimulus(config, words, schedule)
+
+
+@settings(max_examples=60, deadline=None)
+@given(channel_runs())
+def test_compiled_kernel_matches_reference_and_oracles(run):
+    config, words, disable_at = run
+    width = config.word_width
+    stim = _stimulus(config, words, disable_at)
+    netlist = build_channel(config)
+    traces = advance(netlist, stim.events, stim.until_ps)
+
+    reference = ReferenceSimulator(netlist).run(stim.events, stim.until_ps)
+    assert traces.events == reference.events
+    assert list(traces.events) == list(reference.events)
+
+    got = golden.extract_serial(traces, config).bits
+    want = golden.golden_serialize(words, width).bits
+    if disable_at is None:
+        assert got == want
+        last_round = len(words)
+    else:
+        assert len(got) >= disable_at * width
+        assert got == want[:len(got)]
+        last_round = disable_at
+    assert protocol.check_protocol(traces, stim.schedule, config).passed
+
+    # the in-netlist wired lines against the delay-free functional mux
+    source = {f"D{i}": traces.events[f"D{i}"] for i in range(width - 2)}
+    source[f"D{width - 2}"] = traces.events[f"HoldD{width - 2}"]
+    source[f"D{width - 1}"] = traces.events[f"HoldD{width - 1}"]
+    lines = SignalTraces(events=mux_lines(traces, source, width),
+                         horizon_ps=traces.horizon_ps)
+    for r in range(1, last_round - 1):
+        for slot in range(1, width + 1):
+            mid = stim.timing.slot_mid(r, slot)
+            for line in ("Even", "Odd", "nEven", "nOdd"):
+                assert lines.level_at(line, mid) is traces.level_at(line, mid)
+
+
+def _error(sim, stimulus_events, until_ps):
+    with pytest.raises((OscillationError, ContentionError)) as info:
+        sim.run(stimulus_events, until_ps)
+    return info.type, str(info.value)
+
+
+def test_zero_delay_loop_error_matches_reference():
+    nl = ChannelNetlist(
+        config=ChannelConfig(loop_limit=50), nets=["A", "B"], primary_inputs=["A"],
+        components=[Buffer("A", "B", 0), Buffer("B", "A", 0, invert=True)],
+    )
+    events = [NetEvent(5, "A", HIGH)]
+    got = _error(Simulator(nl), events, 10)
+    assert got == _error(ReferenceSimulator(nl), events, 10)
+    assert got[0] is OscillationError
+
+
+def test_forced_contention_error_matches_reference():
+    nl = ChannelNetlist(
+        config=ChannelConfig(), nets=["Sa", "Sb", "Da", "Db", "L"],
+        primary_inputs=["Sa", "Sb", "Da", "Db"],
+        components=[SharedLine("L", [("Sa", "Da", 1), ("Sb", "Db", 1)], 5)],
+    )
+    events = [NetEvent(0, "Da", LOW), NetEvent(0, "Db", LOW), NetEvent(0, "Sa", HIGH),
+              NetEvent(0, "Sb", HIGH), NetEvent(7, "Da", HIGH)]
+    got = _error(Simulator(nl), events, 10)
+    assert got == _error(ReferenceSimulator(nl), events, 10)
+    assert got == (ContentionError, "conflicting drive on L at 7 ps from Sa, Sb")
+
+
+def test_same_time_glitch_collapses_like_reference():
+    nl = ChannelNetlist(
+        config=ChannelConfig(), nets=["A", "B"], primary_inputs=["A"],
+        components=[Buffer("A", "B", 1)],
+    )
+    events = [NetEvent(0, "A", LOW), NetEvent(5, "A", HIGH), NetEvent(5, "A", LOW)]
+    traces = Simulator(nl).run(events, 10)
+    assert traces.events == ReferenceSimulator(nl).run(events, 10).events
+    assert traces.events == {"A": [(0, LOW)], "B": [(0, UNKNOWN), (1, LOW)]}
+
+
+def test_finished_run_leaves_no_reference_cycles(config, stream40):
+    # a cycle would keep every history alive until the next full collection
+    _, stim, _ = stream40
+    netlist = build_channel(config)
+    gc.collect()
+    gc.disable()
+    try:
+        traces = advance(netlist, stim.events, stim.until_ps)
+        del traces
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

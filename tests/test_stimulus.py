@@ -30,6 +30,62 @@ def test_clock_grid_has_no_cumulative_drift(config):
     assert t1 == 10**9  # 1.65M periods at 1.65 GHz is exactly 1 ms
 
 
+# rates whose exact edge times hit .5 ties: 1.6 GHz (625 ps) on every fall,
+# 3.2 GHz (312.5 ps) on every odd rise; the others are not whole picoseconds
+GRID_RATES = (1_650_000_000, 1_600_000_000, 3_200_000_000, 1_000_000_000,
+              1_234_567_891, 2_999_999_999)
+
+
+def _fraction_grid(config, k):
+    period = Fraction(10**12, config.serial_rate_hz)
+    return round(k * period), round(k * period + period / 2), round(period / 2)
+
+
+@pytest.mark.parametrize("rate", GRID_RATES)
+def test_integer_clock_grid_matches_fraction(rate):
+    cfg = ChannelConfig(serial_rate_hz=rate)
+    ks = [*range(2000), *range(10**6 - 2000, 10**6 + 1), *range(0, 10**6, 997)]
+    for k in ks:
+        rise, fall, half = _fraction_grid(cfg, k)
+        assert stimulus.clock_rise_time(cfg, k) == rise
+        assert stimulus.clock_fall_time(cfg, k) == fall
+    timing = stimulus.SlotTiming(cfg, first_sel_edge=3)
+    assert timing.slot_mid(2, 4) - timing.slot_start(2, 4) == half
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(10**8, 10**10), st.integers(0, 10**6))
+def test_integer_clock_grid_matches_fraction_at_random(rate, k):
+    cfg = ChannelConfig(serial_rate_hz=rate)
+    rise, fall, _ = _fraction_grid(cfg, k)
+    assert (stimulus.clock_rise_time(cfg, k), stimulus.clock_fall_time(cfg, k)) == (rise, fall)
+
+
+def test_integer_clock_grid_rounds_ties_to_even():
+    fast = ChannelConfig(serial_rate_hz=3_200_000_000)  # 312.5 ps
+    assert [stimulus.clock_rise_time(fast, k) for k in (1, 3, 5)] == [312, 938, 1562]
+    slow = ChannelConfig(serial_rate_hz=1_600_000_000)  # falls at 312.5 + k * 625
+    assert [stimulus.clock_fall_time(slow, k) for k in (0, 1, 2)] == [312, 938, 1562]
+    assert stimulus.SlotTiming(slow, 1).slot_mid(0, 1) == (
+        stimulus.falling_dclk_time(slow, 1) + slow.ff_delay_ps + 312)
+
+
+@pytest.mark.parametrize("rate", GRID_RATES)
+def test_clock_events_match_fraction_grid(rate):
+    cfg = ChannelConfig(serial_rate_hz=rate)
+    until = 200_000
+    want = []
+    for k in range(10**6):
+        rise, fall, _ = _fraction_grid(cfg, k)
+        if rise > until:
+            break
+        want.append((rise, HIGH))
+        if fall <= until:
+            want.append((fall, LOW))
+    got = [(ev.time_ps, ev.level) for ev in stimulus.clock_events(cfg, until)]
+    assert got == want
+
+
 def test_clock_events_alternate_and_stop_at_horizon(config):
     until = round(10 * config.bit_period)
     events = stimulus.clock_events(config, until)
@@ -149,6 +205,29 @@ def test_config_validation_limits():
         ChannelConfig(driver=DriverParams(i_standby_a=1e-3)).validate()
     with pytest.raises(ConfigError):
         ChannelConfig(driver=DriverParams(edge_model="LINEAR")).validate()
+
+
+def test_config_requires_32_samples_per_unit_interval():
+    ChannelConfig(dt_ps=18.9).validate()  # 606 ps / 18.9 ps > 32
+    with pytest.raises(ConfigError, match="32 samples"):
+        ChannelConfig(dt_ps=19).validate()
+
+
+def test_config_requires_token_recirculation_within_one_period():
+    # the shortest period at 1.65 GHz is 606 ps: Start must rise before it ends
+    ChannelConfig(ff_delay_ps=530, buffer_delay_ps=15).validate()   # 605 ps
+    with pytest.raises(ConfigError, match="serial period"):
+        ChannelConfig(ff_delay_ps=531, buffer_delay_ps=15).validate()  # 606 ps
+    with pytest.raises(ConfigError, match="serial period"):
+        ChannelConfig(serial_rate_hz=2_500_000_000, buffer_delay_ps=80).validate()
+
+
+@pytest.mark.parametrize("width, hold", [(8, 12), (10, 12), (16, 18)])
+def test_reset_hold_covers_the_ring(width, hold):
+    cfg = ChannelConfig(word_width=width)
+    sched = stimulus.reset_schedule(cfg)
+    (t0, _), (t1, _), _ = sched.actions
+    assert t1 == round(t0 + hold * cfg.bit_period)
 
 
 @settings(max_examples=25, deadline=None)
