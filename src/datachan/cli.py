@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from . import __version__
 from .config import ChannelConfig, load_config
@@ -36,12 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, metavar="N", help="stimulus seed")
         sp.add_argument("--out", metavar="DIR", default="out", help="output directory")
 
-    run_p = sub.add_parser("run", help="full pipeline with all requested artifacts")
-    common(run_p)
-    run_p.add_argument("--format", choices=("csv", "vcd", "json"),
-                       help="restrict artifact formats")
-
     for name, help_text in [
+        ("run", "full pipeline with all requested artifacts"),
         ("eye", "eye-diagram histogram CSV only"),
         ("spectrum", "supply-current spectrum CSV only"),
         ("report", "compliance report only"),
@@ -53,19 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_FORMAT_OUTPUTS = {
-    "csv": ("tx", "eye", "spectrum", "bits"),
-    "vcd": ("vcd",),
-    "json": ("report",),
-}
-_COMMAND_OUTPUTS = {
-    "eye": ("eye",),
-    "spectrum": ("spectrum",),
-    "report": ("report",),
-    "vcd": ("vcd",),
-}
-
-
 def _scenarios_from_args(args) -> list[Scenario]:
     specs = args.scenario or ["stream-random"]
     out = []
@@ -75,24 +57,20 @@ def _scenarios_from_args(args) -> list[Scenario]:
             sc = replace(sc, n_words=args.words)
         if args.seed is not None:
             sc = replace(sc, seed=args.seed)
-        outputs = _COMMAND_OUTPUTS.get(args.command)
-        if outputs is None and getattr(args, "format", None):
-            outputs = _FORMAT_OUTPUTS[args.format]
-        if outputs is not None:
-            sc = replace(sc, outputs=outputs)
+        if args.command != "run":
+            # each stage command writes only its own artifact
+            sc = replace(sc, outputs=(args.command,))
         out.append(sc)
     return out
 
 
 def _run_command(args) -> int:
     config = load_config(args.config) if args.config else ChannelConfig()
-    config.validate()
     scenarios = _scenarios_from_args(args)
     for sc in scenarios:
         validate_scenario(config, sc)
-    out_dir = Path(args.out)
 
-    results = [run_scenario(config, sc, out_dir) for sc in scenarios]
+    results = [run_scenario(config, sc, args.out) for sc in scenarios]
 
     code = EXIT_OK
     for res in results:
@@ -100,6 +78,8 @@ def _run_command(args) -> int:
         print(f"[{status}] {res.name}")
         for check, ok in res.checks.items():
             print(f"  {check}: {'pass' if ok else 'fail'}")
+        for check, reason in res.skipped.items():
+            print(f"  {check}: skipped ({reason})")
         for msg in res.messages:
             print(f"  {msg}")
         for kind, path in res.artifacts.items():

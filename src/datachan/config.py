@@ -133,6 +133,8 @@ class ChannelConfig:
             raise ConfigError("loop_limit must be positive")
         if self.eye_bins_t < 64 or self.eye_bins_v < 64:
             raise ConfigError("eye histogram needs at least 64x64 bins")
+        if len(self.mask_vertices) < 3 or any(len(v) != 2 for v in self.mask_vertices):
+            raise ConfigError("mask_vertices needs at least three x:y pairs")
         self.driver.validate()
         self.spike.validate()
 
@@ -209,7 +211,7 @@ def parse_config(text: str) -> ChannelConfig:
             name = key[len("spike."):]
             if name not in spk_types:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            spike = replace(spike, **{name: float(val)})
+            spike = replace(spike, **{name: _parse_scalar(val, float)})
         elif key in field_types:
             tname = str(field_types[key])
             kind = int if "int" in tname else float

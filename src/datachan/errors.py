@@ -45,5 +45,5 @@ class ResolutionError(DataChanError):
     """Spectral resolution too coarse for the requested band measurement."""
 
 
-class SeedError(DataChanError):
+class SeedError(ConfigError):
     """Invalid seed for an LFSR-based generator."""

@@ -11,7 +11,7 @@ from . import driver as drv
 from . import eye as eyemod
 from . import golden, measure, protocol, report, spectrum as specmod, stimulus, vcd
 from .config import ChannelConfig, config_to_text
-from .errors import ConfigError, NoSettleError, NoTransitionError
+from .errors import ConfigError, NoSettleError, NoTransitionError, ResolutionError
 from .netlist import advance, build_channel
 
 ALL_OUTPUTS = ("vcd", "bits", "tx", "eye", "spectrum", "report")
@@ -83,8 +83,8 @@ class ScenarioResult:
     artifacts: dict[str, Path] = field(default_factory=dict)
     checks: dict[str, bool] = field(default_factory=dict)
     report: report.ComplianceReport | None = None
-    verdict: protocol.ProtocolVerdict | None = None
     messages: list[str] = field(default_factory=list)
+    skipped: dict[str, str] = field(default_factory=dict)  # check -> reason
 
 
 def validate_scenario(config: ChannelConfig, sc: Scenario) -> None:
@@ -105,6 +105,10 @@ def validate_scenario(config: ChannelConfig, sc: Scenario) -> None:
     if sc.fixed_word is not None and (len(sc.fixed_word) != w
                                       or set(sc.fixed_word) - {"0", "1"}):
         raise ConfigError(f"fixed_word must be {w} binary digits, got {sc.fixed_word!r}")
+    if sc.source in ("prbs7", "prbs10"):
+        # zero bits: only the seed check runs (SeedError is a ConfigError)
+        stimulus.prbs_bits(sc.source.upper(), 0,
+                           sc.seed if sc.seed is not None else config.seed)
     if sc.disable_at_word is not None and sc.source != "none":
         n = len(_words_for(config, sc)) if sc.source == "file" else (
             sc.n_words if sc.n_words is not None else config.horizon_words)
@@ -132,59 +136,107 @@ def _words_for(config: ChannelConfig, sc: Scenario) -> list[stimulus.Word]:
         raise ConfigError(f"word file {sc.word_file}: {exc}") from None
 
 
-def _write(out_dir: Path, name: str, text: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(text)
-    return path
+# A standby run lasts this many bit periods.
+STANDBY_PERIODS = 200
+
+# Artifacts in write order: (output kind, product, result key, file suffix,
+# writer).  A product the run did not make (no eye from a short window, no
+# bit stream from a standby run) writes nothing.
+ARTIFACTS = (
+    ("vcd", "traces", "vcd", ".vcd", lambda traces: vcd.traces_to_vcd(traces)),
+    ("bits", "bits", "bits", ".bits.txt", lambda bits: golden.format_bitstream(bits)),
+    ("tx", "tx_plus", "tx_plus", ".tx_plus.csv", lambda tx: drv.trace_to_csv(tx)),
+    ("tx", "tx_minus", "tx_minus", ".tx_minus.csv", lambda tx: drv.trace_to_csv(tx)),
+    ("eye", "eye", "eye", ".eye.csv", lambda eye: eye.to_csv()),
+    ("spectrum", "spectrum", "spectrum", ".spectrum.csv", lambda spec: spec.to_csv()),
+    ("report", "report", "report", ".report.json", lambda rep: rep.to_json()),
+    ("report", "report", "report_txt", ".report.txt", lambda rep: rep.to_text()),
+)
 
 
 def run_scenario(config: ChannelConfig, sc: Scenario, out_dir: str | Path) -> ScenarioResult:
+    """Simulate ``sc``, run its checks and write the requested artifacts.
+
+    Standby (source ``none``) is the reset schedule's first Disable with no
+    enable: the channel never streams, and only its pulled-up level is checked.
+    """
     config.validate()
     validate_scenario(config, sc)
-    out = Path(out_dir)
     result = ScenarioResult(name=sc.name, passed=True)
-
-    if sc.source == "none":
-        return _run_standby(config, sc, out, result)
-
-    words = _words_for(config, sc)
+    standby = sc.source == "none"
+    words = [] if standby else _words_for(config, sc)
     schedule = stimulus.reset_schedule(config)
-    stim = stimulus.stream_stimulus(config, words, schedule)
-    timing = stim.timing
-    if sc.disable_at_word is not None:
+    if standby:
+        schedule = stimulus.ProtocolSchedule(schedule.actions[:1])
+    elif sc.disable_at_word is not None:
+        enable = schedule.times_of(stimulus.Action.ENABLE_PULSE)[0]
+        timing = stimulus.timing_for_enable(config, enable)
         t_d = timing.slot_mid(sc.disable_at_word, config.word_width // 2)
         schedule = stimulus.ProtocolSchedule(
             schedule.actions + [(t_d, stimulus.Action.DISABLE_ASSERT)]
         )
-        stim = stimulus.stream_stimulus(config, words, schedule)
+    stim = stimulus.stream_stimulus(config, words, schedule,
+                                    tail_periods=STANDBY_PERIODS if standby else 4)
 
     netlist = build_channel(config)
     traces = advance(netlist, stim.events, stim.until_ps)
+    tx_plus, tx_minus = drv.synthesize_tx(
+        traces, config.driver, config.dt_ps, ui_ps=config.ui_ps
+    )
+    # output level before the channel was first enabled: all of a standby run
+    enables = schedule.times_of(stimulus.Action.ENABLE_PULSE)
+    n_off = max(1, int((enables[0] - tx_plus.t0_ps) / tx_plus.dt_ps)) if enables else None
+    v_off = float(np.median(tx_plus.samples[:n_off]))
 
-    # serializer equivalence against the functional golden model
+    if standby:
+        drop = config.driver.avcc_v - v_off
+        lo, hi = report.BOUNDS["v_off"]
+        result.report = report.ComplianceReport(items=[
+            report.ComplianceItem("v_off", lo, hi, v_off, lo <= v_off <= hi),
+            report.ComplianceItem("standby_drop", None, 0.010, drop, drop <= 0.010),
+        ], config_text=config_to_text(config))
+        result.report.notes.append("standby: channel never enabled; outputs at pulled-up level")
+        result.checks["compliance"] = result.report.passed
+        products = {"tx_plus": tx_plus, "tx_minus": tx_minus}
+    else:
+        products = _stream_checks(config, sc, words, stim, traces, tx_plus, tx_minus,
+                                  v_off, result)
+    products.update(traces=traces, report=result.report)
+    result.passed = all(result.checks.values())
+
+    out = Path(out_dir)
+    for kind, product, key, suffix, write in ARTIFACTS:
+        if kind in sc.outputs and products.get(product) is not None:
+            out.mkdir(parents=True, exist_ok=True)
+            result.artifacts[key] = out / (sc.name + suffix)
+            result.artifacts[key].write_text(write(products[product]))
+    return result
+
+
+def _stream_checks(config: ChannelConfig, sc: Scenario, words: list[stimulus.Word],
+                   stim: stimulus.StreamStimulus, traces, tx_plus: drv.WaveformTrace,
+                   tx_minus: drv.WaveformTrace, v_off: float,
+                   result: ScenarioResult) -> dict:
+    """Run the stream checks into ``result``; return the products to write.
+
+    A check that cannot run on this window goes to ``result.skipped``.
+    """
     extracted = golden.extract_serial(traces, config)
     expect = golden.golden_serialize(words, config.word_width,
                                      bit_period=config.bit_period)
     n_cmp = len(extracted.bits)
-    if sc.disable_at_word is None and n_cmp != len(expect.bits):
-        result.checks["serial-equivalence"] = False
-    else:
-        result.checks["serial-equivalence"] = (
-            extracted.bits == expect.bits[:n_cmp]
-        )
-    verdict = protocol.check_protocol(traces, schedule, config)
-    result.verdict = verdict
+    result.checks["serial-equivalence"] = (
+        (sc.disable_at_word is not None or n_cmp == len(expect.bits))
+        and extracted.bits == expect.bits[:n_cmp]
+    )
+    verdict = protocol.check_protocol(traces, stim.schedule, config)
     result.checks["protocol"] = verdict.passed
     result.messages += verdict.warnings
 
-    # analog synthesis over the streaming window
-    n_rounds = len(extracted.bits) // config.word_width
-    t_stream0 = timing.slot_start(0, 1)
-    t_stream1 = timing.slot_start(max(n_rounds, 1), 1)
-    tx_plus, tx_minus = drv.synthesize_tx(
-        traces, config.driver, config.dt_ps, ui_ps=config.ui_ps
-    )
+    # analog measurements over the streaming window
+    n_rounds = n_cmp // config.word_width
+    t_stream0 = stim.timing.slot_start(0, 1)
+    t_stream1 = stim.timing.slot_start(max(n_rounds, 1), 1)
 
     def window(trace: drv.WaveformTrace) -> drv.WaveformTrace:
         i0 = int((t_stream0 - trace.t0_ps) / trace.dt_ps)
@@ -199,30 +251,22 @@ def run_scenario(config: ChannelConfig, sc: Scenario, out_dir: str | Path) -> Sc
     current = drv.supply_current(transitions, config.spike, config.dt_ps,
                                  t_stream0, t_stream1)
     spec_obj = specmod.spectrum(current)
-    ratio = specmod.low_band_ratio(spec_obj)
-
-    measurements = {
-        "v_off": _standby_level(tx_plus, config, schedule),
-        "v_high": None, "v_low": None, "v_swing": None,
-        "rise_ps": None, "fall_ps": None,
-        "low_band_ratio": ratio,
-    }
     try:
+        ratio = specmod.low_band_ratio(spec_obj)
         v_hi, v_lo, swing = measure.measure_levels(wm)
-        measurements.update(v_high=v_hi, v_low=v_lo, v_swing=swing)
-        measurements["rise_ps"] = measure.measure_edge(wm, "rise")
-        measurements["fall_ps"] = measure.measure_edge(wm, "fall")
-    except (NoSettleError, NoTransitionError) as exc:
-        result.messages.append(f"level/edge measurement skipped: {exc}")
+        rise = measure.measure_edge(wm, "rise")
+        fall = measure.measure_edge(wm, "fall")
+    except (ResolutionError, NoSettleError, NoTransitionError) as exc:
+        result.skipped["compliance"] = str(exc)
+    else:
+        result.report = report.compliance_report(
+            {"v_off": v_off, "v_high": v_hi, "v_low": v_lo, "v_swing": swing,
+             "rise_ps": rise, "fall_ps": fall, "low_band_ratio": ratio},
+            config_to_text(config),
+        )
+        result.checks["compliance"] = result.report.passed
 
-    rep = None
-    if all(v is not None for v in measurements.values()):
-        rep = report.compliance_report(measurements, config_to_text(config))
-        result.report = rep
-        result.checks["compliance"] = rep.passed
-
-    # eye over the streaming window
-    eye_obj = mask = None
+    eye_obj = None
     if len(wp.samples) * wp.dt_ps >= 100 * config.ui_ps:
         fold = t_stream0 - config.ui_ps / 2.0
         eye_obj = eyemod.build_eye(wp, wm, config.ui_ps, config.eye_bins_t,
@@ -231,81 +275,9 @@ def run_scenario(config: ChannelConfig, sc: Scenario, out_dir: str | Path) -> Sc
         eye_pass, margin = eyemod.mask_check(eye_obj, mask)
         result.checks["eye-mask"] = eye_pass
         result.messages.append(f"eye mask margin: {margin * 1e3:.1f} mV")
-
-    result.passed = all(result.checks.values())
-
-    if "vcd" in sc.outputs:
-        result.artifacts["vcd"] = _write(out, f"{sc.name}.vcd",
-                                         vcd.traces_to_vcd(traces))
-    if "bits" in sc.outputs:
-        result.artifacts["bits"] = _write(out, f"{sc.name}.bits.txt",
-                                          golden.format_bitstream(extracted))
-    if "tx" in sc.outputs:
-        result.artifacts["tx_plus"] = _write(out, f"{sc.name}.tx_plus.csv",
-                                             drv.trace_to_csv(wp))
-        result.artifacts["tx_minus"] = _write(out, f"{sc.name}.tx_minus.csv",
-                                              drv.trace_to_csv(wm))
-    if "eye" in sc.outputs and eye_obj is not None:
-        result.artifacts["eye"] = _write(out, f"{sc.name}.eye.csv", eye_obj.to_csv())
-    if "spectrum" in sc.outputs:
-        result.artifacts["spectrum"] = _write(out, f"{sc.name}.spectrum.csv",
-                                              spec_obj.to_csv())
-    if "report" in sc.outputs and rep is not None:
-        result.artifacts["report"] = _write(out, f"{sc.name}.report.json",
-                                            rep.to_json())
-        result.artifacts["report_txt"] = _write(out, f"{sc.name}.report.txt",
-                                                rep.to_text())
-    return result
-
-
-def _standby_level(tx_plus: drv.WaveformTrace, config: ChannelConfig,
-                   schedule: stimulus.ProtocolSchedule) -> float:
-    """Output level before the channel was ever enabled."""
-    enables = schedule.times_of(stimulus.Action.ENABLE_PULSE)
-    t_end = enables[0] if enables else tx_plus.t0_ps + len(tx_plus.samples) * tx_plus.dt_ps
-    n = max(1, int((t_end - tx_plus.t0_ps) / tx_plus.dt_ps))
-    return float(np.median(tx_plus.samples[:n]))
-
-
-def _run_standby(config: ChannelConfig, sc: Scenario, out: Path,
-                 result: ScenarioResult) -> ScenarioResult:
-    period = config.bit_period
-    schedule = stimulus.ProtocolSchedule([
-        (round(period / 4), stimulus.Action.DISABLE_ASSERT),
-    ])
-    until = round(200 * period)
-    events = stimulus.merge_events([
-        stimulus.clock_events(config, until),
-        schedule.to_events(config),
-    ])
-    netlist = build_channel(config)
-    traces = advance(netlist, events, until)
-    tx_plus, tx_minus = drv.synthesize_tx(traces, config.driver, config.dt_ps,
-                                          ui_ps=config.ui_ps)
-    v_off = float(np.median(tx_plus.samples))
-    drop = config.driver.avcc_v - v_off
-    items = [
-        report.ComplianceItem("v_off", 3.290, 3.310, v_off,
-                              3.290 <= v_off <= 3.310),
-        report.ComplianceItem("standby_drop", None, 0.010, drop, drop <= 0.010),
-    ]
-    rep = report.ComplianceReport(items=items, config_text=config_to_text(config))
-    rep.notes.append("standby: channel never enabled; outputs at pulled-up level")
-    result.report = rep
-    result.checks["compliance"] = rep.passed
-    result.passed = rep.passed
-
-    if "vcd" in sc.outputs:
-        result.artifacts["vcd"] = _write(out, f"{sc.name}.vcd",
-                                         vcd.traces_to_vcd(traces))
-    if "tx" in sc.outputs:
-        result.artifacts["tx_plus"] = _write(out, f"{sc.name}.tx_plus.csv",
-                                             drv.trace_to_csv(tx_plus))
-        result.artifacts["tx_minus"] = _write(out, f"{sc.name}.tx_minus.csv",
-                                              drv.trace_to_csv(tx_minus))
-    if "report" in sc.outputs:
-        result.artifacts["report"] = _write(out, f"{sc.name}.report.json",
-                                            rep.to_json())
-        result.artifacts["report_txt"] = _write(out, f"{sc.name}.report.txt",
-                                                rep.to_text())
-    return result
+    else:
+        span_ui = len(wp.samples) * wp.dt_ps / config.ui_ps
+        result.skipped["eye-mask"] = (f"streaming window is {span_ui:.1f} UI, "
+                                      "the eye needs at least 100")
+    return {"bits": extracted, "tx_plus": wp, "tx_minus": wm, "eye": eye_obj,
+            "spectrum": spec_obj}

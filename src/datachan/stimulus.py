@@ -30,7 +30,6 @@ class ProtocolSchedule:
     """Time-ordered control actions on the Disable/Enable lines."""
 
     actions: list[tuple[int, Action]]
-    power_on_time_ps: int = 0
 
     def __post_init__(self):
         times = [t for t, _ in self.actions]
@@ -184,7 +183,7 @@ def reset_schedule(config: ChannelConfig, assert_at: int | None = None,
 @dataclass
 class StreamStimulus:
     events: list[NetEvent]
-    timing: SlotTiming
+    timing: SlotTiming | None
     schedule: ProtocolSchedule
     until_ps: int
 
@@ -192,18 +191,23 @@ class StreamStimulus:
 def stream_stimulus(config: ChannelConfig, words: list[Word],
                     schedule: ProtocolSchedule | None = None,
                     tail_periods: int = 4) -> StreamStimulus:
-    """Assemble clock + control + bus events to serialize ``words`` once."""
+    """Assemble clock + control + bus events to serialize ``words`` once.
+
+    With no enable pulse nothing streams (``words`` must be empty, ``timing``
+    is None) and the run ends ``tail_periods`` after power-on.
+    """
     if schedule is None:
         schedule = reset_schedule(config)
     enable_times = schedule.times_of(Action.ENABLE_PULSE)
-    if not enable_times:
+    if words and not enable_times:
         raise ValueError("schedule contains no enable pulse")
-    timing = timing_for_enable(config, enable_times[0])
-    until = timing.slot_start(len(words), 1) + round(tail_periods * config.bit_period)
+    timing = timing_for_enable(config, enable_times[0]) if enable_times else None
+    start = timing.slot_start(len(words), 1) if timing else 0
+    until = start + round(tail_periods * config.bit_period)
     events = merge_events([
         clock_events(config, until),
         schedule.to_events(config),
-        word_events(words, timing),
+        word_events(words, timing) if timing else [],
     ])
     return StreamStimulus(events=events, timing=timing, schedule=schedule,
                           until_ps=until)

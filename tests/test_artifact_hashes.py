@@ -1,17 +1,30 @@
-"""Pinned sha256 of every artifact of three reference CLI runs.
+"""Pinned sha256 of every artifact of five reference CLI runs.
 
 Acceptance criterion 9 only compares two runs of the same code with each
-other.  These hashes were recorded before the analog back end and the bulk
-writers were vectorised, so any change to the artifact bytes shows up here.
-If a change alters the bytes on purpose, record the new hashes together with
-the reason.
+other.  The first three runs were recorded before the analog back end and the
+bulk writers were vectorised, the two scenario-file runs before standby was
+folded into the streaming pipeline, so any change to the artifact bytes shows
+up here.  If a change alters the bytes on purpose, record the new hashes
+together with the reason.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from datachan.cli import main
+
+# Scenario files the runs below name, written to the working directory:
+# a disable after the eye window is full, and a standby run that asks for
+# every output (it can only make the VCD, the Tx CSVs and the report).
+SCENARIO_FILES = {
+    "prbs7-disable.scenario":
+        "name = prbs7-disable\nsource = prbs7\nn_words = 30\ndisable_at_word = 12\n",
+    "standby-all.scenario":
+        "name = standby-all\nsource = none\n"
+        "outputs = vcd, bits, tx, eye, spectrum, report\n",
+}
 
 RUNS = {
     "stream-random": (["--scenario", "stream-random", "--words", "40", "--seed", "7"], {
@@ -60,13 +73,46 @@ RUNS = {
         "standby.vcd":
             "62752e78a2ecb9e5e0f0bda6cfa031aff91837fc5232ab861604480db5c9128d",
     }),
+    "prbs7-disable": (["--scenario", "prbs7-disable.scenario"], {
+        "prbs7-disable.bits.txt":
+            "3699bee430136b5944bf4a9b38b6333864d73c2cb2bc9a695cfb9e940ded3619",
+        "prbs7-disable.eye.csv":
+            "e16eeb1f0e846c2afddafec7ee8bff234ccf3b1451e7f1242863340dff487a09",
+        "prbs7-disable.report.json":
+            "04026db439d4812f58c18d8ac89bc0aa50bc2c9020d821e1b47d8f8572c0bd56",
+        "prbs7-disable.report.txt":
+            "4d650caccb92506dba6c41d83b57a0cee2472a2d61c87aa329a013dde109dbee",
+        "prbs7-disable.spectrum.csv":
+            "0f7e891f547d6a309187dae7dcf6268d27c8664321529af0777c867d9a4e11bd",
+        "prbs7-disable.tx_minus.csv":
+            "fd4dbe21bc197f46e9de4a1e0efd1321102f4b69dda0220b0cfb49e8566328ea",
+        "prbs7-disable.tx_plus.csv":
+            "731b7369489d660e9a966964fdd6b4a81275951ddc3c776781c5b8534df6093c",
+        "prbs7-disable.vcd":
+            "fd3fd4309237c1e1f57c7778701cd137e9897763206fbe8b62a8ef10c6be736c",
+    }),
+    "standby-all-outputs": (["--scenario", "standby-all.scenario"], {
+        "standby-all.report.json":
+            "2ca1d20b8d360f7497d23c8bf8df9ad1cad70ef2a4f424298e1408d2e7d20593",
+        "standby-all.report.txt":
+            "4599b361c2c238186113b9880b9963c6efa80cdfb4d055e451617595cd7b884b",
+        "standby-all.tx_minus.csv":
+            "844a853901a2dd3696c14d3acb471796d8ee7e1bc7cc23e131408426d47dce67",
+        "standby-all.tx_plus.csv":
+            "844a853901a2dd3696c14d3acb471796d8ee7e1bc7cc23e131408426d47dce67",
+        "standby-all.vcd":
+            "62752e78a2ecb9e5e0f0bda6cfa031aff91837fc5232ab861604480db5c9128d",
+    }),
 }
 
 
 @pytest.mark.parametrize("run", list(RUNS))
-def test_artifact_hashes_are_pinned(run, tmp_path):
+def test_artifact_hashes_are_pinned(run, tmp_path, monkeypatch):
     argv, want = RUNS[run]
-    assert main(["run", *argv, "--out", str(tmp_path)]) == 0
+    monkeypatch.chdir(tmp_path)
+    for name, text in SCENARIO_FILES.items():
+        Path(name).write_text(text)
+    assert main(["run", *argv, "--out", "out"]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in sorted(tmp_path.iterdir())}
+           for p in sorted(Path("out").iterdir())}
     assert got == want

@@ -1,6 +1,7 @@
 """Scenario runner, VCD export and command-line behavior."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -95,6 +96,7 @@ def test_run_scenario_stream(tmp_path, config):
 def test_run_scenario_standby(tmp_path, config):
     res = run_scenario(config, PRESETS["standby"], tmp_path)
     assert res.passed
+    assert res.checks == {"compliance": True} and res.skipped == {}
     rep = json.loads(res.artifacts["report"].read_text())
     names = {item["item"] for item in rep["items"]}
     assert names == {"v_off", "standby_drop"}
@@ -123,6 +125,50 @@ def test_cli_run_ok(tmp_path):
     assert (tmp_path / "stream-random.report.json").exists()
 
 
+def test_run_scenario_reports_skipped_checks(tmp_path, config):
+    fixed = replace(PRESETS["stream-random"], source="fixed", fixed_word="1" * 10,
+                    n_words=20)
+    res = run_scenario(config, fixed, tmp_path)
+    assert res.passed
+    assert set(res.checks) == {"serial-equivalence", "protocol", "eye-mask"}
+    assert res.skipped == {"compliance": "no complete rise transition found"}
+    assert "report" not in res.artifacts
+
+    res = run_scenario(config, replace(PRESETS["stream-random"], n_words=5), tmp_path)
+    assert set(res.checks) == {"serial-equivalence", "protocol", "compliance"}
+    assert res.skipped == {
+        "eye-mask": "streaming window is 50.0 UI, the eye needs at least 100"}
+    assert "eye" not in res.artifacts
+
+
+def test_cli_prints_skipped_checks(tmp_path, capsys):
+    code = main(["report", "--words", "5", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "[PASS] stream-random" in out
+    assert "  eye-mask: skipped (streaming window is 50.0 UI" in out
+
+
+SHORT_WINDOWS = {
+    "one-word": (["--words", "1"], None),
+    "disable-at-0": ([], "name = dis0\nn_words = 12\ndisable_at_word = 0\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHORT_WINDOWS))
+def test_cli_short_window_skips_compliance(tmp_path, capsys, case):
+    args, text = SHORT_WINDOWS[case]
+    if text is not None:
+        sc = tmp_path / "short.scenario"
+        sc.write_text(text)
+        args = ["--scenario", str(sc)]
+    code = main(["report", *args, "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "  compliance: skipped (resolution 9.77e+07 Hz too coarse" in out
+    assert "  serial-equivalence: pass" in out and "  protocol: pass" in out
+
+
 def test_cli_subcommand_restricts_outputs(tmp_path):
     code = main(["eye", "--scenario", "stream-random", "--words", "30",
                  "--out", str(tmp_path)])
@@ -143,10 +189,20 @@ def test_cli_unknown_scenario_is_usage_error(tmp_path):
     assert main(["run", "--scenario", "bogus", "--out", str(tmp_path)]) == 2
 
 
-def test_cli_bad_config_is_usage_error(tmp_path):
+BAD_CONFIGS = {
+    "word_width = 9\n": "word_width must be one of 8, 10, 16",
+    "spike.q_c = abc\n": "bad numeric value 'abc'",
+    "mask_vertices = 1;2\n": "mask_vertices needs at least three x:y pairs",
+    "mask_vertices =\n": "mask_vertices needs at least three x:y pairs",
+}
+
+
+def test_cli_bad_config_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("word_width = 9\n")
-    assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    for text, message in BAD_CONFIGS.items():
+        bad.write_text(text)
+        err = _usage_error(capsys, ["run", "--config", str(bad), "--out", str(tmp_path)])
+        assert message in err
 
 
 def test_cli_config_file_round_trip(tmp_path):
@@ -179,6 +235,10 @@ BAD_SCENARIOS = {
     "disable-past-end": ("n_words = 5\ndisable_at_word = 5\n", "disable_at_word must be in 0..4"),
     "outputs": ("outputs = bits, waveform\n", "unknown outputs waveform"),
     "source": ("source = noise\n", "unknown data source"),
+    "prbs7-seed-0": ("source = prbs7\nseed = 0\n",
+                     "seed 0x0 leaves the PRBS7 register stuck at zero"),
+    "prbs7-seed-128": ("source = prbs7\nseed = 128\n",
+                       "seed 0x80 leaves the PRBS7 register stuck at zero"),
 }
 
 

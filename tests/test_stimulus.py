@@ -143,6 +143,18 @@ def test_prbs10_has_period_1023():
     assert sum(bits[:1023]) == 512
 
 
+def test_stream_stimulus_without_enable_idles():
+    config = ChannelConfig()
+    first = stimulus.reset_schedule(config).actions[:1]
+    stim = stimulus.stream_stimulus(config, [], stimulus.ProtocolSchedule(first),
+                                    tail_periods=200)
+    assert stim.timing is None
+    assert stim.until_ps == round(200 * config.bit_period)
+    assert {ev.net for ev in stim.events} == {"Clock", "Disable", "Enable"}
+    with pytest.raises(ValueError, match="no enable pulse"):
+        stimulus.stream_stimulus(config, [(0,) * 10], stimulus.ProtocolSchedule(first))
+
+
 def test_prbs_rejects_zero_seed():
     with pytest.raises(SeedError):
         stimulus.prbs_bits("PRBS7", 10, seed=0)
