@@ -9,11 +9,12 @@ flat ``key = value`` text file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, MaskError
 
 EDGE_MODELS = ("EXPONENTIAL", "RAISED_COSINE")
 
@@ -76,6 +77,21 @@ DEFAULT_MASK = (
 )
 
 
+def check_mask(vertices: tuple[tuple[float, float], ...]) -> None:
+    """Raise ``MaskError`` unless ``vertices`` is a convex polygon that is
+    symmetric about the eye center (x = 0)."""
+    if len(vertices) < 3 or any(len(v) != 2 for v in vertices):
+        raise MaskError("mask_vertices needs at least three x:y pairs")
+    pts = vertices
+    turns = [(bx - ax) * (cy - ay) - (by - ay) * (cx - ax) for (ax, ay), (bx, by), (cx, cy)
+             in zip(pts, pts[1:] + pts[:1], pts[2:] + pts[:2])]
+    if min(turns) < 0 < max(turns):  # convex: every corner turns the same way
+        raise MaskError("mask polygon must be convex")
+    xs = sorted(round(x, 12) for x, _ in pts)
+    if any(abs(a + b) > 1e-9 for a, b in zip(xs, reversed(xs))):
+        raise MaskError("mask polygon must be symmetric about the eye center")
+
+
 @dataclass
 class ChannelConfig:
     serial_rate_hz: int = 1_650_000_000
@@ -133,32 +149,39 @@ class ChannelConfig:
             raise ConfigError("loop_limit must be positive")
         if self.eye_bins_t < 64 or self.eye_bins_v < 64:
             raise ConfigError("eye histogram needs at least 64x64 bins")
-        if len(self.mask_vertices) < 3 or any(len(v) != 2 for v in self.mask_vertices):
-            raise ConfigError("mask_vertices needs at least three x:y pairs")
+        check_mask(self.mask_vertices)
         self.driver.validate()
         self.spike.validate()
 
 
-def _flatten(cfg: ChannelConfig) -> dict[str, object]:
+def _flatten(obj, prefix: str = "") -> dict[str, object]:
+    """Every leaf field of ``obj`` by dotted key (``driver.t_rf_ps``)."""
     out: dict[str, object] = {}
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        if f.name == "driver":
-            for g in fields(DriverParams):
-                out[f"driver.{g.name}"] = getattr(v, g.name)
-        elif f.name == "spike":
-            for g in fields(SpikeModel):
-                out[f"spike.{g.name}"] = getattr(v, g.name)
-        elif f.name == "mask_vertices":
-            out[f.name] = ";".join(f"{x!r}:{y!r}" for x, y in v)
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if is_dataclass(v):
+            out.update(_flatten(v, f"{prefix}{f.name}."))
         else:
-            out[f.name] = v
+            out[prefix + f.name] = v
     return out
 
 
+def _unflatten(template, flat: dict[str, object], prefix: str = ""):
+    """A ``template`` of the same shape whose leaves are read from ``flat``."""
+    kwargs = {}
+    for f in fields(template):
+        v = getattr(template, f.name)
+        kwargs[f.name] = (_unflatten(v, flat, f"{prefix}{f.name}.") if is_dataclass(v)
+                          else flat[prefix + f.name])
+    return type(template)(**kwargs)
+
+
 def config_to_text(cfg: ChannelConfig) -> str:
-    lines = [f"{k} = {v!r}" if isinstance(v, (int, float)) else f"{k} = {v}"
-             for k, v in _flatten(cfg).items()]
+    lines = []
+    for key, v in _flatten(cfg).items():
+        if isinstance(v, tuple):  # mask_vertices
+            v = ";".join(f"{x!r}:{y!r}" for x, y in v)
+        lines.append(f"{key} = {v}")
     return "\n".join(lines) + "\n"
 
 
@@ -166,59 +189,47 @@ def save_config(cfg: ChannelConfig, path: str | Path) -> None:
     Path(path).write_text(config_to_text(cfg))
 
 
-def _parse_scalar(text: str, kind: type) -> object:
-    try:
-        if kind is int:
-            return int(text)
-        if kind is float:
-            return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric value {text!r}") from exc
-    return text
+def read_settings(text: str, parse: Callable[[str, str], object],
+                  label: str = "line") -> dict[str, object]:
+    """``{key: parse(key, value)}`` for each ``key = value`` line of ``text``.
 
-
-def parse_config(text: str) -> ChannelConfig:
-    cfg = ChannelConfig()
-    driver = DriverParams()
-    spike = SpikeModel()
-    field_types = {f.name: f.type for f in fields(ChannelConfig)}
-    drv_types = {f.name: f.type for f in fields(DriverParams)}
-    spk_types = {f.name: f.type for f in fields(SpikeModel)}
-
+    ``#`` starts a comment and blank lines are skipped.  A line without ``=``
+    or a ``ConfigError`` from ``parse`` ends in a ``ConfigError`` naming the
+    line; a key given twice keeps its last value.
+    """
+    out: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key == "mask_vertices":
-            try:
-                verts = tuple(
-                    tuple(float(c) for c in pair.split(":"))
-                    for pair in val.split(";") if pair
-                )
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: bad mask vertex list") from exc
-            cfg = replace(cfg, mask_vertices=verts)
-        elif key.startswith("driver."):
-            name = key[len("driver."):]
-            if name not in drv_types:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            kind = float if "float" in str(drv_types[name]) else str
-            driver = replace(driver, **{name: _parse_scalar(val, kind)})
-        elif key.startswith("spike."):
-            name = key[len("spike."):]
-            if name not in spk_types:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            spike = replace(spike, **{name: _parse_scalar(val, float)})
-        elif key in field_types:
-            tname = str(field_types[key])
-            kind = int if "int" in tname else float
-            cfg = replace(cfg, **{key: _parse_scalar(val, kind)})
-        else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    cfg = replace(cfg, driver=driver, spike=spike)
+        try:
+            if "=" not in line:
+                raise ConfigError("expected 'key = value'")
+            key, val = (s.strip() for s in line.split("=", 1))
+            out[key] = parse(key, val)
+        except ConfigError as exc:
+            raise ConfigError(f"{label} {lineno}: {exc}") from None
+    return out
+
+
+def parse_config(text: str) -> ChannelConfig:
+    """Read a config file; every key and its type come from the defaults."""
+    defaults = _flatten(ChannelConfig())
+
+    def parse(key: str, val: str) -> object:
+        if key not in defaults:
+            raise ConfigError(f"unknown key {key!r}")
+        kind = type(defaults[key])
+        try:
+            if kind is tuple:  # mask_vertices: x:y pairs separated by ';'
+                return tuple(tuple(float(c) for c in pair.split(":"))
+                             for pair in val.split(";") if pair)
+            return kind(val)
+        except ValueError:
+            raise ConfigError("bad mask vertex list" if kind is tuple
+                              else f"bad numeric value {val!r}") from None
+
+    cfg = _unflatten(ChannelConfig(), {**defaults, **read_settings(text, parse)})
     cfg.validate()
     return cfg
 

@@ -47,3 +47,7 @@ class ResolutionError(DataChanError):
 
 class SeedError(ConfigError):
     """Invalid seed for an LFSR-based generator."""
+
+
+class MaskError(ConfigError, ValueError):
+    """Eye-mask vertices that do not form a convex polygon symmetric about the eye center."""

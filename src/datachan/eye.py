@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_mask
 from .driver import WaveformTrace, format_rows
 from .errors import AlignmentError
 
@@ -42,48 +43,19 @@ class EyeMask:
     vertices: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if len(self.vertices) < 3:
-            raise ValueError("mask needs at least three vertices")
-        # convexity: consistent turn direction around the polygon
-        pts = list(self.vertices)
-        n = len(pts)
-        sign = 0
-        for i in range(n):
-            ax, ay = pts[i]
-            bx, by = pts[(i + 1) % n]
-            cx, cy = pts[(i + 2) % n]
-            cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-            if cross != 0:
-                if sign == 0:
-                    sign = 1 if cross > 0 else -1
-                elif (cross > 0) != (sign > 0):
-                    raise ValueError("mask polygon must be convex")
-        xs = sorted(round(x, 12) for x, _ in self.vertices)
-        if any(abs(a + b) > 1e-9 for a, b in zip(xs, reversed(xs))):
-            raise ValueError("mask polygon must be symmetric about the eye center")
+        check_mask(self.vertices)
 
     def contains(self, x: float, v: float) -> bool:
-        pts = list(self.vertices)
-        n = len(pts)
-        sign = 0
-        for i in range(n):
-            ax, ay = pts[i]
-            bx, by = pts[(i + 1) % n]
-            cross = (bx - ax) * (v - ay) - (by - ay) * (x - ax)
-            if cross != 0:
-                if sign == 0:
-                    sign = 1 if cross > 0 else -1
-                elif (cross > 0) != (sign > 0):
-                    return False
-        return True
+        pts = self.vertices
+        sides = [(bx - ax) * (v - ay) - (by - ay) * (x - ax)
+                 for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
+        return not min(sides) < 0 < max(sides)
 
     def vertical_extent(self, x: float) -> tuple[float, float] | None:
         """Mask [v_min, v_max] at UI offset ``x``, or None if outside its span."""
-        pts = list(self.vertices)
-        n = len(pts)
+        pts = self.vertices
         ys = []
-        for i in range(n):
-            (ax, ay), (bx, by) = pts[i], pts[(i + 1) % n]
+        for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
             if ax == bx:
                 if ax == x:
                     ys.extend([ay, by])

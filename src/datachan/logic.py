@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 
@@ -73,16 +75,8 @@ class SignalTraces:
     def level_at(self, net: str, time_ps: int) -> Level:
         """Level of ``net`` at ``time_ps`` (the last change at or before it)."""
         hist = self.events[net]
-        lo, hi = 0, len(hist)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if hist[mid][0] <= time_ps:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == 0:
-            return UNKNOWN
-        return hist[lo - 1][1]
+        i = bisect_right(hist, time_ps, key=itemgetter(0))
+        return hist[i - 1][1] if i else UNKNOWN
 
     def edges(self, net: str, kind: str = "rise") -> list[int]:
         """Times at which ``net`` transitions LOW->HIGH (rise) or HIGH->LOW (fall)."""
@@ -108,13 +102,6 @@ class SignalTraces:
         if start is not None:
             out.append((start, self.horizon_ps))
         return out
-
-    def last_time_at(self, net: str, level: Level) -> int | None:
-        """Time of the last transition into ``level``, or None if never reached."""
-        for t, lvl in reversed(self.events[net]):
-            if lvl is level:
-                return t
-        return None
 
 
 def merge_events(streams: Iterable[Iterable[NetEvent]]) -> list[NetEvent]:

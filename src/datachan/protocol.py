@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .config import ChannelConfig
 from .errors import IncompleteTraceError
@@ -32,21 +34,15 @@ class ProtocolVerdict:
 
 def _quiet_since(traces: SignalTraces, net: str, t_from: int, t_to: int,
                  quiet: Level) -> int | None:
-    """Earliest t >= t_from such that ``net`` holds ``quiet`` on [t, t_to)."""
-    window = [(t, lvl) for t, lvl in traces.events[net] if t_from < t < t_to]
-    level_before = traces.level_at(net, t_from)
-    final = window[-1][1] if window else level_before
-    if final is not quiet:
+    """Earliest t >= t_from such that ``net`` holds ``quiet`` on [t, t_to).
+
+    ``quiet`` is LOW or HIGH and ``t_from < t_to``.
+    """
+    hist = traces.events[net]
+    i = bisect_left(hist, t_to, key=itemgetter(0))  # hist[i - 1]: last change before t_to
+    if not i or hist[i - 1][1] is not quiet:
         return None
-    t_q = t_from if level_before is quiet else None
-    prev = level_before
-    for t, lvl in window:
-        if lvl is quiet and prev is not quiet:
-            t_q = t
-        elif lvl is not quiet:
-            t_q = None
-        prev = lvl
-    return t_q
+    return max(hist[i - 1][0], t_from)
 
 
 def latency_bound_ps(config: ChannelConfig) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +10,7 @@ import numpy as np
 from . import driver as drv
 from . import eye as eyemod
 from . import golden, measure, protocol, report, spectrum as specmod, stimulus, vcd
-from .config import ChannelConfig, config_to_text
+from .config import ChannelConfig, config_to_text, read_settings
 from .errors import ConfigError, NoSettleError, NoTransitionError, ResolutionError
 from .netlist import advance, build_channel
 
@@ -42,29 +42,24 @@ PRESETS = {
 }
 
 
+# Scenario file keys: their fields default to None, so the kind is listed.
+_SCENARIO_KEYS = {"name": str, "source": str, "word_file": str, "fixed_word": str,
+                  "n_words": int, "seed": int, "disable_at_word": int, "outputs": tuple}
+
+
 def parse_scenario_text(text: str) -> Scenario:
-    sc = Scenario()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"scenario line {lineno}: expected 'key = value'")
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key in ("name", "source", "word_file", "fixed_word"):
-            sc = replace(sc, **{key: val})
-        elif key in ("n_words", "seed", "disable_at_word"):
-            try:
-                sc = replace(sc, **{key: int(val)})
-            except ValueError:
-                raise ConfigError(
-                    f"scenario line {lineno}: {key} must be an integer, got {val!r}"
-                ) from None
-        elif key == "outputs":
-            sc = replace(sc, outputs=tuple(v.strip() for v in val.split(",") if v.strip()))
-        else:
-            raise ConfigError(f"scenario line {lineno}: unknown key {key!r}")
-    return sc
+    def parse(key: str, val: str) -> object:
+        kind = _SCENARIO_KEYS.get(key)
+        if kind is None:
+            raise ConfigError(f"unknown key {key!r}")
+        if kind is tuple:
+            return tuple(v.strip() for v in val.split(",") if v.strip())
+        try:
+            return kind(val)
+        except ValueError:
+            raise ConfigError(f"{key} must be an integer, got {val!r}") from None
+
+    return Scenario(**read_settings(text, parse, "scenario line"))
 
 
 def load_scenario(spec: str) -> Scenario:

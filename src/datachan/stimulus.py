@@ -53,8 +53,13 @@ class ProtocolSchedule:
             elif action is Action.DISABLE_RELEASE:
                 events.append(NetEvent(t, "Disable", LOW))
             elif action is Action.ENABLE_PULSE:
+                # about one period high, so that exactly one rising Dclk edge
+                # sees it: edge k samples HIGH, edge k + 1 samples LOW
+                k = timing_for_enable(config, t).first_sel_edge - 1
+                fall = min(max(t + period, rising_dclk_time(config, k) + 1),
+                           rising_dclk_time(config, k + 1))
                 events.append(NetEvent(t, "Enable", HIGH))
-                events.append(NetEvent(t + period, "Enable", LOW))
+                events.append(NetEvent(fall, "Enable", LOW))
         return merge_events([events])
 
 
@@ -130,8 +135,10 @@ class SlotTiming:
 
 def timing_for_enable(config: ChannelConfig, enable_time_ps: int) -> SlotTiming:
     """Slot timing implied by an enable pulse starting at ``enable_time_ps``."""
+    # the first rising Dclk edge at or after the enable samples it: the kernel
+    # applies a stimulus change before the events scheduled for the same time
     k = 0
-    while rising_dclk_time(config, k) <= enable_time_ps:
+    while rising_dclk_time(config, k) < enable_time_ps:
         k += 1
     # armed at falling edge k, Start high after it, Sel1 at falling edge k+1
     return SlotTiming(config, first_sel_edge=k + 1)

@@ -1,8 +1,9 @@
 """Acceptance gate: nine end-to-end criteria, one verdict line each.
 
-Each test prints a single ``[PASS]``/``[FAIL]`` line for its criterion
-(visible with ``pytest -s`` or in captured output) and asserts it.
-Tolerances are pinned here and nowhere else.
+Each test prints a ``[PASS]``/``[FAIL]`` line for its criterion, one per
+word width for the criteria that depend on it (visible with ``pytest -s`` or
+in captured output), and asserts it.  Tolerances are pinned here and nowhere
+else.
 """
 
 import math
@@ -20,6 +21,7 @@ from datachan.logic import HIGH
 from datachan.scenario import PRESETS, run_scenario
 
 POW2_SAMPLES = 1 << 18  # power-of-two spectral window (no padding dilution)
+WIDTHS = (8, 10, 16)    # criteria 1, 2, 3 and 9 run at every supported width
 
 
 def _verdict(num: int, label: str, ok: bool):
@@ -27,13 +29,19 @@ def _verdict(num: int, label: str, ok: bool):
     assert ok, f"criterion {num} failed: {label}"
 
 
+def _stream(width: int, n_words: int):
+    """A random stream of ``n_words`` at ``width``: (config, words, stim, traces)."""
+    config = ChannelConfig(word_width=width)
+    words = stimulus.random_words(n_words, seed=config.seed, width=width)
+    stim = stimulus.stream_stimulus(config, words)
+    traces = advance(build_channel(config), stim.events, stim.until_ps)
+    return config, words, stim, traces
+
+
 @pytest.fixture(scope="module")
 def long_run():
     """One 440-word random stream with synthesized outputs, shared below."""
-    config = ChannelConfig()
-    words = stimulus.random_words(440, seed=config.seed)
-    stim = stimulus.stream_stimulus(config, words)
-    traces = advance(build_channel(config), stim.events, stim.until_ps)
+    config, words, stim, traces = _stream(10, 440)
     t0 = stim.timing.slot_start(0, 1)
     t1 = stim.timing.slot_start(440, 1)
     tx_plus, tx_minus = drv.synthesize_tx(traces, config.driver, config.dt_ps,
@@ -42,30 +50,40 @@ def long_run():
 
 
 def test_criterion_1_oracle_equivalence():
-    config = ChannelConfig()
+    for width in WIDTHS:
+        _criterion_1(width)
+
+
+def _criterion_1(width: int):
+    config = ChannelConfig(word_width=width)
     period = config.bit_period
     t_start = time.monotonic()
     ok = True
     for phase in range(10):
-        words = stimulus.random_words(100, seed=100 + phase)
+        words = stimulus.random_words(100, seed=100 + phase, width=width)
         sched = stimulus.reset_schedule(
             config, assert_at=round(period / 4 + phase * period / 10))
         stim = stimulus.stream_stimulus(config, words, sched)
         traces = advance(build_channel(config), stim.events, stim.until_ps)
         got = golden.extract_serial(traces, config)
-        want = golden.golden_serialize(words, bit_period=config.bit_period)
+        want = golden.golden_serialize(words, width, bit_period=config.bit_period)
         if got.bits != want.bits:
             ok = False
             break
     elapsed = time.monotonic() - t_start
     ok = ok and elapsed <= 10.0
-    _verdict(1, "1000 random words x 10 enable phases match the functional "
-                f"model bit-exactly in {elapsed:.1f} s", ok)
+    _verdict(1, f"width {width}: 1000 random words x 10 enable phases match the "
+                f"functional model bit-exactly in {elapsed:.1f} s", ok)
 
 
-def test_criterion_2_bit_select_sequencing(long_run):
-    config, _, stim, traces, _, _ = long_run
-    width = config.word_width
+def test_criterion_2_bit_select_sequencing():
+    for width in WIDTHS:
+        _criterion_2(width)
+
+
+def _criterion_2(width: int):
+    # the window ends at word 100; ten more words keep the stream end out of it
+    config, _, stim, traces = _stream(width, 110)
     period = round(config.bit_period)
     t0, t1 = stim.timing.slot_start(1, 1), stim.timing.slot_start(100, 1)
 
@@ -98,16 +116,21 @@ def test_criterion_2_bit_select_sequencing(long_run):
         if not any(a < s1 and s0 < b for a, b in sel_ints):
             ok = False
     ok = ok and bool(times) and bool(start_ints)
-    _verdict(2, "selects are one-hot with single-period dwell, period-10 "
-                "recurrence, and Start overlaps the last select", ok)
+    _verdict(2, f"width {width}: selects are one-hot with single-period dwell, "
+                f"period-{width} recurrence, and Start overlaps the last select", ok)
 
 
 def test_criterion_3_latency_all_disable_phases():
-    config = ChannelConfig()
+    for width, pinned in ((8, 9697), (10, 12121), (16, 19394)):
+        _criterion_3(width, pinned)
+
+
+def _criterion_3(width: int, pinned: int):
+    config = ChannelConfig(word_width=width)
     bound = protocol.latency_bound_ps(config)
-    ok = bound == 12121
-    for slot in range(1, config.word_width + 1):
-        words = stimulus.random_words(12, seed=slot)
+    ok = bound == pinned
+    for slot in range(1, width + 1):
+        words = stimulus.random_words(12, seed=slot, width=width)
         stim = stimulus.stream_stimulus(config, words)
         t_d = stim.timing.slot_mid(3, slot)
         sched = stimulus.ProtocolSchedule(
@@ -118,8 +141,8 @@ def test_criterion_3_latency_all_disable_phases():
         for rec in verdict.records:
             if rec.latency_ps is None or rec.latency_ps > bound:
                 ok = False
-    _verdict(3, "disable quiets the channel and enable starts it within "
-                "12121 ps for all ten assertion phases", ok)
+    _verdict(3, f"width {width}: disable quiets the channel and enable starts it "
+                f"within {pinned} ps for all {width} assertion phases", ok)
 
 
 def test_criterion_4_output_levels(long_run, tmp_path):
@@ -224,7 +247,12 @@ def test_criterion_8_numerical_kernels():
 
 
 def test_criterion_9_determinism(tmp_path):
-    config = ChannelConfig()
+    for width in WIDTHS:
+        _criterion_9(width, tmp_path / str(width))
+
+
+def _criterion_9(width: int, tmp_path):
+    config = ChannelConfig(word_width=width)
     sc = replace(PRESETS["stream-prbs7"], n_words=40)
     res_a = run_scenario(config, sc, tmp_path / "a")
     res_b = run_scenario(config, sc, tmp_path / "b")
@@ -232,5 +260,5 @@ def test_criterion_9_determinism(tmp_path):
     for kind in res_a.artifacts:
         if res_a.artifacts[kind].read_bytes() != res_b.artifacts[kind].read_bytes():
             ok = False
-    _verdict(9, "two identical scenario runs produce byte-identical "
+    _verdict(9, f"width {width}: two identical scenario runs produce byte-identical "
                 "VCD/CSV/report artifacts", ok)

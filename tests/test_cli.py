@@ -194,6 +194,8 @@ BAD_CONFIGS = {
     "spike.q_c = abc\n": "bad numeric value 'abc'",
     "mask_vertices = 1;2\n": "mask_vertices needs at least three x:y pairs",
     "mask_vertices =\n": "mask_vertices needs at least three x:y pairs",
+    "mask_vertices = 0:1;1:0;0:-1;-1:0;0.5:0.5\n": "mask polygon must be convex",
+    "mask_vertices = -0.25:0;0:0.2;0.3:0;0:-0.2\n": "mask polygon must be symmetric",
 }
 
 

@@ -4,7 +4,7 @@ import gc
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from datachan import ChannelConfig, advance, build_channel, golden, protocol, stimulus
 from datachan.errors import ContentionError, OscillationError
@@ -15,7 +15,8 @@ from reference_kernel import ReferenceSimulator
 
 @st.composite
 def channel_runs(draw):
-    """A configuration that ``validate()`` accepts, words and a disable point."""
+    """A configuration that ``validate()`` accepts, a reset schedule with its
+    Disable anywhere in the first two periods, words and a disable point."""
     width = draw(st.sampled_from((8, 10, 16)))
     rate = draw(st.integers(1_000_000_000, 3_000_000_000))
     shortest = math.floor(ChannelConfig(serial_rate_hz=rate).bit_period)
@@ -25,15 +26,16 @@ def channel_runs(draw):
     config = ChannelConfig(serial_rate_hz=rate, word_width=width, ff_delay_ps=ff,
                            buffer_delay_ps=buf, skew_ps=skew)
     config.validate()
+    schedule = stimulus.reset_schedule(config, assert_at=draw(st.integers(1, 2 * shortest)))
     words = draw(st.lists(st.tuples(*[st.integers(0, 1)] * width),
                           min_size=3, max_size=8))
     disable_at = draw(st.none() | st.integers(0, len(words) - 1))
-    return config, words, disable_at
+    return config, schedule, words, disable_at
 
 
-def _stimulus(config, words, disable_at):
+def _stimulus(config, schedule, words, disable_at):
     """Stream ``words``, asserting Disable mid-word like ``run_scenario``."""
-    stim = stimulus.stream_stimulus(config, words)
+    stim = stimulus.stream_stimulus(config, words, schedule)
     if disable_at is None:
         return stim
     t_d = stim.timing.slot_mid(disable_at, config.word_width // 2)
@@ -42,12 +44,20 @@ def _stimulus(config, words, disable_at):
     return stimulus.stream_stimulus(config, words, schedule)
 
 
+# an Enable rise 1 ps after a sampling edge: a pulse of round(period) used to
+# end exactly on the next edge, so the channel never started
+_MISSED_ENABLE = ChannelConfig(serial_rate_hz=2_215_365_140, word_width=8,
+                               ff_delay_ps=1, buffer_delay_ps=1, skew_ps=0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(channel_runs())
+@example((_MISSED_ENABLE, stimulus.reset_schedule(_MISSED_ENABLE, assert_at=1),
+          [(0,) * 8] * 3, None))
 def test_compiled_kernel_matches_reference_and_oracles(run):
-    config, words, disable_at = run
+    config, schedule, words, disable_at = run
     width = config.word_width
-    stim = _stimulus(config, words, disable_at)
+    stim = _stimulus(config, schedule, words, disable_at)
     netlist = build_channel(config)
     traces = advance(netlist, stim.events, stim.until_ps)
 

@@ -65,7 +65,6 @@ def test_edges_and_intervals():
     assert tr.edges("A", "rise") == [10, 30]
     assert tr.edges("A", "fall") == [20]
     assert tr.intervals("A", HIGH) == [(10, 20), (30, 40)]
-    assert tr.last_time_at("A", LOW) == 20
 
 
 def test_merge_events_is_stable():

@@ -1,11 +1,12 @@
 """Disable/enable latency checks, reset completion and misuse detection."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from datachan import ChannelConfig, advance, build_channel
 from datachan.errors import IncompleteTraceError
-from datachan.logic import HIGH, LOW, NetEvent, merge_events
-from datachan.protocol import check_protocol, latency_bound_ps
+from datachan.logic import HIGH, LOW, UNKNOWN, NetEvent, SignalTraces, merge_events
+from datachan.protocol import _quiet_since, check_protocol, latency_bound_ps
 from datachan import stimulus
 
 
@@ -92,3 +93,72 @@ def test_wide_enable_pulse_warns(config):
     ])
     verdict = check_protocol(traces, sched, config)
     assert any("consecutive sampling edges" in w for w in verdict.warnings)
+
+
+# --------------------------------------------------------------------------
+# history lookups by bisection against the linear scans they replaced
+
+def _scan_level_at(hist, time_ps):
+    lo, hi = 0, len(hist)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if hist[mid][0] <= time_ps:
+            lo = mid + 1
+        else:
+            hi = mid
+    return hist[lo - 1][1] if lo else UNKNOWN
+
+
+def _scan_quiet_since(hist, t_from, t_to, quiet):
+    window = [(t, lvl) for t, lvl in hist if t_from < t < t_to]
+    level_before = _scan_level_at(hist, t_from)
+    final = window[-1][1] if window else level_before
+    if final is not quiet:
+        return None
+    t_q = t_from if level_before is quiet else None
+    prev = level_before
+    for t, lvl in window:
+        if lvl is quiet and prev is not quiet:
+            t_q = t
+        elif lvl is not quiet:
+            t_q = None
+        prev = lvl
+    return t_q
+
+
+LEVELS = (LOW, HIGH, UNKNOWN)
+
+
+@st.composite
+def net_windows(draw):
+    """A net history (strictly increasing times, each change a new level) and
+    a window [t_from, t_to); window ends often fall on a change."""
+    times = sorted(draw(st.sets(st.integers(0, 40), max_size=8)))
+    level = draw(st.sampled_from(LEVELS))
+    hist = []
+    for t in times:
+        hist.append((t, level))
+        level = LEVELS[(LEVELS.index(level) + draw(st.integers(1, 2))) % 3]
+    ends = st.integers(-5, 45) | st.sampled_from(times) if times else st.integers(-5, 45)
+    t_from, t_to = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    return hist, t_from, t_to, draw(st.sampled_from((LOW, HIGH)))
+
+
+HIST = [(5, UNKNOWN), (10, LOW), (20, HIGH), (30, LOW)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(net_windows())
+@example(([], 0, 10, LOW))                # empty history
+@example((HIST, -5, 3, LOW))              # window before the first change
+@example((HIST, 35, 40, LOW))             # window after the last change
+@example((HIST, 20, 25, HIGH))            # a change exactly at t_from
+@example((HIST, 12, 20, LOW))             # a change exactly at t_to
+@example((HIST, 10, 30, HIGH))            # changes at both ends
+def test_bisection_matches_linear_scans(case):
+    hist, t_from, t_to, quiet = case
+    traces = SignalTraces(events={"N": hist}, horizon_ps=50)
+    for t in range(-6, 47):
+        assert traces.level_at("N", t) is _scan_level_at(hist, t)
+    assert (_quiet_since(traces, "N", t_from, t_to, quiet)
+            == _scan_quiet_since(hist, t_from, t_to, quiet))

@@ -208,6 +208,13 @@ def test_config_rejects_unknown_keys_and_bad_values():
         parse_config("dt_ps\n")
 
 
+def test_config_errors_name_their_line():
+    with pytest.raises(ConfigError, match="line 3: bad numeric value 'abc'"):
+        parse_config("# channel\nseed = 2\nspike.q_c = abc\n")
+    with pytest.raises(ConfigError, match="line 1: unknown key 'driver.nope'"):
+        parse_config("driver.nope = 1\n")
+
+
 def test_config_validation_limits():
     with pytest.raises(ConfigError):
         ChannelConfig(word_width=9).validate()
@@ -232,6 +239,22 @@ def test_config_requires_token_recirculation_within_one_period():
         ChannelConfig(ff_delay_ps=531, buffer_delay_ps=15).validate()  # 606 ps
     with pytest.raises(ConfigError, match="serial period"):
         ChannelConfig(serial_rate_hz=2_500_000_000, buffer_delay_ps=80).validate()
+
+
+@pytest.mark.parametrize("rate, buf", [(1_650_000_000, 15), (2_215_365_140, 1),
+                                       (1_000_000_007, 3), (3_000_000_000, 60)])
+def test_enable_pulse_meets_exactly_one_sampling_edge(rate, buf):
+    # a rising Dclk edge at r sees an Enable change made at r, so the pulse
+    # [t, fall) is sampled by the edges r with t <= r < fall
+    cfg = ChannelConfig(serial_rate_hz=rate, buffer_delay_ps=buf, ff_delay_ps=1)
+    edges = [stimulus.rising_dclk_time(cfg, k) for k in range(40)]
+    for t in range(5000, 5000 + 2 * round(cfg.bit_period)):
+        pulse = stimulus.ProtocolSchedule([(t, stimulus.Action.ENABLE_PULSE)])
+        _, fall = (ev.time_ps for ev in pulse.to_events(cfg))
+        sampled = [k for k, r in enumerate(edges) if t <= r < fall]
+        assert len(sampled) == 1, (t, fall, sampled)
+        assert stimulus.timing_for_enable(cfg, t).first_sel_edge == sampled[0] + 1
+        assert abs(fall - t - cfg.bit_period) < 2
 
 
 @pytest.mark.parametrize("width, hold", [(8, 12), (10, 12), (16, 18)])
