@@ -185,8 +185,14 @@ def config_to_text(cfg: ChannelConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_config(cfg: ChannelConfig, path: str | Path) -> None:
-    Path(path).write_text(config_to_text(cfg))
+def _read_input(path: str | Path, what: str) -> str:
+    """The text of an input file; a file that cannot be read is a ``ConfigError``."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read {what} {path}: not a text file") from None
 
 
 def read_settings(text: str, parse: Callable[[str, str], object],
@@ -235,4 +241,4 @@ def parse_config(text: str) -> ChannelConfig:
 
 
 def load_config(path: str | Path) -> ChannelConfig:
-    return parse_config(Path(path).read_text())
+    return parse_config(_read_input(path, "config file"))

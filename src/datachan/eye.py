@@ -45,12 +45,6 @@ class EyeMask:
     def __post_init__(self):
         check_mask(self.vertices)
 
-    def contains(self, x: float, v: float) -> bool:
-        pts = self.vertices
-        sides = [(bx - ax) * (v - ay) - (by - ay) * (x - ax)
-                 for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
-        return not min(sides) < 0 < max(sides)
-
     def vertical_extent(self, x: float) -> tuple[float, float] | None:
         """Mask [v_min, v_max] at UI offset ``x``, or None if outside its span."""
         pts = self.vertices

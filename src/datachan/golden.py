@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .config import ChannelConfig
+from .config import ChannelConfig, _read_input
 from .errors import FramingError
 from .logic import HIGH, LOW, SignalTraces
 from .stimulus import Word
@@ -122,11 +122,7 @@ def parse_word_text(text: str, width: int = 10) -> list[Word]:
 
 
 def load_words(path: str | Path, width: int = 10) -> list[Word]:
-    return parse_word_text(Path(path).read_text(), width)
-
-
-def format_words(words: list[Word]) -> str:
-    return "\n".join("".join(str(b) for b in reversed(w)) for w in words) + "\n"
+    return parse_word_text(_read_input(path, "word file"), width)
 
 
 def format_bitstream(stream: BitStream, cols: int = 80) -> str:

@@ -242,20 +242,6 @@ class ChannelNetlist:
     components: list = field(default_factory=list)
 
     @property
-    def ring_flip_flops(self) -> list[DFlipFlop]:
-        return [c for c in self.components
-                if isinstance(c, DFlipFlop) and c.clk == "Dclk"]
-
-    @property
-    def hold_flip_flops(self) -> list[DFlipFlop]:
-        return [c for c in self.components
-                if isinstance(c, DFlipFlop) and c.clk != "Dclk"]
-
-    @property
-    def selector_count(self) -> int:
-        return sum(len(c.pullers) for c in self.components if isinstance(c, SharedLine))
-
-    @property
     def splitter(self) -> list[Buffer]:
         return [c for c in self.components
                 if isinstance(c, Buffer) and c.dst in ("Dclk", "Nclk")]

@@ -10,7 +10,7 @@ import numpy as np
 from . import driver as drv
 from . import eye as eyemod
 from . import golden, measure, protocol, report, spectrum as specmod, stimulus, vcd
-from .config import ChannelConfig, config_to_text, read_settings
+from .config import ChannelConfig, _read_input, config_to_text, read_settings
 from .errors import ConfigError, NoSettleError, NoTransitionError, ResolutionError
 from .netlist import advance, build_channel
 
@@ -65,9 +65,8 @@ def parse_scenario_text(text: str) -> Scenario:
 def load_scenario(spec: str) -> Scenario:
     if spec in PRESETS:
         return PRESETS[spec]
-    path = Path(spec)
-    if path.exists():
-        return parse_scenario_text(path.read_text())
+    if Path(spec).exists():
+        return parse_scenario_text(_read_input(spec, "scenario file"))
     raise ConfigError(f"unknown scenario {spec!r} (not a preset, not a file)")
 
 

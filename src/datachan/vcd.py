@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import numpy as np
 
-from .logic import UNKNOWN, Level, SignalTraces
+from .driver import _digits, _int_cells, _join_cells, _table_cells
+from .logic import HIGH, UNKNOWN, Level, SignalTraces
 
 _ID_CHARS = [chr(c) for c in range(33, 127)]
 
@@ -28,48 +31,59 @@ def traces_to_vcd(traces: SignalTraces, module: str = "channel") -> str:
     nets = traces.nets()
     if not nets:
         raise ValueError("no nets to export")
-    ids = dict(zip(nets, _identifiers(len(nets))))
+    ids = _identifiers(len(nets))
 
     out = [
         "$timescale 1 ps $end",
         f"$scope module {module} $end",
     ]
-    for net in nets:
-        out.append(f"$var wire 1 {ids[net]} {net} $end")
+    for net, ident in zip(nets, ids):
+        out.append(f"$var wire 1 {ident} {net} $end")
     out.append("$upscope $end")
     out.append("$enddefinitions $end")
 
     out.append("#0")
     out.append("$dumpvars")
     times: list[int] = []
-    values: list[str] = []
-    for net in nets:
+    levels: list[Level] = []
+    counts = []
+    for net, ident in zip(nets, ids):
         hist = traces.events[net]
-        value_of = {lvl: lvl.vcd_char + ids[net] for lvl in Level}
-        if hist and hist[0][0] == 0:
-            out.append(value_of[hist[0][1]])
-            hist = hist[1:]
-        else:
-            out.append(value_of[UNKNOWN])
-        if hist:
-            net_times, levels = zip(*hist)
-            times += net_times
-            values += map(value_of.__getitem__, levels)
+        at_zero = bool(hist) and hist[0][0] == 0
+        out.append((hist[0][1] if at_zero else UNKNOWN).vcd_char + ident)
+        changes = hist[1:] if at_zero else hist
+        counts.append(len(changes))
+        times += map(itemgetter(0), changes)
+        levels += map(itemgetter(1), changes)
     out.append("$end")
 
-    if times:
-        # a "#t" line before the changes at each time, nets in declaration order
-        t = np.asarray(times, dtype=np.int64)
-        order = np.argsort(t, kind="stable")
-        t = t[order]
-        new_time = np.ones(len(t), dtype=bool)
-        new_time[1:] = t[1:] != t[:-1]
-        heads = np.cumsum(new_time)  # "#t" lines up to and including each change
-        body = np.empty(len(t) + heads[-1], dtype=object)
-        body[np.arange(len(t)) + heads] = np.asarray(values, dtype=object)[order]
-        body[np.flatnonzero(new_time) + heads[new_time] - 1] = list(
-            map("#{}".format, t[new_time].tolist()))
-        out += body.tolist()
-    out.append(f"#{traces.horizon_ps}")
-    return "\n".join(out) + "\n"
+    # one line per change, after a "#t" line where its time is new; nets in
+    # declaration order within a time
+    t = np.asarray(times, dtype=np.int64)
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    if len(t) and t[0] < 0:
+        raise ValueError(f"negative change time {t[0]} ps")
+    # fromiter: asarray would probe every level as a possible sequence
+    lv = np.fromiter(levels, dtype=object, count=len(levels))
+    # (net, level) string index: three per net, in "01x" order
+    code = (3 * np.repeat(np.arange(len(nets)), counts) + (lv == HIGH)
+            + 2 * (lv == UNKNOWN))[order]
+    table = np.array([c + ident for ident in ids for c in "01x"], dtype="S")
+    new_time = np.ones(len(t), dtype=bool)
+    new_time[1:] = t[1:] != t[:-1]
+    width = _digits(t)
 
+    def time_heads(s: int, e: int) -> np.ndarray:
+        new = new_time[s:e]
+        cells = np.zeros((e - s, width + 2), dtype=np.uint8)
+        cells[new, 0] = ord("#")
+        cells[new, 1:-1] = _int_cells(t[s:e][new], width)
+        cells[new, -1] = ord("\n")
+        return cells
+
+    return _join_cells(len(t), [
+        (width + 2, time_heads),
+        (table.itemsize, lambda s, e: _table_cells(table, code[s:e])),
+        b"\n",
+    ], "\n".join(out) + "\n", f"#{traces.horizon_ps}\n")

@@ -121,10 +121,15 @@ def test_mask_validation():
 def test_mask_contains_and_extent():
     mask = EyeMask(((-0.25, 0.0), (-0.15, 0.2), (0.15, 0.2),
                     (0.25, 0.0), (0.15, -0.2), (-0.15, -0.2)))
-    assert mask.contains(0.0, 0.0)
-    assert mask.contains(0.0, 0.19)
-    assert not mask.contains(0.0, 0.21)
-    assert not mask.contains(0.3, 0.0)
+
+    def inside(x, v):
+        extent = mask.vertical_extent(x)
+        return extent is not None and extent[0] <= v <= extent[1]
+
+    assert inside(0.0, 0.0)
+    assert inside(0.0, 0.19)
+    assert not inside(0.0, 0.21)
+    assert not inside(0.3, 0.0)
     lo, hi = mask.vertical_extent(0.0)
     assert (lo, hi) == (-0.2, 0.2)
     lo, hi = mask.vertical_extent(0.2)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from datachan.cli import main
-from datachan.config import ChannelConfig, save_config
+from datachan.config import ChannelConfig, config_to_text
 from datachan.errors import ConfigError
 from datachan.logic import HIGH, LOW, UNKNOWN, SignalTraces
 from datachan.scenario import (PRESETS, load_scenario, parse_scenario_text,
@@ -51,6 +51,11 @@ def test_vcd_byte_stable():
 def test_vcd_rejects_empty():
     with pytest.raises(ValueError):
         traces_to_vcd(SignalTraces(events={}, horizon_ps=0))
+
+
+def test_vcd_rejects_negative_times():
+    with pytest.raises(ValueError, match="negative change time -5 ps"):
+        traces_to_vcd(SignalTraces(events={"A": [(-5, HIGH), (10, LOW)]}, horizon_ps=20))
 
 
 # --------------------------------------------------------------------------
@@ -209,7 +214,7 @@ def test_cli_bad_config_is_usage_error(tmp_path, capsys):
 
 def test_cli_config_file_round_trip(tmp_path):
     cfg_path = tmp_path / "chan.cfg"
-    save_config(ChannelConfig(seed=8), cfg_path)
+    cfg_path.write_text(config_to_text(ChannelConfig(seed=8)))
     code = main(["report", "--config", str(cfg_path), "--scenario",
                  "stream-random", "--words", "25", "--out", str(tmp_path)])
     assert code == 0
@@ -221,7 +226,7 @@ def test_cli_selftest():
 
 def test_cli_runs_width_16(tmp_path, capsys):
     cfg_path = tmp_path / "w16.cfg"
-    save_config(ChannelConfig(word_width=16), cfg_path)
+    cfg_path.write_text(config_to_text(ChannelConfig(word_width=16)))
     code = main(["run", "--config", str(cfg_path), "--words", "12",
                  "--out", str(tmp_path)])
     out = capsys.readouterr().out
@@ -282,6 +287,36 @@ def test_cli_bad_word_file_is_usage_error(tmp_path, capsys):
     sc.write_text(f"source = file\nword_file = {wf}\n")
     err = _usage_error(capsys, ["run", "--scenario", str(sc), "--out", str(tmp_path)])
     assert "line 2: expected 10 binary digits" in err
+
+
+UNREADABLE_INPUTS = {
+    "missing-config": (["--config", "{tmp}/nope.cfg"], "cannot read config file {tmp}/nope.cfg"),
+    "config-is-dir": (["--config", "{tmp}"], "cannot read config file {tmp}"),
+    "binary-config": (["--config", "{tmp}/binary.cfg"], "binary.cfg: not a text file"),
+    "missing-word-file": (["--scenario", "{tmp}/file.scenario"],
+                          "cannot read word file {tmp}/nope.txt"),
+    "scenario-is-dir": (["--scenario", "{tmp}"], "cannot read scenario file {tmp}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
+def test_cli_unreadable_input_is_usage_error(tmp_path, capsys, case):
+    args, message = UNREADABLE_INPUTS[case]
+    (tmp_path / "binary.cfg").write_bytes(b"seed = \xff\xfe\n")
+    (tmp_path / "file.scenario").write_text(f"source = file\nword_file = {tmp_path}/nope.txt\n")
+    err = _usage_error(capsys, ["run", *(a.format(tmp=tmp_path) for a in args),
+                                "--out", str(tmp_path / "out")])
+    assert message.format(tmp=tmp_path) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_unwritable_out_is_internal_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory\n")
+    code = main(["report", "--words", "5", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("i/o error: ") and err.count("\n") == 1, err
 
 
 def test_cli_coarse_sampling_is_usage_error(tmp_path, capsys):

@@ -7,8 +7,8 @@ from datachan import ChannelConfig, advance, build_channel
 from datachan.errors import ConfigError, ContentionError, OscillationError
 from datachan.logic import (HIGH, LOW, UNKNOWN, Level, NetEvent, SignalTraces,
                             k_and, k_not, k_or, merge_events)
-from datachan.netlist import (Buffer, ChannelNetlist, ResetState, Simulator,
-                              eval_reset, mux_lines)
+from datachan.netlist import (Buffer, ChannelNetlist, DFlipFlop, ResetState, SharedLine,
+                              Simulator, eval_reset, mux_lines)
 from datachan import stimulus
 
 LEVELS = (LOW, HIGH, UNKNOWN)
@@ -106,11 +106,20 @@ def test_reset_rejects_bad_edge():
 # --------------------------------------------------------------------------
 # netlist structure
 
+def _component_counts(nl):
+    """(ring flip-flops, hold flip-flops, selector pull-downs) of a netlist."""
+    ffs = [c for c in nl.components if isinstance(c, DFlipFlop)]
+    ring = sum(ff.clk == "Dclk" for ff in ffs)
+    selectors = sum(len(c.pullers) for c in nl.components if isinstance(c, SharedLine))
+    return ring, len(ffs) - ring, selectors
+
+
 def test_channel_structure_default_width(config):
     nl = build_channel(config)
-    assert len(nl.ring_flip_flops) == 11        # Sel1..Sel10 plus iSel1
-    assert len(nl.hold_flip_flops) == 2
-    assert nl.selector_count == 20              # ten selects x true/complement
+    ring, hold, selectors = _component_counts(nl)
+    assert ring == 11        # Sel1..Sel10 plus iSel1
+    assert hold == 2
+    assert selectors == 20   # ten selects x true/complement
     assert {b.dst for b in nl.splitter} == {"Dclk", "Nclk"}
     assert nl.sel_nets[0] == "Sel1" and nl.sel_nets[-1] == "Sel10"
     assert set(nl.line_nets) == {"Even", "Odd", "nEven", "nOdd"}
@@ -120,8 +129,9 @@ def test_channel_structure_default_width(config):
 def test_channel_structure_width_8():
     cfg = ChannelConfig(word_width=8)
     nl = build_channel(cfg)
-    assert len(nl.ring_flip_flops) == 9
-    assert nl.selector_count == 16
+    ring, _, selectors = _component_counts(nl)
+    assert ring == 9
+    assert selectors == 16
     assert "Buffered_Sel8" in nl.nets
 
 

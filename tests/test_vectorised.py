@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from datachan import driver as drv
 from datachan.config import DriverParams, SpikeModel
@@ -153,6 +153,8 @@ values = st.one_of(st.sampled_from(SPECIAL),
                    st.floats(allow_nan=False, allow_infinity=False))
 ROWS_PER_CHUNK = drv._FORMAT_CHUNK // 2
 LENGTHS = [0, 1, ROWS_PER_CHUNK - 1, ROWS_PER_CHUNK, ROWS_PER_CHUNK + 1]
+# the byte-assembled writers also work in passes of this many lines
+TRACE_LENGTHS = LENGTHS + [drv._PASS_CELLS - 1, drv._PASS_CELLS, drv._PASS_CELLS + 1]
 LINE_NETS = ("Even", "Odd", "nEven", "nOdd")
 
 
@@ -261,10 +263,17 @@ def test_tx_synthesis_matches_per_segment_loop(hists, edge, t_rf, dt, window, ch
 # writers
 
 
-@pytest.mark.parametrize("n", LENGTHS)
+@pytest.mark.parametrize("n", TRACE_LENGTHS)
 @settings(max_examples=15, deadline=None)
 @given(vals=st.lists(values, min_size=1, max_size=16),
-       t0=st.sampled_from([0.0, 1234.0, -55.5]), dt=st.sampled_from([10.0, 0.5, 2.0]))
+       t0=st.sampled_from([0.0, 1234.0, -55.5, -0.0, -40.0, 5.0, 99_995.0,
+                           999_999_995.0, 2.0**62]),
+       dt=st.sampled_from([10.0, 0.5, 2.0, 1.0]))
+# 0.0 and -0.0 print differently, so values are told apart by their bits
+@example(vals=[0.0, -0.0, 1.5], t0=0.0, dt=10.0)
+# integer timestamps crossing 9 -> 10 and 99,999 -> 100,000
+@example(vals=[-0.0, 0.0], t0=5.0, dt=1.0)
+@example(vals=[1e300, 0.0], t0=99_995.0, dt=1.0)
 def test_trace_csv_matches_per_line_format(n, vals, t0, dt):
     trace = drv.WaveformTrace(dt, tiled(vals, n), t0)
     assert drv.trace_to_csv(trace) == ref_trace_csv(trace)
@@ -300,8 +309,14 @@ def test_eye_csv_with_no_rows():
 
 @settings(max_examples=120, deadline=None)
 @given(hists=st.lists(histories(max_events=30), min_size=1, max_size=6),
-       extra=st.integers(0, 1000))
-def test_vcd_matches_per_event_loop(hists, extra):
+       extra=st.integers(0, 1000), copies=st.sampled_from([0, 95]),
+       scale=st.sampled_from([1, 10**8]))
+@example(hists=[[], [(0, HIGH)]], extra=0, copies=0, scale=1)  # horizon 0
+def test_vcd_matches_per_event_loop(hists, extra, copies, scale):
+    # copies of the drawn nets: two-character identifiers and many nets
+    # changing at one time; scale: change times of 1 to 13 digits
+    hists = [[(t * scale, lvl) for t, lvl in h] for h in hists]
+    hists = [hists[i % len(hists)] for i in range(len(hists) + copies)]
     events = {f"n{i}": h for i, h in enumerate(hists)}
     horizon = max([h[-1][0] for h in hists if h] + [0]) + extra
     traces = SignalTraces(events=events, horizon_ps=horizon)
