@@ -13,13 +13,7 @@ Submodules:
 
 __version__ = "0.1.0"
 
-from .config import ChannelConfig, DriverParams, SpikeModel
-from .logic import HIGH, LOW, UNKNOWN, Level, NetEvent, SignalTraces
-from .netlist import ChannelNetlist, advance, build_channel, eval_reset, mux_lines
+from .config import ChannelConfig
+from .netlist import advance, build_channel
 
-__all__ = [
-    "ChannelConfig", "DriverParams", "SpikeModel",
-    "HIGH", "LOW", "UNKNOWN", "Level", "NetEvent", "SignalTraces",
-    "ChannelNetlist", "advance", "build_channel", "eval_reset", "mux_lines",
-    "__version__",
-]
+__all__ = ["ChannelConfig", "advance", "build_channel", "__version__"]

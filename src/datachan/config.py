@@ -13,8 +13,11 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import TypeVar
 
 from .errors import ConfigError, MaskError
+
+T = TypeVar("T")
 
 EDGE_MODELS = ("EXPONENTIAL", "RAISED_COSINE")
 
@@ -195,8 +198,16 @@ def _read_input(path: str | Path, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: not a text file") from None
 
 
-def read_settings(text: str, parse: Callable[[str, str], object],
-                  label: str = "line") -> dict[str, object]:
+def _parse_input(path: str | Path, what: str, parse: Callable[[str], T]) -> T:
+    """``parse`` of an input file's text; its ``ConfigError`` names the file."""
+    text = _read_input(path, what)
+    try:
+        return parse(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{what} {path}: {exc}") from None
+
+
+def read_settings(text: str, parse: Callable[[str, str], object]) -> dict[str, object]:
     """``{key: parse(key, value)}`` for each ``key = value`` line of ``text``.
 
     ``#`` starts a comment and blank lines are skipped.  A line without ``=``
@@ -214,7 +225,7 @@ def read_settings(text: str, parse: Callable[[str, str], object],
             key, val = (s.strip() for s in line.split("=", 1))
             out[key] = parse(key, val)
         except ConfigError as exc:
-            raise ConfigError(f"{label} {lineno}: {exc}") from None
+            raise ConfigError(f"line {lineno}: {exc}") from None
     return out
 
 
@@ -241,4 +252,4 @@ def parse_config(text: str) -> ChannelConfig:
 
 
 def load_config(path: str | Path) -> ChannelConfig:
-    return parse_config(_read_input(path, "config file"))
+    return _parse_input(path, "config file", parse_config)

@@ -18,7 +18,7 @@ import numpy as np
 from .config import DriverParams, SpikeModel
 from .errors import SamplingError
 from .golden import BitStream
-from .logic import HIGH, LOW, Level, SignalTraces
+from .logic import HIGH, LOW, SignalTraces
 
 LN4 = math.log(4.0)
 # 20%-80% span of the raised-cosine step, as a fraction of its full duration
@@ -37,12 +37,12 @@ class WaveformTrace:
         return self.t0_ps + self.dt_ps * np.arange(len(self.samples))
 
 
-def _history_arrays(hist: list[tuple[int, Level]]) -> tuple[np.ndarray, np.ndarray]:
-    """(times, levels) of one net's history as int64 and object arrays."""
+def _history_arrays(hist: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(times, level codes) of one net's history as int64 and int8 arrays."""
     if not hist:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=object)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int8)
     times, levels = zip(*hist)
-    return np.asarray(times, dtype=np.int64), np.asarray(levels, dtype=object)
+    return np.asarray(times, dtype=np.int64), np.asarray(levels, dtype=np.int8)
 
 
 def _sink_timeline(traces: SignalTraces, nets: tuple[str, str],
@@ -63,7 +63,7 @@ def _sink_timeline(traces: SignalTraces, nets: tuple[str, str],
 
 
 # elements of the work arrays in one numpy pass of the analog back end, and
-# lines in one pass of the text writers
+# the cells, rounded down to whole lines, in one pass of the text writers
 _PASS_CELLS = 1 << 16
 
 
@@ -267,17 +267,20 @@ def _join_cells(n: int, columns: list, head: str = "", tail: str = "") -> str:
 
     A column is ``bytes``, the same on every line, or ``(width, cells)``, where
     ``cells(s, e)`` gives the ``(e - s, width)`` cells of lines ``s`` to
-    ``e - 1``.  NUL bytes pad the cells and are dropped.  Lines are built
-    ``_PASS_CELLS`` at a time into one buffer, which is decoded once.
+    ``e - 1``.  NUL bytes pad the cells and are dropped.  Lines are built in
+    passes of about ``_PASS_CELLS`` cells into one buffer, which is decoded
+    once.
     """
     widths = [len(c) if isinstance(c, bytes) else c[0] for c in columns]
+    line = sum(widths)
     head_b, tail_b = head.encode(), tail.encode()
-    buf = np.empty(len(head_b) + n * sum(widths) + len(tail_b), dtype=np.uint8)
+    buf = np.empty(len(head_b) + n * line + len(tail_b), dtype=np.uint8)
     buf[:len(head_b)] = np.frombuffer(head_b, dtype=np.uint8)
     pos = len(head_b)
-    for s in range(0, n, _PASS_CELLS):
-        e = min(n, s + _PASS_CELLS)
-        cells = np.empty((e - s, sum(widths)), dtype=np.uint8)
+    step = max(1, _PASS_CELLS // line)
+    for s in range(0, n, step):
+        e = min(n, s + step)
+        cells = np.empty((e - s, line), dtype=np.uint8)
         col = 0
         for c, w in zip(columns, widths):
             cells[:, col:col + w] = (np.frombuffer(c, dtype=np.uint8) if isinstance(c, bytes)

@@ -9,7 +9,9 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 
-class Level(enum.Enum):
+class Level(enum.IntEnum):
+    """A level and its integer code; traces and the kernel hold the codes."""
+
     LOW = 0
     HIGH = 1
     UNKNOWN = 2
@@ -17,36 +19,16 @@ class Level(enum.Enum):
     def __repr__(self):
         return self.name
 
-    @property
-    def vcd_char(self) -> str:
-        return {Level.LOW: "0", Level.HIGH: "1", Level.UNKNOWN: "x"}[self]
-
 
 LOW = Level.LOW
 HIGH = Level.HIGH
 UNKNOWN = Level.UNKNOWN
+LEVELS = tuple(Level)  # code -> Level
 
-
-def k_not(a: Level) -> Level:
-    if a is UNKNOWN:
-        return UNKNOWN
-    return LOW if a is HIGH else HIGH
-
-
-def k_and(*terms: Level) -> Level:
-    if any(t is LOW for t in terms):
-        return LOW
-    if any(t is UNKNOWN for t in terms):
-        return UNKNOWN
-    return HIGH
-
-
-def k_or(*terms: Level) -> Level:
-    if any(t is HIGH for t in terms):
-        return HIGH
-    if any(t is UNKNOWN for t in terms):
-        return UNKNOWN
-    return LOW
+# gates on level codes: NOT[a], AND[a][b], OR[a][b]
+NOT = (1, 0, 2)
+AND = ((0, 0, 0), (0, 1, 2), (0, 2, 2))
+OR = ((0, 1, 2), (1, 1, 1), (2, 1, 2))
 
 
 class NetEvent(NamedTuple):
@@ -62,11 +44,12 @@ class SignalTraces:
     """Per-net event histories produced by one simulation run.
 
     ``events[net]`` is a strictly time-ordered list of ``(time_ps, level)``
-    pairs in which consecutive entries always carry different levels.
-    Instances are treated as immutable once a run has completed.
+    pairs in which consecutive entries always carry different levels.  A
+    level is its code 0/1/2 (a ``Level`` member compares equal to its
+    code).  Instances are treated as immutable once a run has completed.
     """
 
-    events: dict[str, list[tuple[int, Level]]]
+    events: dict[str, list[tuple[int, int]]]
     horizon_ps: int
 
     def nets(self) -> list[str]:
@@ -76,7 +59,7 @@ class SignalTraces:
         """Level of ``net`` at ``time_ps`` (the last change at or before it)."""
         hist = self.events[net]
         i = bisect_right(hist, time_ps, key=itemgetter(0))
-        return hist[i - 1][1] if i else UNKNOWN
+        return LEVELS[hist[i - 1][1]] if i else UNKNOWN
 
     def edges(self, net: str, kind: str = "rise") -> list[int]:
         """Times at which ``net`` transitions LOW->HIGH (rise) or HIGH->LOW (fall)."""
@@ -84,7 +67,7 @@ class SignalTraces:
         out = []
         prev = UNKNOWN
         for t, lvl in self.events[net]:
-            if prev is want_from and lvl is want_to:
+            if prev == want_from and lvl == want_to:
                 out.append(t)
             prev = lvl
         return out
@@ -97,7 +80,7 @@ class SignalTraces:
             if start is not None:
                 out.append((start, t))
                 start = None
-            if lvl is level:
+            if lvl == level:
                 start = t
         if start is not None:
             out.append((start, self.horizon_ps))

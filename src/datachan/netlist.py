@@ -16,53 +16,7 @@ from dataclasses import dataclass, field
 
 from .config import ChannelConfig
 from .errors import ConfigError, ContentionError, OscillationError
-from .logic import HIGH, UNKNOWN, Level, NetEvent, SignalTraces, k_and, k_not, k_or
-
-
-# --------------------------------------------------------------------------
-# reset block decision logic
-
-@dataclass
-class ResetState:
-    """Sample-and-hold state of the reset block.
-
-    ``armed`` is refreshed at every falling working-clock edge from the
-    Disable/Enable pair captured at the preceding rising edge.
-    """
-
-    sampled_disable: Level = UNKNOWN
-    sampled_enable: Level = UNKNOWN
-    armed: Level = UNKNOWN
-
-    def start_level(self, disable: Level, enable: Level, buffered_last: Level) -> Level:
-        """Combinational Start value for the current input levels.
-
-        Disable high forces low.  The token recirculates whenever both
-        control inputs are low and the buffered last select is high; this
-        path is level-sensitive so the recurring Start pulse overlaps the
-        last select instead of trailing it by a full clock.
-        """
-        armed_term = k_and(k_not(disable), self.armed)
-        recirc_term = k_and(k_not(disable), k_not(enable), buffered_last)
-        return k_or(armed_term, recirc_term)
-
-
-def eval_reset(state: ResetState, edge: str, disable: Level, enable: Level,
-               buffered_last: Level) -> Level:
-    """Step the reset block over one working-clock edge and return Start.
-
-    ``edge`` is ``"rise"`` or ``"fall"``.  A rising edge samples the
-    Disable/Enable pair and leaves Start unchanged; a falling edge commits
-    the sampled pair into the armed flag and re-evaluates Start.
-    """
-    if edge == "rise":
-        state.sampled_disable = disable
-        state.sampled_enable = enable
-    elif edge == "fall":
-        state.armed = k_and(k_not(state.sampled_disable), state.sampled_enable)
-    else:
-        raise ValueError(f"edge must be 'rise' or 'fall', got {edge!r}")
-    return state.start_level(disable, enable, buffered_last)
+from .logic import AND, HIGH, NOT, OR, UNKNOWN, NetEvent, SignalTraces
 
 
 # --------------------------------------------------------------------------
@@ -72,12 +26,8 @@ def eval_reset(state: ResetState, edge: str, disable: Level, enable: Level,
 # it registers, for each input net and each level change that can make the
 # component act, an action bound to integer net indices (see ``Simulator``).
 
-# Inside the kernel a level is its ``Level.value``: 0 LOW, 1 HIGH, 2 UNKNOWN.
-_LEVELS = tuple(Level)
+# Inside the kernel a level is its code: 0 LOW, 1 HIGH, 2 UNKNOWN.
 _SAME = (0, 1, 2)
-_NOT = (1, 0, 2)
-_AND = ((0, 0, 0), (0, 1, 2), (0, 2, 2))
-_OR = ((0, 1, 2), (1, 1, 1), (2, 1, 2))
 _CHANGES = tuple((old, new) for old in _SAME for new in _SAME if old != new)
 
 
@@ -92,7 +42,7 @@ class Buffer:
         return (self.src,)
 
     def bind(self, sim: "Simulator"):
-        out = _NOT if self.invert else _SAME
+        out = NOT if self.invert else _SAME
         dst = sim.index[self.dst] << 2
         for net in self.inputs:
             for old, new in _CHANGES:
@@ -131,7 +81,13 @@ class ResetBlock:
         return (self.dclk, self.disable, self.enable, self.buffered_last)
 
     def bind(self, sim: "Simulator"):
-        """Integer form of ``eval_reset``/``ResetState`` with its own state."""
+        """A rising working-clock edge samples Disable/Enable, the falling
+        edge commits ``armed = NOT disable AND enable``, and every input
+        change re-evaluates Start = ``(NOT disable AND armed) OR (NOT disable
+        AND NOT enable AND buffered_last)``.  The recirculation term is
+        level-sensitive, so the recurring Start pulse overlaps the last
+        select instead of trailing it by a full clock.
+        """
         values, schedule = sim.values, sim.schedule
         dis, en, blast = (sim.index[n] for n in
                           (self.disable, self.enable, self.buffered_last))
@@ -141,9 +97,8 @@ class ResetBlock:
 
         def update(t: int):
             nonlocal target
-            ndis = _NOT[values[dis]]
-            start = _OR[_AND[ndis][armed]][
-                _AND[_AND[ndis][_NOT[values[en]]]][values[blast]]]
+            ndis = NOT[values[dis]]
+            start = OR[AND[ndis][armed]][AND[AND[ndis][NOT[values[en]]]][values[blast]]]
             if start != target:
                 target = start
                 schedule(t + delay, start_code + start)
@@ -155,7 +110,7 @@ class ResetBlock:
 
         def fall(t: int):
             nonlocal armed
-            armed = _AND[_NOT[sampled_dis]][sampled_en]
+            armed = AND[NOT[sampled_dis]][sampled_en]
             update(t)
 
         for net in self.inputs:
@@ -190,7 +145,7 @@ class SharedLine:
 
     def bind(self, sim: "Simulator"):
         values, schedule = sim.values, sim.schedule
-        pullers = [(sim.index[sel], sim.index[src], _SAME if active else _NOT)
+        pullers = [(sim.index[sel], sim.index[src], _SAME if active else NOT)
                    for sel, src, active in self.pullers]
         line_code, delay = sim.index[self.line] << 2, self.delay_ps
         target = -1  # the line level last scheduled
@@ -240,19 +195,6 @@ class ChannelNetlist:
     nets: list[str]
     primary_inputs: list[str]
     components: list = field(default_factory=list)
-
-    @property
-    def splitter(self) -> list[Buffer]:
-        return [c for c in self.components
-                if isinstance(c, Buffer) and c.dst in ("Dclk", "Nclk")]
-
-    @property
-    def sel_nets(self) -> list[str]:
-        return [f"Sel{k}" for k in range(1, self.config.word_width + 1)]
-
-    @property
-    def line_nets(self) -> list[str]:
-        return ["Even", "Odd", "nEven", "nOdd"]
 
 
 def build_channel(config: ChannelConfig) -> ChannelNetlist:
@@ -345,8 +287,7 @@ class Simulator:
         self.index = {net: i for i, net in enumerate(netlist.nets)}
         self.low = len(netlist.nets)
         self.values = [2] * self.low + [0]
-        self.histories: list[list[tuple[int, Level]]] = [
-            [(0, UNKNOWN)] for _ in netlist.nets]
+        self.histories: list[list[tuple[int, int]]] = [[(0, 2)] for _ in netlist.nets]
         times: list[int] = []
         pending: dict[int, list[int]] = {}
         self._times, self._pending = times, pending
@@ -380,7 +321,7 @@ class Simulator:
                 if bucket:
                     yield t_cur, bucket
                 t_cur, bucket = t, []
-            bucket.append(index[net] << 2 | level.value)
+            bucket.append(index[net] << 2 | level)
         if bucket:
             yield t_cur, bucket
 
@@ -398,7 +339,7 @@ class Simulator:
         limit = self.netlist.config.loop_limit
         values, histories, actions = self.values, self.histories, self._actions
         times, pending = self._times, self._pending
-        heappush, heappop, levels = heapq.heappush, heapq.heappop, _LEVELS
+        heappush, heappop = heapq.heappush, heapq.heappop
         stim = self._stimulus_buckets(stimulus)
         nxt = next(stim, None)
         while True:
@@ -429,11 +370,11 @@ class Simulator:
                 values[net] = new
                 hist = histories[net]
                 if hist[-1][0] != t:
-                    hist.append((t, levels[new]))
-                elif len(hist) > 1 and hist[-2][1] is levels[new]:
+                    hist.append((t, new))
+                elif len(hist) > 1 and hist[-2][1] == new:
                     hist.pop()
                 else:
-                    hist[-1] = (t, levels[new])
+                    hist[-1] = (t, new)
                 for delay, base, src in actions[code * 3 + old]:
                     if delay is None:
                         base(t)
@@ -463,8 +404,8 @@ def advance(netlist: ChannelNetlist, stimulus: list[NetEvent],
 # --------------------------------------------------------------------------
 # functional line multiplexing (delay-free recomputation of the wired lines)
 
-def mux_lines(traces: SignalTraces, word_source: dict[str, list[tuple[int, Level]]],
-              width: int = 10) -> dict[str, list[tuple[int, Level]]]:
+def mux_lines(traces: SignalTraces, word_source: dict[str, list[tuple[int, int]]],
+              width: int = 10) -> dict[str, list[tuple[int, int]]]:
     """Recompute the four shared lines from select traces and data histories.
 
     ``word_source`` maps D0..D{width-1} to event histories holding the value
@@ -478,7 +419,7 @@ def mux_lines(traces: SignalTraces, word_source: dict[str, list[tuple[int, Level
         "nEven": [(k, 0) for k in range(1, width + 1) if k % 2 == 0],
     }
 
-    histories: dict[str, list[tuple[int, Level]]] = {}
+    histories: dict[str, list[tuple[int, int]]] = {}
     for k in range(1, width + 1):
         histories[f"Sel{k}"] = traces.events[f"Sel{k}"]
     for i in range(width):
@@ -488,7 +429,7 @@ def mux_lines(traces: SignalTraces, word_source: dict[str, list[tuple[int, Level
     cursors = {name: 0 for name in histories}
     current = {name: UNKNOWN for name in histories}
 
-    out: dict[str, list[tuple[int, Level]]] = {name: [] for name in groups}
+    out: dict[str, list[tuple[int, int]]] = {name: [] for name in groups}
     for t in times:
         for name, hist in histories.items():
             i = cursors[name]
@@ -499,21 +440,21 @@ def mux_lines(traces: SignalTraces, word_source: dict[str, list[tuple[int, Level
         sel_lvls = {k: current[f"Sel{k}"] for k in range(1, width + 1)}
         bit_lvls = {i: current[f"D{i}"] for i in range(width)}
         for name, members in groups.items():
-            pulls = []
+            pulled = 0  # the OR of the pulls, from its identity LOW
             active = []
             for k, active_bit in members:
-                bit = bit_lvls[k - 1] if active_bit else k_not(bit_lvls[k - 1])
-                pull = k_and(sel_lvls[k], bit)
-                pulls.append(pull)
-                if sel_lvls[k] is HIGH:
+                bit = bit_lvls[k - 1] if active_bit else NOT[bit_lvls[k - 1]]
+                pull = AND[sel_lvls[k]][bit]
+                pulled = OR[pulled][pull]
+                if sel_lvls[k] == HIGH:
                     active.append((k, pull))
             if len(active) >= 2 and len({p for _, p in active}) > 1:
                 raise ContentionError(
                     f"conflicting drive on {name} at {t} ps "
                     f"(selects {[k for k, _ in active]})"
                 )
-            level = k_not(k_or(*pulls))
+            level = NOT[pulled]
             hist = out[name]
-            if not hist or hist[-1][1] is not level:
+            if not hist or hist[-1][1] != level:
                 hist.append((t, level))
     return out

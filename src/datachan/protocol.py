@@ -40,7 +40,7 @@ def _quiet_since(traces: SignalTraces, net: str, t_from: int, t_to: int,
     """
     hist = traces.events[net]
     i = bisect_left(hist, t_to, key=itemgetter(0))  # hist[i - 1]: last change before t_to
-    if not i or hist[i - 1][1] is not quiet:
+    if not i or hist[i - 1][1] != quiet:
         return None
     return max(hist[i - 1][0], t_from)
 
@@ -110,9 +110,9 @@ def check_protocol(traces: SignalTraces, schedule: ProtocolSchedule,
         hist = traces.events[net]
         left = None
         for i, (t, lvl) in enumerate(hist):
-            if lvl is UNKNOWN:
+            if lvl == UNKNOWN:
                 left = hist[i + 1][0] if i + 1 < len(hist) else None
-        if left is None and hist and hist[-1][1] is UNKNOWN:
+        if left is None and hist and hist[-1][1] == UNKNOWN:
             reset_complete = None
             break
         if left is not None and reset_complete is not None:

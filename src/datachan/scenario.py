@@ -10,7 +10,7 @@ import numpy as np
 from . import driver as drv
 from . import eye as eyemod
 from . import golden, measure, protocol, report, spectrum as specmod, stimulus, vcd
-from .config import ChannelConfig, _read_input, config_to_text, read_settings
+from .config import ChannelConfig, _parse_input, config_to_text, read_settings
 from .errors import ConfigError, NoSettleError, NoTransitionError, ResolutionError
 from .netlist import advance, build_channel
 
@@ -59,14 +59,14 @@ def parse_scenario_text(text: str) -> Scenario:
         except ValueError:
             raise ConfigError(f"{key} must be an integer, got {val!r}") from None
 
-    return Scenario(**read_settings(text, parse, "scenario line"))
+    return Scenario(**read_settings(text, parse))
 
 
 def load_scenario(spec: str) -> Scenario:
     if spec in PRESETS:
         return PRESETS[spec]
     if Path(spec).exists():
-        return parse_scenario_text(_read_input(spec, "scenario file"))
+        return _parse_input(spec, "scenario file", parse_scenario_text)
     raise ConfigError(f"unknown scenario {spec!r} (not a preset, not a file)")
 
 

@@ -7,7 +7,7 @@ from operator import itemgetter
 import numpy as np
 
 from .driver import _digits, _int_cells, _join_cells, _table_cells
-from .logic import HIGH, UNKNOWN, Level, SignalTraces
+from .logic import UNKNOWN, SignalTraces
 
 _ID_CHARS = [chr(c) for c in range(33, 127)]
 
@@ -45,12 +45,12 @@ def traces_to_vcd(traces: SignalTraces, module: str = "channel") -> str:
     out.append("#0")
     out.append("$dumpvars")
     times: list[int] = []
-    levels: list[Level] = []
+    levels: list[int] = []
     counts = []
     for net, ident in zip(nets, ids):
         hist = traces.events[net]
         at_zero = bool(hist) and hist[0][0] == 0
-        out.append((hist[0][1] if at_zero else UNKNOWN).vcd_char + ident)
+        out.append("01x"[hist[0][1] if at_zero else UNKNOWN] + ident)
         changes = hist[1:] if at_zero else hist
         counts.append(len(changes))
         times += map(itemgetter(0), changes)
@@ -64,11 +64,9 @@ def traces_to_vcd(traces: SignalTraces, module: str = "channel") -> str:
     t = t[order]
     if len(t) and t[0] < 0:
         raise ValueError(f"negative change time {t[0]} ps")
-    # fromiter: asarray would probe every level as a possible sequence
-    lv = np.fromiter(levels, dtype=object, count=len(levels))
-    # (net, level) string index: three per net, in "01x" order
-    code = (3 * np.repeat(np.arange(len(nets)), counts) + (lv == HIGH)
-            + 2 * (lv == UNKNOWN))[order]
+    # (net, level) string index: three per net, in level code order
+    code = (3 * np.repeat(np.arange(len(nets)), counts)
+            + np.asarray(levels, dtype=np.int64))[order]
     table = np.array([c + ident for ident in ids for c in "01x"], dtype="S")
     new_time = np.ones(len(t), dtype=bool)
     new_time[1:] = t[1:] != t[:-1]

@@ -4,18 +4,91 @@ A test oracle: ``ReferenceSimulator`` runs a ``ChannelNetlist`` with the
 original loop over a ``(time, seq, net, level)`` heap, string-keyed
 ``Level`` values and one ``poke`` per component and input change.  The
 component logic below is the original ``poke`` code, kept on subclasses
-of the netlist description classes.
+of the netlist description classes, with the original ``Level``-valued
+gates and reset-block logic: independent of the kernel's lookup tables.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from dataclasses import dataclass
 
 from datachan.errors import ContentionError, OscillationError
-from datachan.logic import HIGH, LOW, UNKNOWN, Level, NetEvent, SignalTraces, k_and, k_not, k_or
-from datachan.netlist import (Buffer, ChannelNetlist, DFlipFlop, ResetBlock, ResetState,
-                              SharedLine, eval_reset)
+from datachan.logic import HIGH, LOW, UNKNOWN, Level, NetEvent, SignalTraces
+from datachan.netlist import Buffer, ChannelNetlist, DFlipFlop, ResetBlock, SharedLine
+
+
+# --------------------------------------------------------------------------
+# three-valued gates and the reset block's decision logic on ``Level`` values
+
+def k_not(a: Level) -> Level:
+    if a is UNKNOWN:
+        return UNKNOWN
+    return LOW if a is HIGH else HIGH
+
+
+def k_and(*terms: Level) -> Level:
+    if any(t is LOW for t in terms):
+        return LOW
+    if any(t is UNKNOWN for t in terms):
+        return UNKNOWN
+    return HIGH
+
+
+def k_or(*terms: Level) -> Level:
+    if any(t is HIGH for t in terms):
+        return HIGH
+    if any(t is UNKNOWN for t in terms):
+        return UNKNOWN
+    return LOW
+
+
+@dataclass
+class ResetState:
+    """Sample-and-hold state of the reset block.
+
+    ``armed`` is refreshed at every falling working-clock edge from the
+    Disable/Enable pair captured at the preceding rising edge.
+    """
+
+    sampled_disable: Level = UNKNOWN
+    sampled_enable: Level = UNKNOWN
+    armed: Level = UNKNOWN
+
+    def start_level(self, disable: Level, enable: Level, buffered_last: Level) -> Level:
+        """Combinational Start value for the current input levels.
+
+        Disable high forces low.  The token recirculates whenever both
+        control inputs are low and the buffered last select is high; this
+        path is level-sensitive so the recurring Start pulse overlaps the
+        last select instead of trailing it by a full clock.
+        """
+        armed_term = k_and(k_not(disable), self.armed)
+        recirc_term = k_and(k_not(disable), k_not(enable), buffered_last)
+        return k_or(armed_term, recirc_term)
+
+
+def eval_reset(state: ResetState, edge: str, disable: Level, enable: Level,
+               buffered_last: Level) -> Level:
+    """Step the reset block over one working-clock edge and return Start.
+
+    ``edge`` is ``"rise"`` or ``"fall"``.  A rising edge samples the
+    Disable/Enable pair and leaves Start unchanged; a falling edge commits
+    the sampled pair into the armed flag and re-evaluates Start.
+    """
+    if edge == "rise":
+        state.sampled_disable = disable
+        state.sampled_enable = enable
+    elif edge == "fall":
+        state.armed = k_and(k_not(state.sampled_disable), state.sampled_enable)
+    else:
+        raise ValueError(f"edge must be 'rise' or 'fall', got {edge!r}")
+    return state.start_level(disable, enable, buffered_last)
+
+
+# --------------------------------------------------------------------------
+# reference components and event loop
 
 
 class _Reference:

@@ -289,6 +289,19 @@ def test_cli_bad_word_file_is_usage_error(tmp_path, capsys):
     assert "line 2: expected 10 binary digits" in err
 
 
+def test_cli_input_errors_name_their_file(tmp_path, capsys):
+    good, bad = tmp_path / "a.scenario", tmp_path / "b.scenario"
+    good.write_text("n_words = 5\n")
+    bad.write_text("name = b\nn_words = x\n")
+    err = _usage_error(capsys, ["report", "--scenario", str(good), "--scenario", str(bad),
+                                "--out", str(tmp_path)])
+    assert f"error: scenario file {bad}: line 2: n_words must be an integer, got 'x'" in err
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed = x\n")
+    err = _usage_error(capsys, ["report", "--config", str(cfg), "--out", str(tmp_path)])
+    assert f"error: config file {cfg}: line 1: bad numeric value 'x'" in err
+
+
 UNREADABLE_INPUTS = {
     "missing-config": (["--config", "{tmp}/nope.cfg"], "cannot read config file {tmp}/nope.cfg"),
     "config-is-dir": (["--config", "{tmp}"], "cannot read config file {tmp}"),

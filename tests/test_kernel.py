@@ -130,6 +130,14 @@ def test_same_time_glitch_collapses_like_reference():
     assert traces.events == {"A": [(0, LOW)], "B": [(0, UNKNOWN), (1, LOW)]}
 
 
+def test_histories_hold_plain_level_codes(stream40):
+    # the kernel records codes; only level_at turns them into Level members
+    _, _, traces = stream40
+    levels = {type(lvl) for hist in traces.events.values() for _, lvl in hist}
+    assert levels == {int}
+    assert {lvl for hist in traces.events.values() for _, lvl in hist} == {0, 1, 2}
+
+
 def test_finished_run_leaves_no_reference_cycles(config, stream40):
     # a cycle would keep every history alive until the next full collection
     _, stim, _ = stream40

@@ -5,11 +5,11 @@ from hypothesis import given, strategies as st
 
 from datachan import ChannelConfig, advance, build_channel
 from datachan.errors import ConfigError, ContentionError, OscillationError
-from datachan.logic import (HIGH, LOW, UNKNOWN, Level, NetEvent, SignalTraces,
-                            k_and, k_not, k_or, merge_events)
-from datachan.netlist import (Buffer, ChannelNetlist, DFlipFlop, ResetState, SharedLine,
-                              Simulator, eval_reset, mux_lines)
+from datachan.logic import (AND, HIGH, LOW, NOT, OR, UNKNOWN, Level, NetEvent, SignalTraces,
+                            merge_events)
+from datachan.netlist import Buffer, ChannelNetlist, DFlipFlop, SharedLine, Simulator, mux_lines
 from datachan import stimulus
+from reference_kernel import ResetState, eval_reset, k_and, k_not, k_or
 
 LEVELS = (LOW, HIGH, UNKNOWN)
 
@@ -38,8 +38,13 @@ def test_de_morgan(terms):
     assert k_not(k_and(*terms)) is k_or(*(k_not(t) for t in terms))
 
 
-def test_vcd_chars():
-    assert [lvl.vcd_char for lvl in (LOW, HIGH, UNKNOWN)] == ["0", "1", "x"]
+def test_gate_tables_match_reference_gates():
+    # every input of the kernel's lookup tables against the Level-valued gates
+    for a in LEVELS:
+        assert NOT[a] == k_not(a)
+        for b in LEVELS:
+            assert AND[a][b] == k_and(a, b)
+            assert OR[a][b] == k_or(a, b)
 
 
 # --------------------------------------------------------------------------
@@ -58,6 +63,20 @@ def test_level_at_bisects_history():
     assert tr.level_at("A", 9) is LOW
     assert tr.level_at("A", 10) is HIGH
     assert tr.level_at("A", 39) is HIGH
+
+
+@pytest.mark.parametrize("as_codes", [False, True])
+def test_level_at_returns_level_members(as_codes):
+    # histories of plain codes, as the kernel records them, or of members
+    hist = [(0, UNKNOWN), (5, LOW), (10, HIGH)]
+    if as_codes:
+        hist = [(t, int(lvl)) for t, lvl in hist]
+        assert all(type(lvl) is int for _, lvl in hist)
+    tr = SignalTraces(events={"A": hist}, horizon_ps=20)
+    got = [tr.level_at("A", t) for t in (-1, 0, 5, 19)]
+    assert got == [UNKNOWN, UNKNOWN, LOW, HIGH]
+    assert all(type(lvl) is Level for lvl in got)
+    assert [lvl.name for lvl in got] == ["UNKNOWN", "UNKNOWN", "LOW", "HIGH"]
 
 
 def test_edges_and_intervals():
@@ -120,9 +139,13 @@ def test_channel_structure_default_width(config):
     assert ring == 11        # Sel1..Sel10 plus iSel1
     assert hold == 2
     assert selectors == 20   # ten selects x true/complement
-    assert {b.dst for b in nl.splitter} == {"Dclk", "Nclk"}
-    assert nl.sel_nets[0] == "Sel1" and nl.sel_nets[-1] == "Sel10"
-    assert set(nl.line_nets) == {"Even", "Odd", "nEven", "nOdd"}
+    splitter = {(b.src, b.dst, b.invert) for b in nl.components
+                if isinstance(b, Buffer) and b.dst in ("Dclk", "Nclk")}
+    assert splitter == {("Clock", "Dclk", False), ("Dclk", "Nclk", True)}
+    sel_nets = [n for n in nl.nets if n.startswith("Sel")]
+    assert sel_nets[0] == "Sel1" and sel_nets[-1] == "Sel10"
+    lines = {c.line for c in nl.components if isinstance(c, SharedLine)}
+    assert lines == {"Even", "Odd", "nEven", "nOdd"}
     assert "HoldD8" in nl.nets and "HoldD9" in nl.nets
 
 

@@ -125,19 +125,37 @@ def ref_vcd(traces, module="channel"):
         hist = traces.events[net]
         first = hist[0] if hist else None
         if first is not None and first[0] == 0:
-            out.append(f"{first[1].vcd_char}{ids[net]}")
+            out.append(f"{'01x'[first[1]]}{ids[net]}")
             rest = hist[1:]
         else:
             out.append(f"x{ids[net]}")
             rest = hist
         for t, lvl in rest:
-            changes.setdefault(t, []).append(f"{lvl.vcd_char}{ids[net]}")
+            changes.setdefault(t, []).append(f"{'01x'[lvl]}{ids[net]}")
     out.append("$end")
     for t in sorted(changes):
         out.append(f"#{t}")
         out.extend(changes[t])
     out.append(f"#{traces.horizon_ps}")
     return "\n".join(out) + "\n"
+
+
+def assert_same_text(got, want):
+    """Exact equality that reports the first differing line, not a diff.
+
+    pytest's own diff of two multi-megabyte strings can run for minutes.
+    """
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(True), want.splitlines(True)
+    i = next((i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w),
+             min(len(got_lines), len(want_lines)))
+
+    def line(lines):
+        return repr(lines[i]) if i < len(lines) else "end of text"
+
+    raise AssertionError(f"texts differ first at line {i + 1}: "
+                         f"got {line(got_lines)}, want {line(want_lines)}")
 
 
 def same_bits(a, b):
@@ -276,7 +294,18 @@ def test_tx_synthesis_matches_per_segment_loop(hists, edge, t_rf, dt, window, ch
 @example(vals=[1e300, 0.0], t0=99_995.0, dt=1.0)
 def test_trace_csv_matches_per_line_format(n, vals, t0, dt):
     trace = drv.WaveformTrace(dt, tiled(vals, n), t0)
-    assert drv.trace_to_csv(trace) == ref_trace_csv(trace)
+    assert_same_text(drv.trace_to_csv(trace), ref_trace_csv(trace))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@settings(max_examples=15, deadline=None)
+@given(vals=st.lists(values, min_size=1, max_size=16))
+def test_trace_csv_at_line_pass_boundary(offset, vals):
+    # ten-digit times make every line equally wide, so a pass holds a known
+    # number of lines: the trace ends one line before, on or after a pass
+    line = len("1000000000.000,") + max(len("%.6g" % v) for v in vals) + 1
+    trace = drv.WaveformTrace(1.0, tiled(vals, drv._PASS_CELLS // line + offset), 1e9)
+    assert_same_text(drv.trace_to_csv(trace), ref_trace_csv(trace))
 
 
 @pytest.mark.parametrize("n", LENGTHS)
@@ -285,7 +314,7 @@ def test_trace_csv_matches_per_line_format(n, vals, t0, dt):
        mags=st.lists(values, min_size=1, max_size=16))
 def test_spectrum_csv_matches_per_line_format(n, freqs, mags):
     spec = Spectrum(freqs_hz=tiled(freqs, n), mags_a=tiled(mags, n), rbw_hz=1.0)
-    assert spec.to_csv() == ref_spectrum_csv(spec)
+    assert_same_text(spec.to_csv(), ref_spectrum_csv(spec))
 
 
 @pytest.mark.parametrize("cols", [0, 1, 3, 128])
@@ -298,7 +327,7 @@ def test_eye_csv_matches_per_line_format(cols, counts, extra_rows):
     grid = np.resize(np.asarray(counts, dtype=np.int64), (rows, cols))
     eye = EyeHistogram(ui_ps=606.0, counts=grid, t_edges_ui=np.zeros(cols + 1),
                        v_edges=np.zeros(rows + 1))
-    assert eye.to_csv() == ref_eye_csv(eye)
+    assert_same_text(eye.to_csv(), ref_eye_csv(eye))
 
 
 def test_eye_csv_with_no_rows():
@@ -320,4 +349,4 @@ def test_vcd_matches_per_event_loop(hists, extra, copies, scale):
     events = {f"n{i}": h for i, h in enumerate(hists)}
     horizon = max([h[-1][0] for h in hists if h] + [0]) + extra
     traces = SignalTraces(events=events, horizon_ps=horizon)
-    assert traces_to_vcd(traces) == ref_vcd(traces)
+    assert_same_text(traces_to_vcd(traces), ref_vcd(traces))
