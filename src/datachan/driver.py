@@ -33,8 +33,10 @@ class WaveformTrace:
     samples: np.ndarray
     t0_ps: float = 0.0
 
-    def times(self) -> np.ndarray:
-        return self.t0_ps + self.dt_ps * np.arange(len(self.samples))
+    def times(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Sample times ``start`` to ``stop - 1`` (default: all of them)."""
+        stop = len(self.samples) if stop is None else stop
+        return self.t0_ps + self.dt_ps * np.arange(start, stop)
 
 
 def _history_arrays(hist: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -62,9 +64,15 @@ def _sink_timeline(traces: SignalTraces, nets: tuple[str, str],
     return list(zip(times[keep].tolist(), state[keep].tolist()))
 
 
-# elements of the work arrays in one numpy pass of the analog back end, and
-# the cells, rounded down to whole lines, in one pass of the text writers
+# elements of the work arrays in one numpy pass of the analog back end and of
+# the analysis stages, and the cells, rounded down to whole lines, in one pass
+# of the text writers
 _PASS_CELLS = 1 << 16
+
+
+def _passes(n: int):
+    """(start, stop) of each pass over ``n`` elements."""
+    return ((s, min(n, s + _PASS_CELLS)) for s in range(0, n, _PASS_CELLS))
 
 
 def _shape_segments(steps: list[tuple[int, bool]], params: DriverParams,
@@ -102,8 +110,7 @@ def _shape_segments(steps: list[tuple[int, bool]], params: DriverParams,
     goals, v_starts = np.asarray(targets), np.asarray(v_start)
     seg_ts = np.asarray(seg_t, dtype=float)
     out = np.empty(n)
-    for s in range(0, n, _PASS_CELLS):
-        e = min(n, s + _PASS_CELLS)
+    for s, e in _passes(n):
         i = np.arange(s, e)
         seg = np.searchsorted(first, i, side="right") - 1
         goal = goals[seg]
@@ -306,7 +313,7 @@ def trace_to_csv(trace: WaveformTrace) -> str:
     text is assembled as bytes.  Other timestamps take ``format_rows``.
     """
     values = np.ascontiguousarray(trace.samples, dtype=float)
-    times = trace.t0_ps + trace.dt_ps * np.arange(len(values))
+    times = trace.times()
     head = "time_ps,value\n"
     exact = not len(times) or (not np.signbit(times).any() and times.max() < 2.0**63
                                and (times == np.floor(times)).all())

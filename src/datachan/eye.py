@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .config import check_mask
-from .driver import WaveformTrace, format_rows
+from .driver import WaveformTrace, _passes, format_rows
 from .errors import AlignmentError
 
 
@@ -70,7 +71,8 @@ def build_eye(tx_plus: WaveformTrace, tx_minus: WaveformTrace, ui_ps: float,
 
     ``fold_offset_ps`` picks the waveform time mapped to the left window
     edge; choose it half a UI before a bit center so the eye sits at the
-    window center.
+    window center.  The samples are read in passes of ``_PASS_CELLS``: one
+    for the voltage range when ``v_range`` is None, one for the counts.
     """
     if tx_plus.dt_ps != tx_minus.dt_ps or tx_plus.t0_ps != tx_minus.t0_ps \
             or len(tx_plus.samples) != len(tx_minus.samples):
@@ -79,16 +81,23 @@ def build_eye(tx_plus: WaveformTrace, tx_minus: WaveformTrace, ui_ps: float,
     if n * tx_plus.dt_ps < 100 * ui_ps:
         raise ValueError("need at least 100 unit intervals of waveform")
 
-    diff = np.asarray(tx_plus.samples, float) - np.asarray(tx_minus.samples, float)
-    phase = np.mod(tx_plus.times() - fold_offset_ps, 2.0 * ui_ps) / ui_ps
+    def diff(s: int, e: int) -> np.ndarray:
+        return np.asarray(tx_plus.samples[s:e], float) - np.asarray(tx_minus.samples[s:e], float)
+
     if v_range is None:
-        vmax = float(np.abs(diff).max()) * 1.05 + 1e-9
+        vmax = float(reduce(np.maximum, (np.abs(diff(s, e)).max() for s, e in _passes(n))))
+        vmax = vmax * 1.05 + 1e-9
         v_range = (-vmax, vmax)
 
-    counts, t_edges, v_edges = np.histogram2d(
-        phase, diff, bins=[bins_t, bins_v],
-        range=[[0.0, 2.0], [v_range[0], v_range[1]]],
-    )
+    # histogram2d bins each sample on its own, so the pass counts add up exactly
+    counts = np.zeros((bins_t, bins_v))
+    for s, e in _passes(n):
+        phase = np.mod(tx_plus.times(s, e) - fold_offset_ps, 2.0 * ui_ps) / ui_ps
+        part, t_edges, v_edges = np.histogram2d(
+            phase, diff(s, e), bins=[bins_t, bins_v],
+            range=[[0.0, 2.0], [v_range[0], v_range[1]]],
+        )
+        counts += part
     return EyeHistogram(ui_ps=ui_ps, counts=counts.T.astype(np.int64),
                         t_edges_ui=t_edges, v_edges=v_edges,
                         fold_offset_ps=fold_offset_ps)
@@ -102,16 +111,18 @@ def mask_check(eye: EyeHistogram, mask: EyeMask) -> tuple[bool, float]:
     falls back to the clearance between mask and grid edge.
     """
     t_centers = 0.5 * (eye.t_edges_ui[:-1] + eye.t_edges_ui[1:]) - 1.0
-    v_centers = 0.5 * (eye.v_edges[:-1] + eye.v_edges[1:])
+    v_centers = (0.5 * (eye.v_edges[:-1] + eye.v_edges[1:])).tolist()
 
+    # the mask extent depends only on the bin's time column
+    extents = [mask.vertical_extent(x) for x in t_centers.tolist()]
     margin = None
     violated = False
     vi, ti = np.nonzero(eye.counts)
-    for iv, it in zip(vi, ti):
-        x, v = float(t_centers[it]), float(v_centers[iv])
-        extent = mask.vertical_extent(x)
+    for iv, it in zip(vi.tolist(), ti.tolist()):
+        extent = extents[it]
         if extent is None:
             continue
+        v = v_centers[iv]
         v_lo, v_hi = extent
         if v < v_lo:
             d = v_lo - v

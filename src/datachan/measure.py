@@ -2,36 +2,53 @@
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
-from .driver import WaveformTrace
+from .driver import WaveformTrace, _passes
 from .errors import NoSettleError, NoTransitionError
 
 _MODE_BINS = 2001
+
+
+def _parts(trace: WaveformTrace):
+    """The samples of each pass, as float arrays."""
+    return (np.asarray(trace.samples[s:e], dtype=float) for s, e in _passes(len(trace.samples)))
 
 
 def measure_levels(trace: WaveformTrace) -> tuple[float, float, float]:
     """(v_high, v_low, swing) from the settled-sample modes of each state.
 
     The mode of a fine histogram is used instead of a mean so edge samples
-    cannot bias the settled levels.
+    cannot bias the settled levels.  The samples are read in passes: one
+    for the range, one for both states' histograms, and one per state that
+    gathers its mode-bin samples in order, for a single mean over all of them.
     """
-    v = np.asarray(trace.samples, dtype=float)
-    if len(v) == 0:
+    if len(trace.samples) == 0:
         raise NoSettleError("empty trace")
-    vmin, vmax = float(v.min()), float(v.max())
+    lows, highs = zip(*((v.min(), v.max()) for v in _parts(trace)))
+    vmin, vmax = float(reduce(np.minimum, lows)), float(reduce(np.maximum, highs))
     if vmax - vmin < 1e-12:
         return vmin, vmin, 0.0
 
     mid = 0.5 * (vmin + vmax)
-    levels = []
-    for cls in (v[v > mid], v[v <= mid]):
-        counts, edges = np.histogram(cls, bins=_MODE_BINS, range=(vmin, vmax))
-        k = int(np.argmax(counts))
-        if counts[k] < 3:
+    states = (lambda v: v[v > mid], lambda v: v[v <= mid])
+    counts = np.zeros((2, _MODE_BINS), dtype=np.int64)
+    for v in _parts(trace):
+        for total, state in zip(counts, states):
+            part, edges = np.histogram(state(v), bins=_MODE_BINS, range=(vmin, vmax))
+            total += part
+    modes = []
+    for total in counts:
+        k = int(np.argmax(total))
+        if total[k] < 3:
             raise NoSettleError("no settled interval found")
-        sel = cls[(cls >= edges[k]) & (cls <= edges[k + 1])]
-        levels.append(float(sel.mean()))
+        modes.append((edges[k], edges[k + 1]))
+    levels = []
+    for state, (lo, hi) in zip(states, modes):
+        sel = [x[(x >= lo) & (x <= hi)] for x in map(state, _parts(trace))]
+        levels.append(float(np.concatenate(sel).mean()))
     v_high, v_low = levels
     return v_high, v_low, v_high - v_low
 
@@ -58,14 +75,16 @@ def measure_edge(trace: WaveformTrace, which: str) -> float:
     th20 = v_low + 0.2 * swing
     th80 = v_low + 0.8 * swing
 
-    t = trace.times()
-    v = np.asarray(trace.samples, dtype=float)
-    if which == "rise":
-        starts = _up_crossings(t, v, th20)
-        ends = _up_crossings(t, v, th80)
-    else:
-        starts = _down_crossings(t, v, th80)
-        ends = _down_crossings(t, v, th20)
+    # crossings of the sample pairs (i, i + 1) whose i is in the pass
+    crossings, ths = ((_up_crossings, (th20, th80)) if which == "rise"
+                      else (_down_crossings, (th80, th20)))
+    found = ([], [])
+    for s, e in _passes(len(trace.samples)):
+        v = np.asarray(trace.samples[s:e + 1], dtype=float)
+        t = trace.times(s, s + len(v))
+        for out, th in zip(found, ths):
+            out.append(crossings(t, v, th))
+    starts, ends = (np.concatenate(f) for f in found)
 
     durations = []
     j = 0

@@ -28,18 +28,21 @@ def spectrum(trace: WaveformTrace) -> Spectrum:
     """Rectangular-window DFT magnitude, mean-padded to a power of two.
 
     Padding with the mean (rather than zero) keeps bin 0 equal to the
-    input trace mean and adds no artificial step at the trace end.
+    input trace mean and adds no artificial step at the trace end.  The
+    padded copy is released before the magnitudes, the transform after them.
     """
     x = np.asarray(trace.samples, dtype=float)
     if len(x) == 0:
         raise ValueError("empty trace")
-    mean = float(x.mean())
     n = 1 << (len(x) - 1).bit_length()
     if n != len(x):
-        x = np.concatenate([x, np.full(n - len(x), mean)])
+        x = np.pad(x, (0, n - len(x)), constant_values=float(x.mean()))
 
-    X = np.fft.rfft(x) / n
+    X = np.fft.rfft(x)
+    del x
+    X /= n
     mags = np.abs(X)
+    del X
     mags[1:] *= 2.0
     if n % 2 == 0:
         mags[-1] /= 2.0  # Nyquist bin is not mirrored

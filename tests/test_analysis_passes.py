@@ -1,0 +1,249 @@
+"""Pass-wise analysis stages against their whole-array oracles, and their memory.
+
+The eye, level, edge and spectrum stages read their samples in passes of
+``driver._PASS_CELLS``.  They must give the same bits as the whole-array
+code in ``reference_analysis``, whatever the window length is relative to a
+pass, and they must not allocate temporaries as long as the window.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from datachan import driver as drv
+from datachan.config import ChannelConfig, DriverParams
+from datachan.errors import NoSettleError, NoTransitionError
+from datachan.eye import EyeHistogram, EyeMask, build_eye, mask_check
+from datachan.measure import measure_edge, measure_levels
+from datachan.spectrum import spectrum
+from reference_analysis import (assert_same_array, ref_build_eye, ref_mask_check,
+                                ref_measure_edge, ref_measure_levels, ref_spectrum,
+                                ref_times)
+
+UI = 606.0
+P = drv._PASS_CELLS
+WINDOWS = [P - 1, P, P + 1, 2 * P + 1]
+
+
+def shaped_pair(n, dt, t0, seed, noise=0.0, ui=UI, t_rf=104.0):
+    """Tx+ and Tx- of random bits, edge-shaped as the driver does, plus noise."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, int(n * dt / ui) + 1).tolist()
+    params = DriverParams(t_rf_ps=t_rf)
+    legs = []
+    for sink in (0, 1):
+        steps = [(t0 + i * ui, b == sink) for i, b in enumerate(bits)]
+        v = drv._shape_segments(steps, params, dt, t0, n)
+        legs.append(drv.WaveformTrace(dt, v + rng.normal(0.0, noise, n) if noise else v, t0))
+    return legs
+
+
+def signed_zero_pair(n, dt, t0, seed):
+    """Levels 0 and 1, the low level a random mix of 0.0 and -0.0."""
+    rng = np.random.default_rng(seed)
+    bit = (np.arange(n) * dt // UI).astype(np.int64) % 7 % 2 == 1
+    zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    legs = [np.where(bit, 1.0, zeros), np.where(bit, zeros, 1.0)]
+    legs[0][::97] = 0.5  # some samples between the levels
+    return [drv.WaveformTrace(dt, v, t0) for v in legs]
+
+
+def outcome(fn, *args):
+    """The result of ``fn``, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (NoSettleError, NoTransitionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same_outcome(got, want, what):
+    """Equal levels, edge time or error.
+
+    Compared with ``==``: where a trace's minimum or maximum is a zero held
+    both as 0.0 and as -0.0, the sign numpy's reduction returns depends on
+    the order it visits the samples in, and the passes change that order.
+    """
+    assert got == want, f"{what}: got {got!r}, want {want!r}"
+
+
+def assert_same_eye(got, want):
+    assert isinstance(got, EyeHistogram)
+    assert (got.ui_ps, got.fold_offset_ps) == (want.ui_ps, want.fold_offset_ps)
+    assert_same_array(got.counts, want.counts, "counts")
+    assert_same_array(got.t_edges_ui, want.t_edges_ui, "t_edges_ui")
+    assert_same_array(got.v_edges, want.v_edges, "v_edges")
+
+
+def assert_same_analysis(plus, minus, ui, fold, v_range):
+    """Eye, levels, both edges and the spectrum equal their oracles."""
+    assert_same_eye(build_eye(plus, minus, ui, fold_offset_ps=fold, v_range=v_range),
+                    ref_build_eye(plus, minus, ui, fold_offset_ps=fold, v_range=v_range))
+    for trace in (plus, minus):
+        assert_same_outcome(outcome(measure_levels, trace),
+                            outcome(ref_measure_levels, trace), "levels")
+        for which in ("rise", "fall"):
+            assert_same_outcome(outcome(measure_edge, trace, which),
+                                outcome(ref_measure_edge, trace, which), which)
+    got, want = spectrum(plus), ref_spectrum(plus)
+    assert_same_array(got.mags_a, want.mags_a, "magnitudes")
+    assert_same_array(got.freqs_hz, want.freqs_hz, "frequencies")
+    assert got.rbw_hz == want.rbw_hz
+
+
+# --------------------------------------------------------------------------
+# equality at the pass boundaries
+
+
+@pytest.mark.parametrize("n", WINDOWS)
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dt=st.sampled_from([10.0, 3.3]),
+       t0=st.sampled_from([0.0, 10040.0, -55.5, 1234.5]),
+       fold=st.sampled_from([0.0, 9737.0, -303.25]),
+       v_range=st.sampled_from([None, (-0.6, 0.6), (-0.2, 0.1)]),
+       noise=st.sampled_from([0.0, 2e-3]))
+def test_analysis_matches_whole_array_oracles(n, seed, dt, t0, fold, v_range, noise):
+    plus, minus = shaped_pair(n, dt, t0, seed, noise)
+    assert_same_analysis(plus, minus, UI, fold, v_range)
+
+
+@pytest.mark.parametrize("n", WINDOWS)
+@pytest.mark.parametrize("v_range", [None, (-1.5, 1.5)])
+def test_analysis_with_signed_zeros(n, v_range):
+    plus, minus = signed_zero_pair(n, 10.0, 10040.0, seed=n)
+    assert_same_analysis(plus, minus, UI, 9737.0, v_range)
+
+
+@pytest.mark.parametrize("n", WINDOWS)
+def test_flat_signed_zero_levels(n):
+    # a flat trace returns its minimum as both levels
+    zeros = np.where(np.random.default_rng(n).random(n) < 0.5, -0.0, 0.0)
+    for samples in (zeros, -zeros, np.full(n, -0.0)):
+        trace = drv.WaveformTrace(10.0, samples, 5.0)
+        assert_same_outcome(measure_levels(trace), ref_measure_levels(trace), "levels")
+        with pytest.raises(NoTransitionError):
+            measure_edge(trace, "rise")
+
+
+@pytest.mark.parametrize("which", ["rise", "fall"])
+def test_edge_between_two_passes(which):
+    # edge k starts at sample P + 1000k and ramps over 2 to 5 samples, except
+    # edge 0: a step from sample P - 1, the last of a pass, to sample P
+    k, local = np.divmod(np.arange(2 * P + 1) - P, 1000)
+    ramp = np.where(k == 0, 1, 2 + k % 4)
+    up = np.minimum(1.0, (local + 1) / ramp)
+    v = np.where(k % 2 == 0, up, 1.0 - up)
+    trace = drv.WaveformTrace(10.0, v if which == "rise" else 1.0 - v, 10040.0)
+    assert_same_outcome(measure_edge(trace, which), ref_measure_edge(trace, which), which)
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2000, 2600),
+       t0=st.sampled_from([0.0, -55.5, 1234.5]),
+       v_range=st.sampled_from([None, (-0.3, 0.3)]),
+       noise=st.sampled_from([0.0, 2e-3]))
+def test_analysis_in_many_small_passes(chunk, seed, n, t0, v_range, noise):
+    # crossings and mode-bin samples fall on every side of many pass boundaries
+    plus, minus = shaped_pair(n, 1.0, t0, seed, noise, ui=20.0, t_rf=5.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(drv, "_PASS_CELLS", chunk)
+        assert_same_analysis(plus, minus, 20.0, t0 - 10.0, v_range)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 3 * P), data=st.data(),
+       t0=st.sampled_from([0.0, -0.0, 10040.0, -55.5, 2.0**62]),
+       dt=st.sampled_from([10.0, 3.3, 1.0]))
+def test_times_range_is_a_slice_of_the_grid(n, data, t0, dt):
+    trace = drv.WaveformTrace(dt, np.zeros(n), t0)
+    start = data.draw(st.integers(0, n))
+    stop = data.draw(st.integers(start, n))
+    grid = ref_times(trace)
+    assert_same_array(trace.times(), grid, "times()")
+    assert_same_array(trace.times(start), grid[start:], "times(start)")
+    assert_same_array(trace.times(start, stop), grid[start:stop], "times(start, stop)")
+
+
+# --------------------------------------------------------------------------
+# mask check: one extent per time column
+
+
+@st.composite
+def eyes(draw):
+    bins_t = draw(st.sampled_from([1, 2, 5, 128]))
+    bins_v = draw(st.sampled_from([1, 3, 128]))
+    half = draw(st.sampled_from([0.05, 0.1, 0.2, 0.5, 0.8]))
+    density = draw(st.sampled_from([0.0, 0.002, 0.05, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = np.where(rng.random((bins_v, bins_t)) < density,
+                      rng.integers(1, 1000, (bins_v, bins_t)), 0)
+    return EyeHistogram(ui_ps=UI, counts=counts, t_edges_ui=np.linspace(0.0, 2.0, bins_t + 1),
+                        v_edges=np.linspace(-half, half, bins_v + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(eye=eyes())
+def test_mask_check_matches_per_bin_loop(eye):
+    mask = EyeMask(ChannelConfig().mask_vertices)
+    got, want = mask_check(eye, mask), ref_mask_check(eye, mask)
+    assert got[0] == want[0]
+    assert_same_array(got[1], want[1], "margin")
+
+
+def test_mask_check_on_built_eyes():
+    mask = EyeMask(ChannelConfig().mask_vertices)
+    for seed, noise in ((1, 0.0), (2, 2e-3), (3, 0.05)):
+        plus, minus = shaped_pair(20_000, 10.0, 0.0, seed, noise)
+        eye = build_eye(plus, minus, UI, fold_offset_ps=-UI / 2)
+        got, want = mask_check(eye, mask), ref_mask_check(eye, mask)
+        assert got[0] == want[0]
+        assert_same_array(got[1], want[1], "margin")
+
+
+# --------------------------------------------------------------------------
+# memory
+
+
+N_BIG = 1_000_000
+PASS_BOUND = 16 * P * 8  # bytes
+
+
+@pytest.fixture(scope="module")
+def big_pair():
+    return shaped_pair(N_BIG, 10.0, 10040.0, seed=5)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Traced peak, in bytes, of ``fn`` above what was live when it started."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("stage", ["eye", "levels", "rise", "fall"])
+def test_analysis_memory_is_bounded_by_passes(big_pair, stage):
+    plus, minus = big_pair
+    if stage == "eye":
+        peak = traced_peak(build_eye, plus, minus, UI, fold_offset_ps=10040.0 - UI / 2)
+    elif stage == "levels":
+        peak = traced_peak(measure_levels, minus)
+    else:
+        peak = traced_peak(measure_edge, minus, stage)
+    assert peak < PASS_BOUND, f"{stage}: {peak / 1e6:.2f} MB above the inputs"
+
+
+def test_spectrum_holds_one_padded_copy_and_one_transform(big_pair):
+    plus, _ = big_pair
+    n = 1 << (N_BIG - 1).bit_length()
+    padded, transform = 8 * n, 16 * (n // 2 + 1)
+    spectrum(plus)  # the first transform of a length also caches its plan
+    peak = traced_peak(spectrum, plus)
+    # the magnitudes are made after the padded copy is released
+    assert peak <= padded + transform + 64 * 1024, f"{peak / 1e6:.2f} MB above the input"
