@@ -33,6 +33,10 @@ class WaveformTrace:
     samples: np.ndarray
     t0_ps: float = 0.0
 
+    def __post_init__(self):
+        """Hold float64 samples; a float64 array is kept, so a window stays a view."""
+        self.samples = np.asarray(self.samples, dtype=float)
+
     def times(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Sample times ``start`` to ``stop - 1`` (default: all of them)."""
         stop = len(self.samples) if stop is None else stop
@@ -155,12 +159,10 @@ def synthesize_tx(traces: SignalTraces, params: DriverParams, dt_ps: float,
 # --------------------------------------------------------------------------
 # supply current
 
-def line_transition_times(traces: SignalTraces,
-                          nets: tuple[str, ...] = ("Even", "Odd", "nEven", "nOdd"),
-                          ) -> list[int]:
-    """Settled HIGH<->LOW transition times on the pre-driver lines."""
+def line_transition_times(traces: SignalTraces) -> list[int]:
+    """Settled HIGH<->LOW transition times on the pre-driver lines Even, Odd, nEven and nOdd."""
     out: list[int] = []
-    for net in nets:
+    for net in ("Even", "Odd", "nEven", "nOdd"):
         hist = traces.events[net]
         _, levels = _history_arrays(hist)
         low, high = levels == LOW, levels == HIGH
@@ -312,7 +314,7 @@ def trace_to_csv(trace: WaveformTrace) -> str:
     ``%d.000``, and ``%.6g`` runs once per distinct sample bit pattern: the
     text is assembled as bytes.  Other timestamps take ``format_rows``.
     """
-    values = np.ascontiguousarray(trace.samples, dtype=float)
+    values = trace.samples
     times = trace.times()
     head = "time_ps,value\n"
     exact = not len(times) or (not np.signbit(times).any() and times.max() < 2.0**63

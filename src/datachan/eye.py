@@ -82,7 +82,7 @@ def build_eye(tx_plus: WaveformTrace, tx_minus: WaveformTrace, ui_ps: float,
         raise ValueError("need at least 100 unit intervals of waveform")
 
     def diff(s: int, e: int) -> np.ndarray:
-        return np.asarray(tx_plus.samples[s:e], float) - np.asarray(tx_minus.samples[s:e], float)
+        return tx_plus.samples[s:e] - tx_minus.samples[s:e]
 
     if v_range is None:
         vmax = float(reduce(np.maximum, (np.abs(diff(s, e)).max() for s, e in _passes(n))))

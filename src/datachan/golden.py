@@ -125,7 +125,8 @@ def load_words(path: str | Path, width: int = 10) -> list[Word]:
     return parse_word_text(_read_input(path, "word file"), width)
 
 
-def format_bitstream(stream: BitStream, cols: int = 80) -> str:
+def format_bitstream(stream: BitStream) -> str:
+    """The bits as ``0``/``1`` text, 80 to a line."""
     text = "".join(str(b) for b in stream.bits)
-    lines = [text[i:i + cols] for i in range(0, len(text), cols)] or [""]
+    lines = [text[i:i + 80] for i in range(0, len(text), 80)] or [""]
     return "\n".join(lines) + "\n"

@@ -13,8 +13,8 @@ _MODE_BINS = 2001
 
 
 def _parts(trace: WaveformTrace):
-    """The samples of each pass, as float arrays."""
-    return (np.asarray(trace.samples[s:e], dtype=float) for s, e in _passes(len(trace.samples)))
+    """The samples of each pass."""
+    return (trace.samples[s:e] for s, e in _passes(len(trace.samples)))
 
 
 def measure_levels(trace: WaveformTrace) -> tuple[float, float, float]:
@@ -53,15 +53,10 @@ def measure_levels(trace: WaveformTrace) -> tuple[float, float, float]:
     return v_high, v_low, v_high - v_low
 
 
-def _up_crossings(t: np.ndarray, v: np.ndarray, th: float) -> np.ndarray:
+def _rises(t: np.ndarray, v: np.ndarray, th: float) -> np.ndarray:
+    """Interpolated times where ``v`` rises through ``th``."""
     idx = np.nonzero((v[:-1] < th) & (v[1:] >= th))[0]
     frac = (th - v[idx]) / (v[idx + 1] - v[idx])
-    return t[idx] + frac * (t[idx + 1] - t[idx])
-
-
-def _down_crossings(t: np.ndarray, v: np.ndarray, th: float) -> np.ndarray:
-    idx = np.nonzero((v[:-1] > th) & (v[1:] <= th))[0]
-    frac = (v[idx] - th) / (v[idx] - v[idx + 1])
     return t[idx] + frac * (t[idx + 1] - t[idx])
 
 
@@ -75,15 +70,16 @@ def measure_edge(trace: WaveformTrace, which: str) -> float:
     th20 = v_low + 0.2 * swing
     th80 = v_low + 0.8 * swing
 
-    # crossings of the sample pairs (i, i + 1) whose i is in the pass
-    crossings, ths = ((_up_crossings, (th20, th80)) if which == "rise"
-                      else (_down_crossings, (th80, th20)))
+    # crossings of the sample pairs (i, i + 1) whose i is in the pass; a fall
+    # is a rise of -v through -th, and negation leaves every difference exact
+    rise = which == "rise"
+    ths = (th20, th80) if rise else (-th80, -th20)
     found = ([], [])
     for s, e in _passes(len(trace.samples)):
-        v = np.asarray(trace.samples[s:e + 1], dtype=float)
+        v = trace.samples[s:e + 1] if rise else -trace.samples[s:e + 1]
         t = trace.times(s, s + len(v))
         for out, th in zip(found, ths):
-            out.append(crossings(t, v, th))
+            out.append(_rises(t, v, th))
     starts, ends = (np.concatenate(f) for f in found)
 
     durations = []

@@ -31,7 +31,7 @@ def spectrum(trace: WaveformTrace) -> Spectrum:
     input trace mean and adds no artificial step at the trace end.  The
     padded copy is released before the magnitudes, the transform after them.
     """
-    x = np.asarray(trace.samples, dtype=float)
+    x = trace.samples
     if len(x) == 0:
         raise ValueError("empty trace")
     n = 1 << (len(x) - 1).bit_length()
@@ -60,8 +60,9 @@ def mean_square(spec: Spectrum) -> float:
     return total
 
 
-def low_band_ratio(spec: Spectrum, f_cut_hz: float = 5e8) -> float:
-    """Largest magnitude in (0, f_cut] relative to the DC bin."""
+def low_band_ratio(spec: Spectrum) -> float:
+    """Largest magnitude in (0, 500 MHz] relative to the DC bin."""
+    f_cut_hz = 5e8
     if spec.rbw_hz >= f_cut_hz / 10.0:
         raise ResolutionError(
             f"resolution {spec.rbw_hz:.3g} Hz too coarse for a {f_cut_hz:.3g} Hz band"

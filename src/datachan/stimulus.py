@@ -166,20 +166,16 @@ def word_events(words: list[Word], timing: SlotTiming) -> list[NetEvent]:
 # --------------------------------------------------------------------------
 # canned schedules and full-run assembly
 
-def reset_schedule(config: ChannelConfig, assert_at: int | None = None,
-                   hold_periods: int | None = None,
-                   gap_periods: int = 2) -> ProtocolSchedule:
-    """Assert Disable, release it, then pulse Enable.
+def reset_schedule(config: ChannelConfig, assert_at: int | None = None) -> ProtocolSchedule:
+    """Assert Disable, release it, then pulse Enable two periods later.
 
     Disable is held long enough for the unknown power-on levels to drain
-    through the whole ring: by default ``max(12, word_width + 2)`` periods.
+    through the whole ring: ``max(12, word_width + 2)`` periods.
     """
-    if hold_periods is None:
-        hold_periods = max(12, config.word_width + 2)
     period = config.bit_period
     t0 = assert_at if assert_at is not None else round(period / 4)
-    t1 = round(t0 + hold_periods * period)
-    t2 = round(t1 + gap_periods * period)
+    t1 = round(t0 + max(12, config.word_width + 2) * period)
+    t2 = round(t1 + 2 * period)
     return ProtocolSchedule([
         (t0, Action.DISABLE_ASSERT),
         (t1, Action.DISABLE_RELEASE),

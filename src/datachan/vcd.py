@@ -26,8 +26,8 @@ def _identifiers(n: int) -> list[str]:
     return ids
 
 
-def traces_to_vcd(traces: SignalTraces, module: str = "channel") -> str:
-    """Render traces as VCD text; byte-stable for identical inputs."""
+def traces_to_vcd(traces: SignalTraces) -> str:
+    """Render traces as VCD text in module ``channel``; byte-stable for identical inputs."""
     nets = traces.nets()
     if not nets:
         raise ValueError("no nets to export")
@@ -35,7 +35,7 @@ def traces_to_vcd(traces: SignalTraces, module: str = "channel") -> str:
 
     out = [
         "$timescale 1 ps $end",
-        f"$scope module {module} $end",
+        "$scope module channel $end",
     ]
     for net, ident in zip(nets, ids):
         out.append(f"$var wire 1 {ident} {net} $end")

@@ -1,4 +1,4 @@
-"""The memory trajectory script runs, records every stage and leaves the pipeline as it was."""
+"""The stage bench runs, records every stage and writer and leaves the pipeline as it was."""
 
 import hashlib
 import importlib.util
@@ -8,13 +8,13 @@ from pathlib import Path
 from datachan import scenario
 from datachan.cli import main
 
-SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "memory.py"
+SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "stages.py"
 STAGES = {"stimulus", "kernel", "tx_synthesis", "extract", "protocol", "transitions",
           "supply_current", "spectrum", "low_band_ratio", "levels", "edges", "eye", "mask"}
 
 
-def test_memory_bench_records_each_stage(tmp_path):
-    spec = importlib.util.spec_from_file_location("bench_memory", SCRIPT)
+def test_stage_bench_records_each_stage(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_stages", SCRIPT)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     before = {attr: getattr(scenario, attr) for attr in
@@ -24,19 +24,23 @@ def test_memory_bench_records_each_stage(tmp_path):
     assert all(getattr(scenario, attr) is value for attr, value in before.items())
 
     doc = json.loads((tmp_path / "bench.json").read_text())
+    assert doc["repeat"] == bench.REPEAT
+    # --words 12 makes the four stream-random runs one
     report, full = doc["runs"]
     assert (report["scenario"], report["outputs"]) == ("stream-prbs10", ["report"])
     assert (full["scenario"], full["outputs"]) == ("stream-random", list(scenario.ALL_OUTPUTS))
     for run in (report, full):
         assert run["words"] == 12 and run["passed"]
         for stage in run["stages"]:
+            assert stage["time_s"] >= 0
             assert stage["peak_mb"] >= max(stage["before_mb"], stage["after_mb"])
     # measure_levels also runs inside measure_edge, but is recorded once per direct call
     names = [stage["stage"] for stage in report["stages"]]
     assert set(names) == STAGES | {"write_report", "write_report_txt"}
     assert names.count("levels") == 1 and names.count("edges") == 2
-    assert {s["stage"] for s in full["stages"]} == STAGES | {
-        "write_" + key for _, _, key, _, _ in scenario.ARTIFACTS}
+    writers = {"write_" + key for _, _, key, _, _ in scenario.ARTIFACTS}
+    assert {s["stage"] for s in full["stages"]} == STAGES | writers
+    assert all(s["time_s"] > 0 for s in full["stages"] if s["stage"] in writers)
 
     assert main(["run", "--words", "12", "--out", str(tmp_path / "plain")]) == 0
     for key, suffix in {"vcd": ".vcd", "tx_plus": ".tx_plus.csv", "eye": ".eye.csv",

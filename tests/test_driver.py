@@ -122,6 +122,17 @@ def test_naive_model_two_charges_per_data_transition():
     assert extra == pytest.approx(4 * 2 * model.q_c, rel=1e-6)
 
 
+def test_waveform_trace_holds_float64_samples():
+    for samples in ([1, 2, 3], np.arange(1, 4), np.array([1.0, 2.0, 3.0], dtype=np.float32)):
+        trace = drv.WaveformTrace(10.0, samples)
+        assert trace.samples.dtype == np.float64
+        assert trace.samples.tolist() == [1.0, 2.0, 3.0]
+    # a float64 window is not copied: the analysis reads the run's own samples
+    full = np.linspace(0.0, 1.0, 100)
+    window = drv.WaveformTrace(10.0, full[20:80], 200.0)
+    assert np.shares_memory(window.samples, full)
+
+
 def test_trace_csv_shape():
     trace = drv.WaveformTrace(10.0, np.array([1.0, 2.0]), 100.0)
     lines = drv.trace_to_csv(trace).splitlines()

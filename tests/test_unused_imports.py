@@ -1,4 +1,4 @@
-"""Every name a ``datachan`` module imports is used there (a stand-in for a linter)."""
+"""Every name a ``datachan`` module or bench script imports is used (a stand-in for a linter)."""
 
 import ast
 from pathlib import Path
@@ -7,7 +7,8 @@ import pytest
 
 import datachan
 
-MODULES = sorted(Path(datachan.__file__).parent.glob("*.py"))
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+MODULES = sorted(Path(datachan.__file__).parent.glob("*.py")) + sorted(BENCH.glob("*.py"))
 
 
 def _unused(tree: ast.Module) -> dict[str, int]:
