@@ -1,4 +1,4 @@
-"""The writer trajectory script runs and records what a plain run writes."""
+"""The stage bench times every artifact writer and records what a plain run writes."""
 
 import hashlib
 import importlib.util
@@ -8,11 +8,11 @@ from pathlib import Path
 from datachan import scenario
 from datachan.cli import main
 
-SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "writers.py"
+SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "stages.py"
 
 
 def test_writer_bench_matches_a_plain_run(tmp_path):
-    spec = importlib.util.spec_from_file_location("bench_writers", SCRIPT)
+    spec = importlib.util.spec_from_file_location("bench_stages", SCRIPT)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     artifacts = scenario.ARTIFACTS
@@ -20,12 +20,16 @@ def test_writer_bench_matches_a_plain_run(tmp_path):
     assert scenario.ARTIFACTS is artifacts
 
     doc = json.loads((tmp_path / "bench.json").read_text())
-    (run,) = doc["runs"]
-    assert run["words"] == 12 and run["passed"]
+    # --words 12 makes the four stream-random runs one
+    _, full = doc["runs"]
+    assert full["words"] == 12 and full["passed"]
+    writers = {"write_" + key for _, _, key, _, _ in scenario.ARTIFACTS}
+    assert writers <= {s["stage"] for s in full["stages"]}
+    assert all(s["time_s"] > 0 for s in full["stages"] if s["stage"] in writers)
+
     assert main(["run", "--words", "12", "--out", str(tmp_path / "plain")]) == 0
-    for key, path in {"vcd": ".vcd", "tx_plus": ".tx_plus.csv",
-                      "spectrum": ".spectrum.csv", "report": ".report.json"}.items():
-        data = (tmp_path / "plain" / ("stream-random" + path)).read_bytes()
-        assert run["artifacts"][key]["bytes"] == len(data)
-        assert run["artifacts"][key]["sha256"] == hashlib.sha256(data).hexdigest()
-        assert run["artifacts"][key]["writer_s"] > 0
+    for key, suffix in {"vcd": ".vcd", "tx_plus": ".tx_plus.csv", "eye": ".eye.csv",
+                        "spectrum": ".spectrum.csv", "report": ".report.json"}.items():
+        data = (tmp_path / "plain" / ("stream-random" + suffix)).read_bytes()
+        assert full["artifacts"][key] == {"bytes": len(data),
+                                          "sha256": hashlib.sha256(data).hexdigest()}
