@@ -2,9 +2,9 @@
 
 Usage, from the root of a checkout (Python >= 3.10 and numpy):
 
-    python3 bench/stages.py --out BENCH_9.json
+    python3 bench/stages.py --out BENCH_10.json
     python3 bench/stages.py --out /tmp/small.json --words 20
-    python3 bench/stages.py --out BENCH_9.json --baseline parent.json
+    python3 bench/stages.py --out BENCH_10.json --baseline parent.json
 
 The script runs ``run_scenario`` in process, with the default configuration:
 `stream-prbs10` at 1500 words with ``outputs = report`` (the `datachan report`
@@ -13,10 +13,12 @@ path), and `stream-random` at 100, 600, 1000 and 4000 words with every output.
 writer (stage ``write_<key>``) is wrapped where ``run_scenario`` calls it.  A
 run makes two passes: one calls each stage ``REPEAT`` times and records the
 median time, one calls it once under ``tracemalloc`` and records the traced MB
-live before and after it and the peak while it ran.  A stage called inside
-another (``measure_edge`` calls ``measure_levels``) counts towards the outer
-one only.  ``--baseline`` embeds an earlier output, for instance one run on the
-parent commit.  The artifacts are the same files a plain run writes.
+live before and after it and the peak while it ran.  Times are reported at the
+reference host speed of ``perfbench/calibrate.py``: its kernel runs before and
+after every run, and the run's ``speed`` is ``REFERENCE_S`` over the mean of
+the two kernel times.  ``--baseline`` embeds an earlier output, for instance
+one run on the parent commit.  The artifacts are the same files a plain run
+writes.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.append(str(ROOT / "perfbench"))
 
+import calibrate  # noqa: E402
 import numpy as np  # noqa: E402
 
 from datachan import scenario  # noqa: E402
@@ -65,7 +69,7 @@ RUNS = (("stream-prbs10", 1500, ("report",)),) + tuple(
 
 
 class _Recorder:
-    """Wraps callables so that each outermost call records one measurement.
+    """Wraps callables so that each call records one measurement.
 
     Without tracing, a call runs ``REPEAT`` times and records its median
     time.  Under ``tracemalloc`` it runs once and records its memory.
@@ -73,16 +77,12 @@ class _Recorder:
 
     def __init__(self):
         self.stages: list[dict] = []
-        self._depth = 0
 
     def wrap(self, name: str, fn):
         def run(*args, **kwargs):
-            if self._depth:
-                return fn(*args, **kwargs)
             traced, spans = tracemalloc.is_tracing(), []
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            self._depth += 1
             try:
                 for _ in range(1 if traced else REPEAT):
                     start = perf_counter()
@@ -90,7 +90,6 @@ class _Recorder:
                     spans.append(perf_counter() - start)
                 return out
             finally:
-                self._depth -= 1
                 record = {"stage": name}
                 if traced:
                     after, peak = tracemalloc.get_traced_memory()
@@ -159,17 +158,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--words", type=int, help="word count of every run")
     parser.add_argument("--baseline", help="earlier output of this script to embed")
     args = parser.parse_args(argv)
-    runs = []
+    runs, kernel_s = [], [calibrate.kernel_s()]
     for name, n_words, outputs in dict.fromkeys(
             (name, args.words or n_words, outputs) for name, n_words, outputs in RUNS):
         runs.append(measure(name, n_words, outputs))
+        kernel_s.append(calibrate.kernel_s())
+        speed = runs[-1]["speed"] = calibrate.REFERENCE_S / ((kernel_s[-2] + kernel_s[-1]) / 2)
         stages = runs[-1]["stages"]
+        for stage in stages:
+            stage["time_s"] *= speed
         top = max(stages, key=lambda s: s["peak_mb"])
-        print(f"{name} {n_words} words: stages {sum(s['time_s'] for s in stages):.3f} s, "
+        print(f"{name} {n_words} words: stages {sum(s['time_s'] for s in stages):.3f} s "
+              f"at the reference speed (host speed {speed:.2f}), "
               f"highest peak {top['peak_mb']:.1f} MB ({top['stage']})", flush=True)
     host = {"python": platform.python_version(), "numpy": np.__version__,
             "machine": platform.machine(), "cpus": os.cpu_count()}
-    doc = {"repeat": REPEAT, "src_lines": src_lines(), "host": host, "runs": runs}
+    doc = {"repeat": REPEAT, "reference_s": calibrate.REFERENCE_S, "src_lines": src_lines(),
+           "host": host, "runs": runs}
     if args.baseline:
         doc["baseline"] = json.loads(Path(args.baseline).read_text())
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")

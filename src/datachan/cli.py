@@ -119,7 +119,7 @@ def _selftest() -> int:
     t = np.arange(0, 5000, 10.0)
     v = 3.299 - 0.4971 * np.clip(1 - np.exp(-(t - 500) / tau), 0, None) * (t > 500)
     trace = drv.WaveformTrace(10.0, v)
-    fall = measure.measure_edge(trace, "fall")
+    fall = measure.measure_edge(trace, "fall", measure.measure_levels(trace))
     check("20-80 edge on exponential step is 104 ps", abs(fall - 104.0) <= 10.0)
 
     period = Fraction(10**12, config.serial_rate_hz)

@@ -127,6 +127,11 @@ class ChannelConfig:
         return 4 * self.buffer_delay_ps
 
     def validate(self) -> None:
+        for key, v in _flatten(self).items():
+            numbers = [x for pair in v for x in pair] if isinstance(v, tuple) else [v]
+            bad = [x for x in numbers if isinstance(x, float) and not math.isfinite(x)]
+            if bad:
+                raise ConfigError(f"{key} must be finite, got {bad[0]!r}")
         if self.serial_rate_hz <= 0:
             raise ConfigError("serial_rate_hz must be positive")
         if self.word_width not in (8, 10, 16):

@@ -26,10 +26,6 @@ class EyeHistogram:
     v_edges: np.ndarray
     fold_offset_ps: float = 0.0
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
     def to_csv(self) -> str:
         """One line of comma-separated counts per voltage bin."""
         if not len(self.counts):

@@ -50,7 +50,6 @@ class BitStream:
 
 
 def golden_serialize(words: list[Word], width: int = 10,
-                     start_time_ps: int = 0,
                      bit_period: Fraction | None = None) -> BitStream:
     """Reference serialization: D0..D{width-1} of each word in order."""
     if not words:
@@ -59,7 +58,7 @@ def golden_serialize(words: list[Word], width: int = 10,
     for w in words:
         bits.extend(check_word(w, width))
     period = bit_period if bit_period is not None else Fraction(10**12, 1_650_000_000)
-    return BitStream(bits=bits, start_time_ps=start_time_ps, bit_period=period)
+    return BitStream(bits=bits, bit_period=period)
 
 
 def extract_serial(traces: SignalTraces, config: ChannelConfig) -> BitStream:

@@ -60,11 +60,14 @@ def _rises(t: np.ndarray, v: np.ndarray, th: float) -> np.ndarray:
     return t[idx] + frac * (t[idx + 1] - t[idx])
 
 
-def measure_edge(trace: WaveformTrace, which: str) -> float:
-    """Mean 20%-80% duration over all transitions of the given polarity."""
+def measure_edge(trace: WaveformTrace, which: str, levels: tuple[float, float, float]) -> float:
+    """Mean 20%-80% duration over all transitions of the given polarity.
+
+    ``levels`` is the ``(v_high, v_low, swing)`` that ``measure_levels`` returned.
+    """
     if which not in ("rise", "fall"):
         raise ValueError("which must be 'rise' or 'fall'")
-    v_high, v_low, swing = measure_levels(trace)
+    _, v_low, swing = levels
     if swing <= 0:
         raise NoTransitionError("waveform has no swing")
     th20 = v_low + 0.2 * swing

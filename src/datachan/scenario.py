@@ -84,9 +84,11 @@ class ScenarioResult:
 def validate_scenario(config: ChannelConfig, sc: Scenario) -> None:
     """Raise ``ConfigError`` for a scenario that ``config`` cannot run.
 
-    A file source is read here, to check ``disable_at_word`` against its
-    word count.
+    A file source is read here, to check that it holds words and
+    ``disable_at_word`` against their count.
     """
+    if sc.name in ("", ".", "..") or "/" in sc.name or "\\" in sc.name:
+        raise ConfigError(f"scenario name must be a plain file name, got {sc.name!r}")
     if sc.source not in SOURCES:
         raise ConfigError(f"unknown data source {sc.source!r}")
     unknown = [kind for kind in sc.outputs if kind not in ALL_OUTPUTS]
@@ -103,8 +105,11 @@ def validate_scenario(config: ChannelConfig, sc: Scenario) -> None:
         # zero bits: only the seed check runs (SeedError is a ConfigError)
         stimulus.prbs_bits(sc.source.upper(), 0,
                            sc.seed if sc.seed is not None else config.seed)
+    words = _words_for(config, sc) if sc.source == "file" else None
+    if words == []:
+        raise ConfigError(f"word file {sc.word_file} holds no words")
     if sc.disable_at_word is not None and sc.source != "none":
-        n = len(_words_for(config, sc)) if sc.source == "file" else (
+        n = len(words) if words is not None else (
             sc.n_words if sc.n_words is not None else config.horizon_words)
         if not 0 <= sc.disable_at_word < n:
             raise ConfigError(f"disable_at_word must be in 0..{n - 1} "
@@ -247,9 +252,9 @@ def _stream_checks(config: ChannelConfig, sc: Scenario, words: list[stimulus.Wor
     spec_obj = specmod.spectrum(current)
     try:
         ratio = specmod.low_band_ratio(spec_obj)
-        v_hi, v_lo, swing = measure.measure_levels(wm)
-        rise = measure.measure_edge(wm, "rise")
-        fall = measure.measure_edge(wm, "fall")
+        levels = v_hi, v_lo, swing = measure.measure_levels(wm)
+        rise = measure.measure_edge(wm, "rise", levels)
+        fall = measure.measure_edge(wm, "fall", levels)
     except (ResolutionError, NoSettleError, NoTransitionError) as exc:
         result.skipped["compliance"] = str(exc)
     else:

@@ -51,15 +51,6 @@ def spectrum(trace: WaveformTrace) -> Spectrum:
     return Spectrum(freqs_hz=freqs, mags_a=mags, rbw_hz=1.0 / (n * dt_s))
 
 
-def mean_square(spec: Spectrum) -> float:
-    """Mean-square value implied by the spectrum (Parseval form)."""
-    m = spec.mags_a
-    total = m[0] ** 2 + float(np.sum((m[1:-1] / np.sqrt(2.0)) ** 2))
-    # last bin: Nyquist (unpaired) for even lengths handled as unscaled
-    total += m[-1] ** 2
-    return total
-
-
 def low_band_ratio(spec: Spectrum) -> float:
     """Largest magnitude in (0, 500 MHz] relative to the DC bin."""
     f_cut_hz = 5e8

@@ -12,7 +12,7 @@ from datachan.errors import (AlignmentError, NoSettleError, NoTransitionError,
 from datachan.eye import EyeHistogram, EyeMask, build_eye, mask_check
 from datachan.measure import measure_edge, measure_levels
 from datachan.report import compliance_report
-from datachan.spectrum import low_band_ratio, mean_square, spectrum
+from datachan.spectrum import low_band_ratio, spectrum
 
 
 # --------------------------------------------------------------------------
@@ -52,9 +52,10 @@ def test_levels_need_samples():
 def test_edge_on_exponential_is_tau_ln4():
     tau = 104.0 / math.log(4.0)
     trace = _square_wave(3.299, 2.8019, dt=1.0, half=2000, cycles=4, tau=tau)
+    levels = measure_levels(trace)
     # discrete first-order settling tracks exp(-t/tau) for dt << tau
-    assert measure_edge(trace, "rise") == pytest.approx(104.0, abs=2.0)
-    assert measure_edge(trace, "fall") == pytest.approx(104.0, abs=2.0)
+    assert measure_edge(trace, "rise", levels) == pytest.approx(104.0, abs=2.0)
+    assert measure_edge(trace, "fall", levels) == pytest.approx(104.0, abs=2.0)
 
 
 def test_edge_on_linear_ramp_is_point6_of_full():
@@ -62,15 +63,18 @@ def test_edge_on_linear_ramp_is_point6_of_full():
     ramp = np.concatenate([np.zeros(300), np.linspace(0, 1, 201),
                            np.ones(300), np.linspace(1, 0, 201), np.zeros(300)])
     trace = WaveformTrace(dt, ramp)
-    assert measure_edge(trace, "rise") == pytest.approx(0.6 * 200.0, abs=0.5)
-    assert measure_edge(trace, "fall") == pytest.approx(0.6 * 200.0, abs=0.5)
+    levels = measure_levels(trace)
+    assert measure_edge(trace, "rise", levels) == pytest.approx(0.6 * 200.0, abs=0.5)
+    assert measure_edge(trace, "fall", levels) == pytest.approx(0.6 * 200.0, abs=0.5)
 
 
 def test_edge_requires_transitions():
+    flat = WaveformTrace(1.0, np.full(100, 1.0))
     with pytest.raises(NoTransitionError):
-        measure_edge(WaveformTrace(1.0, np.full(100, 1.0)), "rise")
+        measure_edge(flat, "rise", measure_levels(flat))
+    square = _square_wave(1.0, 0.0)
     with pytest.raises(ValueError):
-        measure_edge(_square_wave(1.0, 0.0), "sideways")
+        measure_edge(square, "sideways", measure_levels(square))
 
 
 # --------------------------------------------------------------------------
@@ -106,7 +110,7 @@ def test_eye_total_counts_all_samples():
     ui = 606.06
     p, m = _eye_traces(ui)
     eye = build_eye(p, m, ui)
-    assert eye.total == len(p.samples)
+    assert int(eye.counts.sum()) == len(p.samples)
 
 
 def test_mask_validation():
@@ -200,7 +204,9 @@ def test_parseval_identity():
     rng = np.random.default_rng(7)
     x = 1e-3 + 2e-4 * rng.standard_normal(1024)  # power of two: no padding
     spec = spectrum(WaveformTrace(10.0, x))
-    assert mean_square(spec) == pytest.approx(float(np.mean(x**2)), rel=1e-6)
+    m = spec.mags_a
+    mean_square = m[0] ** 2 + float(np.sum((m[1:-1] / np.sqrt(2.0)) ** 2)) + m[-1] ** 2
+    assert mean_square == pytest.approx(float(np.mean(x**2)), rel=1e-6)
 
 
 def test_low_band_ratio_resolution_guard():

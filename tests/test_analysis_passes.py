@@ -58,6 +58,11 @@ def outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+def edge(trace, which):
+    """``measure_edge`` at the levels ``measure_levels`` finds, as the pipeline calls it."""
+    return measure_edge(trace, which, measure_levels(trace))
+
+
 def assert_same_outcome(got, want, what):
     """Equal levels, edge time or error.
 
@@ -84,7 +89,7 @@ def assert_same_analysis(plus, minus, ui, fold, v_range):
         assert_same_outcome(outcome(measure_levels, trace),
                             outcome(ref_measure_levels, trace), "levels")
         for which in ("rise", "fall"):
-            assert_same_outcome(outcome(measure_edge, trace, which),
+            assert_same_outcome(outcome(edge, trace, which),
                                 outcome(ref_measure_edge, trace, which), which)
     got, want = spectrum(plus), ref_spectrum(plus)
     assert_same_array(got.mags_a, want.mags_a, "magnitudes")
@@ -123,7 +128,7 @@ def test_flat_signed_zero_levels(n):
         trace = drv.WaveformTrace(10.0, samples, 5.0)
         assert_same_outcome(measure_levels(trace), ref_measure_levels(trace), "levels")
         with pytest.raises(NoTransitionError):
-            measure_edge(trace, "rise")
+            edge(trace, "rise")
 
 
 @pytest.mark.parametrize("which", ["rise", "fall"])
@@ -135,7 +140,7 @@ def test_edge_between_two_passes(which):
     up = np.minimum(1.0, (local + 1) / ramp)
     v = np.where(k % 2 == 0, up, 1.0 - up)
     trace = drv.WaveformTrace(10.0, v if which == "rise" else 1.0 - v, 10040.0)
-    assert_same_outcome(measure_edge(trace, which), ref_measure_edge(trace, which), which)
+    assert_same_outcome(edge(trace, which), ref_measure_edge(trace, which), which)
 
 
 @pytest.mark.parametrize("chunk", [7, 64])
@@ -235,7 +240,7 @@ def test_analysis_memory_is_bounded_by_passes(big_pair, stage):
     elif stage == "levels":
         peak = traced_peak(measure_levels, minus)
     else:
-        peak = traced_peak(measure_edge, minus, stage)
+        peak = traced_peak(measure_edge, minus, stage, measure_levels(minus))
     assert peak < PASS_BOUND, f"{stage}: {peak / 1e6:.2f} MB above the inputs"
 
 

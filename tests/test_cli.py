@@ -201,6 +201,14 @@ BAD_CONFIGS = {
     "mask_vertices =\n": "mask_vertices needs at least three x:y pairs",
     "mask_vertices = 0:1;1:0;0:-1;-1:0;0.5:0.5\n": "mask polygon must be convex",
     "mask_vertices = -0.25:0;0:0.2;0.3:0;0:-0.2\n": "mask polygon must be symmetric",
+    "dt_ps = nan\n": "dt_ps must be finite, got nan",
+    "driver.avcc_v = nan\n": "driver.avcc_v must be finite, got nan",
+    "driver.t_rf_ps = nan\n": "driver.t_rf_ps must be finite, got nan",
+    "spike.w_ps = inf\n": "spike.w_ps must be finite, got inf",
+    "spike.q_c = nan\n": "spike.q_c must be finite, got nan",
+    "driver.i_sink_a = -inf\n": "driver.i_sink_a must be finite, got -inf",
+    "mask_vertices = -0.25:0;-0.15:inf;0.15:0.2;0.25:0;0.15:-0.2;-0.15:-0.2\n":
+        "mask_vertices must be finite, got inf",
 }
 
 
@@ -246,6 +254,12 @@ BAD_SCENARIOS = {
                      "seed 0x0 leaves the PRBS7 register stuck at zero"),
     "prbs7-seed-128": ("source = prbs7\nseed = 128\n",
                        "seed 0x80 leaves the PRBS7 register stuck at zero"),
+    "name-parent": ("name = ../escaped\n", "scenario name must be a plain file name"),
+    "name-empty": ("name =\n", "scenario name must be a plain file name, got ''"),
+    "name-dot": ("name = .\n", "scenario name must be a plain file name, got '.'"),
+    "name-dotdot": ("name = ..\n", "scenario name must be a plain file name, got '..'"),
+    "name-slash": ("name = a/b\n", "scenario name must be a plain file name"),
+    "name-backslash": ("name = a\\b\n", "scenario name must be a plain file name"),
 }
 
 
@@ -262,9 +276,10 @@ def test_cli_bad_scenario_is_usage_error(tmp_path, capsys, case):
     text, message = BAD_SCENARIOS[case]
     sc = tmp_path / "bad.scenario"
     sc.write_text(text)
-    err = _usage_error(capsys, ["run", "--scenario", str(sc), "--out", str(tmp_path)])
+    err = _usage_error(capsys, ["run", "--scenario", str(sc),
+                                "--out", str(tmp_path / "out" / "sub")])
     assert message in err
-    assert not list(tmp_path.glob("stream-random.*"))
+    assert [p.name for p in tmp_path.rglob("*")] == ["bad.scenario"]
 
 
 def test_cli_zero_words_is_usage_error(tmp_path, capsys):
@@ -280,13 +295,23 @@ def test_cli_bad_scenario_stops_before_any_run(tmp_path, capsys):
     assert not (tmp_path / "stream-random.report.json").exists()
 
 
+BAD_WORD_FILES = {
+    "1111100000\n11111\n": "line 2: expected 10 binary digits",
+    "": "holds no words",
+    "# only a comment\n\n": "holds no words",
+}
+
+
 def test_cli_bad_word_file_is_usage_error(tmp_path, capsys):
     wf = tmp_path / "words.txt"
-    wf.write_text("1111100000\n11111\n")
     sc = tmp_path / "file.scenario"
     sc.write_text(f"source = file\nword_file = {wf}\n")
-    err = _usage_error(capsys, ["run", "--scenario", str(sc), "--out", str(tmp_path)])
-    assert "line 2: expected 10 binary digits" in err
+    for text, message in BAD_WORD_FILES.items():
+        wf.write_text(text)
+        err = _usage_error(capsys, ["run", "--scenario", str(sc),
+                                    "--out", str(tmp_path / "out")])
+        assert message in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_input_errors_name_their_file(tmp_path, capsys):
