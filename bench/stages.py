@@ -13,12 +13,9 @@ path), and `stream-random` at 100, 600, 1000 and 4000 words with every output.
 writer (stage ``write_<key>``) is wrapped where ``run_scenario`` calls it.  A
 run makes two passes: one calls each stage ``REPEAT`` times and records the
 median time, one calls it once under ``tracemalloc`` and records the traced MB
-live before and after it and the peak while it ran.  Times are reported at the
-reference host speed of ``perfbench/calibrate.py``: its kernel runs before and
-after every run, and the run's ``speed`` is ``REFERENCE_S`` over the mean of
-the two kernel times.  ``--baseline`` embeds an earlier output, for instance
-one run on the parent commit.  The artifacts are the same files a plain run
-writes.
+live before and after it and the peak while it ran.  ``--baseline`` embeds an
+earlier output, for instance one run on the parent commit.  The artifacts are
+the same files a plain run writes.
 """
 
 from __future__ import annotations
@@ -38,9 +35,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
-sys.path.append(str(ROOT / "perfbench"))
 
-import calibrate  # noqa: E402
 import numpy as np  # noqa: E402
 
 from datachan import scenario  # noqa: E402
@@ -158,23 +153,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--words", type=int, help="word count of every run")
     parser.add_argument("--baseline", help="earlier output of this script to embed")
     args = parser.parse_args(argv)
-    runs, kernel_s = [], [calibrate.kernel_s()]
+    runs = []
     for name, n_words, outputs in dict.fromkeys(
             (name, args.words or n_words, outputs) for name, n_words, outputs in RUNS):
         runs.append(measure(name, n_words, outputs))
-        kernel_s.append(calibrate.kernel_s())
-        speed = runs[-1]["speed"] = calibrate.REFERENCE_S / ((kernel_s[-2] + kernel_s[-1]) / 2)
         stages = runs[-1]["stages"]
-        for stage in stages:
-            stage["time_s"] *= speed
         top = max(stages, key=lambda s: s["peak_mb"])
-        print(f"{name} {n_words} words: stages {sum(s['time_s'] for s in stages):.3f} s "
-              f"at the reference speed (host speed {speed:.2f}), "
+        print(f"{name} {n_words} words: stages {sum(s['time_s'] for s in stages):.3f} s, "
               f"highest peak {top['peak_mb']:.1f} MB ({top['stage']})", flush=True)
     host = {"python": platform.python_version(), "numpy": np.__version__,
             "machine": platform.machine(), "cpus": os.cpu_count()}
-    doc = {"repeat": REPEAT, "reference_s": calibrate.REFERENCE_S, "src_lines": src_lines(),
-           "host": host, "runs": runs}
+    doc = {"repeat": REPEAT, "src_lines": src_lines(), "host": host, "runs": runs}
     if args.baseline:
         doc["baseline"] = json.loads(Path(args.baseline).read_text())
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")

@@ -108,7 +108,7 @@ def extract_serial(traces: SignalTraces, config: ChannelConfig) -> BitStream:
 # word-file and bitstream text formats
 
 def parse_word_text(text: str, width: int = 10) -> list[Word]:
-    """One binary string per line, leftmost character = highest bit index."""
+    """One binary string per line, leftmost character = highest bit index; at least one."""
     words = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -117,6 +117,8 @@ def parse_word_text(text: str, width: int = 10) -> list[Word]:
         if len(line) != width or any(c not in "01" for c in line):
             raise ValueError(f"line {lineno}: expected {width} binary digits")
         words.append(tuple(int(c) for c in reversed(line)))
+    if not words:
+        raise ValueError("holds no words")
     return words
 
 

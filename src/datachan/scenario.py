@@ -84,8 +84,8 @@ class ScenarioResult:
 def validate_scenario(config: ChannelConfig, sc: Scenario) -> None:
     """Raise ``ConfigError`` for a scenario that ``config`` cannot run.
 
-    A file source is read here, to check that it holds words and
-    ``disable_at_word`` against their count.
+    A file source is read here, to check ``disable_at_word`` against its
+    word count.
     """
     if sc.name in ("", ".", "..") or "/" in sc.name or "\\" in sc.name:
         raise ConfigError(f"scenario name must be a plain file name, got {sc.name!r}")
@@ -105,11 +105,8 @@ def validate_scenario(config: ChannelConfig, sc: Scenario) -> None:
         # zero bits: only the seed check runs (SeedError is a ConfigError)
         stimulus.prbs_bits(sc.source.upper(), 0,
                            sc.seed if sc.seed is not None else config.seed)
-    words = _words_for(config, sc) if sc.source == "file" else None
-    if words == []:
-        raise ConfigError(f"word file {sc.word_file} holds no words")
     if sc.disable_at_word is not None and sc.source != "none":
-        n = len(words) if words is not None else (
+        n = len(_words_for(config, sc)) if sc.source == "file" else (
             sc.n_words if sc.n_words is not None else config.horizon_words)
         if not 0 <= sc.disable_at_word < n:
             raise ConfigError(f"disable_at_word must be in 0..{n - 1} "

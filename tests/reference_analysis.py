@@ -141,6 +141,16 @@ def ref_spectrum(trace):
     return Spectrum(freqs_hz=freqs, mags_a=mags, rbw_hz=1.0 / (n * dt_s))
 
 
+def ref_mean_square(spec):
+    """Parseval: the mean square of the signal from its one-sided amplitudes.
+
+    DC and Nyquist count once; every other bin is a sinusoid of amplitude
+    ``m``, whose mean square is ``m**2 / 2``.
+    """
+    m = spec.mags_a
+    return m[0] ** 2 + float(np.sum((m[1:-1] / np.sqrt(2.0)) ** 2)) + m[-1] ** 2
+
+
 def assert_same_array(got, want, what="array"):
     """Same dtype, shape and bytes; on a difference, report the first one.
 

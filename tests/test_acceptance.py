@@ -19,6 +19,7 @@ from datachan import eye as eyemod
 from datachan import golden, measure, protocol, spectrum as specmod, stimulus
 from datachan.logic import HIGH
 from datachan.scenario import PRESETS, run_scenario
+from reference_analysis import ref_mean_square
 
 POW2_SAMPLES = 1 << 18  # power-of-two spectral window (no padding dilution)
 WIDTHS = (8, 10, 16)    # criteria 1, 2, 3 and 9 run at every supported width
@@ -220,9 +221,7 @@ def test_criterion_8_numerical_kernels():
     rng = np.random.default_rng(3)
     x = 1e-3 + 2e-4 * rng.standard_normal(4096)
     spec = specmod.spectrum(drv.WaveformTrace(10.0, x))
-    m = spec.mags_a
-    mean_square = m[0] ** 2 + float(np.sum((m[1:-1] / np.sqrt(2.0)) ** 2)) + m[-1] ** 2
-    parseval = abs(mean_square / float(np.mean(x**2)) - 1.0)
+    parseval = abs(ref_mean_square(spec) / float(np.mean(x**2)) - 1.0)
 
     const = specmod.spectrum(drv.WaveformTrace(10.0, np.full(1024, 2e-3)))
     const_ok = (abs(const.mags_a[0] - 2e-3) < 1e-15

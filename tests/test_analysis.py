@@ -13,6 +13,7 @@ from datachan.eye import EyeHistogram, EyeMask, build_eye, mask_check
 from datachan.measure import measure_edge, measure_levels
 from datachan.report import compliance_report
 from datachan.spectrum import low_band_ratio, spectrum
+from reference_analysis import ref_mean_square
 
 
 # --------------------------------------------------------------------------
@@ -204,9 +205,7 @@ def test_parseval_identity():
     rng = np.random.default_rng(7)
     x = 1e-3 + 2e-4 * rng.standard_normal(1024)  # power of two: no padding
     spec = spectrum(WaveformTrace(10.0, x))
-    m = spec.mags_a
-    mean_square = m[0] ** 2 + float(np.sum((m[1:-1] / np.sqrt(2.0)) ** 2)) + m[-1] ** 2
-    assert mean_square == pytest.approx(float(np.mean(x**2)), rel=1e-6)
+    assert ref_mean_square(spec) == pytest.approx(float(np.mean(x**2)), rel=1e-6)
 
 
 def test_low_band_ratio_resolution_guard():

@@ -28,7 +28,7 @@ def test_memory_bench_records_each_stage(tmp_path):
     assert (report["scenario"], report["outputs"]) == ("stream-prbs10", ["report"])
     assert (full["scenario"], full["outputs"]) == ("stream-random", list(scenario.ALL_OUTPUTS))
     for run in (report, full):
-        assert run["words"] == 12 and run["passed"] and run["speed"] > 0
+        assert run["words"] == 12 and run["passed"]
         for stage in run["stages"]:
             assert stage["time_s"] >= 0
             assert stage["peak_mb"] >= max(stage["before_mb"], stage["after_mb"])

@@ -93,6 +93,8 @@ def test_word_text_rejects_bad_lines():
         parse_word_text("10101\n")
     with pytest.raises(ValueError):
         parse_word_text("10a0101010\n")
+    with pytest.raises(ValueError, match="holds no words"):
+        parse_word_text("# only a comment\n\n")
 
 
 def test_format_bitstream_wraps_at_80():
