@@ -155,6 +155,8 @@ class ChannelConfig:
             )
         if self.loop_limit <= 0:
             raise ConfigError("loop_limit must be positive")
+        if self.horizon_words < 1:
+            raise ConfigError(f"horizon_words must be at least 1, got {self.horizon_words}")
         if self.eye_bins_t < 64 or self.eye_bins_v < 64:
             raise ConfigError("eye histogram needs at least 64x64 bins")
         check_mask(self.mask_vertices)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import dataclass, field
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -79,6 +81,31 @@ class ScenarioResult:
     report: report.ComplianceReport | None = None
     messages: list[str] = field(default_factory=list)
     skipped: dict[str, str] = field(default_factory=dict)  # check -> reason
+    stages: list[dict] = field(default_factory=list)  # one record per stage call, in order
+
+
+def _stage(result: ScenarioResult, name: str, fn, /, *args, **kwargs):
+    """Return ``fn(*args, **kwargs)``; append its record to ``result.stages``, also if it raises.
+
+    A record holds the wall time and, while ``tracemalloc`` is tracing, the
+    traced MB live before and after the call and the peak during it.  Callers
+    pass ``fn`` as looked up at the call (``drv.synthesize_tx``, ``advance``),
+    so that perfbench/tracing.py's patches are the functions timed.
+    """
+    traced = tracemalloc.is_tracing()
+    if traced:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+    start = perf_counter()
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        record = {"stage": name, "time_s": perf_counter() - start}
+        if traced:
+            after, peak = tracemalloc.get_traced_memory()
+            record.update(before_mb=before / 1e6, after_mb=after / 1e6, peak_mb=peak / 1e6,
+                          peak_above_before_mb=(peak - before) / 1e6)
+        result.stages.append(record)
 
 
 def validate_scenario(config: ChannelConfig, sc: Scenario) -> None:
@@ -137,7 +164,10 @@ STANDBY_PERIODS = 200
 
 # Artifacts in write order: (output kind, product, result key, file suffix,
 # writer).  A product the run did not make (no eye from a short window, no
-# bit stream from a standby run) writes nothing.
+# bit stream from a standby run) writes nothing.  The writers are lambdas so
+# that each call looks its function up: perfbench/tracing.py patches
+# vcd.traces_to_vcd, driver.trace_to_csv and the to_csv/to_json/to_text
+# methods after import, and a function captured here would escape them.
 ARTIFACTS = (
     ("vcd", "traces", "vcd", ".vcd", lambda traces: vcd.traces_to_vcd(traces)),
     ("bits", "bits", "bits", ".bits.txt", lambda bits: golden.format_bitstream(bits)),
@@ -155,6 +185,7 @@ def run_scenario(config: ChannelConfig, sc: Scenario, out_dir: str | Path) -> Sc
 
     Standby (source ``none``) is the reset schedule's first Disable with no
     enable: the channel never streams, and only its pulled-up level is checked.
+    Each stage and writer call is recorded in ``result.stages``.
     """
     config.validate()
     validate_scenario(config, sc)
@@ -171,14 +202,13 @@ def run_scenario(config: ChannelConfig, sc: Scenario, out_dir: str | Path) -> Sc
         schedule = stimulus.ProtocolSchedule(
             schedule.actions + [(t_d, stimulus.Action.DISABLE_ASSERT)]
         )
-    stim = stimulus.stream_stimulus(config, words, schedule,
-                                    tail_periods=STANDBY_PERIODS if standby else 4)
+    stim = _stage(result, "stimulus", stimulus.stream_stimulus, config, words, schedule,
+                  tail_periods=STANDBY_PERIODS if standby else 4)
 
     netlist = build_channel(config)
-    traces = advance(netlist, stim.events, stim.until_ps)
-    tx_plus, tx_minus = drv.synthesize_tx(
-        traces, config.driver, config.dt_ps, ui_ps=config.ui_ps
-    )
+    traces = _stage(result, "kernel", advance, netlist, stim.events, stim.until_ps)
+    tx_plus, tx_minus = _stage(result, "tx_synthesis", drv.synthesize_tx,
+                               traces, config.driver, config.dt_ps, ui_ps=config.ui_ps)
     # output level before the channel was first enabled: all of a standby run
     enables = schedule.times_of(stimulus.Action.ENABLE_PULSE)
     n_off = max(1, int((enables[0] - tx_plus.t0_ps) / tx_plus.dt_ps)) if enables else None
@@ -205,7 +235,8 @@ def run_scenario(config: ChannelConfig, sc: Scenario, out_dir: str | Path) -> Sc
         if kind in sc.outputs and products.get(product) is not None:
             out.mkdir(parents=True, exist_ok=True)
             result.artifacts[key] = out / (sc.name + suffix)
-            result.artifacts[key].write_text(write(products[product]))
+            result.artifacts[key].write_text(
+                _stage(result, "write_" + key, write, products[product]))
     return result
 
 
@@ -217,7 +248,7 @@ def _stream_checks(config: ChannelConfig, sc: Scenario, words: list[stimulus.Wor
 
     A check that cannot run on this window goes to ``result.skipped``.
     """
-    extracted = golden.extract_serial(traces, config)
+    extracted = _stage(result, "extract", golden.extract_serial, traces, config)
     expect = golden.golden_serialize(words, config.word_width,
                                      bit_period=config.bit_period)
     n_cmp = len(extracted.bits)
@@ -225,7 +256,7 @@ def _stream_checks(config: ChannelConfig, sc: Scenario, words: list[stimulus.Wor
         (sc.disable_at_word is not None or n_cmp == len(expect.bits))
         and extracted.bits == expect.bits[:n_cmp]
     )
-    verdict = protocol.check_protocol(traces, stim.schedule, config)
+    verdict = _stage(result, "protocol", protocol.check_protocol, traces, stim.schedule, config)
     result.checks["protocol"] = verdict.passed
     result.messages += verdict.warnings
 
@@ -242,16 +273,16 @@ def _stream_checks(config: ChannelConfig, sc: Scenario, words: list[stimulus.Wor
 
     wp, wm = window(tx_plus), window(tx_minus)
 
-    transitions = [t for t in drv.line_transition_times(traces)
+    transitions = [t for t in _stage(result, "transitions", drv.line_transition_times, traces)
                    if t_stream0 <= t < t_stream1]
-    current = drv.supply_current(transitions, config.spike, config.dt_ps,
-                                 t_stream0, t_stream1)
-    spec_obj = specmod.spectrum(current)
+    current = _stage(result, "supply_current", drv.supply_current, transitions, config.spike,
+                     config.dt_ps, t_stream0, t_stream1)
+    spec_obj = _stage(result, "spectrum", specmod.spectrum, current)
     try:
-        ratio = specmod.low_band_ratio(spec_obj)
-        levels = v_hi, v_lo, swing = measure.measure_levels(wm)
-        rise = measure.measure_edge(wm, "rise", levels)
-        fall = measure.measure_edge(wm, "fall", levels)
+        ratio = _stage(result, "low_band_ratio", specmod.low_band_ratio, spec_obj)
+        levels = v_hi, v_lo, swing = _stage(result, "levels", measure.measure_levels, wm)
+        rise = _stage(result, "edges", measure.measure_edge, wm, "rise", levels)
+        fall = _stage(result, "edges", measure.measure_edge, wm, "fall", levels)
     except (ResolutionError, NoSettleError, NoTransitionError) as exc:
         result.skipped["compliance"] = str(exc)
     else:
@@ -265,10 +296,10 @@ def _stream_checks(config: ChannelConfig, sc: Scenario, words: list[stimulus.Wor
     eye_obj = None
     if len(wp.samples) * wp.dt_ps >= 100 * config.ui_ps:
         fold = t_stream0 - config.ui_ps / 2.0
-        eye_obj = eyemod.build_eye(wp, wm, config.ui_ps, config.eye_bins_t,
-                                   config.eye_bins_v, fold_offset_ps=fold)
+        eye_obj = _stage(result, "eye", eyemod.build_eye, wp, wm, config.ui_ps,
+                         config.eye_bins_t, config.eye_bins_v, fold_offset_ps=fold)
         mask = eyemod.EyeMask(config.mask_vertices)
-        eye_pass, margin = eyemod.mask_check(eye_obj, mask)
+        eye_pass, margin = _stage(result, "mask", eyemod.mask_check, eye_obj, mask)
         result.checks["eye-mask"] = eye_pass
         result.messages.append(f"eye mask margin: {margin * 1e3:.1f} mV")
     else:

@@ -1,6 +1,7 @@
 """Scenario runner, VCD export and command-line behavior."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -84,6 +85,18 @@ def test_unknown_scenario_name():
         load_scenario("no-such-preset")
 
 
+STREAM_STAGES = ["stimulus", "kernel", "tx_synthesis", "extract", "protocol", "transitions",
+                 "supply_current", "spectrum", "low_band_ratio", "levels", "edges", "edges",
+                 "eye", "mask"]
+WRITERS = ["write_vcd", "write_bits", "write_tx_plus", "write_tx_minus", "write_eye",
+           "write_spectrum", "write_report", "write_report_txt"]
+MB_KEYS = {"before_mb", "after_mb", "peak_mb", "peak_above_before_mb"}
+
+
+def _stage_names(res):
+    return [record["stage"] for record in res.stages]
+
+
 def test_run_scenario_stream(tmp_path, config):
     sc = PRESETS["stream-prbs7"]
     res = run_scenario(config, sc, tmp_path)
@@ -96,12 +109,29 @@ def test_run_scenario_stream(tmp_path, config):
         assert res.artifacts[kind].exists()
     rep = json.loads(res.artifacts["report"].read_text())
     assert rep["pass"] is True
+    assert _stage_names(res) == STREAM_STAGES + WRITERS
+    for record in res.stages:
+        assert set(record) == {"stage", "time_s"} and record["time_s"] >= 0
+
+    # under tracemalloc each record also holds the traced memory
+    tracemalloc.start()
+    try:
+        traced = run_scenario(config, replace(sc, n_words=12), tmp_path / "traced")
+    finally:
+        tracemalloc.stop()
+    assert _stage_names(traced) == STREAM_STAGES + WRITERS
+    for record in traced.stages:
+        assert set(record) == {"stage", "time_s"} | MB_KEYS
+        assert record["peak_mb"] >= max(record["before_mb"], record["after_mb"])
 
 
 def test_run_scenario_standby(tmp_path, config):
     res = run_scenario(config, PRESETS["standby"], tmp_path)
     assert res.passed
     assert res.checks == {"compliance": True} and res.skipped == {}
+    assert _stage_names(res) == ["stimulus", "kernel", "tx_synthesis", "write_vcd",
+                                 "write_tx_plus", "write_tx_minus", "write_report",
+                                 "write_report_txt"]
     rep = json.loads(res.artifacts["report"].read_text())
     names = {item["item"] for item in rep["items"]}
     assert names == {"v_off", "standby_drop"}
@@ -138,6 +168,13 @@ def test_run_scenario_reports_skipped_checks(tmp_path, config):
     assert set(res.checks) == {"serial-equivalence", "protocol", "eye-mask"}
     assert res.skipped == {"compliance": "no complete rise transition found"}
     assert "report" not in res.artifacts
+    # the raising rise edge is recorded; the fall edge never runs
+    assert _stage_names(res) == STREAM_STAGES[:11] + ["eye", "mask"] + WRITERS[:6]
+
+    res = run_scenario(config, replace(PRESETS["stream-random"], n_words=1), tmp_path)
+    # the raising low-band ratio is recorded; no level or edge is measured
+    assert res.skipped["compliance"].startswith("resolution")
+    assert _stage_names(res) == STREAM_STAGES[:9] + WRITERS[:4] + ["write_spectrum"]
 
     res = run_scenario(config, replace(PRESETS["stream-random"], n_words=5), tmp_path)
     assert set(res.checks) == {"serial-equivalence", "protocol", "compliance"}
@@ -182,7 +219,7 @@ def test_cli_subcommand_restricts_outputs(tmp_path):
     assert not (tmp_path / "stream-random.vcd").exists()
 
 
-def test_cli_jobs_runs_all_scenarios(tmp_path):
+def test_cli_runs_every_given_scenario(tmp_path):
     code = main(["report", "--scenario", "stream-random", "--scenario",
                  "standby", "--words", "20", "--out", str(tmp_path)])
     assert code == 0
@@ -196,6 +233,8 @@ def test_cli_unknown_scenario_is_usage_error(tmp_path):
 
 BAD_CONFIGS = {
     "word_width = 9\n": "word_width must be one of 8, 10, 16",
+    "horizon_words = 0\n": "horizon_words must be at least 1, got 0",
+    "horizon_words = -3\n": "horizon_words must be at least 1, got -3",
     "spike.q_c = abc\n": "bad numeric value 'abc'",
     "mask_vertices = 1;2\n": "mask_vertices needs at least three x:y pairs",
     "mask_vertices =\n": "mask_vertices needs at least three x:y pairs",
