@@ -30,8 +30,6 @@ class DriverParams:
     r_term_ohm: float = 50.0          # termination resistance per line
     i_sink_a: float = 9.942e-3        # extra sink current while driving LOW
     i_standby_a: float = 20e-6        # leakage/bias sink in standby
-    i_bias_a: float = 534.3e-9        # cascade bias current
-    v_bias_v: float = 2.8             # cascade bias voltage
     t_rf_ps: float = 104.0            # 20%-80% transition time
     edge_model: str = "EXPONENTIAL"
 

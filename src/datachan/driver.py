@@ -16,8 +16,6 @@ from operator import itemgetter
 import numpy as np
 
 from .config import DriverParams, SpikeModel
-from .errors import SamplingError
-from .golden import BitStream
 from .logic import HIGH, LOW, SignalTraces
 
 LN4 = math.log(4.0)
@@ -132,8 +130,8 @@ def _shape_segments(steps: list[tuple[int, bool]], params: DriverParams,
 
 
 def synthesize_tx(traces: SignalTraces, params: DriverParams, dt_ps: float,
-                  t_start: int | None = None, t_end: int | None = None,
-                  ui_ps: float | None = None) -> tuple[WaveformTrace, WaveformTrace]:
+                  t_start: int | None = None,
+                  t_end: int | None = None) -> tuple[WaveformTrace, WaveformTrace]:
     """Differential output pair from the four pre-driver line traces.
 
     Tx- sinks while Even or Odd is active (serialized bit 1); Tx+ sinks
@@ -141,10 +139,6 @@ def synthesize_tx(traces: SignalTraces, params: DriverParams, dt_ps: float,
     at the pulled-up standby level.
     """
     params.validate()
-    if ui_ps is not None and dt_ps * 32 > ui_ps:
-        raise SamplingError(
-            f"dt={dt_ps} ps gives fewer than 32 samples per {ui_ps} ps interval"
-        )
     t0 = 0 if t_start is None else t_start
     t1 = traces.horizon_ps if t_end is None else t_end
     n = int((t1 - t0) / dt_ps)
@@ -216,24 +210,6 @@ def supply_current(transition_times_ps: list[float], model: SpikeModel,
     samples = np.full(n, model.i_dc_a)
     _deposit_spikes(samples, t0_ps, dt_ps, transition_times_ps, model.q_c, model.w_ps)
     return WaveformTrace(dt_ps, samples, t0_ps)
-
-
-def naive_supply_current(bitstream: BitStream, model: SpikeModel,
-                         dt_ps: float) -> WaveformTrace:
-    """Single-pre-driver baseline: spikes only where the raw data toggles.
-
-    Each data transition flips both legs of the differential pre-driver
-    pair, so it deposits two spike charges.  Spike timing then follows the
-    data pattern instead of the fixed bit-rate grid.
-    """
-    model.validate()
-    t0 = float(bitstream.start_time_ps)
-    horizon = t0 + float(len(bitstream.bits) * bitstream.bit_period)
-    n = int((horizon - t0) / dt_ps)
-    samples = np.full(n, model.i_dc_a)
-    _deposit_spikes(samples, t0, dt_ps, bitstream.transition_times(),
-                    2.0 * model.q_c, model.w_ps)
-    return WaveformTrace(dt_ps, samples, t0)
 
 
 # --------------------------------------------------------------------------

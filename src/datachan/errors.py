@@ -37,10 +37,6 @@ class AlignmentError(DataChanError):
     """Two traces that must share a sampling grid do not."""
 
 
-class SamplingError(DataChanError):
-    """Sample interval too coarse for the requested operation."""
-
-
 class ResolutionError(DataChanError):
     """Spectral resolution too coarse for the requested band measurement."""
 

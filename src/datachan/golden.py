@@ -40,14 +40,6 @@ class BitStream:
             return self.bits == other.bits
         return NotImplemented
 
-    def transition_times(self) -> list[Fraction]:
-        """Times of data transitions between consecutive bit slots."""
-        out = []
-        for i in range(1, len(self.bits)):
-            if self.bits[i] != self.bits[i - 1]:
-                out.append(self.start_time_ps + i * self.bit_period)
-        return out
-
 
 def golden_serialize(words: list[Word], width: int = 10,
                      bit_period: Fraction | None = None) -> BitStream:
@@ -100,8 +92,7 @@ def extract_serial(traces: SignalTraces, config: ChannelConfig) -> BitStream:
             raise FramingError(
                 f"slot Sel{k} at {t} ps: {group}={g.name}, {comp}={c.name}"
             )
-    start = slots[0][0] if slots else 0
-    return BitStream(bits=bits, start_time_ps=start, bit_period=config.bit_period)
+    return BitStream(bits=bits, start_time_ps=slots[0][0], bit_period=config.bit_period)
 
 
 # --------------------------------------------------------------------------

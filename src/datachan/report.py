@@ -61,7 +61,7 @@ class ComplianceReport:
         return "\n".join(lines) + "\n"
 
 
-# desired output-voltage window for each reported quantity
+# desired window of each quantity in a stream report, in report order
 BOUNDS = {
     "v_off": (3.290, 3.310),
     "v_swing": (0.400, 0.600),
@@ -72,26 +72,35 @@ BOUNDS = {
     "low_band_ratio": (None, 0.06),
 }
 
+# a standby report: the pulled-up level and its drop below avcc
+STANDBY_BOUNDS = {
+    "v_off": BOUNDS["v_off"],
+    "standby_drop": (None, 0.010),
+}
 
-def compliance_report(measurements: dict[str, float],
-                      config_text: str = "") -> ComplianceReport:
-    """Evaluate each measured quantity against its desired window.
+# the note that a report carries for each of these items it holds
+NOTES = {
+    "v_swing": "v_swing is the settled single-ended swing (v_high - v_low); "
+               "peak-to-peak figures that include edge overshoot can exceed the "
+               "600 mV ceiling and would fail this bound.",
+    "standby_drop": "standby: channel never enabled; outputs at pulled-up level",
+}
 
-    ``measurements`` must carry every key in ``BOUNDS``.
+
+def compliance_report(measurements: dict[str, float], config_text: str = "",
+                      bounds: dict = BOUNDS) -> ComplianceReport:
+    """Evaluate each quantity in ``bounds`` against its desired window.
+
+    ``measurements`` must carry every key in ``bounds``.
     """
-    missing = [k for k in BOUNDS if k not in measurements]
+    missing = [k for k in bounds if k not in measurements]
     if missing:
         raise ValueError(f"missing measurements: {missing}")
 
     items = []
-    for name, (lo, hi) in BOUNDS.items():
+    for name, (lo, hi) in bounds.items():
         value = float(measurements[name])
         ok = (lo is None or value >= lo) and (hi is None or value <= hi)
         items.append(ComplianceItem(name, lo, hi, value, ok))
-
-    notes = [
-        "v_swing is the settled single-ended swing (v_high - v_low); "
-        "peak-to-peak figures that include edge overshoot can exceed the "
-        "600 mV ceiling and would fail this bound."
-    ]
+    notes = [NOTES[name] for name in bounds if name in NOTES]
     return ComplianceReport(items=items, notes=notes, config_text=config_text)

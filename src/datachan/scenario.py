@@ -208,20 +208,16 @@ def run_scenario(config: ChannelConfig, sc: Scenario, out_dir: str | Path) -> Sc
     netlist = build_channel(config)
     traces = _stage(result, "kernel", advance, netlist, stim.events, stim.until_ps)
     tx_plus, tx_minus = _stage(result, "tx_synthesis", drv.synthesize_tx,
-                               traces, config.driver, config.dt_ps, ui_ps=config.ui_ps)
+                               traces, config.driver, config.dt_ps)
     # output level before the channel was first enabled: all of a standby run
     enables = schedule.times_of(stimulus.Action.ENABLE_PULSE)
     n_off = max(1, int((enables[0] - tx_plus.t0_ps) / tx_plus.dt_ps)) if enables else None
     v_off = float(np.median(tx_plus.samples[:n_off]))
 
     if standby:
-        drop = config.driver.avcc_v - v_off
-        lo, hi = report.BOUNDS["v_off"]
-        result.report = report.ComplianceReport(items=[
-            report.ComplianceItem("v_off", lo, hi, v_off, lo <= v_off <= hi),
-            report.ComplianceItem("standby_drop", None, 0.010, drop, drop <= 0.010),
-        ], config_text=config_to_text(config))
-        result.report.notes.append("standby: channel never enabled; outputs at pulled-up level")
+        result.report = report.compliance_report(
+            {"v_off": v_off, "standby_drop": config.driver.avcc_v - v_off},
+            config_to_text(config), report.STANDBY_BOUNDS)
         result.checks["compliance"] = result.report.passed
         products = {"tx_plus": tx_plus, "tx_minus": tx_minus}
     else:

@@ -4,10 +4,14 @@ Each function is the analysis code as it was before the stages read their
 samples in ``_PASS_CELLS`` passes: it builds the time grid, the
 differential signal, the phase and the per-state copies over the whole
 window at once.  The pass-wise code must give the same bits.
+
+It also holds the single-line supply baseline that acceptance criterion 6
+compares the split-line channel against; nothing in ``src/`` models it.
 """
 
 import numpy as np
 
+from datachan.driver import WaveformTrace, _deposit_spikes
 from datachan.errors import NoSettleError, NoTransitionError
 from datachan.eye import EyeHistogram
 from datachan.spectrum import Spectrum
@@ -149,6 +153,32 @@ def ref_mean_square(spec):
     """
     m = spec.mags_a
     return m[0] ** 2 + float(np.sum((m[1:-1] / np.sqrt(2.0)) ** 2)) + m[-1] ** 2
+
+
+def transition_times(bitstream):
+    """Times of data transitions between consecutive bit slots of a ``BitStream``."""
+    out = []
+    for i in range(1, len(bitstream.bits)):
+        if bitstream.bits[i] != bitstream.bits[i - 1]:
+            out.append(bitstream.start_time_ps + i * bitstream.bit_period)
+    return out
+
+
+def naive_supply_current(bitstream, model, dt_ps):
+    """Single-pre-driver baseline: spikes only where the raw data toggles.
+
+    Each data transition flips both legs of the differential pre-driver
+    pair, so it deposits two spike charges.  Spike timing then follows the
+    data pattern instead of the fixed bit-rate grid.
+    """
+    model.validate()
+    t0 = float(bitstream.start_time_ps)
+    horizon = t0 + float(len(bitstream.bits) * bitstream.bit_period)
+    n = int((horizon - t0) / dt_ps)
+    samples = np.full(n, model.i_dc_a)
+    _deposit_spikes(samples, t0, dt_ps, transition_times(bitstream),
+                    2.0 * model.q_c, model.w_ps)
+    return WaveformTrace(dt_ps, samples, t0)
 
 
 def assert_same_array(got, want, what="array"):

@@ -19,7 +19,7 @@ from datachan import eye as eyemod
 from datachan import golden, measure, protocol, spectrum as specmod, stimulus
 from datachan.logic import HIGH
 from datachan.scenario import PRESETS, run_scenario
-from reference_analysis import ref_mean_square
+from reference_analysis import naive_supply_current, ref_mean_square
 
 POW2_SAMPLES = 1 << 18  # power-of-two spectral window (no padding dilution)
 WIDTHS = (8, 10, 16)    # criteria 1, 2, 3 and 9 run at every supported width
@@ -45,8 +45,7 @@ def long_run():
     config, words, stim, traces = _stream(10, 440)
     t0 = stim.timing.slot_start(0, 1)
     t1 = stim.timing.slot_start(440, 1)
-    tx_plus, tx_minus = drv.synthesize_tx(traces, config.driver, config.dt_ps,
-                                          t0, t1, ui_ps=config.ui_ps)
+    tx_plus, tx_minus = drv.synthesize_tx(traces, config.driver, config.dt_ps, t0, t1)
     return config, words, stim, traces, tx_plus, tx_minus
 
 
@@ -189,7 +188,7 @@ def test_criterion_6_low_band_supply_noise(long_run):
     # single-line baseline driven by the worst pixel-rate pattern
     pattern = [(1, 1, 1, 1, 1, 0, 0, 0, 0, 0)] * 440
     stream = golden.golden_serialize(pattern, bit_period=config.bit_period)
-    naive = drv.naive_supply_current(stream, config.spike, config.dt_ps)
+    naive = naive_supply_current(stream, config.spike, config.dt_ps)
     naive_ratio = specmod.low_band_ratio(_trimmed_spectrum(naive))
     elapsed = time.monotonic() - t_start
 

@@ -11,7 +11,7 @@ from datachan.errors import (AlignmentError, NoSettleError, NoTransitionError,
                              ResolutionError)
 from datachan.eye import EyeHistogram, EyeMask, build_eye, mask_check
 from datachan.measure import measure_edge, measure_levels
-from datachan.report import compliance_report
+from datachan.report import STANDBY_BOUNDS, compliance_report
 from datachan.spectrum import low_band_ratio, spectrum
 from reference_analysis import ref_mean_square
 
@@ -253,6 +253,8 @@ def test_compliance_fails_on_doubled_sink_current():
 def test_compliance_requires_all_keys():
     with pytest.raises(ValueError):
         compliance_report({"v_off": 3.299})
+    with pytest.raises(ValueError, match="standby_drop"):
+        compliance_report({"v_off": 3.299}, bounds=STANDBY_BOUNDS)
 
 
 def test_report_serialization():

@@ -1,17 +1,20 @@
-"""The stage bench records every stage's time and memory."""
+"""The stage bench records every stage's and writer's time and memory, and the
+artifacts that a plain run writes."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
 
 from datachan import scenario
+from datachan.cli import main
 
 SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "stages.py"
 STAGES = {"stimulus", "kernel", "tx_synthesis", "extract", "protocol", "transitions",
           "supply_current", "spectrum", "low_band_ratio", "levels", "edges", "eye", "mask"}
 
 
-def test_memory_bench_records_each_stage(tmp_path):
+def test_stage_bench_records_stages_and_writers(tmp_path):
     spec = importlib.util.spec_from_file_location("bench_stages", SCRIPT)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
@@ -34,3 +37,12 @@ def test_memory_bench_records_each_stage(tmp_path):
     assert names.count("levels") == 1 and names.count("edges") == 2
     writers = {"write_" + key for _, _, key, _, _ in scenario.ARTIFACTS}
     assert {s["stage"] for s in full["stages"]} == STAGES | writers
+    assert all(s["time_s"] > 0 for s in full["stages"] if s["stage"] in writers)
+
+    # the artifacts the bench records are the ones a plain run writes
+    assert main(["run", "--words", "12", "--out", str(tmp_path / "plain")]) == 0
+    for key, suffix in {"vcd": ".vcd", "tx_plus": ".tx_plus.csv", "eye": ".eye.csv",
+                        "spectrum": ".spectrum.csv", "report": ".report.json"}.items():
+        data = (tmp_path / "plain" / ("stream-random" + suffix)).read_bytes()
+        assert full["artifacts"][key] == {"bytes": len(data),
+                                          "sha256": hashlib.sha256(data).hexdigest()}

@@ -109,6 +109,8 @@ def test_run_scenario_stream(tmp_path, config):
         assert res.artifacts[kind].exists()
     rep = json.loads(res.artifacts["report"].read_text())
     assert rep["pass"] is True
+    assert [item["item"] for item in rep["items"]] == [
+        "v_off", "v_swing", "v_high", "v_low", "rise_ps", "fall_ps", "low_band_ratio"]
     assert _stage_names(res) == STREAM_STAGES + WRITERS
     for record in res.stages:
         assert set(record) == {"stage", "time_s"} and record["time_s"] >= 0
@@ -248,6 +250,9 @@ BAD_CONFIGS = {
     "driver.i_sink_a = -inf\n": "driver.i_sink_a must be finite, got -inf",
     "mask_vertices = -0.25:0;-0.15:inf;0.15:0.2;0.25:0;0.15:-0.2;-0.15:-0.2\n":
         "mask_vertices must be finite, got inf",
+    # the paper's 2.8 V output bias is not modelled, so it has no keys
+    "driver.i_bias_a = 5.343e-07\n": "unknown key 'driver.i_bias_a'",
+    "driver.v_bias_v = 2.8\n": "unknown key 'driver.v_bias_v'",
 }
 
 

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from datachan.config import DriverParams, SpikeModel
-from datachan.errors import SamplingError
 from datachan import driver as drv
 from datachan.golden import BitStream
 from datachan.logic import HIGH, LOW, SignalTraces
+from reference_analysis import naive_supply_current
 
 
 def test_standby_and_sink_levels_follow_ohms_law():
@@ -71,12 +71,6 @@ def test_both_legs_complementary_sum(config, stream40):
     assert np.median(total) == pytest.approx(p.v_standby + p.v_sink, abs=1e-3)
 
 
-def test_sampling_guard():
-    traces = _line_traces({}, 5000)
-    with pytest.raises(SamplingError):
-        drv.synthesize_tx(traces, DriverParams(), 100.0, ui_ps=606.06)
-
-
 def test_line_transition_times_ignore_power_on():
     traces = SignalTraces(
         events={"Even": [(0, HIGH), (100, LOW), (200, HIGH)],
@@ -116,7 +110,7 @@ def test_naive_model_two_charges_per_data_transition():
     model = SpikeModel()
     period = Fraction(10**12, 1_650_000_000)
     stream = BitStream(bits=[0, 1, 0, 1, 0, 0, 0, 0], bit_period=period)
-    trace = drv.naive_supply_current(stream, model, 10.0)
+    trace = naive_supply_current(stream, model, 10.0)
     extra = (trace.samples - model.i_dc_a).sum() * 10.0 * 1e-12
     # four transitions, each flipping both legs of the differential pair
     assert extra == pytest.approx(4 * 2 * model.q_c, rel=1e-6)

@@ -11,6 +11,7 @@ from datachan.golden import (BitStream, extract_serial, format_bitstream,
                              golden_serialize, parse_word_text)
 from datachan.logic import HIGH, LOW, SignalTraces
 from datachan import stimulus
+from reference_analysis import transition_times
 
 WORD = st.tuples(*[st.integers(0, 1)] * 10)
 
@@ -44,7 +45,7 @@ def test_serialize_concatenation(ws1, ws2):
 def test_transition_times_on_exact_grid():
     period = Fraction(10**12, 1_650_000_000)
     stream = BitStream(bits=[0, 1, 1, 0], start_time_ps=100)
-    assert stream.transition_times() == [100 + period, 100 + 3 * period]
+    assert transition_times(stream) == [100 + period, 100 + 3 * period]
 
 
 def test_extract_serial_round_trip(config, stream40, stream40_bits):

@@ -1,14 +1,26 @@
-"""Every name a ``datachan`` module or bench script imports is used (a stand-in for a linter)."""
+"""Stand-ins for a linter: every name a ``datachan`` module or bench script
+imports is used, and every public function or class of the package has a
+caller outside the tests."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import datachan
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-MODULES = sorted(Path(datachan.__file__).parent.glob("*.py")) + sorted(BENCH.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted(Path(datachan.__file__).parent.glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "bench").glob("*.py"))
+# code that may call the package's public API: the package, the stage bench
+# and perfbench, which also names its patch targets in strings
+CALLERS = PACKAGE + [path for tree in ("bench", "perfbench")
+                     for path in sorted((ROOT / tree).rglob("*.py"))]
+# public names that only the tests call: the independent oracle for the kernel's
+# line muxing, which the acceptance gate rests on
+TEST_ONLY = {"mux_lines"}
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
 def _unused(tree: ast.Module) -> dict[str, int]:
@@ -49,3 +61,52 @@ def test_every_import_is_used(path):
 def test_the_check_finds_an_unused_import():
     tree = ast.parse("import os.path\nfrom math import floor, pi as PI\nprint(PI)\n")
     assert set(_unused(tree)) == {"os", "floor"}
+
+
+def _named(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names that ``tree`` reads, as a name, an attribute or a dotted string.
+
+    The subtree ``skip`` (a definition, so that recursion is no caller) is left out.
+    """
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _DOTTED.fullmatch(node.value)):
+            names.update(node.value.split("."))
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _uncalled(paths: list[Path], callers: list[Path]) -> set[str]:
+    """Public top-level functions and classes of ``paths`` that ``callers`` never name."""
+    trees = {path: ast.parse(path.read_text()) for path in {*paths, *callers}}
+    named = {path: _named(trees[path]) for path in callers}
+    out = set()
+    for path in paths:
+        others = set().union(*(names for caller, names in named.items() if caller != path))
+        for node in trees[path].body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in others | _named(trees[path], node)):
+                out.add(node.name)
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    """Public API that only the tests call moves to a ``tests/reference_*.py`` oracle."""
+    assert _uncalled(PACKAGE, CALLERS) == TEST_ONLY
+
+
+def test_the_check_finds_an_uncalled_function(tmp_path):
+    lib, user = tmp_path / "lib.py", tmp_path / "user.py"
+    lib.write_text("def used():\n    pass\n\n\ndef loop():\n    loop()\n\n\n"
+                   "def named():\n    pass\n\n\nclass _Private:\n    pass\n")
+    user.write_text("import lib\nlib.used()\nPATCHES = [('lib', 'named')]\n")
+    assert _uncalled([lib], [lib, user]) == {"loop"}

@@ -17,6 +17,7 @@ from datachan.eye import EyeHistogram
 from datachan.logic import HIGH, LOW, UNKNOWN, SignalTraces
 from datachan.spectrum import Spectrum
 from datachan.vcd import _identifiers, traces_to_vcd
+from reference_analysis import naive_supply_current, transition_times
 
 # --------------------------------------------------------------------------
 # per-element references
@@ -240,10 +241,10 @@ def test_supply_and_naive_current_share_the_deposit():
     model = SpikeModel()
     stream = BitStream(bits=[0, 1, 1, 0, 1, 0, 0, 1] * 8,
                        bit_period=Fraction(10**12, 1_650_000_000))
-    naive = drv.naive_supply_current(stream, model, 10.0)
+    naive = naive_supply_current(stream, model, 10.0)
     t0 = float(stream.start_time_ps)
     want = np.full(len(naive.samples), model.i_dc_a)
-    for t in stream.transition_times():
+    for t in transition_times(stream):
         ref_deposit_spike(want, t0, 10.0, float(t), 2.0 * model.q_c, model.w_ps)
     assert same_bits(naive.samples, want)
 
