@@ -1,23 +1,13 @@
 """The stage bench times every artifact writer and records what a plain run writes."""
 
 import hashlib
-import importlib.util
-import json
-from pathlib import Path
 
 from datachan import scenario
 from datachan.cli import main
 
-SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "stages.py"
 
-
-def test_writer_bench_matches_a_plain_run(tmp_path):
-    spec = importlib.util.spec_from_file_location("bench_stages", SCRIPT)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    assert bench.main(["--out", str(tmp_path / "bench.json"), "--words", "12"]) == 0
-
-    doc = json.loads((tmp_path / "bench.json").read_text())
+def test_writer_bench_matches_a_plain_run(stage_bench, tmp_path):
+    _, doc = stage_bench
     # --words 12 makes the four stream-random runs one
     _, full = doc["runs"]
     assert full["words"] == 12 and full["passed"]
