@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
 from .config import DriverParams, SpikeModel
-from .logic import HIGH, LOW, SignalTraces
+from .logic import LOW, SignalTraces
 
 LN4 = math.log(4.0)
 # 20%-80% span of the raised-cosine step, as a fraction of its full duration
@@ -41,18 +40,10 @@ class WaveformTrace:
         return self.t0_ps + self.dt_ps * np.arange(start, stop)
 
 
-def _history_arrays(hist: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """(times, level codes) of one net's history as int64 and int8 arrays."""
-    if not hist:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int8)
-    times, levels = zip(*hist)
-    return np.asarray(times, dtype=np.int64), np.asarray(levels, dtype=np.int8)
-
-
 def _sink_timeline(traces: SignalTraces, nets: tuple[str, str],
                    t_start: int, t_end: int) -> list[tuple[int, bool]]:
     """Merged (time, sinking) steps: sinking while either net is pulled low."""
-    hists = [_history_arrays(traces.events[net]) for net in nets]
+    hists = [traces.arrays(net) for net in nets]
     inner = np.concatenate([ev_t[(ev_t > t_start) & (ev_t < t_end)] for ev_t, _ in hists])
     times = np.concatenate((np.array([t_start], dtype=np.int64), np.unique(inner)))
     state = np.zeros(len(times), dtype=bool)
@@ -155,15 +146,10 @@ def synthesize_tx(traces: SignalTraces, params: DriverParams, dt_ps: float,
 
 def line_transition_times(traces: SignalTraces) -> list[int]:
     """Settled HIGH<->LOW transition times on the pre-driver lines Even, Odd, nEven and nOdd."""
-    out: list[int] = []
-    for net in ("Even", "Odd", "nEven", "nOdd"):
-        hist = traces.events[net]
-        _, levels = _history_arrays(hist)
-        low, high = levels == LOW, levels == HIGH
-        settled = np.flatnonzero((low[1:] & high[:-1]) | (high[1:] & low[:-1])) + 1
-        # reuse the events' own time objects: new ints would stay alive as
-        # long as the caller keeps the list, about 1 MB per 30k transitions
-        out += map(itemgetter(0), map(hist.__getitem__, settled.tolist()))
+    # ``edges`` returns the histories' own time objects: new ints would stay
+    # alive as long as the caller keeps the list, about 1 MB per 30k transitions
+    out = [t for net in ("Even", "Odd", "nEven", "nOdd") for kind in ("rise", "fall")
+           for t in traces.edges(net, kind)]
     out.sort()
     return out
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 
 class Level(enum.IntEnum):
@@ -47,6 +49,7 @@ class SignalTraces:
     pairs in which consecutive entries always carry different levels.  A
     level is its code 0/1/2 (a ``Level`` member compares equal to its
     code).  Instances are treated as immutable once a run has completed.
+    The methods below are the package's only readers of the histories.
     """
 
     events: dict[str, list[tuple[int, int]]]
@@ -61,8 +64,35 @@ class SignalTraces:
         i = bisect_right(hist, time_ps, key=itemgetter(0))
         return LEVELS[hist[i - 1][1]] if i else UNKNOWN
 
+    def last_change(self, net: str, before_ps: int) -> tuple[int, int] | None:
+        """The last ``(time_ps, level)`` change of ``net`` before ``before_ps``, or None."""
+        hist = self.events[net]
+        i = bisect_left(hist, before_ps, key=itemgetter(0))
+        return hist[i - 1] if i else None
+
+    def known_from(self, net: str) -> int | None:
+        """Time from which ``net`` never holds UNKNOWN again (0: never does; None: ends so)."""
+        hist = self.events[net]
+        try:
+            j = list(map(itemgetter(1), reversed(hist))).index(UNKNOWN)
+        except ValueError:
+            return 0
+        i = len(hist) - j  # the change after the last UNKNOWN one
+        return hist[i][0] if i < len(hist) else None
+
+    def arrays(self, net: str) -> tuple[np.ndarray, np.ndarray]:
+        """Change times and level codes of ``net`` as int64 and int8 arrays."""
+        hist = self.events[net]
+        return (np.fromiter(map(itemgetter(0), hist), np.int64, len(hist)),
+                np.fromiter(map(itemgetter(1), hist), np.int8, len(hist)))
+
     def edges(self, net: str, kind: str = "rise") -> list[int]:
-        """Times at which ``net`` transitions LOW->HIGH (rise) or HIGH->LOW (fall)."""
+        """Times at which ``net`` transitions LOW->HIGH (rise) or HIGH->LOW (fall).
+
+        The times are the history's own int objects.
+        """
+        if kind not in ("rise", "fall"):
+            raise ValueError("kind must be 'rise' or 'fall'")
         want_from, want_to = (LOW, HIGH) if kind == "rise" else (HIGH, LOW)
         out = []
         prev = UNKNOWN

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .config import ChannelConfig
 from .errors import ConfigError, ContentionError, OscillationError
-from .logic import AND, HIGH, NOT, OR, UNKNOWN, NetEvent, SignalTraces
+from .logic import AND, NOT, OR, NetEvent, SignalTraces
 
 
 # --------------------------------------------------------------------------
@@ -400,61 +400,3 @@ def advance(netlist: ChannelNetlist, stimulus: list[NetEvent],
     """
     return Simulator(netlist).run(stimulus, until_ps)
 
-
-# --------------------------------------------------------------------------
-# functional line multiplexing (delay-free recomputation of the wired lines)
-
-def mux_lines(traces: SignalTraces, word_source: dict[str, list[tuple[int, int]]],
-              width: int = 10) -> dict[str, list[tuple[int, int]]]:
-    """Recompute the four shared lines from select traces and data histories.
-
-    ``word_source`` maps D0..D{width-1} to event histories holding the value
-    each selector should serialize.  Pure and delay-free; serves as an
-    independent reference for the in-netlist wired lines.
-    """
-    groups = {
-        "Odd": [(k, 1) for k in range(1, width + 1) if k % 2 == 1],
-        "nOdd": [(k, 0) for k in range(1, width + 1) if k % 2 == 1],
-        "Even": [(k, 1) for k in range(1, width + 1) if k % 2 == 0],
-        "nEven": [(k, 0) for k in range(1, width + 1) if k % 2 == 0],
-    }
-
-    histories: dict[str, list[tuple[int, int]]] = {}
-    for k in range(1, width + 1):
-        histories[f"Sel{k}"] = traces.events[f"Sel{k}"]
-    for i in range(width):
-        histories[f"D{i}"] = word_source.get(f"D{i}", [(0, UNKNOWN)])
-
-    times = sorted({t for hist in histories.values() for t, _ in hist})
-    cursors = {name: 0 for name in histories}
-    current = {name: UNKNOWN for name in histories}
-
-    out: dict[str, list[tuple[int, int]]] = {name: [] for name in groups}
-    for t in times:
-        for name, hist in histories.items():
-            i = cursors[name]
-            while i < len(hist) and hist[i][0] <= t:
-                current[name] = hist[i][1]
-                i += 1
-            cursors[name] = i
-        sel_lvls = {k: current[f"Sel{k}"] for k in range(1, width + 1)}
-        bit_lvls = {i: current[f"D{i}"] for i in range(width)}
-        for name, members in groups.items():
-            pulled = 0  # the OR of the pulls, from its identity LOW
-            active = []
-            for k, active_bit in members:
-                bit = bit_lvls[k - 1] if active_bit else NOT[bit_lvls[k - 1]]
-                pull = AND[sel_lvls[k]][bit]
-                pulled = OR[pulled][pull]
-                if sel_lvls[k] == HIGH:
-                    active.append((k, pull))
-            if len(active) >= 2 and len({p for _, p in active}) > 1:
-                raise ContentionError(
-                    f"conflicting drive on {name} at {t} ps "
-                    f"(selects {[k for k, _ in active]})"
-                )
-            level = NOT[pulled]
-            hist = out[name]
-            if not hist or hist[-1][1] != level:
-                hist.append((t, level))
-    return out

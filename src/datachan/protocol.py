@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .config import ChannelConfig
 from .errors import IncompleteTraceError
-from .logic import HIGH, LOW, UNKNOWN, Level, SignalTraces
+from .logic import HIGH, LOW, Level, SignalTraces
 from .stimulus import Action, ProtocolSchedule
 
 
@@ -38,11 +36,10 @@ def _quiet_since(traces: SignalTraces, net: str, t_from: int, t_to: int,
 
     ``quiet`` is LOW or HIGH and ``t_from < t_to``.
     """
-    hist = traces.events[net]
-    i = bisect_left(hist, t_to, key=itemgetter(0))  # hist[i - 1]: last change before t_to
-    if not i or hist[i - 1][1] != quiet:
+    last = traces.last_change(net, t_to)
+    if last is None or last[1] != quiet:
         return None
-    return max(hist[i - 1][0], t_from)
+    return max(last[0], t_from)
 
 
 def latency_bound_ps(config: ChannelConfig) -> int:
@@ -105,18 +102,8 @@ def check_protocol(traces: SignalTraces, schedule: ProtocolSchedule,
                                      latency <= bound))
 
     # reset completion: when every net has left UNKNOWN for good
-    reset_complete: int | None = 0
-    for net in traces.nets():
-        hist = traces.events[net]
-        left = None
-        for i, (t, lvl) in enumerate(hist):
-            if lvl == UNKNOWN:
-                left = hist[i + 1][0] if i + 1 < len(hist) else None
-        if left is None and hist and hist[-1][1] == UNKNOWN:
-            reset_complete = None
-            break
-        if left is not None and reset_complete is not None:
-            reset_complete = max(reset_complete, left)
+    known = [traces.known_from(net) for net in traces.nets()]
+    reset_complete = None if None in known else max(known, default=0)
 
     warnings = []
     if enable_times:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 import numpy as np
 
 from .driver import _digits, _int_cells, _join_cells, _table_cells
@@ -44,29 +42,25 @@ def traces_to_vcd(traces: SignalTraces) -> str:
 
     out.append("#0")
     out.append("$dumpvars")
-    times: list[int] = []
-    levels: list[int] = []
-    counts = []
+    times, levels = [], []
     for net, ident in zip(nets, ids):
-        hist = traces.events[net]
-        at_zero = bool(hist) and hist[0][0] == 0
-        out.append("01x"[hist[0][1] if at_zero else UNKNOWN] + ident)
-        changes = hist[1:] if at_zero else hist
-        counts.append(len(changes))
-        times += map(itemgetter(0), changes)
-        levels += map(itemgetter(1), changes)
+        ev_t, codes = traces.arrays(net)
+        skip = int(len(ev_t) and ev_t[0] == 0)  # a change at 0 is a dumpvars value
+        out.append("01x"[codes[0] if skip else UNKNOWN] + ident)
+        times.append(ev_t[skip:])
+        levels.append(codes[skip:])
     out.append("$end")
 
     # one line per change, after a "#t" line where its time is new; nets in
     # declaration order within a time
-    t = np.asarray(times, dtype=np.int64)
+    t = np.concatenate(times)
     order = np.argsort(t, kind="stable")
     t = t[order]
     if len(t) and t[0] < 0:
         raise ValueError(f"negative change time {t[0]} ps")
     # (net, level) string index: three per net, in level code order
-    code = (3 * np.repeat(np.arange(len(nets)), counts)
-            + np.asarray(levels, dtype=np.int64))[order]
+    code = (3 * np.repeat(np.arange(len(nets)), [len(c) for c in levels])
+            + np.concatenate(levels))[order]
     table = np.array([c + ident for ident in ids for c in "01x"], dtype="S")
     new_time = np.ones(len(t), dtype=bool)
     new_time[1:] = t[1:] != t[:-1]

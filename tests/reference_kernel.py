@@ -6,6 +6,10 @@ original loop over a ``(time, seq, net, level)`` heap, string-keyed
 component logic below is the original ``poke`` code, kept on subclasses
 of the netlist description classes, with the original ``Level``-valued
 gates and reset-block logic: independent of the kernel's lookup tables.
+
+``mux_lines`` recomputes the four wired lines, delay-free, from the select
+traces and the data histories on the ``logic`` gate tables: the reference
+for the kernel's ``SharedLine`` components.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from datachan.errors import ContentionError, OscillationError
-from datachan.logic import HIGH, LOW, UNKNOWN, Level, NetEvent, SignalTraces
+from datachan.logic import AND, HIGH, LOW, NOT, OR, UNKNOWN, Level, NetEvent, SignalTraces
 from datachan.netlist import Buffer, ChannelNetlist, DFlipFlop, ResetBlock, SharedLine
 
 
@@ -232,3 +236,62 @@ class ReferenceSimulator:
             for comp in self.sensitivity.get(net, ()):
                 comp.poke(self, net, old, level, t)
         return SignalTraces(events=self.traces, horizon_ps=until_ps)
+
+
+# --------------------------------------------------------------------------
+# functional line multiplexing (delay-free recomputation of the wired lines)
+
+def mux_lines(traces: SignalTraces, word_source: dict[str, list[tuple[int, int]]],
+              width: int = 10) -> dict[str, list[tuple[int, int]]]:
+    """Recompute the four shared lines from select traces and data histories.
+
+    ``word_source`` maps D0..D{width-1} to event histories holding the value
+    each selector should serialize.  Pure and delay-free; serves as an
+    independent reference for the in-netlist wired lines.
+    """
+    groups = {
+        "Odd": [(k, 1) for k in range(1, width + 1) if k % 2 == 1],
+        "nOdd": [(k, 0) for k in range(1, width + 1) if k % 2 == 1],
+        "Even": [(k, 1) for k in range(1, width + 1) if k % 2 == 0],
+        "nEven": [(k, 0) for k in range(1, width + 1) if k % 2 == 0],
+    }
+
+    histories: dict[str, list[tuple[int, int]]] = {}
+    for k in range(1, width + 1):
+        histories[f"Sel{k}"] = traces.events[f"Sel{k}"]
+    for i in range(width):
+        histories[f"D{i}"] = word_source.get(f"D{i}", [(0, UNKNOWN)])
+
+    times = sorted({t for hist in histories.values() for t, _ in hist})
+    cursors = {name: 0 for name in histories}
+    current = {name: UNKNOWN for name in histories}
+
+    out: dict[str, list[tuple[int, int]]] = {name: [] for name in groups}
+    for t in times:
+        for name, hist in histories.items():
+            i = cursors[name]
+            while i < len(hist) and hist[i][0] <= t:
+                current[name] = hist[i][1]
+                i += 1
+            cursors[name] = i
+        sel_lvls = {k: current[f"Sel{k}"] for k in range(1, width + 1)}
+        bit_lvls = {i: current[f"D{i}"] for i in range(width)}
+        for name, members in groups.items():
+            pulled = 0  # the OR of the pulls, from its identity LOW
+            active = []
+            for k, active_bit in members:
+                bit = bit_lvls[k - 1] if active_bit else NOT[bit_lvls[k - 1]]
+                pull = AND[sel_lvls[k]][bit]
+                pulled = OR[pulled][pull]
+                if sel_lvls[k] == HIGH:
+                    active.append((k, pull))
+            if len(active) >= 2 and len({p for _, p in active}) > 1:
+                raise ContentionError(
+                    f"conflicting drive on {name} at {t} ps "
+                    f"(selects {[k for k, _ in active]})"
+                )
+            level = NOT[pulled]
+            hist = out[name]
+            if not hist or hist[-1][1] != level:
+                hist.append((t, level))
+    return out

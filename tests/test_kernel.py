@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from datachan import ChannelConfig, advance, build_channel, golden, protocol, stimulus
 from datachan.errors import ContentionError, OscillationError
 from datachan.logic import HIGH, LOW, UNKNOWN, NetEvent, SignalTraces
-from datachan.netlist import Buffer, ChannelNetlist, SharedLine, Simulator, mux_lines
-from reference_kernel import ReferenceSimulator
+from datachan.netlist import Buffer, ChannelNetlist, SharedLine, Simulator
+from reference_kernel import ReferenceSimulator, mux_lines
 
 
 @st.composite

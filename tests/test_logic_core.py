@@ -7,9 +7,9 @@ from datachan import ChannelConfig, advance, build_channel
 from datachan.errors import ConfigError, ContentionError, OscillationError
 from datachan.logic import (AND, HIGH, LOW, NOT, OR, UNKNOWN, Level, NetEvent, SignalTraces,
                             merge_events)
-from datachan.netlist import Buffer, ChannelNetlist, DFlipFlop, SharedLine, Simulator, mux_lines
+from datachan.netlist import Buffer, ChannelNetlist, DFlipFlop, SharedLine, Simulator
 from datachan import stimulus
-from reference_kernel import ResetState, eval_reset, k_and, k_not, k_or
+from reference_kernel import ResetState, eval_reset, k_and, k_not, k_or, mux_lines
 
 LEVELS = (LOW, HIGH, UNKNOWN)
 
@@ -83,6 +83,8 @@ def test_edges_and_intervals():
     tr = _traces()
     assert tr.edges("A", "rise") == [10, 30]
     assert tr.edges("A", "fall") == [20]
+    with pytest.raises(ValueError):
+        tr.edges("A", "both")
     assert tr.intervals("A", HIGH) == [(10, 20), (30, 40)]
 
 

@@ -1,5 +1,6 @@
 """Disable/enable latency checks, reset completion and misuse detection."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -126,6 +127,14 @@ def _scan_quiet_since(hist, t_from, t_to, quiet):
     return t_q
 
 
+def _scan_known_from(hist):
+    known = 0
+    for i, (_, lvl) in enumerate(hist):
+        if lvl is UNKNOWN:
+            known = hist[i + 1][0] if i + 1 < len(hist) else None
+    return known
+
+
 LEVELS = (LOW, HIGH, UNKNOWN)
 
 
@@ -155,10 +164,19 @@ HIST = [(5, UNKNOWN), (10, LOW), (20, HIGH), (30, LOW)]
 @example((HIST, 20, 25, HIGH))            # a change exactly at t_from
 @example((HIST, 12, 20, LOW))             # a change exactly at t_to
 @example((HIST, 10, 30, HIGH))            # changes at both ends
+@example(([(0, LOW), (10, HIGH), (20, UNKNOWN)], 5, 15, HIGH))  # ends UNKNOWN
+@example(([(0, LOW), (10, UNKNOWN), (20, HIGH)], 5, 25, HIGH))  # UNKNOWN mid-history
 def test_bisection_matches_linear_scans(case):
     hist, t_from, t_to, quiet = case
     traces = SignalTraces(events={"N": hist}, horizon_ps=50)
     for t in range(-6, 47):
         assert traces.level_at("N", t) is _scan_level_at(hist, t)
+        assert traces.last_change("N", t) == next(
+            (change for change in reversed(hist) if change[0] < t), None)
     assert (_quiet_since(traces, "N", t_from, t_to, quiet)
             == _scan_quiet_since(hist, t_from, t_to, quiet))
+    times, codes = traces.arrays("N")
+    assert times.dtype == np.int64 and codes.dtype == np.int8
+    columns = [list(column) for column in zip(*hist)] if hist else [[], []]
+    assert [times.tolist(), codes.tolist()] == columns
+    assert traces.known_from("N") == _scan_known_from(hist)

@@ -1,6 +1,6 @@
 """Stand-ins for a linter: every name a ``datachan`` module or bench script
-imports is used, and every public function or class of the package has a
-caller outside the tests."""
+imports is used, every public function or class of the package has a
+caller outside the tests, and only ``logic`` reads a trace's histories."""
 
 import ast
 import re
@@ -17,9 +17,6 @@ MODULES = PACKAGE + sorted((ROOT / "bench").glob("*.py"))
 # and perfbench, which also names its patch targets in strings
 CALLERS = PACKAGE + [path for tree in ("bench", "perfbench")
                      for path in sorted((ROOT / tree).rglob("*.py"))]
-# public names that only the tests call: the independent oracle for the kernel's
-# line muxing, which the acceptance gate rests on
-TEST_ONLY = {"mux_lines"}
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
@@ -101,7 +98,7 @@ def _uncalled(paths: list[Path], callers: list[Path]) -> set[str]:
 
 def test_every_public_name_has_a_caller():
     """Public API that only the tests call moves to a ``tests/reference_*.py`` oracle."""
-    assert _uncalled(PACKAGE, CALLERS) == TEST_ONLY
+    assert not _uncalled(PACKAGE, CALLERS)
 
 
 def test_the_check_finds_an_uncalled_function(tmp_path):
@@ -110,3 +107,28 @@ def test_the_check_finds_an_uncalled_function(tmp_path):
                    "def named():\n    pass\n\n\nclass _Private:\n    pass\n")
     user.write_text("import lib\nlib.used()\nPATCHES = [('lib', 'named')]\n")
     assert _uncalled([lib], [lib, user]) == {"loop"}
+
+
+def _history_reads(tree: ast.Module) -> list[int]:
+    """Lines that read an ``events`` mapping: ``x.events[...]``, ``x.events.items()``
+    or ``x.events.values()``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) or (
+                isinstance(node, ast.Attribute) and node.attr in ("items", "values")):
+            if isinstance(node.value, ast.Attribute) and node.value.attr == "events":
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_logic_reads_histories():
+    """Other modules ask ``SignalTraces`` (``arrays``, ``edges``, ``last_change``, ...)."""
+    reads = {path.name: _history_reads(ast.parse(path.read_text()))
+             for path in PACKAGE if path.name != "logic.py"}
+    assert not {name: lines for name, lines in reads.items() if lines}
+
+
+def test_the_check_finds_a_history_read():
+    tree = ast.parse("a = tr.events['N']\nrun(net, stim.events, 5)\n"
+                     "for net, h in tr.events.items():\n    pass\nb = tr.events.values()\n")
+    assert _history_reads(tree) == [1, 3, 5]
