@@ -67,8 +67,10 @@ def _scenarios_from_args(args) -> list[Scenario]:
 def _run_command(args) -> int:
     config = load_config(args.config) if args.config else ChannelConfig()
     scenarios = _scenarios_from_args(args)
-    for sc in scenarios:
+    for i, sc in enumerate(scenarios):
         validate_scenario(config, sc)
+        if sc.name in (other.name for other in scenarios[:i]):  # same artifact paths
+            raise ConfigError(f"scenario name {sc.name!r} is given more than once")
 
     results = [run_scenario(config, sc, args.out) for sc in scenarios]
 

@@ -101,7 +101,7 @@ class ChannelConfig:
     ff_delay_ps: int = 30             # flip-flop clock-to-output delay
     buffer_delay_ps: int = 15         # single buffer / gate stage delay
     skew_ps: int = 20                 # Nclk delay relative to inverted Dclk
-    loop_limit: int = 1000            # same-timestamp event bound
+    loop_limit: int = 1000            # zero-delay events per timestamp
     eye_bins_t: int = 128
     eye_bins_v: int = 128
     horizon_words: int = 100

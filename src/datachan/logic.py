@@ -102,20 +102,6 @@ class SignalTraces:
             prev = lvl
         return out
 
-    def intervals(self, net: str, level: Level) -> list[tuple[int, int]]:
-        """Closed-open time intervals during which ``net`` holds ``level``."""
-        out = []
-        start = None
-        for t, lvl in self.events[net]:
-            if start is not None:
-                out.append((start, t))
-                start = None
-            if lvl == level:
-                start = t
-        if start is not None:
-            out.append((start, self.horizon_ps))
-        return out
-
 
 def merge_events(streams: Iterable[Iterable[NetEvent]]) -> list[NetEvent]:
     """Flatten several event streams into one stable time-ordered list."""

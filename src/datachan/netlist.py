@@ -93,15 +93,11 @@ class ResetBlock:
                           (self.disable, self.enable, self.buffered_last))
         start_code, delay = sim.index[self.start] << 2, self.delay_ps
         sampled_dis = sampled_en = armed = 2
-        target = -1  # the Start level last scheduled
 
         def update(t: int):
-            nonlocal target
             ndis = NOT[values[dis]]
             start = OR[AND[ndis][armed]][AND[AND[ndis][NOT[values[en]]]][values[blast]]]
-            if start != target:
-                target = start
-                schedule(t + delay, start_code + start)
+            schedule(t + delay, start_code + start)
 
         def rise(t: int):
             nonlocal sampled_dis, sampled_en
@@ -148,10 +144,8 @@ class SharedLine:
         pullers = [(sim.index[sel], sim.index[src], _SAME if active else NOT)
                    for sel, src, active in self.pullers]
         line_code, delay = sim.index[self.line] << 2, self.delay_ps
-        target = -1  # the line level last scheduled
 
         def update(t: int):
-            nonlocal target
             high = unknown = conflict = False
             first = -1  # the pull of the first selected block
             for sel, src, bit in pullers:
@@ -177,9 +171,7 @@ class SharedLine:
                                 in zip(self.pullers, pullers) if values[sel] == 1)
                 )
             level = 0 if high else 2 if unknown else 1
-            if level != target:
-                target = level
-                schedule(t + delay, line_code + level)
+            schedule(t + delay, line_code + level)
 
         for net in self.inputs:
             for old, new in _CHANGES:
@@ -270,16 +262,23 @@ class Simulator:
     actions per (net, old level, new level), in component and ``inputs``
     order, so a change runs only the actions it can trigger:
 
-    - ``(delay, base, src)`` schedules code ``base + values[src]`` at
+    - ``(delay, base, src)`` queues code ``base + values[src]`` at
       ``t + delay``: a flip-flop samples its D net, a buffer reads ``low``,
       a slot that always holds 0;
     - ``(None, handler, None)`` calls ``handler(t)``, which may ``schedule``.
 
+    Components only compute levels; the kernel drops an event equal to
+    ``last[net]``, the code most recently queued for its net.  This is exact:
+    a driven net has one driver with a fixed delay, so its pending events
+    are FIFO.  Stimulus no-ops and same-time glitches still reach the loop,
+    which skips an event equal to the net's level and collapses a change
+    undone at the same timestamp.
+
     Pending events wait in one FIFO list per timestamp, and a heap holds
     the distinct timestamps.  Stimulus events at a timestamp precede the
-    events scheduled for it, so a list is processed in exactly the order
-    of (time, order of scheduling); its index counts events against
-    ``config.loop_limit``.
+    events queued for it, so a list is processed in exactly the order of
+    (time, order of queueing).  ``config.loop_limit`` bounds the zero-delay
+    events per timestamp: those appended to its list while it runs.
     """
 
     def __init__(self, netlist: ChannelNetlist):
@@ -288,11 +287,16 @@ class Simulator:
         self.low = len(netlist.nets)
         self.values = [2] * self.low + [0]
         self.histories: list[list[tuple[int, int]]] = [[(0, 2)] for _ in netlist.nets]
+        self._inputs = {net: self.index[net] << 2 for net in netlist.primary_inputs}
+        last = [net << 2 | 2 for net in range(self.low)]
         times: list[int] = []
         pending: dict[int, list[int]] = {}
-        self._times, self._pending = times, pending
+        self._last, self._times, self._pending = last, times, pending
 
         def schedule(time_ps: int, code: int):
+            if last[code >> 2] == code:
+                return
+            last[code >> 2] = code
             bucket = pending.get(time_ps)
             if bucket is None:
                 pending[time_ps] = [code]
@@ -312,35 +316,33 @@ class Simulator:
         """Register ``action`` for a change of ``net`` from ``old`` to ``new``."""
         self._actions[((self.index[net] << 2 | new) * 3) + old].append(action)
 
-    def _stimulus_buckets(self, stimulus: list[NetEvent]):
-        """The stimulus as (time, event codes) per distinct time, lazily."""
-        index = self.index
-        t_cur, bucket = None, []
+    def _stimulus_buckets(self, stimulus: list[NetEvent], until_ps: int):
+        """The stimulus as (time, event codes) per distinct time, lazily; it checks
+        primary inputs, time order and that ``until_ps`` covers every event."""
+        inputs = self._inputs
+        t_cur, bucket = 0, []
         for t, net, level in stimulus:
+            base = inputs.get(net)
+            if base is None:
+                raise ValueError(f"stimulus on non-primary net {net!r}")
             if t != t_cur:
-                if bucket:
+                if t < t_cur:
+                    raise ValueError("stimulus events must be time-ordered")
+                if bucket and t_cur <= until_ps:  # past the horizon: check only
                     yield t_cur, bucket
                 t_cur, bucket = t, []
-            bucket.append(index[net] << 2 | level)
+            bucket.append(base | level)
+        if t_cur > until_ps:
+            raise ValueError("simulation horizon ends before the last stimulus event")
         if bucket:
             yield t_cur, bucket
 
     def run(self, stimulus: list[NetEvent], until_ps: int) -> SignalTraces:
-        last_t = 0
-        for ev in stimulus:
-            if ev.net not in self.netlist.primary_inputs:
-                raise ValueError(f"stimulus on non-primary net {ev.net!r}")
-            if ev.time_ps < last_t:
-                raise ValueError("stimulus events must be time-ordered")
-            last_t = ev.time_ps
-        if until_ps < last_t:
-            raise ValueError("simulation horizon ends before the last stimulus event")
-
         limit = self.netlist.config.loop_limit
         values, histories, actions = self.values, self.histories, self._actions
-        times, pending = self._times, self._pending
+        last, times, pending = self._last, self._times, self._pending
         heappush, heappop = heapq.heappush, heapq.heappop
-        stim = self._stimulus_buckets(stimulus)
+        stim = self._stimulus_buckets(stimulus, until_ps)
         nxt = next(stim, None)
         while True:
             if nxt is not None and (not times or nxt[0] <= times[0]):
@@ -357,7 +359,8 @@ class Simulator:
                 break
             if t > until_ps:
                 break
-            for count, code in enumerate(bucket, 1):
+            # counts reach 1 only at the events queued while the list runs
+            for count, code in enumerate(bucket, 1 - len(bucket)):
                 if count > limit:
                     raise OscillationError(
                         f"more than {limit} zero-delay events at {t} ps "
@@ -379,13 +382,17 @@ class Simulator:
                     if delay is None:
                         base(t)
                         continue
-                    at = t + delay  # ``schedule``, inlined
+                    queued = base + values[src]  # ``schedule``, inlined
+                    if last[base >> 2] == queued:
+                        continue
+                    last[base >> 2] = queued
+                    at = t + delay
                     sched = pending.get(at)
                     if sched is None:
-                        pending[at] = [base + values[src]]
+                        pending[at] = [queued]
                         heappush(times, at)
                     else:
-                        sched.append(base + values[src])
+                        sched.append(queued)
             del pending[t]
         return SignalTraces(events=dict(zip(self.netlist.nets, histories)),
                             horizon_ps=until_ps)

@@ -9,7 +9,8 @@ gates and reset-block logic: independent of the kernel's lookup tables.
 
 ``mux_lines`` recomputes the four wired lines, delay-free, from the select
 traces and the data histories on the ``logic`` gate tables: the reference
-for the kernel's ``SharedLine`` components.
+for the kernel's ``SharedLine`` components.  ``intervals`` lists the pulses
+of a recorded net, for the ring's timing checks.
 """
 
 from __future__ import annotations
@@ -216,18 +217,21 @@ class ReferenceSimulator:
         if until_ps < last_t:
             raise ValueError("simulation horizon ends before the last stimulus event")
 
+        # only zero-delay events count: those whose sequence number was drawn
+        # after their timestamp began
         limit = self.netlist.config.loop_limit
-        cur_t, count = -1, 0
+        cur_t, began, count = -1, 0, 0
         heap = self._heap
         while heap and heap[0][0] <= until_ps:
-            t, _, net, level = heapq.heappop(heap)
+            t, seq, net, level = heapq.heappop(heap)
             if t != cur_t:
-                cur_t, count = t, 0
-            count += 1
-            if count > limit:
-                raise OscillationError(
-                    f"more than {limit} zero-delay events at {t} ps (net {net})"
-                )
+                cur_t, began, count = t, next(self._seq), 0
+            if seq > began:
+                count += 1
+                if count > limit:
+                    raise OscillationError(
+                        f"more than {limit} zero-delay events at {t} ps (net {net})"
+                    )
             old = self.values[net]
             if level is old:
                 continue
@@ -294,4 +298,19 @@ def mux_lines(traces: SignalTraces, word_source: dict[str, list[tuple[int, int]]
             hist = out[name]
             if not hist or hist[-1][1] != level:
                 hist.append((t, level))
+    return out
+
+
+def intervals(traces: SignalTraces, net: str, level: Level) -> list[tuple[int, int]]:
+    """Closed-open time intervals during which ``net`` holds ``level``."""
+    out = []
+    start = None
+    for t, lvl in traces.events[net]:
+        if start is not None:
+            out.append((start, t))
+            start = None
+        if lvl == level:
+            start = t
+    if start is not None:
+        out.append((start, traces.horizon_ps))
     return out

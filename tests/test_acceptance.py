@@ -20,6 +20,7 @@ from datachan import golden, measure, protocol, spectrum as specmod, stimulus
 from datachan.logic import HIGH
 from datachan.scenario import PRESETS, run_scenario
 from reference_analysis import naive_supply_current, ref_mean_square
+from reference_kernel import intervals
 
 POW2_SAMPLES = 1 << 18  # power-of-two spectral window (no padding dilution)
 WIDTHS = (8, 10, 16)    # criteria 1, 2, 3 and 9 run at every supported width
@@ -99,7 +100,7 @@ def _criterion_2(width: int):
 
     # single-period dwell and period-10 recurrence on the exact grid
     for k in range(1, width + 1):
-        ivals = [iv for iv in traces.intervals(f"Sel{k}", HIGH) if t0 <= iv[0] < t1]
+        ivals = [iv for iv in intervals(traces, f"Sel{k}", HIGH) if t0 <= iv[0] < t1]
         if not all(abs(b - a - period) <= 1 for a, b in ivals):
             ok = False
         starts = [a for a, _ in ivals]
@@ -110,8 +111,8 @@ def _criterion_2(width: int):
             ok = False
 
     # Start's recurring pulse overlaps Sel10's within one serial period
-    start_ints = [iv for iv in traces.intervals("Start", HIGH) if iv[0] >= t0][:50]
-    sel_ints = [iv for iv in traces.intervals(f"Sel{width}", HIGH) if iv[0] >= t0]
+    start_ints = [iv for iv in intervals(traces, "Start", HIGH) if iv[0] >= t0][:50]
+    sel_ints = [iv for iv in intervals(traces, f"Sel{width}", HIGH) if iv[0] >= t0]
     for s0, s1 in start_ints:
         if not any(a < s1 and s0 < b for a, b in sel_ints):
             ok = False

@@ -233,6 +233,26 @@ def test_cli_unknown_scenario_is_usage_error(tmp_path):
     assert main(["run", "--scenario", "bogus", "--out", str(tmp_path)]) == 2
 
 
+def test_cli_repeated_scenario_name_is_usage_error(tmp_path, capsys):
+    first, second = tmp_path / "a.scenario", tmp_path / "b.scenario"
+    first.write_text("name = x\nsource = prbs7\n")
+    second.write_text("name = x\nsource = random\n")
+    out = tmp_path / "out"
+    err = _usage_error(capsys, ["report", "--scenario", str(first), "--scenario",
+                                str(second), "--words", "5", "--out", str(out)])
+    assert "scenario name 'x' is given more than once" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [{}, {"word_width": 16, "skew_ps": 0}])
+def test_cli_runs_at_loop_limit_1(tmp_path, overrides):
+    # every delay is positive but Nclk's at skew 0, and Nclk drives nothing
+    cfg_path = tmp_path / "limit.cfg"
+    cfg_path.write_text(config_to_text(ChannelConfig(loop_limit=1, **overrides)))
+    assert main(["report", "--config", str(cfg_path), "--words", "12",
+                 "--out", str(tmp_path)]) == 0
+
+
 BAD_CONFIGS = {
     "word_width = 9\n": "word_width must be one of 8, 10, 16",
     "horizon_words = 0\n": "horizon_words must be at least 1, got 0",

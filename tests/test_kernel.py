@@ -15,8 +15,9 @@ from reference_kernel import ReferenceSimulator, mux_lines
 
 @st.composite
 def channel_runs(draw):
-    """A configuration that ``validate()`` accepts, a reset schedule with its
-    Disable anywhere in the first two periods, words and a disable point."""
+    """A configuration that ``validate()`` accepts (``loop_limit`` 1 too), a
+    reset schedule with its Disable anywhere in the first two periods, words
+    and a disable point."""
     width = draw(st.sampled_from((8, 10, 16)))
     rate = draw(st.integers(1_000_000_000, 3_000_000_000))
     shortest = math.floor(ChannelConfig(serial_rate_hz=rate).bit_period)
@@ -24,7 +25,8 @@ def channel_runs(draw):
     ff = draw(st.integers(1, shortest - 1 - 5 * buf))
     skew = draw(st.integers(0, math.ceil(shortest / 2) - 1))
     config = ChannelConfig(serial_rate_hz=rate, word_width=width, ff_delay_ps=ff,
-                           buffer_delay_ps=buf, skew_ps=skew)
+                           buffer_delay_ps=buf, skew_ps=skew,
+                           loop_limit=draw(st.sampled_from((1, 1000))))
     config.validate()
     schedule = stimulus.reset_schedule(config, assert_at=draw(st.integers(1, 2 * shortest)))
     words = draw(st.lists(st.tuples(*[st.integers(0, 1)] * width),
@@ -96,14 +98,16 @@ def _error(sim, stimulus_events, until_ps):
 
 
 def test_zero_delay_loop_error_matches_reference():
+    # only the events queued while 5 ps runs count, not the stimulus at 5 ps
     nl = ChannelNetlist(
         config=ChannelConfig(loop_limit=50), nets=["A", "B"], primary_inputs=["A"],
         components=[Buffer("A", "B", 0), Buffer("B", "A", 0, invert=True)],
     )
-    events = [NetEvent(5, "A", HIGH)]
-    got = _error(Simulator(nl), events, 10)
-    assert got == _error(ReferenceSimulator(nl), events, 10)
-    assert got[0] is OscillationError
+    for levels in [(HIGH,), (HIGH, LOW, HIGH, HIGH)]:
+        events = [NetEvent(5, "A", level) for level in levels]
+        got = _error(Simulator(nl), events, 10)
+        assert got == _error(ReferenceSimulator(nl), events, 10)
+        assert got == (OscillationError, "more than 50 zero-delay events at 5 ps (net B)")
 
 
 def test_forced_contention_error_matches_reference():

@@ -9,7 +9,8 @@ from datachan.logic import (AND, HIGH, LOW, NOT, OR, UNKNOWN, Level, NetEvent, S
                             merge_events)
 from datachan.netlist import Buffer, ChannelNetlist, DFlipFlop, SharedLine, Simulator
 from datachan import stimulus
-from reference_kernel import ResetState, eval_reset, k_and, k_not, k_or, mux_lines
+from reference_kernel import (ReferenceSimulator, ResetState, eval_reset, intervals, k_and,
+                              k_not, k_or, mux_lines)
 
 LEVELS = (LOW, HIGH, UNKNOWN)
 
@@ -85,7 +86,7 @@ def test_edges_and_intervals():
     assert tr.edges("A", "fall") == [20]
     with pytest.raises(ValueError):
         tr.edges("A", "both")
-    assert tr.intervals("A", HIGH) == [(10, 20), (30, 40)]
+    assert intervals(tr, "A", HIGH) == [(10, 20), (30, 40)]
 
 
 def test_merge_events_is_stable():
@@ -194,7 +195,7 @@ def test_select_dwell_is_one_serial_period(config, stream40):
     t0, t1 = stim.timing.slot_start(0, 1), stim.timing.slot_start(39, 1)
     period = round(config.bit_period)
     for k in range(1, config.word_width + 1):
-        dwells = [b - a for a, b in traces.intervals(f"Sel{k}", HIGH)
+        dwells = [b - a for a, b in intervals(traces, f"Sel{k}", HIGH)
                   if t0 <= a < t1]
         assert dwells
         assert all(abs(d - period) <= 1 for d in dwells)
@@ -211,8 +212,8 @@ def test_start_pulse_overlaps_last_select(config, stream40):
     _, stim, traces = stream40
     t0 = stim.timing.slot_start(1, 1)
     last = f"Sel{config.word_width}"
-    start_ints = [iv for iv in traces.intervals("Start", HIGH) if iv[0] >= t0]
-    sel_ints = [iv for iv in traces.intervals(last, HIGH) if iv[0] >= t0]
+    start_ints = [iv for iv in intervals(traces, "Start", HIGH) if iv[0] >= t0]
+    sel_ints = [iv for iv in intervals(traces, last, HIGH) if iv[0] >= t0]
     assert start_ints and sel_ints
     for (s0, s1) in start_ints[:10]:
         assert any(a < s1 and s0 < b for a, b in sel_ints), \
@@ -276,6 +277,13 @@ def test_horizon_must_cover_stimulus(config):
     nl = build_channel(config)
     with pytest.raises(ValueError):
         advance(nl, [NetEvent(100, "Enable", HIGH)], 50)
+
+
+@pytest.mark.parametrize("kernel", [Simulator, ReferenceSimulator])
+def test_stimulus_must_be_time_ordered(config, kernel):
+    events = [NetEvent(20, "Enable", HIGH), NetEvent(10, "Disable", LOW)]
+    with pytest.raises(ValueError, match="stimulus events must be time-ordered"):
+        kernel(build_channel(config)).run(events, 50)
 
 
 # --------------------------------------------------------------------------

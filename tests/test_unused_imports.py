@@ -1,6 +1,7 @@
 """Stand-ins for a linter: every name a ``datachan`` module or bench script
-imports is used, every public function or class of the package has a
-caller outside the tests, and only ``logic`` reads a trace's histories."""
+imports is used, every public function, class, method or property of the
+package has a caller outside the tests, and only ``logic`` reads a trace's
+histories."""
 
 import ast
 import re
@@ -81,23 +82,32 @@ def _named(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return names
 
 
+def _definitions(tree: ast.Module):
+    """Top-level functions and classes, and the methods and properties of the classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (f for f in node.body if isinstance(f, ast.FunctionDef))
+
+
 def _uncalled(paths: list[Path], callers: list[Path]) -> set[str]:
-    """Public top-level functions and classes of ``paths`` that ``callers`` never name."""
+    """Public definitions of ``paths`` (see ``_definitions``) that ``callers`` never name."""
     trees = {path: ast.parse(path.read_text()) for path in {*paths, *callers}}
     named = {path: _named(trees[path]) for path in callers}
     out = set()
     for path in paths:
         others = set().union(*(names for caller, names in named.items() if caller != path))
-        for node in trees[path].body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
+        for node in _definitions(trees[path]):
+            if (not node.name.startswith("_")
                     and node.name not in others | _named(trees[path], node)):
                 out.add(node.name)
     return out
 
 
 def test_every_public_name_has_a_caller():
-    """Public API that only the tests call moves to a ``tests/reference_*.py`` oracle."""
+    """Public API that only the tests call moves to a ``tests/reference_*.py`` oracle
+    (``mux_lines``, ``intervals``)."""
     assert not _uncalled(PACKAGE, CALLERS)
 
 
@@ -107,6 +117,17 @@ def test_the_check_finds_an_uncalled_function(tmp_path):
                    "def named():\n    pass\n\n\nclass _Private:\n    pass\n")
     user.write_text("import lib\nlib.used()\nPATCHES = [('lib', 'named')]\n")
     assert _uncalled([lib], [lib, user]) == {"loop"}
+
+
+def test_the_check_finds_an_uncalled_method(tmp_path):
+    lib, user = tmp_path / "lib.py", tmp_path / "user.py"
+    lib.write_text("class Trace:\n    def used(self):\n        return self.size\n\n"
+                   "    @property\n    def size(self):\n        return 0\n\n"
+                   "    @property\n    def unread(self):\n        return 1\n\n"
+                   "    def spare(self):\n        return self.spare()\n\n"
+                   "    def _hidden(self):\n        pass\n")
+    user.write_text("import lib\nlib.Trace().used()\n")
+    assert _uncalled([lib], [lib, user]) == {"unread", "spare"}
 
 
 def _history_reads(tree: ast.Module) -> list[int]:
