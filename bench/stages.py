@@ -4,18 +4,27 @@ Usage, from the root of a checkout (Python >= 3.10 and numpy):
 
     python3 bench/stages.py --out BENCH_11.json
     python3 bench/stages.py --out /tmp/small.json --words 20
-    python3 bench/stages.py --out BENCH_11.json --baseline parent.json
+    python3 bench/stages.py --out BENCH_15.json --ab ../parent-checkout
 
-The script runs ``run_scenario`` in process, with the default configuration:
+The script runs ``run_scenario`` with the default configuration:
 `stream-prbs10` at 1500 words with ``outputs = report`` (the `datachan report`
 path), and `stream-random` at 100, 600, 1000 and 4000 words with every output.
 ``--words`` sets every run's word count.  The stage records are the ones
 ``run_scenario`` keeps in ``ScenarioResult.stages``, one per pipeline stage and
-artifact writer (stage ``write_<key>``).  Each scenario runs ``REPEAT`` times
-untraced, for the median time of each stage by position, and once under
-``tracemalloc``, for the traced MB live before and after each stage and the
-peak while it ran.  ``--baseline`` embeds an earlier output, for instance one
-run on the parent commit.  The artifacts are the same files a plain run writes.
+artifact writer (stage ``write_<key>``).  Every run is a fresh subprocess
+(``--child``) that imports the package from this tree's ``src``.  Each
+scenario runs ``REPEAT`` times untraced, for the median time of each stage by
+position, and once under ``tracemalloc``, for the traced MB live before and
+after each stage and the peak while it ran.  The artifacts are the same files
+a plain run writes.
+
+``--ab OTHER_ROOT`` compares this tree with another checkout, whose runs
+import the package from its ``src``: the untraced runs go in ``REPEAT`` pairs,
+this tree first in even pairs and the other first in odd ones, then one
+traced run each.  A run records both sides, and for each stage name (the
+times of its calls summed) and for all stages together the ratio this / other
+of every pair: its median and quartiles.  The ratio of a stage neither tree
+changed reads 1 within them.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ import hashlib
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -61,10 +71,27 @@ def _run(sc: scenario.Scenario, traced: bool) -> tuple[list[dict], bool, dict]:
     return result.stages, result.passed, artifacts
 
 
-def measure(name: str, n_words: int, outputs: tuple[str, ...]) -> dict:
-    """Per-stage time and memory of in-process runs of preset ``name``."""
-    sc = replace(scenario.PRESETS[name], n_words=n_words, outputs=outputs)
-    runs = [_run(sc, traced=False) for _ in range(REPEAT)] + [_run(sc, traced=True)]
+# The command of a child run: import the package from the ``src`` given first,
+# then run this script on the other arguments.  Its ``src`` is never read, as
+# ``datachan`` and every module of it come from the package already imported.
+_CHILD = ("import runpy, sys; sys.path.insert(0, sys.argv[1]); import datachan; "
+          "sys.argv = sys.argv[2:]; runpy.run_path(sys.argv[0], run_name='__main__')")
+
+
+def _child(src: Path, name: str, n_words: int, outputs: tuple[str, ...],
+           traced: bool) -> tuple[list[dict], bool, dict]:
+    """``_run`` in a fresh interpreter that imports the package from ``src``."""
+    spec = json.dumps({"name": name, "words": n_words, "outputs": outputs, "traced": traced})
+    out = subprocess.run([sys.executable, "-c", _CHILD, str(src), __file__, "--child", spec],
+                         check=True, capture_output=True, text=True).stdout
+    stages, passed, artifacts, package = json.loads(out)
+    if Path(package).resolve() != (src / "datachan").resolve():
+        raise RuntimeError(f"a child run for {src} imported the package from {package}")
+    return stages, passed, artifacts
+
+
+def _summary(name: str, n_words: int, outputs: tuple[str, ...], runs: list) -> dict:
+    """Median stage times of all ``runs`` but the last, a traced one, with its memory."""
     shapes = [([s["stage"] for s in stages], ok, files) for stages, ok, files in runs]
     if any(shape != shapes[0] for shape in shapes):
         raise RuntimeError(f"{name}: the runs differ in stage sequence, verdict or artifacts")
@@ -75,20 +102,68 @@ def measure(name: str, n_words: int, outputs: tuple[str, ...]) -> dict:
             "stages": stages, "artifacts": artifacts}
 
 
-def src_lines() -> int:
-    return sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "datachan").glob("*.py"))
+def _stage_times(stages: list[dict]) -> dict[str, float]:
+    """Time per stage name, the calls of a name summed, and ``total``."""
+    out: dict[str, float] = {}
+    for s in stages:
+        out[s["stage"]] = out.get(s["stage"], 0.0) + s["time_s"]
+    out["total"] = sum(s["time_s"] for s in stages)
+    return out
+
+
+def measure(name: str, n_words: int, outputs: tuple[str, ...],
+            other_root: Path | None = None) -> dict:
+    """Per-stage time and memory of runs of preset ``name``; with ``other_root``,
+    that tree's alongside and the paired stage ratios."""
+    sides = {"this": ROOT / "src"}
+    if other_root is not None:
+        sides["other"] = other_root / "src"
+    timed: dict[str, list] = {side: [] for side in sides}
+    for pair in range(REPEAT):
+        for side in reversed(sides) if pair % 2 else sides:
+            timed[side].append(_child(sides[side], name, n_words, outputs, traced=False))
+    summary = {side: _summary(name, n_words, outputs,
+                              timed[side] + [_child(src, name, n_words, outputs, traced=True)])
+               for side, src in sides.items()}
+    this = summary["this"]
+    if other_root is None:
+        return this
+    other = summary["other"]
+    pairs = [(_stage_times(a[0]), _stage_times(b[0]))
+             for a, b in zip(timed["this"], timed["other"])]
+    ratios = {}
+    for stage in pairs[0][0]:
+        if stage in pairs[0][1]:
+            q1, mid, q3 = np.percentile([a[stage] / b[stage] for a, b in pairs], [25, 50, 75])
+            ratios[stage] = {"median": mid, "q1": q1, "q3": q3}
+    return this | {"other": {key: other[key] for key in ("passed", "stages", "artifacts")},
+                   "ratios": ratios}
+
+
+def src_lines(root: Path = ROOT) -> int:
+    return sum(len(p.read_text().splitlines()) for p in (root / "src" / "datachan").glob("*.py"))
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--out", help="JSON file to write")
     parser.add_argument("--words", type=int, help="word count of every run")
-    parser.add_argument("--baseline", help="earlier output of this script to embed")
+    parser.add_argument("--ab", metavar="OTHER_ROOT", help="checkout to compare with")
+    parser.add_argument("--child", help="one run in a subprocess, printed as JSON")
     args = parser.parse_args(argv)
+    if args.child:
+        spec = json.loads(args.child)
+        sc = replace(scenario.PRESETS[spec["name"]], n_words=spec["words"],
+                     outputs=tuple(spec["outputs"]))
+        print(json.dumps([*_run(sc, spec["traced"]), str(Path(scenario.__file__).parent)]))
+        return 0
+    if not args.out:
+        parser.error("--out is required")
+    other_root = Path(args.ab).resolve() if args.ab else None
     runs = []
     for name, n_words, outputs in dict.fromkeys(
             (name, args.words or n_words, outputs) for name, n_words, outputs in RUNS):
-        runs.append(measure(name, n_words, outputs))
+        runs.append(measure(name, n_words, outputs, other_root))
         stages = runs[-1]["stages"]
         top = max(stages, key=lambda s: s["peak_mb"])
         print(f"{name} {n_words} words: stages {sum(s['time_s'] for s in stages):.3f} s, "
@@ -96,8 +171,8 @@ def main(argv: list[str] | None = None) -> int:
     host = {"python": platform.python_version(), "numpy": np.__version__,
             "machine": platform.machine(), "cpus": os.cpu_count()}
     doc = {"repeat": REPEAT, "src_lines": src_lines(), "host": host, "runs": runs}
-    if args.baseline:
-        doc["baseline"] = json.loads(Path(args.baseline).read_text())
+    if other_root:
+        doc["ab"] = {"other": str(other_root), "other_src_lines": src_lines(other_root)}
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

@@ -144,12 +144,11 @@ def synthesize_tx(traces: SignalTraces, params: DriverParams, dt_ps: float,
 # --------------------------------------------------------------------------
 # supply current
 
-def line_transition_times(traces: SignalTraces) -> list[int]:
-    """Settled HIGH<->LOW transition times on the pre-driver lines Even, Odd, nEven and nOdd."""
-    # ``edges`` returns the histories' own time objects: new ints would stay
-    # alive as long as the caller keeps the list, about 1 MB per 30k transitions
-    out = [t for net in ("Even", "Odd", "nEven", "nOdd") for kind in ("rise", "fall")
-           for t in traces.edges(net, kind)]
+def line_transition_times(traces: SignalTraces) -> np.ndarray:
+    """Settled HIGH<->LOW transition times (int64, sorted) on the pre-driver lines
+    Even, Odd, nEven and nOdd."""
+    out = np.concatenate([traces.edges(net, kind) for net in ("Even", "Odd", "nEven", "nOdd")
+                          for kind in ("rise", "fall")])
     out.sort()
     return out
 
@@ -188,7 +187,7 @@ def _deposit_spikes(samples: np.ndarray, t0: float, dt: float,
                   (np.diff(cum, axis=1) / (dt * 1e-12))[inside])  # charge per bin -> amperes
 
 
-def supply_current(transition_times_ps: list[float], model: SpikeModel,
+def supply_current(transition_times_ps: np.ndarray, model: SpikeModel,
                    dt_ps: float, t0_ps: float, horizon_ps: float) -> WaveformTrace:
     """Quiescent DC draw plus one charge spike per line transition."""
     model.validate()

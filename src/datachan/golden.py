@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .config import ChannelConfig, _read_input
 from .errors import FramingError
 from .logic import HIGH, LOW, SignalTraces
@@ -58,41 +60,49 @@ def extract_serial(traces: SignalTraces, config: ChannelConfig) -> BitStream:
 
     Each slot is framed by the rise of its select; the bit is read at
     mid-slot from the slot's group line (Odd for odd selects, Even for
-    even) and cross-checked against the complement line.
+    even) and cross-checked against the complement line.  A slot out of
+    select order or with no bit on its lines raises ``FramingError``,
+    naming the first such slot.
     """
     width = config.word_width
     half = round(config.bit_period / 2)
 
-    slots: list[tuple[int, int]] = []
-    for k in range(1, width + 1):
-        slots.extend((t, k) for t in traces.edges(f"Sel{k}", "rise"))
-    slots.sort()
+    rises = [traces.edges(f"Sel{k}", "rise") for k in range(1, width + 1)]
+    t = np.concatenate(rises)
+    k = np.repeat(np.arange(1, width + 1), [len(r) for r in rises])
+    order = np.lexsort((k, t))  # by time, then select
+    t, k = t[order], k[order]
     # frame from the first Sel1 rise onward
-    while slots and slots[0][1] != 1:
-        slots.pop(0)
-    if not slots:
+    first = np.flatnonzero(k == 1)
+    if not len(first):
         return BitStream(bits=[], bit_period=config.bit_period)
+    start = int(t[first[0]])
+    n_complete = (len(k) - first[0]) // width * width
+    t, k = t[first[0]:][:n_complete], k[first[0]:][:n_complete]
 
-    n_complete = (len(slots) // width) * width
-    expected = 1
-    bits = []
-    for t, k in slots[:n_complete]:
-        if k != expected:
-            raise FramingError(f"select order broken at {t} ps: Sel{k}, "
-                               f"expected Sel{expected}")
-        expected = expected % width + 1
-        group, comp = ("Odd", "nOdd") if k % 2 == 1 else ("Even", "nEven")
-        mid = t + half
-        g, c = traces.level_at(group, mid), traces.level_at(comp, mid)
-        if g is LOW and c is HIGH:
-            bits.append(1)
-        elif g is HIGH and c is LOW:
-            bits.append(0)
-        else:
-            raise FramingError(
-                f"slot Sel{k} at {t} ps: {group}={g.name}, {comp}={c.name}"
-            )
-    return BitStream(bits=bits, start_time_ps=slots[0][0], bit_period=config.bit_period)
+    # g, c: the levels of the slot's group line and of its complement at mid-slot
+    mid = t + half
+    g = np.empty(len(t), dtype=np.int8)
+    c = np.empty(len(t), dtype=np.int8)
+    odd = k % 2 == 1
+    for slots, group, comp in ((odd, "Odd", "nOdd"), (~odd, "Even", "nEven")):
+        g[slots] = traces.levels_at(group, mid[slots])
+        c[slots] = traces.levels_at(comp, mid[slots])
+    one = (g == LOW) & (c == HIGH)
+    framed = one | ((g == HIGH) & (c == LOW))
+    expected = np.arange(n_complete) % width + 1
+    broken = np.flatnonzero((k != expected) | ~framed)
+    if len(broken):
+        i = broken[0]
+        if k[i] != expected[i]:
+            raise FramingError(f"select order broken at {t[i]} ps: Sel{k[i]}, "
+                               f"expected Sel{expected[i]}")
+        group, comp = ("Odd", "nOdd") if odd[i] else ("Even", "nEven")
+        raise FramingError(f"slot Sel{k[i]} at {t[i]} ps: {group}="
+                           f"{traces.level_at(group, mid[i]).name}, "
+                           f"{comp}={traces.level_at(comp, mid[i]).name}")
+    return BitStream(bits=one.astype(np.int64).tolist(), start_time_ps=start,
+                     bit_period=config.bit_period)
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,7 @@ pre-driver lines Even/Odd/nEven/nOdd.
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass, field
 
 from .config import ChannelConfig
@@ -270,9 +271,13 @@ class Simulator:
     Components only compute levels; the kernel drops an event equal to
     ``last[net]``, the code most recently queued for its net.  This is exact:
     a driven net has one driver with a fixed delay, so its pending events
-    are FIFO.  Stimulus no-ops and same-time glitches still reach the loop,
-    which skips an event equal to the net's level and collapses a change
-    undone at the same timestamp.
+    are FIFO.  Stimulus no-ops still reach the loop, which skips an event
+    equal to the net's level.
+
+    The loop appends each applied change's time and code to two flat logs,
+    which start with every net's power-on ``(0, UNKNOWN)``.  Same-time
+    glitches are collapsed after the run, when ``SignalTraces.from_log``
+    turns the logs into per-net columns.
 
     Pending events wait in one FIFO list per timestamp, and a heap holds
     the distinct timestamps.  Stimulus events at a timestamp precede the
@@ -286,7 +291,6 @@ class Simulator:
         self.index = {net: i for i, net in enumerate(netlist.nets)}
         self.low = len(netlist.nets)
         self.values = [2] * self.low + [0]
-        self.histories: list[list[tuple[int, int]]] = [[(0, 2)] for _ in netlist.nets]
         self._inputs = {net: self.index[net] << 2 for net in netlist.primary_inputs}
         last = [net << 2 | 2 for net in range(self.low)]
         times: list[int] = []
@@ -339,7 +343,10 @@ class Simulator:
 
     def run(self, stimulus: list[NetEvent], until_ps: int) -> SignalTraces:
         limit = self.netlist.config.loop_limit
-        values, histories, actions = self.values, self.histories, self._actions
+        values, actions = self.values, self._actions
+        log_t = array("q", bytes(8 * self.low))
+        log_code = array("q", range(2, 4 * self.low, 4))  # net << 2 | UNKNOWN
+        log_t_append, log_code_append = log_t.append, log_code.append
         last, times, pending = self._last, self._times, self._pending
         heappush, heappop = heapq.heappush, heapq.heappop
         stim = self._stimulus_buckets(stimulus, until_ps)
@@ -371,13 +378,8 @@ class Simulator:
                 if new == old:
                     continue
                 values[net] = new
-                hist = histories[net]
-                if hist[-1][0] != t:
-                    hist.append((t, new))
-                elif len(hist) > 1 and hist[-2][1] == new:
-                    hist.pop()
-                else:
-                    hist[-1] = (t, new)
+                log_t_append(t)
+                log_code_append(code)
                 for delay, base, src in actions[code * 3 + old]:
                     if delay is None:
                         base(t)
@@ -394,8 +396,7 @@ class Simulator:
                     else:
                         sched.append(queued)
             del pending[t]
-        return SignalTraces(events=dict(zip(self.netlist.nets, histories)),
-                            horizon_ps=until_ps)
+        return SignalTraces.from_log(self.netlist.nets, log_t, log_code, until_ps)
 
 
 def advance(netlist: ChannelNetlist, stimulus: list[NetEvent],

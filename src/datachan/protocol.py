@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .config import ChannelConfig
 from .errors import IncompleteTraceError
 from .logic import HIGH, LOW, Level, SignalTraces
@@ -88,16 +90,16 @@ def check_protocol(traces: SignalTraces, schedule: ProtocolSchedule,
         records.append(LatencyRecord(Action.DISABLE_ASSERT, t_d, latency,
                                      latency <= bound))
 
-    for t_e in enable_times:
-        rises = [t for t in traces.edges("Sel1", "rise") if t > t_e]
-        if not rises:
+    sel1_rises = traces.edges("Sel1", "rise")
+    for t_e, i in zip(enable_times, sel1_rises.searchsorted(enable_times, side="right")):
+        if i == len(sel1_rises):
             if horizon < t_e + bound:
                 raise IncompleteTraceError(
                     f"horizon ends before the enable at {t_e} ps could take effect"
                 )
             records.append(LatencyRecord(Action.ENABLE_PULSE, t_e, None, False))
             continue
-        latency = rises[0] - t_e
+        latency = int(sel1_rises[i]) - t_e
         records.append(LatencyRecord(Action.ENABLE_PULSE, t_e, latency,
                                      latency <= bound))
 
@@ -118,16 +120,14 @@ def check_protocol(traces: SignalTraces, schedule: ProtocolSchedule,
 
     # enable pulses spanning two sampling edges re-inject the token
     dclk_rises = traces.edges("Dclk", "rise")
-    prev_high = False
-    for t in dclk_rises:
-        en_high = traces.level_at("Enable", t - 1) is HIGH
-        if en_high and prev_high:
-            warnings.append(
-                f"Enable held high across consecutive sampling edges near {t} ps; "
-                f"a doubled token will corrupt the one-hot sequence"
-            )
-            break
-        prev_high = en_high
+    en_high = traces.levels_at("Enable", dclk_rises - 1) == HIGH
+    doubled = np.flatnonzero(en_high[1:] & en_high[:-1])
+    if len(doubled):
+        warnings.append(
+            f"Enable held high across consecutive sampling edges near "
+            f"{dclk_rises[doubled[0] + 1]} ps; a doubled token will corrupt the "
+            f"one-hot sequence"
+        )
 
     return ProtocolVerdict(bound_ps=bound, records=records,
                            reset_complete_ps=reset_complete, warnings=warnings)

@@ -108,11 +108,20 @@ def _stage(result: ScenarioResult, name: str, fn, /, *args, **kwargs):
         result.stages.append(record)
 
 
+# The most Tx samples per leg, FFT points or eye bins one run may need.  Each
+# is the length of one float64 array, so this bounds every array of a run at
+# 256 MiB.  A 4000-word run at the default 10 ps needs 2.4M Tx samples per
+# leg and 2^22 FFT points.  A power of two, so that ``_check_words`` need not
+# count the FFT points.
+WORK_BUDGET = 1 << 25
+
+
 def validate_scenario(config: ChannelConfig, sc: Scenario) -> None:
     """Raise ``ConfigError`` for a scenario that ``config`` cannot run.
 
-    A file source is read here, to check ``disable_at_word`` against its
-    word count.
+    The work the run needs is checked against ``WORK_BUDGET`` before anything
+    is allocated.  A word file's count is known once it is read: ``_words_for``
+    checks it, and it is read here only to check ``disable_at_word``.
     """
     if sc.name in ("", ".", "..") or "/" in sc.name or "\\" in sc.name:
         raise ConfigError(f"scenario name must be a plain file name, got {sc.name!r}")
@@ -132,12 +141,32 @@ def validate_scenario(config: ChannelConfig, sc: Scenario) -> None:
         # zero bits: only the seed check runs (SeedError is a ConfigError)
         stimulus.prbs_bits(sc.source.upper(), 0,
                            sc.seed if sc.seed is not None else config.seed)
-    if sc.disable_at_word is not None and sc.source != "none":
-        n = len(_words_for(config, sc)) if sc.source == "file" else (
-            sc.n_words if sc.n_words is not None else config.horizon_words)
-        if not 0 <= sc.disable_at_word < n:
-            raise ConfigError(f"disable_at_word must be in 0..{n - 1} "
-                              f"for {n} words, got {sc.disable_at_word}")
+    if sc.source == "file":
+        if sc.disable_at_word is not None:
+            _words_for(config, sc)
+        return
+    _check_words(config, sc, 0 if sc.source == "none" else (
+        sc.n_words if sc.n_words is not None else config.horizon_words))
+
+
+def _check_words(config: ChannelConfig, sc: Scenario, n_words: int) -> None:
+    """Raise ``ConfigError`` if ``sc`` cannot run on ``n_words`` words: its
+    ``disable_at_word`` is not one of them, or it needs more than
+    ``WORK_BUDGET`` Tx samples per leg or eye bins.
+
+    The FFT pads the streaming window, a part of a leg, to the next power of
+    two: within the power-of-two budget whenever the leg is.
+    """
+    if sc.disable_at_word is not None and sc.source != "none" and not (
+            0 <= sc.disable_at_word < n_words):
+        raise ConfigError(f"disable_at_word must be in 0..{n_words - 1} "
+                          f"for {n_words} words, got {sc.disable_at_word}")
+    until = stimulus.stream_horizon(config, n_words, *_control(config, sc))
+    for quantity, count in (("Tx samples per leg", until / config.dt_ps),
+                            ("eye bins", config.eye_bins_t * config.eye_bins_v)):
+        if count > WORK_BUDGET:
+            raise ConfigError(f"the run needs {count:.4g} {quantity}, over the work "
+                              f"budget of {WORK_BUDGET}")
 
 
 def _words_for(config: ChannelConfig, sc: Scenario) -> list[stimulus.Word]:
@@ -154,13 +183,32 @@ def _words_for(config: ChannelConfig, sc: Scenario) -> list[stimulus.Word]:
     if not sc.word_file:
         raise ConfigError("scenario source 'file' needs word_file")
     try:
-        return golden.load_words(sc.word_file, w)
+        words = golden.load_words(sc.word_file, w)
     except ValueError as exc:
         raise ConfigError(f"word file {sc.word_file}: {exc}") from None
+    _check_words(config, sc, len(words))
+    return words
 
 
 # A standby run lasts this many bit periods.
 STANDBY_PERIODS = 200
+
+
+def _control(config: ChannelConfig, sc: Scenario) -> tuple[stimulus.ProtocolSchedule, int]:
+    """The control schedule of ``sc`` and the bit periods its run lasts after the
+    last word (after power-on: a standby run never streams)."""
+    schedule = stimulus.reset_schedule(config)
+    if sc.source == "none":
+        return stimulus.ProtocolSchedule(schedule.actions[:1]), STANDBY_PERIODS
+    if sc.disable_at_word is not None:
+        enable = schedule.times_of(stimulus.Action.ENABLE_PULSE)[0]
+        timing = stimulus.timing_for_enable(config, enable)
+        t_d = timing.slot_mid(sc.disable_at_word, config.word_width // 2)
+        schedule = stimulus.ProtocolSchedule(
+            schedule.actions + [(t_d, stimulus.Action.DISABLE_ASSERT)]
+        )
+    return schedule, 4
+
 
 # Artifacts in write order: (output kind, product, result key, file suffix,
 # writer).  A product the run did not make (no eye from a short window, no
@@ -192,18 +240,9 @@ def run_scenario(config: ChannelConfig, sc: Scenario, out_dir: str | Path) -> Sc
     result = ScenarioResult(name=sc.name, passed=True)
     standby = sc.source == "none"
     words = [] if standby else _words_for(config, sc)
-    schedule = stimulus.reset_schedule(config)
-    if standby:
-        schedule = stimulus.ProtocolSchedule(schedule.actions[:1])
-    elif sc.disable_at_word is not None:
-        enable = schedule.times_of(stimulus.Action.ENABLE_PULSE)[0]
-        timing = stimulus.timing_for_enable(config, enable)
-        t_d = timing.slot_mid(sc.disable_at_word, config.word_width // 2)
-        schedule = stimulus.ProtocolSchedule(
-            schedule.actions + [(t_d, stimulus.Action.DISABLE_ASSERT)]
-        )
+    schedule, tail_periods = _control(config, sc)
     stim = _stage(result, "stimulus", stimulus.stream_stimulus, config, words, schedule,
-                  tail_periods=STANDBY_PERIODS if standby else 4)
+                  tail_periods)
 
     netlist = build_channel(config)
     traces = _stage(result, "kernel", advance, netlist, stim.events, stim.until_ps)
@@ -269,8 +308,8 @@ def _stream_checks(config: ChannelConfig, sc: Scenario, words: list[stimulus.Wor
 
     wp, wm = window(tx_plus), window(tx_minus)
 
-    transitions = [t for t in _stage(result, "transitions", drv.line_transition_times, traces)
-                   if t_stream0 <= t < t_stream1]
+    transitions = _stage(result, "transitions", drv.line_transition_times, traces)
+    transitions = transitions[(transitions >= t_stream0) & (transitions < t_stream1)]
     current = _stage(result, "supply_current", drv.supply_current, transitions, config.spike,
                      config.dt_ps, t_stream0, t_stream1)
     spec_obj = _stage(result, "spectrum", specmod.spectrum, current)

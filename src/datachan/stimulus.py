@@ -205,8 +205,7 @@ def stream_stimulus(config: ChannelConfig, words: list[Word],
     if words and not enable_times:
         raise ValueError("schedule contains no enable pulse")
     timing = timing_for_enable(config, enable_times[0]) if enable_times else None
-    start = timing.slot_start(len(words), 1) if timing else 0
-    until = start + round(tail_periods * config.bit_period)
+    until = stream_horizon(config, len(words), schedule, tail_periods)
     events = merge_events([
         clock_events(config, until),
         schedule.to_events(config),
@@ -214,6 +213,17 @@ def stream_stimulus(config: ChannelConfig, words: list[Word],
     ])
     return StreamStimulus(events=events, timing=timing, schedule=schedule,
                           until_ps=until)
+
+
+def stream_horizon(config: ChannelConfig, n_words: int, schedule: ProtocolSchedule,
+                   tail_periods: int) -> int:
+    """The end of ``stream_stimulus``'s run of ``n_words`` under ``schedule``:
+    ``tail_periods`` bit periods after the slot that would follow the last word,
+    or after power-on if ``schedule`` holds no enable pulse."""
+    enable_times = schedule.times_of(Action.ENABLE_PULSE)
+    start = (timing_for_enable(config, enable_times[0]).slot_start(n_words, 1)
+             if enable_times else 0)
+    return start + round(tail_periods * config.bit_period)
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@ across test modules."""
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -33,11 +34,19 @@ def stream40_bits(config, stream40):
 
 @pytest.fixture(scope="session")
 def stage_bench(tmp_path_factory):
-    """bench/stages.py run once at 12 words: (the script's module, its JSON)."""
-    script = Path(__file__).resolve().parents[1] / "bench" / "stages.py"
-    spec = importlib.util.spec_from_file_location("bench_stages", script)
+    """bench/stages.py run once at 12 words, ``--ab`` against this tree named by
+    a path relative to the working directory: (the script's module, its JSON,
+    that path)."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bench_stages", root / "bench" / "stages.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    out = tmp_path_factory.mktemp("stage_bench") / "bench.json"
-    assert bench.main(["--out", str(out), "--words", "12"]) == 0
-    return bench, json.loads(out.read_text())
+    work = tmp_path_factory.mktemp("stage_bench")
+    other = os.path.relpath(root, work)
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        assert bench.main(["--out", "bench.json", "--words", "12", "--ab", other]) == 0
+    finally:
+        os.chdir(cwd)
+    return bench, json.loads((work / "bench.json").read_text()), other

@@ -7,6 +7,12 @@ component logic below is the original ``poke`` code, kept on subclasses
 of the netlist description classes, with the original ``Level``-valued
 gates and reset-block logic: independent of the kernel's lookup tables.
 
+The reference keeps list histories, recorded change by change with
+``record``, the rule the kernel's loop once applied; ``traces_from_histories``
+turns such lists into ``SignalTraces`` columns, for the reference and for
+traces the tests build by hand.  ``histories_from_log`` applies ``record`` to
+a kernel change log: the oracle of ``SignalTraces.from_log``.
+
 ``mux_lines`` recomputes the four wired lines, delay-free, from the select
 traces and the data histories on the ``logic`` gate tables: the reference
 for the kernel's ``SharedLine`` components.  ``intervals`` lists the pulses
@@ -18,6 +24,8 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from datachan.errors import ContentionError, OscillationError
 from datachan.logic import AND, HIGH, LOW, NOT, OR, UNKNOWN, Level, NetEvent, SignalTraces
@@ -196,15 +204,6 @@ class ReferenceSimulator:
     def schedule(self, time_ps: int, net: str, level: Level):
         heapq.heappush(self._heap, (time_ps, next(self._seq), net, level))
 
-    def _record(self, net: str, t: int, level: Level):
-        hist = self.traces[net]
-        if hist and hist[-1][0] == t:
-            hist[-1] = (t, level)
-            if len(hist) > 1 and hist[-2][1] is level:
-                hist.pop()
-        else:
-            hist.append((t, level))
-
     def run(self, stimulus: list[NetEvent], until_ps: int) -> SignalTraces:
         last_t = 0
         for ev in stimulus:
@@ -236,10 +235,45 @@ class ReferenceSimulator:
             if level is old:
                 continue
             self.values[net] = level
-            self._record(net, t, level)
+            record(self.traces[net], t, level)
             for comp in self.sensitivity.get(net, ()):
                 comp.poke(self, net, old, level, t)
-        return SignalTraces(events=self.traces, horizon_ps=until_ps)
+        return traces_from_histories(self.traces, until_ps)
+
+
+# --------------------------------------------------------------------------
+# list histories: the traces' columns as the kernel once recorded them
+
+def traces_from_histories(histories: dict[str, list[tuple[int, int]]],
+                          horizon_ps: int) -> SignalTraces:
+    """``SignalTraces`` of per-net ``[(time_ps, level), ...]`` histories, as given."""
+    columns = {}
+    for net, hist in histories.items():
+        times = np.array([t for t, _ in hist], dtype=np.int64)
+        codes = np.array([lvl for _, lvl in hist], dtype=np.int8)
+        times.flags.writeable = codes.flags.writeable = False
+        columns[net] = (times, codes)
+    return SignalTraces(columns=columns, horizon_ps=horizon_ps)
+
+
+def record(hist: list[tuple[int, int]], t: int, level: int) -> None:
+    """Record a change applied at ``t`` in ``hist``: a change at the time of the
+    last entry replaces it, and is dropped if it restores the level before it."""
+    if hist and hist[-1][0] == t:
+        hist[-1] = (t, level)
+        if len(hist) > 1 and hist[-2][1] == level:
+            hist.pop()
+    else:
+        hist.append((t, level))
+
+
+def histories_from_log(nets: list[str], log: list[tuple[int, int]]) -> dict[str, list]:
+    """Every net's history from a change log of ``(time_ps, net << 2 | level)`` that
+    starts with each net's power-on ``(0, net << 2 | UNKNOWN)``, change by change."""
+    out: dict[str, list] = {net: [] for net in nets}
+    for t, code in log:
+        record(out[nets[code >> 2]], t, code & 3)
+    return out
 
 
 # --------------------------------------------------------------------------

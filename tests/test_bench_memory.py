@@ -7,7 +7,7 @@ STAGES = {"stimulus", "kernel", "tx_synthesis", "extract", "protocol", "transiti
 
 
 def test_memory_bench_records_each_stage(stage_bench):
-    bench, doc = stage_bench
+    bench, doc, _ = stage_bench
     assert doc["repeat"] == bench.REPEAT
     # --words 12 makes the four stream-random runs one
     report, full = doc["runs"]

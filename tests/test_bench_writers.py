@@ -7,7 +7,7 @@ from datachan.cli import main
 
 
 def test_writer_bench_matches_a_plain_run(stage_bench, tmp_path):
-    _, doc = stage_bench
+    _, doc, _ = stage_bench
     # --words 12 makes the four stream-random runs one
     _, full = doc["runs"]
     assert full["words"] == 12 and full["passed"]

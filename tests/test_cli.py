@@ -9,20 +9,20 @@ import pytest
 from datachan.cli import main
 from datachan.config import ChannelConfig, config_to_text
 from datachan.errors import ConfigError
-from datachan.logic import HIGH, LOW, UNKNOWN, SignalTraces
-from datachan.scenario import (PRESETS, load_scenario, parse_scenario_text,
-                               run_scenario)
+from datachan.logic import HIGH, LOW, UNKNOWN
+from datachan.scenario import (PRESETS, WORK_BUDGET, load_scenario, parse_scenario_text,
+                               run_scenario, validate_scenario)
 from datachan.vcd import traces_to_vcd
+from reference_kernel import traces_from_histories
 
 
 # --------------------------------------------------------------------------
 # VCD export
 
 def _small_traces():
-    return SignalTraces(
-        events={"Clk": [(0, LOW), (100, HIGH), (200, LOW)],
-                "Q": [(0, UNKNOWN), (130, HIGH)]},
-        horizon_ps=300,
+    return traces_from_histories(
+        {"Clk": [(0, LOW), (100, HIGH), (200, LOW)], "Q": [(0, UNKNOWN), (130, HIGH)]},
+        300,
     )
 
 
@@ -51,12 +51,12 @@ def test_vcd_byte_stable():
 
 def test_vcd_rejects_empty():
     with pytest.raises(ValueError):
-        traces_to_vcd(SignalTraces(events={}, horizon_ps=0))
+        traces_to_vcd(traces_from_histories({}, 0))
 
 
 def test_vcd_rejects_negative_times():
     with pytest.raises(ValueError, match="negative change time -5 ps"):
-        traces_to_vcd(SignalTraces(events={"A": [(-5, HIGH), (10, LOW)]}, horizon_ps=20))
+        traces_to_vcd(traces_from_histories({"A": [(-5, HIGH), (10, LOW)]}, 20))
 
 
 # --------------------------------------------------------------------------
@@ -273,6 +273,9 @@ BAD_CONFIGS = {
     # the paper's 2.8 V output bias is not modelled, so it has no keys
     "driver.i_bias_a = 5.343e-07\n": "unknown key 'driver.i_bias_a'",
     "driver.v_bias_v = 2.8\n": "unknown key 'driver.v_bias_v'",
+    # accepted by validate(), but over the work budget: exit 2 before allocating
+    "dt_ps = 1e-300\n": "Tx samples per leg, over the work budget of 33554432",
+    "eye_bins_v = 1000000000000\n": "1.28e+14 eye bins, over the work budget of 33554432",
 }
 
 
@@ -282,6 +285,39 @@ def test_cli_bad_config_is_usage_error(tmp_path, capsys):
         bad.write_text(text)
         err = _usage_error(capsys, ["run", "--config", str(bad), "--out", str(tmp_path)])
         assert message in err
+
+
+def test_work_budget_admits_the_4000_word_stage_bench_run():
+    config = ChannelConfig()
+    validate_scenario(config, replace(PRESETS["stream-random"], n_words=4000))
+    # the largest stream at the default dt_ps, as README gives it
+    validate_scenario(config, replace(PRESETS["stream-random"], n_words=55_362))
+    with pytest.raises(ConfigError, match="Tx samples per leg, over the work budget"):
+        validate_scenario(config, replace(PRESETS["stream-random"], n_words=55_363))
+    # a power of two, so the FFT's padded window stays within it with the leg
+    assert WORK_BUDGET & (WORK_BUDGET - 1) == 0
+
+
+def test_word_file_over_the_work_budget_is_usage_error(tmp_path, capsys):
+    # a word file's count is known once the run reads it, before the stimulus
+    wf, sc, cfg = tmp_path / "words.txt", tmp_path / "file.scenario", tmp_path / "c.cfg"
+    wf.write_text("0101010101\n" * 3)
+    sc.write_text(f"source = file\nword_file = {wf}\n")
+    cfg.write_text("dt_ps = 1e-300\n")
+    err = _usage_error(capsys, ["run", "--config", str(cfg), "--scenario", str(sc),
+                                "--out", str(tmp_path / "out")])
+    assert "Tx samples per leg, over the work budget of 33554432" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("word", [-1, 3])
+def test_word_file_disable_outside_its_words_is_usage_error(tmp_path, capsys, word):
+    wf, sc = tmp_path / "words.txt", tmp_path / "file.scenario"
+    wf.write_text("0101010101\n" * 3)
+    sc.write_text(f"source = file\nword_file = {wf}\ndisable_at_word = {word}\n")
+    err = _usage_error(capsys, ["run", "--scenario", str(sc), "--out", str(tmp_path / "out")])
+    assert f"disable_at_word must be in 0..2 for 3 words, got {word}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_config_file_round_trip(tmp_path):

@@ -9,8 +9,9 @@ import pytest
 from datachan.config import DriverParams, SpikeModel
 from datachan import driver as drv
 from datachan.golden import BitStream
-from datachan.logic import HIGH, LOW, SignalTraces
+from datachan.logic import HIGH, LOW
 from reference_analysis import naive_supply_current
+from reference_kernel import traces_from_histories
 
 
 def test_standby_and_sink_levels_follow_ohms_law():
@@ -26,7 +27,7 @@ def _line_traces(events, horizon):
     base = {n: [(0, HIGH)] for n in ("Even", "Odd", "nEven", "nOdd")}
     for net, extra in events.items():
         base[net] = base[net] + extra
-    return SignalTraces(events=base, horizon_ps=horizon)
+    return traces_from_histories(base, horizon)
 
 
 def test_released_lines_sit_at_standby():
@@ -72,14 +73,14 @@ def test_both_legs_complementary_sum(config, stream40):
 
 
 def test_line_transition_times_ignore_power_on():
-    traces = SignalTraces(
-        events={"Even": [(0, HIGH), (100, LOW), (200, HIGH)],
-                "Odd": [(0, HIGH)],
-                "nEven": [(0, HIGH)],
-                "nOdd": [(50, HIGH), (150, LOW)]},  # first entry leaves UNKNOWN
-        horizon_ps=300,
+    traces = traces_from_histories(
+        {"Even": [(0, HIGH), (100, LOW), (200, HIGH)],
+         "Odd": [(0, HIGH)],
+         "nEven": [(0, HIGH)],
+         "nOdd": [(50, HIGH), (150, LOW)]},  # first entry leaves UNKNOWN
+        300,
     )
-    assert drv.line_transition_times(traces) == [100, 150, 200]
+    assert drv.line_transition_times(traces).tolist() == [100, 150, 200]
 
 
 def test_spike_conserves_charge():

@@ -9,9 +9,10 @@ from datachan import advance, build_channel
 from datachan.errors import FramingError
 from datachan.golden import (BitStream, extract_serial, format_bitstream,
                              golden_serialize, parse_word_text)
-from datachan.logic import HIGH, LOW, SignalTraces
+from datachan.logic import HIGH, LOW
 from datachan import stimulus
 from reference_analysis import transition_times
+from reference_kernel import traces_from_histories
 
 WORD = st.tuples(*[st.integers(0, 1)] * 10)
 
@@ -59,7 +60,7 @@ def test_extract_serial_empty_without_activity(config):
     width = config.word_width
     events = {f"Sel{k}": [(0, LOW)] for k in range(1, width + 1)}
     events.update({n: [(0, HIGH)] for n in ("Even", "Odd", "nEven", "nOdd")})
-    traces = SignalTraces(events=events, horizon_ps=1000)
+    traces = traces_from_histories(events, 1000)
     assert extract_serial(traces, config).bits == []
 
 
@@ -72,9 +73,48 @@ def test_extract_serial_rejects_undriven_slot(config):
         t = 1000 + (k - 1) * period
         events[f"Sel{k}"] = [(0, LOW), (t, HIGH), (t + period, LOW)]
     events.update({n: [(0, HIGH)] for n in ("Even", "Odd", "nEven", "nOdd")})
-    traces = SignalTraces(events=events, horizon_ps=1000 + 11 * period)
-    with pytest.raises(FramingError):
+    traces = traces_from_histories(events, 1000 + 11 * period)
+    with pytest.raises(FramingError, match=r"^slot Sel1 at 1000 ps: Odd=HIGH, nOdd=HIGH$"):
         extract_serial(traces, config)
+
+
+def _one_word(config, order, released=()):
+    """Traces of one word from 1000 ps: ``order[j]`` is the select that rises in
+    slot j.  The lines carry a 1 in every slot but those in ``released``, where
+    the slot's group line is released too."""
+    period = round(config.bit_period)
+    events = {f"Sel{k}": [(0, LOW)] for k in range(1, config.word_width + 1)}
+    events.update({"Odd": [(0, LOW)], "nOdd": [(0, HIGH)],
+                   "Even": [(0, LOW)], "nEven": [(0, HIGH)]})
+    for j, k in enumerate(order):
+        t = 1000 + j * period
+        events[f"Sel{k}"] += [(t, HIGH), (t + period, LOW)]
+        if j in released:
+            events["Odd" if k % 2 else "Even"] += [(t, HIGH), (t + period, LOW)]
+    return traces_from_histories(events, 1000 + (len(order) + 1) * period)
+
+
+SWAPPED = [1, 2, 4, 3, 5, 6, 7, 8, 9, 10]  # Sel4 rises in slot 3, where Sel3 is due
+
+
+@pytest.mark.parametrize("order, released, message", [
+    (list(range(1, 11)), (), None),
+    (SWAPPED, (), "select order broken at 2212 ps: Sel4, expected Sel3"),
+    (SWAPPED, (5,), "select order broken at 2212 ps: Sel4, expected Sel3"),
+    # the order is checked before the lines of the same slot
+    (SWAPPED, (2,), "select order broken at 2212 ps: Sel4, expected Sel3"),
+    ([1, 2, 3, 4, 5, 6, 8, 7, 9, 10], (4,), "slot Sel5 at 3424 ps: Odd=HIGH, nOdd=HIGH"),
+    (list(range(1, 11)), (5, 7), "slot Sel6 at 4030 ps: Even=HIGH, nEven=HIGH"),
+])
+def test_extract_serial_names_the_first_failing_slot(config, order, released, message):
+    traces = _one_word(config, order, released)
+    if message is None:
+        stream = extract_serial(traces, config)
+        assert stream.bits == [1] * 10 and stream.start_time_ps == 1000
+        return
+    with pytest.raises(FramingError) as info:
+        extract_serial(traces, config)
+    assert str(info.value) == message
 
 
 def test_word_text_leftmost_is_highest_bit():

@@ -1,16 +1,18 @@
 """The compiled event kernel against the original kernel and the functional oracles."""
 
 import gc
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from datachan import ChannelConfig, advance, build_channel, golden, protocol, stimulus
 from datachan.errors import ContentionError, OscillationError
-from datachan.logic import HIGH, LOW, UNKNOWN, NetEvent, SignalTraces
+from datachan.logic import HIGH, LOW, UNKNOWN, NetEvent
 from datachan.netlist import Buffer, ChannelNetlist, SharedLine, Simulator
-from reference_kernel import ReferenceSimulator, mux_lines
+from reference_kernel import ReferenceSimulator, mux_lines, traces_from_histories
 
 
 @st.composite
@@ -82,8 +84,7 @@ def test_compiled_kernel_matches_reference_and_oracles(run):
     source = {f"D{i}": traces.events[f"D{i}"] for i in range(width - 2)}
     source[f"D{width - 2}"] = traces.events[f"HoldD{width - 2}"]
     source[f"D{width - 1}"] = traces.events[f"HoldD{width - 1}"]
-    lines = SignalTraces(events=mux_lines(traces, source, width),
-                         horizon_ps=traces.horizon_ps)
+    lines = traces_from_histories(mux_lines(traces, source, width), traces.horizon_ps)
     for r in range(1, last_round - 1):
         for slot in range(1, width + 1):
             mid = stim.timing.slot_mid(r, slot)
@@ -140,6 +141,19 @@ def test_histories_hold_plain_level_codes(stream40):
     levels = {type(lvl) for hist in traces.events.values() for _, lvl in hist}
     assert levels == {int}
     assert {lvl for hist in traces.events.values() for _, lvl in hist} == {0, 1, 2}
+
+
+def test_perfbench_trace_entries_count_the_reference_histories(config, stream40):
+    # the counter perfbench's traced mode applies to each ``advance`` result
+    script = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", script)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    _, stim, traces = stream40
+    reference = ReferenceSimulator(build_channel(config))
+    reference.run(stim.events, stim.until_ps)
+    want = sum(len(hist) for hist in reference.traces.values())
+    assert tracing._trace_entries((), traces) == {"trace_entries": want}
 
 
 def test_finished_run_leaves_no_reference_cycles(config, stream40):

@@ -6,9 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from datachan import ChannelConfig, advance, build_channel
 from datachan.errors import IncompleteTraceError
-from datachan.logic import HIGH, LOW, UNKNOWN, NetEvent, SignalTraces, merge_events
+from datachan.logic import HIGH, LOW, UNKNOWN, NetEvent, merge_events
 from datachan.protocol import _quiet_since, check_protocol, latency_bound_ps
 from datachan import stimulus
+from reference_kernel import traces_from_histories
 
 
 def test_latency_bound_value(config):
@@ -93,7 +94,40 @@ def test_wide_enable_pulse_warns(config):
         (t_e, stimulus.Action.ENABLE_PULSE),
     ])
     verdict = check_protocol(traces, sched, config)
-    assert any("consecutive sampling edges" in w for w in verdict.warnings)
+    # the second of two consecutive rising Dclk edges that see Enable high,
+    # by the per-edge scan the check replaced
+    prev_high, doubled = False, None
+    for t in map(int, traces.edges("Dclk", "rise")):
+        high = traces.level_at("Enable", t - 1) is HIGH
+        if high and prev_high:
+            doubled = t
+            break
+        prev_high = high
+    assert doubled is not None
+    assert [w for w in verdict.warnings if "consecutive sampling edges" in w] == [
+        f"Enable held high across consecutive sampling edges near {doubled} ps; "
+        "a doubled token will corrupt the one-hot sequence"]
+
+
+def test_enable_that_cannot_start_the_ring(config):
+    # Disable is never released, so no select rises after the enable
+    reset = stimulus.reset_schedule(config)
+    t_e = reset.times_of(stimulus.Action.ENABLE_PULSE)[0]
+    sched = stimulus.ProtocolSchedule(
+        [action for action in reset.actions if action[1] is not stimulus.Action.DISABLE_RELEASE])
+    stim = stimulus.stream_stimulus(config, [], sched, tail_periods=40)
+    traces = advance(build_channel(config), stim.events, stim.until_ps)
+    assert stim.until_ps >= t_e + latency_bound_ps(config)
+    verdict = check_protocol(traces, sched, config)
+    assert [(r.time_ps, r.latency_ps, r.passed) for r in verdict.records
+            if r.action is stimulus.Action.ENABLE_PULSE] == [(t_e, None, False)]
+    assert not verdict.passed
+    # a horizon shorter than the bound cannot tell
+    stim = stimulus.stream_stimulus(config, [], sched)
+    traces = advance(build_channel(config), stim.events, stim.until_ps)
+    with pytest.raises(IncompleteTraceError,
+                       match=f"^horizon ends before the enable at {t_e} ps could take effect$"):
+        check_protocol(traces, sched, config)
 
 
 # --------------------------------------------------------------------------
@@ -168,11 +202,14 @@ HIST = [(5, UNKNOWN), (10, LOW), (20, HIGH), (30, LOW)]
 @example(([(0, LOW), (10, UNKNOWN), (20, HIGH)], 5, 25, HIGH))  # UNKNOWN mid-history
 def test_bisection_matches_linear_scans(case):
     hist, t_from, t_to, quiet = case
-    traces = SignalTraces(events={"N": hist}, horizon_ps=50)
+    traces = traces_from_histories({"N": hist}, 50)
     for t in range(-6, 47):
         assert traces.level_at("N", t) is _scan_level_at(hist, t)
         assert traces.last_change("N", t) == next(
             (change for change in reversed(hist) if change[0] < t), None)
+    levels = traces.levels_at("N", np.arange(-6, 47))
+    assert levels.dtype == np.int8
+    assert levels.tolist() == [_scan_level_at(hist, t) for t in range(-6, 47)]
     assert (_quiet_since(traces, "N", t_from, t_to, quiet)
             == _scan_quiet_since(hist, t_from, t_to, quiet))
     times, codes = traces.arrays("N")

@@ -131,13 +131,14 @@ def test_the_check_finds_an_uncalled_method(tmp_path):
 
 
 def _history_reads(tree: ast.Module) -> list[int]:
-    """Lines that read an ``events`` mapping: ``x.events[...]``, ``x.events.items()``
-    or ``x.events.values()``."""
+    """Lines that read a trace's ``columns`` or ``events`` mapping: ``x.events[...]``,
+    ``x.columns.items()``, ``x.events.values()`` and the like."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Subscript) or (
                 isinstance(node, ast.Attribute) and node.attr in ("items", "values")):
-            if isinstance(node.value, ast.Attribute) and node.value.attr == "events":
+            if (isinstance(node.value, ast.Attribute)
+                    and node.value.attr in ("columns", "events")):
                 lines.append(node.lineno)
     return sorted(lines)
 
@@ -151,5 +152,6 @@ def test_only_logic_reads_histories():
 
 def test_the_check_finds_a_history_read():
     tree = ast.parse("a = tr.events['N']\nrun(net, stim.events, 5)\n"
-                     "for net, h in tr.events.items():\n    pass\nb = tr.events.values()\n")
-    assert _history_reads(tree) == [1, 3, 5]
+                     "for net, h in tr.events.items():\n    pass\nb = tr.events.values()\n"
+                     "c = tr.columns['N']\nd = tr.columns.values()\n")
+    assert _history_reads(tree) == [1, 3, 5, 6, 7]

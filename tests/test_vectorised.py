@@ -14,10 +14,11 @@ from hypothesis import example, given, settings, strategies as st
 from datachan import driver as drv
 from datachan.config import DriverParams, SpikeModel
 from datachan.eye import EyeHistogram
-from datachan.logic import HIGH, LOW, UNKNOWN, SignalTraces
+from datachan.logic import HIGH, LOW, UNKNOWN
 from datachan.spectrum import Spectrum
 from datachan.vcd import _identifiers, traces_to_vcd
 from reference_analysis import naive_supply_current, transition_times
+from reference_kernel import traces_from_histories
 
 # --------------------------------------------------------------------------
 # per-element references
@@ -262,7 +263,7 @@ def test_supply_and_naive_current_share_the_deposit():
        chunk=st.sampled_from([7, 256, drv._PASS_CELLS]))
 def test_tx_synthesis_matches_per_segment_loop(hists, edge, t_rf, dt, window, chunk):
     horizon = max([h[-1][0] for h in hists if h] + [0]) + 500
-    traces = SignalTraces(events=dict(zip(LINE_NETS, hists)), horizon_ps=horizon)
+    traces = traces_from_histories(dict(zip(LINE_NETS, hists)), horizon)
     params = DriverParams(t_rf_ps=t_rf, edge_model=edge)
     t0, t1 = window[0], window[0] + window[1]
     n = int((t1 - t0) / dt)
@@ -275,7 +276,7 @@ def test_tx_synthesis_matches_per_segment_loop(hists, edge, t_rf, dt, window, ch
         steps = ref_sink_timeline(traces, nets, t0, t1)
         assert drv._sink_timeline(traces, nets, t0, t1) == steps
         assert same_bits(got.samples, ref_shape_segments(steps, params, dt, t0, n))
-    assert drv.line_transition_times(traces) == ref_line_transition_times(traces)
+    assert drv.line_transition_times(traces).tolist() == ref_line_transition_times(traces)
 
 
 # --------------------------------------------------------------------------
@@ -349,5 +350,5 @@ def test_vcd_matches_per_event_loop(hists, extra, copies, scale):
     hists = [hists[i % len(hists)] for i in range(len(hists) + copies)]
     events = {f"n{i}": h for i, h in enumerate(hists)}
     horizon = max([h[-1][0] for h in hists if h] + [0]) + extra
-    traces = SignalTraces(events=events, horizon_ps=horizon)
+    traces = traces_from_histories(events, horizon)
     assert_same_text(traces_to_vcd(traces), ref_vcd(traces))
