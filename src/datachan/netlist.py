@@ -15,6 +15,8 @@ import heapq
 from array import array
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .config import ChannelConfig
 from .errors import ConfigError, ContentionError, OscillationError
 from .logic import AND, NOT, OR, NetEvent, SignalTraces
@@ -26,10 +28,14 @@ from .logic import AND, NOT, OR, NetEvent, SignalTraces
 # Components describe the netlist.  ``bind`` compiles one into the kernel:
 # it registers, for each input net and each level change that can make the
 # component act, an action bound to integer net indices (see ``Simulator``).
+# A sink, a component whose output net no component reads, is computed after
+# the run instead: ``levels`` maps its inputs' levels at each row of the
+# change log to the level it queues there.
 
 # Inside the kernel a level is its code: 0 LOW, 1 HIGH, 2 UNKNOWN.
 _SAME = (0, 1, 2)
 _CHANGES = tuple((old, new) for old in _SAME for new in _SAME if old != new)
+_NOT = np.array(NOT, dtype=np.int8)
 
 
 class Buffer:
@@ -48,6 +54,10 @@ class Buffer:
         for net in self.inputs:
             for old, new in _CHANGES:
                 sim.on(net, old, new, (self.delay_ps, dst + out[new], sim.low))
+
+    def levels(self, held: dict[str, np.ndarray]) -> tuple[np.ndarray, None]:
+        src = held[self.src]
+        return (_NOT[src] if self.invert else src), None
 
 
 class DFlipFlop:
@@ -140,43 +150,27 @@ class SharedLine:
             nets.append(src)
         return tuple(dict.fromkeys(nets))
 
-    def bind(self, sim: "Simulator"):
-        values, schedule = sim.values, sim.schedule
-        pullers = [(sim.index[sel], sim.index[src], _SAME if active else NOT)
-                   for sel, src, active in self.pullers]
-        line_code, delay = sim.index[self.line] << 2, self.delay_ps
+    def levels(self, held: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """The line level queued at each row: LOW if a selected block pulls,
+        else UNKNOWN if a block may pull, else HIGH; and whether the pulls of
+        the selected blocks differ there.
+        """
+        # where a selected block pulls, leaves the line, or has an unknown bit,
+        # and where a block whose select is unknown may pull
+        pulls = leaves = unknown = maybe = False
+        for sel, src, active in self.pullers:
+            on, bit = held[sel] == 1, held[src]
+            pulls = pulls | (on & (bit == active))
+            leaves = leaves | (on & (bit == 1 - active))
+            unknown = unknown | (on & (bit == 2))
+            maybe = maybe | ((held[sel] == 2) & (bit != 1 - active))
+        level = np.where(pulls, 0, np.where(unknown | maybe, 2, 1)).astype(np.int8)
+        return level, (pulls & (leaves | unknown)) | (leaves & unknown)
 
-        def update(t: int):
-            high = unknown = conflict = False
-            first = -1  # the pull of the first selected block
-            for sel, src, bit in pullers:
-                s = values[sel]
-                if s == 0:
-                    continue
-                pull = bit[values[src]]
-                if s == 1:
-                    if first < 0:
-                        first = pull
-                    elif pull != first:
-                        conflict = True
-                    if pull == 1:
-                        high = True
-                    elif pull == 2:
-                        unknown = True
-                elif pull:  # unknown select: pull is LOW only for a LOW bit
-                    unknown = True
-            if conflict:
-                raise ContentionError(
-                    f"conflicting drive on {self.line} at {t} ps from "
-                    + ", ".join(name for (name, _, _), (sel, _, _)
-                                in zip(self.pullers, pullers) if values[sel] == 1)
-                )
-            level = 0 if high else 2 if unknown else 1
-            schedule(t + delay, line_code + level)
-
-        for net in self.inputs:
-            for old, new in _CHANGES:
-                sim.on(net, old, new, (None, update, None))
+    def contention(self, held: dict[str, np.ndarray], row: int, t: int) -> ContentionError:
+        return ContentionError(f"conflicting drive on {self.line} at {t} ps from "
+                               + ", ".join(sel for sel, _, _ in self.pullers
+                                           if held[sel][row] == 1))
 
 
 # --------------------------------------------------------------------------
@@ -279,6 +273,18 @@ class Simulator:
     glitches are collapsed after the run, when ``SignalTraces.from_log``
     turns the logs into per-net columns.
 
+    Sinks are not bound: every ``SharedLine`` (the wired lines Even, Odd,
+    nEven and nOdd) and each ``Buffer`` of positive delay whose output no
+    component reads (``Nclk``).  No event of theirs can change what the loop
+    does, nor count as zero-delay, so ``_drive_sinks`` computes their changes
+    after it, from the log, and appends them.  This is exact: the log holds
+    every change of a sink's inputs in the order applied, so it gives their
+    levels at each change, from which the kernel computed the level queued
+    at ``t + delay`` under the ``last[net]`` rule.  A conflict on a wired line
+    is raised for the first conflicting change in the log, also when the loop
+    stopped on an error later: the kernel raised it when applying that change.
+    A ``SharedLine`` without delay, or read by a component, is a ``ConfigError``.
+
     Pending events wait in one FIFO list per timestamp, and a heap holds
     the distinct timestamps.  Stimulus events at a timestamp precede the
     events queued for it, so a list is processed in exactly the order of
@@ -312,8 +318,18 @@ class Simulator:
         # reference to the simulator, so a finished run is freed at once
         self.schedule = schedule
         self._actions: list[list] = [[] for _ in range(12 * self.low)]
+        read = {net for comp in netlist.components for net in comp.inputs}
+        self._sinks: list[tuple] = []  # (component, output net index), in component order
         for comp in netlist.components:
-            comp.bind(self)
+            if isinstance(comp, SharedLine):
+                if comp.line in read or comp.delay_ps <= 0:
+                    raise ConfigError(f"wired line {comp.line} needs a positive delay "
+                                      "and no component reading it")
+                self._sinks.append((comp, self.index[comp.line]))
+            elif isinstance(comp, Buffer) and comp.dst not in read and comp.delay_ps > 0:
+                self._sinks.append((comp, self.index[comp.dst]))
+            else:
+                comp.bind(self)
         self._actions = [tuple(a) for a in self._actions]
 
     def on(self, net: str, old: int, new: int, action: tuple):
@@ -342,14 +358,25 @@ class Simulator:
             yield t_cur, bucket
 
     def run(self, stimulus: list[NetEvent], until_ps: int) -> SignalTraces:
-        limit = self.netlist.config.loop_limit
-        values, actions = self.values, self._actions
         log_t = array("q", bytes(8 * self.low))
         log_code = array("q", range(2, 4 * self.low, 4))  # net << 2 | UNKNOWN
+        stim = self._stimulus_buckets(stimulus, until_ps)
+        try:
+            self._loop(stim, until_ps, log_t, log_code)
+        except (OscillationError, ValueError):
+            # every logged change was applied before the error, and a
+            # conflict raises when its change is applied: it came first
+            self._drive_sinks(log_t, log_code, until_ps)
+            raise
+        self._drive_sinks(log_t, log_code, until_ps)
+        return SignalTraces.from_log(self.netlist.nets, log_t, log_code, until_ps)
+
+    def _loop(self, stim, until_ps: int, log_t: array, log_code: array):
+        limit = self.netlist.config.loop_limit
+        values, actions = self.values, self._actions
         log_t_append, log_code_append = log_t.append, log_code.append
         last, times, pending = self._last, self._times, self._pending
         heappush, heappop = heapq.heappush, heapq.heappop
-        stim = self._stimulus_buckets(stimulus, until_ps)
         nxt = next(stim, None)
         while True:
             if nxt is not None and (not times or nxt[0] <= times[0]):
@@ -396,7 +423,54 @@ class Simulator:
                     else:
                         sched.append(queued)
             del pending[t]
-        return SignalTraces.from_log(self.netlist.nets, log_t, log_code, until_ps)
+
+    def _drive_sinks(self, log_t: array, log_code: array, until_ps: int):
+        """Append the sinks' changes up to ``until_ps`` to the logs, or raise the
+        contention of the earliest conflicting row (component order breaks ties).
+
+        A sink's rows are the logged changes of its inputs after power-on; at
+        each, the kernel would have queued ``levels`` at ``t + delay`` unless
+        equal to the level queued before (UNKNOWN at first).
+        """
+        # numpy views: they must be gone before the logs grow
+        t = np.frombuffer(log_t, dtype=np.int64)[self.low:]
+        code = np.frombuffer(log_code, dtype=np.int64)[self.low:]
+        net, level = (code >> 2).astype(np.int16), (code & 3).astype(np.int8)
+        del code
+        by_inputs, queued, first = {}, [], None
+        for comp, dst in self._sinks:
+            if comp.inputs not in by_inputs:
+                wanted = np.zeros(self.low, dtype=bool)
+                wanted[[self.index[n] for n in comp.inputs]] = True
+                rows = np.flatnonzero(wanted[net])
+                r_net, r_level = net[rows], level[rows]
+                by_inputs[comp.inputs] = rows, {n: _held(r_net, r_level, self.index[n])
+                                                for n in comp.inputs}
+            rows, held = by_inputs[comp.inputs]
+            if not len(rows):
+                continue
+            levels, conflict = comp.levels(held)
+            if conflict is not None and conflict.any():
+                i = int(conflict.argmax())
+                if first is None or rows[i] < first[0]:
+                    first = rows[i], comp.contention(held, i, int(t[rows[i]]))
+            new = levels != np.append(np.int8(2), levels[:-1])
+            at = t[rows[new]] + comp.delay_ps
+            end = int(at.searchsorted(until_ps, side="right"))
+            queued.append((at[:end], levels[new][:end].astype(np.int64) | dst << 2))
+        if first is not None:
+            raise first[1]
+        del t
+        for at, codes in queued:
+            log_t.frombytes(at.view(np.uint8))
+            log_code.frombytes(codes.view(np.uint8))
+
+
+def _held(nets: np.ndarray, levels: np.ndarray, net: int) -> np.ndarray:
+    """The level of ``net`` at each row of the changes ``nets``/``levels``: that of
+    its last change at or before the row, UNKNOWN before its first."""
+    hit = nets == net
+    return np.append(np.int8(2), levels[hit])[np.cumsum(hit)]
 
 
 def advance(netlist: ChannelNetlist, stimulus: list[NetEvent],

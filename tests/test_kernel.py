@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from datachan import ChannelConfig, advance, build_channel, golden, protocol, stimulus
-from datachan.errors import ContentionError, OscillationError
+from datachan.errors import ConfigError, ContentionError, OscillationError
 from datachan.logic import HIGH, LOW, UNKNOWN, NetEvent
 from datachan.netlist import Buffer, ChannelNetlist, SharedLine, Simulator
 from reference_kernel import ReferenceSimulator, mux_lines, traces_from_histories
@@ -122,6 +122,80 @@ def test_forced_contention_error_matches_reference():
     got = _error(Simulator(nl), events, 10)
     assert got == _error(ReferenceSimulator(nl), events, 10)
     assert got == (ContentionError, "conflicting drive on L at 7 ps from Sa, Sb")
+
+
+@pytest.mark.parametrize("loop_at, want", [
+    (9, (ContentionError, "conflicting drive on L at 7 ps from Sa, Sb")),
+    (5, (OscillationError, "more than 50 zero-delay events at 5 ps (net B)")),
+])
+def test_error_order_of_contention_and_zero_delay_loop_matches_reference(loop_at, want):
+    # the wired lines are computed after the loop, which raises at the
+    # zero-delay loop first: a conflict logged before it must still be the
+    # error.  L and nL conflict at 7 ps on one change, the earlier component
+    # wins; L2, first in component order, conflicts only at 8 ps.
+    nl = ChannelNetlist(
+        config=ChannelConfig(loop_limit=50),
+        nets=["Sa", "Sb", "Da", "Db", "Dc", "L2", "L", "nL", "A", "B"],
+        primary_inputs=["Sa", "Sb", "Da", "Db", "Dc", "A"],
+        components=[SharedLine("L2", [("Sa", "Dc", 1), ("Sb", "Db", 1)], 5),
+                    SharedLine("L", [("Sa", "Da", 1), ("Sb", "Db", 1)], 5),
+                    SharedLine("nL", [("Sa", "Da", 0), ("Sb", "Db", 0)], 5),
+                    Buffer("A", "B", 0), Buffer("B", "A", 0, invert=True)],
+    )
+    events = [NetEvent(0, "Da", LOW), NetEvent(0, "Db", LOW), NetEvent(0, "Dc", LOW),
+              NetEvent(0, "Sa", HIGH), NetEvent(0, "Sb", HIGH), NetEvent(7, "Da", HIGH),
+              NetEvent(8, "Dc", HIGH)]
+    events = sorted(events + [NetEvent(loop_at, "A", HIGH)], key=lambda ev: ev.time_ps)
+    got = _error(Simulator(nl), events, 20)
+    assert got == _error(ReferenceSimulator(nl), events, 20)
+    assert got == want
+
+
+def _outcome(sim, stimulus_events, until_ps):
+    """The histories of a run, or the message of its ``ContentionError``."""
+    try:
+        return sim.run(stimulus_events, until_ps).events
+    except ContentionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("first", ["Sa", "Sb"])
+def test_same_time_select_handover_matches_reference(first):
+    # Sa hands both lines over to Sb at 10 ps.  Sa released first: M is pulled
+    # up for no time, a transient that collapses.  Sb selected first: L's two
+    # blocks pull differently for no time, a conflict.  At 20 ps a bus update
+    # and a select change share the time stamp.
+    nl = ChannelNetlist(
+        config=ChannelConfig(), nets=["Sa", "Sb", "Da", "Db", "Dc", "L", "M", "X"],
+        primary_inputs=["Sa", "Sb", "Da", "Db", "Dc"],
+        components=[SharedLine("L", [("Sa", "Da", 1), ("Sb", "Db", 1)], 5),
+                    SharedLine("M", [("Sa", "Dc", 1), ("Sb", "Dc", 1)], 5),
+                    Buffer("Sa", "X", 3, invert=True)],
+    )
+    handover = [NetEvent(10, "Sa", LOW), NetEvent(10, "Sb", HIGH)]
+    events = ([NetEvent(0, "Da", LOW), NetEvent(0, "Db", HIGH), NetEvent(0, "Dc", HIGH),
+               NetEvent(0, "Sb", LOW), NetEvent(0, "Sa", HIGH)]
+              + (handover if first == "Sa" else handover[::-1])
+              + [NetEvent(20, "Db", LOW), NetEvent(20, "Sb", LOW)])
+    got = _outcome(Simulator(nl), events, 40)
+    assert got == _outcome(ReferenceSimulator(nl), events, 40)
+    if first == "Sb":
+        assert got == "conflicting drive on L at 10 ps from Sa, Sb"
+    else:
+        assert got["L"] == [(0, UNKNOWN), (5, HIGH), (15, LOW), (25, HIGH)]
+        assert got["M"] == [(0, UNKNOWN), (5, LOW), (25, HIGH)]
+        assert got["X"] == [(0, UNKNOWN), (3, LOW), (13, HIGH)]
+
+
+@pytest.mark.parametrize("components", [
+    [SharedLine("L", [("S", "D", 1)], 5), Buffer("L", "Q", 1)],
+    [SharedLine("L", [("S", "D", 1)], 0)],
+], ids=["read", "zero-delay"])
+def test_wired_line_must_be_an_unread_delayed_sink(components):
+    nl = ChannelNetlist(config=ChannelConfig(), nets=["S", "D", "L", "Q"],
+                        primary_inputs=["S", "D"], components=components)
+    with pytest.raises(ConfigError, match="wired line L needs a positive delay"):
+        Simulator(nl)
 
 
 def test_same_time_glitch_collapses_like_reference():
