@@ -172,7 +172,8 @@ def main(argv: list[str] | None = None) -> int:
             "machine": platform.machine(), "cpus": os.cpu_count()}
     doc = {"repeat": REPEAT, "src_lines": src_lines(), "host": host, "runs": runs}
     if other_root:
-        doc["ab"] = {"other": str(other_root), "other_src_lines": src_lines(other_root)}
+        # as given, so that a relative path leaves no host path in the file
+        doc["ab"] = {"other": args.ab, "other_src_lines": src_lines(other_root)}
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

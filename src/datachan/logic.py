@@ -1,10 +1,9 @@
-"""Three-valued logic levels, net events and recorded signal traces."""
+"""Three-valued logic levels, a run's stimulus and its recorded signal traces."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -31,12 +30,22 @@ AND = ((0, 0, 0), (0, 1, 2), (0, 2, 2))
 OR = ((0, 1, 2), (1, 1, 1), (2, 1, 2))
 
 
-class NetEvent(NamedTuple):
-    """A logic transition on one net at an integer picosecond timestamp."""
+@dataclass(eq=False)
+class Stimulus:
+    """The primary-input changes of one run, as columns in the order applied.
 
-    time_ps: int
-    net: str
-    level: Level
+    Change ``i`` sets net ``nets[net[i]]`` to the level code ``level[i]`` at
+    ``times[i]`` ps: ``times`` is int64, ``net`` and ``level`` are int8.
+    Changes at one time are applied in column order.
+    """
+
+    nets: tuple[str, ...]
+    times: np.ndarray
+    net: np.ndarray
+    level: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.times)
 
 
 @dataclass(eq=False)
@@ -122,10 +131,3 @@ class SignalTraces:
         old, new = (LOW, HIGH) if kind == "rise" else (HIGH, LOW)
         times, codes = self.columns[net]
         return times[1:][(codes[:-1] == old) & (codes[1:] == new)]
-
-
-def merge_events(streams: Iterable[Iterable[NetEvent]]) -> list[NetEvent]:
-    """Flatten several event streams into one stable time-ordered list."""
-    merged = [ev for s in streams for ev in s]
-    merged.sort(key=lambda ev: ev.time_ps)
-    return merged

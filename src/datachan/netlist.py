@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ChannelConfig
 from .errors import ConfigError, ContentionError, OscillationError
-from .logic import AND, NOT, OR, NetEvent, SignalTraces
+from .logic import AND, NOT, OR, SignalTraces, Stimulus
 
 
 # --------------------------------------------------------------------------
@@ -93,11 +93,20 @@ class ResetBlock:
 
     def bind(self, sim: "Simulator"):
         """A rising working-clock edge samples Disable/Enable, the falling
-        edge commits ``armed = NOT disable AND enable``, and every input
-        change re-evaluates Start = ``(NOT disable AND armed) OR (NOT disable
-        AND NOT enable AND buffered_last)``.  The recirculation term is
-        level-sensitive, so the recurring Start pulse overlaps the last
-        select instead of trailing it by a full clock.
+        edge commits ``armed = NOT disable AND enable``, and Start =
+        ``(NOT disable AND armed) OR (NOT disable AND NOT enable AND
+        buffered_last)`` is re-evaluated at every change of Disable, Enable or
+        Buffered_Sel, of the working clock to or from UNKNOWN, and of
+        ``armed``.  The recirculation term is level-sensitive, so the
+        recurring Start pulse overlaps the last select instead of trailing it
+        by a full clock.
+
+        A rising edge, or a falling one that leaves ``armed`` as it was, calls
+        no ``update``: it changes none of Start's inputs.  Every change of
+        Disable, Enable, Buffered_Sel or ``armed`` calls ``update``, so the
+        Start last queued (UNKNOWN at power-on, when every input is UNKNOWN)
+        is Start of the present inputs.  ``update`` would queue it again, and
+        the kernel drops an event equal to the code last queued for its net.
         """
         values, schedule = sim.values, sim.schedule
         dis, en, blast = (sim.index[n] for n in
@@ -113,12 +122,13 @@ class ResetBlock:
         def rise(t: int):
             nonlocal sampled_dis, sampled_en
             sampled_dis, sampled_en = values[dis], values[en]
-            update(t)
 
         def fall(t: int):
             nonlocal armed
-            armed = AND[NOT[sampled_dis]][sampled_en]
-            update(t)
+            new = AND[NOT[sampled_dis]][sampled_en]
+            if new != armed:
+                armed = new
+                update(t)
 
         for net in self.inputs:
             for old, new in _CHANGES:
@@ -286,7 +296,9 @@ class Simulator:
     A ``SharedLine`` without delay, or read by a component, is a ``ConfigError``.
 
     Pending events wait in one FIFO list per timestamp, and a heap holds
-    the distinct timestamps.  Stimulus events at a timestamp precede the
+    the distinct timestamps.  The stimulus columns are checked whole before
+    the loop and cut into one list of codes per distinct time, which the loop
+    merges with the heap.  Stimulus events at a timestamp precede the
     events queued for it, so a list is processed in exactly the order of
     (time, order of queueing).  ``config.loop_limit`` bounds the zero-delay
     events per timestamp: those appended to its list while it runs.
@@ -336,34 +348,39 @@ class Simulator:
         """Register ``action`` for a change of ``net`` from ``old`` to ``new``."""
         self._actions[((self.index[net] << 2 | new) * 3) + old].append(action)
 
-    def _stimulus_buckets(self, stimulus: list[NetEvent], until_ps: int):
-        """The stimulus as (time, event codes) per distinct time, lazily; it checks
-        primary inputs, time order and that ``until_ps`` covers every event."""
-        inputs = self._inputs
-        t_cur, bucket = 0, []
-        for t, net, level in stimulus:
-            base = inputs.get(net)
-            if base is None:
-                raise ValueError(f"stimulus on non-primary net {net!r}")
-            if t != t_cur:
-                if t < t_cur:
-                    raise ValueError("stimulus events must be time-ordered")
-                if bucket and t_cur <= until_ps:  # past the horizon: check only
-                    yield t_cur, bucket
-                t_cur, bucket = t, []
-            bucket.append(base | level)
-        if t_cur > until_ps:
-            raise ValueError("simulation horizon ends before the last stimulus event")
-        if bucket:
-            yield t_cur, bucket
+    def _stimulus_buckets(self, stimulus: Stimulus, until_ps: int):
+        """An iterator of (time, event codes) per distinct time of the stimulus, in
+        time order; each list is cut when it is reached, not before.
 
-    def run(self, stimulus: list[NetEvent], until_ps: int) -> SignalTraces:
+        The whole stimulus is checked first, with the error that reading its
+        changes one by one raises first: a change on a non-primary net or
+        earlier than the one before it (or than 0), then a change after
+        ``until_ps``.
+        """
+        times = stimulus.times
+        base = np.array([self._inputs.get(net, -1) for net in stimulus.nets], dtype=np.int64)
+        codes = base[stimulus.net]
+        foreign = np.flatnonzero(codes < 0)[:1].tolist()
+        unordered = np.flatnonzero(np.diff(times, prepend=0) < 0)[:1].tolist()
+        if foreign and (not unordered or foreign[0] <= unordered[0]):
+            raise ValueError(f"stimulus on non-primary net "
+                             f"{stimulus.nets[stimulus.net[foreign[0]]]!r}")
+        if unordered:
+            raise ValueError("stimulus events must be time-ordered")
+        if until_ps < (times[-1] if len(times) else 0):
+            raise ValueError("simulation horizon ends before the last stimulus event")
+        codes = (codes | stimulus.level).tolist()
+        starts = np.flatnonzero(np.diff(times, prepend=times[:1] - 1))  # of each time
+        bounds = [*starts.tolist(), len(codes)]
+        return zip(times[starts].tolist(), map(codes.__getitem__, map(slice, bounds, bounds[1:])))
+
+    def run(self, stimulus: Stimulus, until_ps: int) -> SignalTraces:
         log_t = array("q", bytes(8 * self.low))
         log_code = array("q", range(2, 4 * self.low, 4))  # net << 2 | UNKNOWN
         stim = self._stimulus_buckets(stimulus, until_ps)
         try:
             self._loop(stim, until_ps, log_t, log_code)
-        except (OscillationError, ValueError):
+        except OscillationError:
             # every logged change was applied before the error, and a
             # conflict raises when its change is applied: it came first
             self._drive_sinks(log_t, log_code, until_ps)
@@ -473,8 +490,7 @@ def _held(nets: np.ndarray, levels: np.ndarray, net: int) -> np.ndarray:
     return np.append(np.int8(2), levels[hit])[np.cumsum(hit)]
 
 
-def advance(netlist: ChannelNetlist, stimulus: list[NetEvent],
-            until_ps: int) -> SignalTraces:
+def advance(netlist: ChannelNetlist, stimulus: Stimulus, until_ps: int) -> SignalTraces:
     """Run the netlist over ``stimulus`` and return the recorded traces.
 
     Fully deterministic: identical inputs yield identical traces.  Each

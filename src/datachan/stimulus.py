@@ -4,7 +4,8 @@ All edge times are computed on the exact rational bit-period grid and
 rounded per edge (in integer arithmetic, ties to even), so long runs
 accumulate no drift.  The parallel bus is updated inside the safe window
 of each selection round (the last slot, after the held bits were captured
-and after the direct bits were used).
+and after the direct bits were used).  A run's stimulus is built as int64 and
+int8 columns (``logic.Stimulus``), with no object per change.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import ChannelConfig
-from .errors import SeedError
-from .logic import HIGH, LOW, NetEvent, merge_events
+from .errors import ConfigError, SeedError
+from .logic import HIGH, LOW, Stimulus
 
 Word = tuple[int, ...]
 
@@ -39,35 +42,45 @@ class ProtocolSchedule:
     def times_of(self, action: Action) -> list[int]:
         return [t for t, a in self.actions if a is action]
 
-    def to_events(self, config: ChannelConfig) -> list[NetEvent]:
+    def changes(self, config: ChannelConfig) -> Stimulus:
+        """The Disable/Enable changes that carry out the actions, in time order."""
         period = round(config.bit_period)
-        events = []
+        times, nets, levels = [], [], []
+
+        def change(t: int, net: int, level: int):  # net 0 is Disable, 1 Enable
+            times.append(t)
+            nets.append(net)
+            levels.append(level)
+
         first = True
         for t, action in self.actions:
             if action is Action.DISABLE_ASSERT:
-                events.append(NetEvent(t, "Disable", HIGH))
+                change(t, 0, HIGH)
                 if first:
                     # pin Enable to a known level along with the first assert
-                    events.append(NetEvent(t, "Enable", LOW))
+                    change(t, 1, LOW)
                     first = False
             elif action is Action.DISABLE_RELEASE:
-                events.append(NetEvent(t, "Disable", LOW))
+                change(t, 0, LOW)
             elif action is Action.ENABLE_PULSE:
                 # about one period high, so that exactly one rising Dclk edge
                 # sees it: edge k samples HIGH, edge k + 1 samples LOW
                 k = timing_for_enable(config, t).first_sel_edge - 1
-                fall = min(max(t + period, rising_dclk_time(config, k) + 1),
-                           rising_dclk_time(config, k + 1))
-                events.append(NetEvent(t, "Enable", HIGH))
-                events.append(NetEvent(fall, "Enable", LOW))
-        return merge_events([events])
+                change(t, 1, HIGH)
+                change(min(max(t + period, rising_dclk_time(config, k) + 1),
+                           rising_dclk_time(config, k + 1)), 1, LOW)
+        order = np.argsort(times, kind="stable")
+        return Stimulus(("Disable", "Enable"), np.array(times, dtype=np.int64)[order],
+                        np.array(nets, dtype=np.int8)[order],
+                        np.array(levels, dtype=np.int8)[order])
 
 
 # --------------------------------------------------------------------------
 # clock grid
 
-def _half_periods(config: ChannelConfig, n: int) -> int:
-    """``round(n * bit_period / 2)`` in integer arithmetic.
+def _half_periods(config: ChannelConfig, n):
+    """``round(n * bit_period / 2)`` in integer arithmetic, for an int or, within
+    ``_check_int64``'s bound, each element of an int64 array.
 
     Matches rounding the exact ``Fraction``, ties to even included.
     """
@@ -75,12 +88,30 @@ def _half_periods(config: ChannelConfig, n: int) -> int:
     return _round_div(n * period.numerator, 2 * period.denominator)
 
 
-def _round_div(num: int, den: int) -> int:
-    """``num / den`` rounded to the nearest integer, ties to even (``den > 0``)."""
+def _round_div(num, den: int):
+    """``num / den`` rounded to the nearest integer, ties to even (``den > 0``),
+    for an int or each element of an int64 array."""
     quot, rem = divmod(num, den)
-    if 2 * rem > den or (2 * rem == den and quot & 1):
-        quot += 1
-    return quot
+    return quot + ((2 * rem > den) | ((2 * rem == den) & (quot & 1 == 1)))
+
+
+def _check_int64(config: ChannelConfig, n_end: int) -> None:
+    """Raise ``ConfigError`` unless ``_half_periods`` is exact in int64 for every
+    n < ``n_end``: ``n * numerator`` and twice the remainder, below
+    ``4 * denominator``, must stay under 2^63.
+
+    That holds for every run that ``validate()`` and ``scenario.WORK_BUDGET``
+    admit.  Its horizon is at most ``2^25 * dt_ps`` and ``dt_ps`` at most a
+    32nd of the bit period, so the horizon is at most 2^20 bit periods and
+    n <= 2^21 + 2.  The period is ``10^12 / serial_rate_hz`` ps, so its
+    numerator is at most 10^12, and above 6 ps (the recirculation check), so
+    ``4 * denominator < 4 * serial_rate_hz < 10^12``: every product is below
+    (2^21 + 2) * 10^12 < 2^62.
+    """
+    period = config.bit_period
+    if n_end * max(period.numerator, 4 * period.denominator) >= 1 << 63:
+        raise ConfigError(f"{n_end} clock half periods at {config.serial_rate_hz} Hz "
+                          "overflow the int64 edge times")
 
 
 def clock_rise_time(config: ChannelConfig, k: int) -> int:
@@ -96,21 +127,18 @@ def falling_dclk_time(config: ChannelConfig, k: int) -> int:
     return clock_fall_time(config, k) + config.buffer_delay_ps
 
 
-def clock_events(config: ChannelConfig, until_ps: int) -> list[NetEvent]:
-    """Serial clock toggling from t=0 (low) past ``until_ps``."""
+def _clock(config: ChannelConfig, until_ps: int) -> Stimulus:
+    """The serial clock from t=0 to ``until_ps``: edge n at ``_half_periods(config,
+    n)``, rising at even n."""
     period = config.bit_period
-    num, den = period.numerator, 2 * period.denominator
-    events = []
-    n = 0  # half periods: even n rises, odd n falls
-    while True:
-        rise = _round_div(n * num, den)
-        if rise > until_ps:
-            return events
-        events.append(NetEvent(rise, "Clock", HIGH))
-        fall = _round_div((n + 1) * num, den)
-        if fall <= until_ps:
-            events.append(NetEvent(fall, "Clock", LOW))
-        n += 2
+    # round(n * period / 2) <= until_ps needs n * period / 2 < until_ps + 1
+    n_end = (until_ps + 1) * 2 * period.denominator // period.numerator + 1
+    _check_int64(config, n_end)
+    times = _half_periods(config, np.arange(n_end, dtype=np.int64))
+    times = times[:times.searchsorted(until_ps, side="right")]
+    levels = np.full(len(times), HIGH, dtype=np.int8)
+    levels[1::2] = LOW
+    return Stimulus(("Clock",), times, np.zeros(len(times), dtype=np.int8), levels)
 
 
 @dataclass
@@ -147,20 +175,30 @@ def timing_for_enable(config: ChannelConfig, enable_time_ps: int) -> SlotTiming:
 # --------------------------------------------------------------------------
 # parallel data bus
 
-def word_events(words: list[Word], timing: SlotTiming) -> list[NetEvent]:
-    """Bus updates: word 0 before enable, word k inside round k-1's last slot."""
-    width = timing.config.word_width
-    events: list[NetEvent] = []
-    prev: Word | None = None
-    for idx, word in enumerate(words):
-        if len(word) != width:
-            raise ValueError(f"word {idx} has width {len(word)}, expected {width}")
-        t = 0 if idx == 0 else timing.slot_mid(idx - 1, width)
-        for bit in range(width):
-            if prev is None or word[bit] != prev[bit]:
-                events.append(NetEvent(t, f"D{bit}", HIGH if word[bit] else LOW))
-        prev = word
-    return events
+def _bus(words: list[Word], timing: SlotTiming) -> Stimulus:
+    """Bus updates: word 0 at t=0, before enable, and word k inside round k-1's
+    last slot; every bit at word 0, then the bits that changed."""
+    config = timing.config
+    width = config.word_width
+    wrong = np.flatnonzero(np.fromiter(map(len, words), dtype=np.int64,
+                                       count=len(words)) != width)
+    if len(wrong):
+        idx = int(wrong[0])
+        raise ValueError(f"word {idx} has width {len(words[idx])}, expected {width}")
+    bits = np.array(words, dtype=np.int8).reshape(len(words), width)
+    changed = np.ones(bits.shape, dtype=bool)
+    changed[1:] = bits[1:] != bits[:-1]
+    word, bit = np.nonzero(changed)  # word by word, bits in order
+    # word k at ``timing.slot_mid(k - 1, width)``: half a period after falling
+    # clock edge K = first_sel_edge + width * k - 1, half period 2 * K + 1, and
+    # the buffer and flip-flop delays
+    n = 2 * (timing.first_sel_edge + width * np.arange(len(words), dtype=np.int64)) - 1
+    _check_int64(config, int(n[-1]) + 1 if len(n) else 0)
+    at = (_half_periods(config, n) + config.buffer_delay_ps + config.ff_delay_ps
+          + _half_periods(config, 1))
+    at[:1] = 0
+    return Stimulus(tuple(f"D{b}" for b in range(width)), at[word], bit.astype(np.int8),
+                    (bits[word, bit] != 0).astype(np.int8))
 
 
 # --------------------------------------------------------------------------
@@ -185,7 +223,7 @@ def reset_schedule(config: ChannelConfig, assert_at: int | None = None) -> Proto
 
 @dataclass
 class StreamStimulus:
-    events: list[NetEvent]
+    events: Stimulus
     timing: SlotTiming | None
     schedule: ProtocolSchedule
     until_ps: int
@@ -206,13 +244,23 @@ def stream_stimulus(config: ChannelConfig, words: list[Word],
         raise ValueError("schedule contains no enable pulse")
     timing = timing_for_enable(config, enable_times[0]) if enable_times else None
     until = stream_horizon(config, len(words), schedule, tail_periods)
-    events = merge_events([
-        clock_events(config, until),
-        schedule.to_events(config),
-        word_events(words, timing) if timing else [],
-    ])
-    return StreamStimulus(events=events, timing=timing, schedule=schedule,
+    parts = [_clock(config, until), schedule.changes(config)]
+    if timing:
+        parts.append(_bus(words, timing))
+    return StreamStimulus(events=_merge(parts), timing=timing, schedule=schedule,
                           until_ps=until)
+
+
+def _merge(parts: list[Stimulus]) -> Stimulus:
+    """One stimulus of ``parts``, stably sorted by time: changes at one time keep
+    the order of the parts, and their order within a part."""
+    nets = tuple(dict.fromkeys(net for part in parts for net in part.nets))
+    times = np.concatenate([part.times for part in parts])
+    net = np.concatenate([np.array([nets.index(n) for n in part.nets], dtype=np.int8)[part.net]
+                          for part in parts])
+    order = np.argsort(times, kind="stable")
+    return Stimulus(nets, times[order], net[order],
+                    np.concatenate([part.level for part in parts])[order])
 
 
 def stream_horizon(config: ChannelConfig, n_words: int, schedule: ProtocolSchedule,

@@ -17,6 +17,13 @@ a kernel change log: the oracle of ``SignalTraces.from_log``.
 traces and the data histories on the ``logic`` gate tables: the reference
 for the kernel's ``SharedLine`` components.  ``intervals`` lists the pulses
 of a recorded net, for the ring's timing checks.
+
+The reference takes its stimulus as a list of ``NetEvent`` objects, the form
+the stimulus builders once produced edge by edge: ``clock_events``,
+``control_events`` and ``word_events``, merged by ``merge_events``, are those
+builders, the oracle of ``stimulus.stream_stimulus``'s columns.  ``net_events``
+turns a ``logic.Stimulus`` into such a list, and ``stimulus_of`` a hand-built
+list into the kernel's columns.
 """
 
 from __future__ import annotations
@@ -24,12 +31,105 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from datachan.config import ChannelConfig
 from datachan.errors import ContentionError, OscillationError
-from datachan.logic import AND, HIGH, LOW, NOT, OR, UNKNOWN, Level, NetEvent, SignalTraces
+from datachan.logic import AND, HIGH, LOW, NOT, OR, UNKNOWN, Level, SignalTraces, Stimulus
 from datachan.netlist import Buffer, ChannelNetlist, DFlipFlop, ResetBlock, SharedLine
+from datachan.stimulus import (Action, ProtocolSchedule, SlotTiming, Word, rising_dclk_time,
+                               timing_for_enable)
+
+
+# --------------------------------------------------------------------------
+# stimulus as one object per change
+
+class NetEvent(NamedTuple):
+    """A logic transition on one net at an integer picosecond timestamp."""
+
+    time_ps: int
+    net: str
+    level: Level
+
+
+def merge_events(streams: Iterable[Iterable[NetEvent]]) -> list[NetEvent]:
+    """Flatten several event streams into one stable time-ordered list."""
+    merged = [ev for s in streams for ev in s]
+    merged.sort(key=lambda ev: ev.time_ps)
+    return merged
+
+
+def clock_events(config: ChannelConfig, until_ps: int) -> list[NetEvent]:
+    """Serial clock toggling from t=0 (low) past ``until_ps``, each edge the
+    exact ``Fraction`` rounded (ties to even)."""
+    half = config.bit_period / 2
+    events = []
+    n = 0  # half periods: even n rises, odd n falls
+    while True:
+        rise = round(n * half)
+        if rise > until_ps:
+            return events
+        events.append(NetEvent(rise, "Clock", HIGH))
+        fall = round((n + 1) * half)
+        if fall <= until_ps:
+            events.append(NetEvent(fall, "Clock", LOW))
+        n += 2
+
+
+def control_events(schedule: ProtocolSchedule, config: ChannelConfig) -> list[NetEvent]:
+    """The Disable/Enable events of ``schedule``'s actions, in time order."""
+    period = round(config.bit_period)
+    events = []
+    first = True
+    for t, action in schedule.actions:
+        if action is Action.DISABLE_ASSERT:
+            events.append(NetEvent(t, "Disable", HIGH))
+            if first:
+                # pin Enable to a known level along with the first assert
+                events.append(NetEvent(t, "Enable", LOW))
+                first = False
+        elif action is Action.DISABLE_RELEASE:
+            events.append(NetEvent(t, "Disable", LOW))
+        elif action is Action.ENABLE_PULSE:
+            k = timing_for_enable(config, t).first_sel_edge - 1
+            fall = min(max(t + period, rising_dclk_time(config, k) + 1),
+                       rising_dclk_time(config, k + 1))
+            events.append(NetEvent(t, "Enable", HIGH))
+            events.append(NetEvent(fall, "Enable", LOW))
+    return merge_events([events])
+
+
+def word_events(words: list[Word], timing: SlotTiming) -> list[NetEvent]:
+    """Bus updates: word 0 before enable, word k inside round k-1's last slot."""
+    width = timing.config.word_width
+    events: list[NetEvent] = []
+    prev: Word | None = None
+    for idx, word in enumerate(words):
+        if len(word) != width:
+            raise ValueError(f"word {idx} has width {len(word)}, expected {width}")
+        t = 0 if idx == 0 else timing.slot_mid(idx - 1, width)
+        for bit in range(width):
+            if prev is None or word[bit] != prev[bit]:
+                events.append(NetEvent(t, f"D{bit}", HIGH if word[bit] else LOW))
+        prev = word
+    return events
+
+
+def net_events(stim: Stimulus) -> list[NetEvent]:
+    """The changes of ``stim`` as events, in column order."""
+    return [NetEvent(t, stim.nets[net], Level(level))
+            for t, net, level in zip(stim.times.tolist(), stim.net.tolist(),
+                                     stim.level.tolist())]
+
+
+def stimulus_of(events: list[NetEvent]) -> Stimulus:
+    """The kernel's stimulus columns of ``events``, in their order, unchecked."""
+    nets = tuple(dict.fromkeys(ev.net for ev in events))
+    return Stimulus(nets, np.array([ev.time_ps for ev in events], dtype=np.int64),
+                    np.array([nets.index(ev.net) for ev in events], dtype=np.int8),
+                    np.array([ev.level for ev in events], dtype=np.int8))
 
 
 # --------------------------------------------------------------------------

@@ -1,16 +1,13 @@
 """The stage bench's ``--ab`` mode: both trees in subprocesses, stage times paired."""
 
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parents[1]
-
 
 def test_ab_against_its_own_tree(stage_bench):
     _, doc, other = stage_bench
     # the other tree was named through "..": each child's package is compared
-    # with that tree's src/datachan as a resolved path
+    # with that tree's src/datachan as a resolved path, and the file records
+    # the path as given
     assert other.startswith("..")
-    assert doc["ab"] == {"other": str(ROOT), "other_src_lines": doc["src_lines"]}
+    assert doc["ab"] == {"other": other, "other_src_lines": doc["src_lines"]}
     # --words 12 makes the four stream-random runs one
     assert [run["scenario"] for run in doc["runs"]] == ["stream-prbs10", "stream-random"]
     for run in doc["runs"]:

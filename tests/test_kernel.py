@@ -10,9 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from datachan import ChannelConfig, advance, build_channel, golden, protocol, stimulus
 from datachan.errors import ConfigError, ContentionError, OscillationError
-from datachan.logic import HIGH, LOW, UNKNOWN, NetEvent
-from datachan.netlist import Buffer, ChannelNetlist, SharedLine, Simulator
-from reference_kernel import ReferenceSimulator, mux_lines, traces_from_histories
+from datachan.logic import HIGH, LOW, UNKNOWN
+from datachan.netlist import Buffer, ChannelNetlist, ResetBlock, SharedLine, Simulator
+from reference_kernel import (NetEvent, ReferenceSimulator, mux_lines, net_events, stimulus_of,
+                              traces_from_histories)
 
 
 @st.composite
@@ -65,7 +66,7 @@ def test_compiled_kernel_matches_reference_and_oracles(run):
     netlist = build_channel(config)
     traces = advance(netlist, stim.events, stim.until_ps)
 
-    reference = ReferenceSimulator(netlist).run(stim.events, stim.until_ps)
+    reference = ReferenceSimulator(netlist).run(net_events(stim.events), stim.until_ps)
     assert traces.events == reference.events
     assert list(traces.events) == list(reference.events)
 
@@ -92,9 +93,15 @@ def test_compiled_kernel_matches_reference_and_oracles(run):
                 assert lines.level_at(line, mid) is traces.level_at(line, mid)
 
 
-def _error(sim, stimulus_events, until_ps):
-    with pytest.raises((OscillationError, ContentionError)) as info:
-        sim.run(stimulus_events, until_ps)
+def _run(kernel, netlist, events, until_ps):
+    """A run of the ``NetEvent`` list ``events`` on a new ``kernel`` for ``netlist``."""
+    stim = events if kernel is ReferenceSimulator else stimulus_of(events)
+    return kernel(netlist).run(stim, until_ps)
+
+
+def _error(kernel, netlist, events, until_ps):
+    with pytest.raises((OscillationError, ContentionError, ValueError)) as info:
+        _run(kernel, netlist, events, until_ps)
     return info.type, str(info.value)
 
 
@@ -106,8 +113,8 @@ def test_zero_delay_loop_error_matches_reference():
     )
     for levels in [(HIGH,), (HIGH, LOW, HIGH, HIGH)]:
         events = [NetEvent(5, "A", level) for level in levels]
-        got = _error(Simulator(nl), events, 10)
-        assert got == _error(ReferenceSimulator(nl), events, 10)
+        got = _error(Simulator, nl, events, 10)
+        assert got == _error(ReferenceSimulator, nl, events, 10)
         assert got == (OscillationError, "more than 50 zero-delay events at 5 ps (net B)")
 
 
@@ -119,8 +126,8 @@ def test_forced_contention_error_matches_reference():
     )
     events = [NetEvent(0, "Da", LOW), NetEvent(0, "Db", LOW), NetEvent(0, "Sa", HIGH),
               NetEvent(0, "Sb", HIGH), NetEvent(7, "Da", HIGH)]
-    got = _error(Simulator(nl), events, 10)
-    assert got == _error(ReferenceSimulator(nl), events, 10)
+    got = _error(Simulator, nl, events, 10)
+    assert got == _error(ReferenceSimulator, nl, events, 10)
     assert got == (ContentionError, "conflicting drive on L at 7 ps from Sa, Sb")
 
 
@@ -146,15 +153,67 @@ def test_error_order_of_contention_and_zero_delay_loop_matches_reference(loop_at
               NetEvent(0, "Sa", HIGH), NetEvent(0, "Sb", HIGH), NetEvent(7, "Da", HIGH),
               NetEvent(8, "Dc", HIGH)]
     events = sorted(events + [NetEvent(loop_at, "A", HIGH)], key=lambda ev: ev.time_ps)
-    got = _error(Simulator(nl), events, 20)
-    assert got == _error(ReferenceSimulator(nl), events, 20)
+    got = _error(Simulator, nl, events, 20)
+    assert got == _error(ReferenceSimulator, nl, events, 20)
     assert got == want
 
 
-def _outcome(sim, stimulus_events, until_ps):
+@pytest.mark.parametrize("events, want", [
+    # out of order after a conflict at 7 ps: the whole stimulus is checked first
+    ([(9, "Db", LOW), (10, "Db", HIGH), (8, "Da", LOW)],
+     "stimulus events must be time-ordered"),
+    # the first offending change decides, and the horizon is checked last
+    ([(9, "Db", LOW), (10, "L", HIGH), (8, "Da", LOW)], "stimulus on non-primary net 'L'"),
+    ([(9, "Db", LOW), (8, "Da", LOW), (10, "L", HIGH)], "stimulus events must be time-ordered"),
+    ([(9, "Db", LOW), (30, "Da", LOW), (10, "L", HIGH)], "stimulus on non-primary net 'L'"),
+    ([(9, "Db", LOW), (30, "L", HIGH)], "stimulus on non-primary net 'L'"),
+    ([(30, "Db", LOW), (25, "Da", LOW)], "stimulus events must be time-ordered"),
+    ([(9, "Db", LOW), (30, "Da", LOW)], "simulation horizon ends before the last stimulus event"),
+])
+def test_stimulus_errors_match_reference(events, want):
+    nl = ChannelNetlist(
+        config=ChannelConfig(), nets=["Sa", "Sb", "Da", "Db", "L"],
+        primary_inputs=["Sa", "Sb", "Da", "Db"],
+        components=[SharedLine("L", [("Sa", "Da", 1), ("Sb", "Db", 1)], 5)],
+    )
+    events = [NetEvent(0, "Da", LOW), NetEvent(0, "Db", LOW), NetEvent(0, "Sa", HIGH),
+              NetEvent(0, "Sb", HIGH), NetEvent(7, "Da", HIGH)] + [
+        NetEvent(t, net, level) for t, net, level in events]
+    got = _error(Simulator, nl, events, 20)
+    assert got == _error(ReferenceSimulator, nl, events, 20)
+    assert got == (ValueError, want)
+
+
+@pytest.mark.parametrize("edge_first", [True, False], ids=["edge-first", "controls-first"])
+def test_reset_block_edges_match_reference(edge_first):
+    # Disable and Enable change exactly at every rising and falling Dclk edge,
+    # each of their nine level pairs at both kinds of edge, listed before or
+    # after the edge: Start must not depend on which edges re-evaluate it
+    nl = ChannelNetlist(
+        config=ChannelConfig(), nets=["Dclk", "Disable", "Enable", "Blast", "Start"],
+        primary_inputs=["Dclk", "Disable", "Enable", "Blast"],
+        components=[ResetBlock("Dclk", "Disable", "Enable", "Blast", "Start", 3)],
+    )
+    pairs = [(dis, en) for dis in (LOW, HIGH, UNKNOWN) for en in (LOW, HIGH, UNKNOWN)]
+    events = [NetEvent(0, "Dclk", LOW), NetEvent(0, "Blast", LOW)]
+    for k in range(4 * len(pairs)):
+        t = 10 * (k + 1)
+        dis, en = pairs[5 * k % len(pairs)]  # every pair at even and at odd k
+        edge = [NetEvent(t, "Dclk", LOW if k % 2 else HIGH)]
+        controls = [NetEvent(t, "Disable", dis), NetEvent(t, "Enable", en)]
+        if k % 3 == 0:
+            controls.append(NetEvent(t, "Blast", HIGH if k % 2 else LOW))
+        events += edge + controls if edge_first else controls + edge
+    until = 10 * (4 * len(pairs) + 2)
+    got = _run(Simulator, nl, events, until).events
+    assert got == _run(ReferenceSimulator, nl, events, until).events
+    assert {level for _, level in got["Start"]} == {LOW, HIGH, UNKNOWN}
+
+
+def _outcome(kernel, netlist, events, until_ps):
     """The histories of a run, or the message of its ``ContentionError``."""
     try:
-        return sim.run(stimulus_events, until_ps).events
+        return _run(kernel, netlist, events, until_ps).events
     except ContentionError as exc:
         return str(exc)
 
@@ -177,8 +236,8 @@ def test_same_time_select_handover_matches_reference(first):
                NetEvent(0, "Sb", LOW), NetEvent(0, "Sa", HIGH)]
               + (handover if first == "Sa" else handover[::-1])
               + [NetEvent(20, "Db", LOW), NetEvent(20, "Sb", LOW)])
-    got = _outcome(Simulator(nl), events, 40)
-    assert got == _outcome(ReferenceSimulator(nl), events, 40)
+    got = _outcome(Simulator, nl, events, 40)
+    assert got == _outcome(ReferenceSimulator, nl, events, 40)
     if first == "Sb":
         assert got == "conflicting drive on L at 10 ps from Sa, Sb"
     else:
@@ -204,8 +263,8 @@ def test_same_time_glitch_collapses_like_reference():
         components=[Buffer("A", "B", 1)],
     )
     events = [NetEvent(0, "A", LOW), NetEvent(5, "A", HIGH), NetEvent(5, "A", LOW)]
-    traces = Simulator(nl).run(events, 10)
-    assert traces.events == ReferenceSimulator(nl).run(events, 10).events
+    traces = _run(Simulator, nl, events, 10)
+    assert traces.events == _run(ReferenceSimulator, nl, events, 10).events
     assert traces.events == {"A": [(0, LOW)], "B": [(0, UNKNOWN), (1, LOW)]}
 
 
@@ -225,7 +284,7 @@ def test_perfbench_trace_entries_count_the_reference_histories(config, stream40)
     spec.loader.exec_module(tracing)
     _, stim, traces = stream40
     reference = ReferenceSimulator(build_channel(config))
-    reference.run(stim.events, stim.until_ps)
+    reference.run(net_events(stim.events), stim.until_ps)
     want = sum(len(hist) for hist in reference.traces.values())
     assert tracing._trace_entries((), traces) == {"trace_entries": want}
 

@@ -8,13 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from datachan import ChannelConfig, advance, build_channel
 from datachan.errors import ConfigError, ContentionError, OscillationError
-from datachan.logic import (AND, HIGH, LOW, NOT, OR, UNKNOWN, Level, NetEvent, SignalTraces,
-                            merge_events)
+from datachan.logic import AND, HIGH, LOW, NOT, OR, UNKNOWN, Level, SignalTraces
 from datachan.netlist import Buffer, ChannelNetlist, DFlipFlop, SharedLine, Simulator
 from datachan import stimulus
-from reference_kernel import (ReferenceSimulator, ResetState, eval_reset, intervals, k_and,
-                              histories_from_log, k_not, k_or, mux_lines,
-                              traces_from_histories)
+from reference_kernel import (NetEvent, ReferenceSimulator, ResetState, clock_events, eval_reset,
+                              intervals, k_and, histories_from_log, k_not, k_or, merge_events,
+                              mux_lines, stimulus_of, traces_from_histories)
 
 LEVELS = (LOW, HIGH, UNKNOWN)
 
@@ -230,11 +229,11 @@ def test_isel1_mirrors_sel1(stream40):
 def test_no_enable_keeps_ring_quiet(config):
     until = round(40 * config.bit_period)
     events = merge_events([
-        stimulus.clock_events(config, until),
+        clock_events(config, until),
         [NetEvent(0, "Disable", HIGH), NetEvent(0, "Enable", LOW),
          NetEvent(round(4 * config.bit_period), "Disable", LOW)],
     ])
-    traces = advance(build_channel(config), events, until)
+    traces = advance(build_channel(config), stimulus_of(events), until)
     for k in range(1, config.word_width + 1):
         assert traces.edges(f"Sel{k}", "rise").tolist() == []
 
@@ -266,19 +265,19 @@ def test_zero_delay_loop_raises():
         components=[Buffer("A", "B", 0), Buffer("B", "A", 0, invert=True)],
     )
     with pytest.raises(OscillationError):
-        Simulator(nl).run([NetEvent(5, "A", HIGH)], 10)
+        Simulator(nl).run(stimulus_of([NetEvent(5, "A", HIGH)]), 10)
 
 
 def test_stimulus_must_hit_primary_inputs(config):
     nl = build_channel(config)
     with pytest.raises(ValueError):
-        advance(nl, [NetEvent(0, "Sel1", HIGH)], 10)
+        advance(nl, stimulus_of([NetEvent(0, "Sel1", HIGH)]), 10)
 
 
 def test_horizon_must_cover_stimulus(config):
     nl = build_channel(config)
     with pytest.raises(ValueError):
-        advance(nl, [NetEvent(100, "Enable", HIGH)], 50)
+        advance(nl, stimulus_of([NetEvent(100, "Enable", HIGH)]), 50)
 
 
 @st.composite
@@ -318,7 +317,8 @@ def test_columns_from_log_match_change_by_change_recording(case):
 def test_stimulus_must_be_time_ordered(config, kernel):
     events = [NetEvent(20, "Enable", HIGH), NetEvent(10, "Disable", LOW)]
     with pytest.raises(ValueError, match="stimulus events must be time-ordered"):
-        kernel(build_channel(config)).run(events, 50)
+        kernel(build_channel(config)).run(
+            events if kernel is ReferenceSimulator else stimulus_of(events), 50)
 
 
 # --------------------------------------------------------------------------

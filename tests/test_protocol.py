@@ -6,10 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from datachan import ChannelConfig, advance, build_channel
 from datachan.errors import IncompleteTraceError
-from datachan.logic import HIGH, LOW, UNKNOWN, NetEvent, merge_events
+from datachan.logic import HIGH, LOW, UNKNOWN
 from datachan.protocol import _quiet_since, check_protocol, latency_bound_ps
 from datachan import stimulus
-from reference_kernel import traces_from_histories
+from reference_kernel import (NetEvent, clock_events, merge_events, net_events, stimulus_of,
+                              traces_from_histories)
 
 
 def test_latency_bound_value(config):
@@ -69,9 +70,9 @@ def test_truncated_trace_raises(config):
         stim.schedule.actions + [(t_d, stimulus.Action.DISABLE_ASSERT)])
     # cut the horizon right after the assert, before the ring can drain
     until = t_d + 100
-    events = [ev for ev in stimulus.stream_stimulus(config, words, sched).events
+    events = [ev for ev in net_events(stimulus.stream_stimulus(config, words, sched).events)
               if ev.time_ps <= until]
-    traces = advance(build_channel(config), events, until)
+    traces = advance(build_channel(config), stimulus_of(events), until)
     with pytest.raises(IncompleteTraceError):
         check_protocol(traces, sched, config)
 
@@ -81,13 +82,13 @@ def test_wide_enable_pulse_warns(config):
     t_e = round(16 * period)
     until = round(40 * period)
     events = merge_events([
-        stimulus.clock_events(config, until),
+        clock_events(config, until),
         [NetEvent(0, "Disable", HIGH), NetEvent(0, "Enable", LOW),
          NetEvent(round(12 * period), "Disable", LOW),
          NetEvent(t_e, "Enable", HIGH),
          NetEvent(round(t_e + 2.5 * period), "Enable", LOW)],
     ])
-    traces = advance(build_channel(config), events, until)
+    traces = advance(build_channel(config), stimulus_of(events), until)
     sched = stimulus.ProtocolSchedule([
         (0, stimulus.Action.DISABLE_ASSERT),
         (round(12 * period), stimulus.Action.DISABLE_RELEASE),

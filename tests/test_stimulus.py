@@ -1,17 +1,21 @@
 """Stimulus generation, PRBS sources and configuration round-trips."""
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from datachan import ChannelConfig
 from datachan.config import (DriverParams, SpikeModel, config_to_text,
                              parse_config)
 from datachan.errors import ConfigError, SeedError
 from datachan.logic import HIGH, LOW
-from datachan import stimulus
+from datachan import golden, scenario, stimulus
+from reference_kernel import (clock_events, control_events, merge_events, net_events,
+                              word_events)
 
 
 # --------------------------------------------------------------------------
@@ -45,10 +49,13 @@ def _fraction_grid(config, k):
 def test_integer_clock_grid_matches_fraction(rate):
     cfg = ChannelConfig(serial_rate_hz=rate)
     ks = [*range(2000), *range(10**6 - 2000, 10**6 + 1), *range(0, 10**6, 997)]
-    for k in ks:
+    # the int64 array path the stimulus builders take, and the scalar one
+    rises = stimulus._half_periods(cfg, 2 * np.array(ks, dtype=np.int64)).tolist()
+    falls = stimulus._half_periods(cfg, 2 * np.array(ks, dtype=np.int64) + 1).tolist()
+    for k, rise_k, fall_k in zip(ks, rises, falls):
         rise, fall, half = _fraction_grid(cfg, k)
-        assert stimulus.clock_rise_time(cfg, k) == rise
-        assert stimulus.clock_fall_time(cfg, k) == fall
+        assert stimulus.clock_rise_time(cfg, k) == rise == rise_k
+        assert stimulus.clock_fall_time(cfg, k) == fall == fall_k
     timing = stimulus.SlotTiming(cfg, first_sel_edge=3)
     assert timing.slot_mid(2, 4) - timing.slot_start(2, 4) == half
 
@@ -59,15 +66,21 @@ def test_integer_clock_grid_matches_fraction_at_random(rate, k):
     cfg = ChannelConfig(serial_rate_hz=rate)
     rise, fall, _ = _fraction_grid(cfg, k)
     assert (stimulus.clock_rise_time(cfg, k), stimulus.clock_fall_time(cfg, k)) == (rise, fall)
+    assert stimulus._half_periods(cfg, np.array([2 * k, 2 * k + 1])).tolist() == [rise, fall]
 
 
 def test_integer_clock_grid_rounds_ties_to_even():
     fast = ChannelConfig(serial_rate_hz=3_200_000_000)  # 312.5 ps
     assert [stimulus.clock_rise_time(fast, k) for k in (1, 3, 5)] == [312, 938, 1562]
+    assert stimulus._clock(fast, 2000).times[[2, 6, 10]].tolist() == [312, 938, 1562]
     slow = ChannelConfig(serial_rate_hz=1_600_000_000)  # falls at 312.5 + k * 625
     assert [stimulus.clock_fall_time(slow, k) for k in (0, 1, 2)] == [312, 938, 1562]
+    assert stimulus._clock(slow, 2000).times[[1, 3, 5]].tolist() == [312, 938, 1562]
     assert stimulus.SlotTiming(slow, 1).slot_mid(0, 1) == (
         stimulus.falling_dclk_time(slow, 1) + slow.ff_delay_ps + 312)
+    # word 1 half a period, 312 ps, after the flip-flop delay past falling edge 10
+    bus = stimulus._bus([(0,) * 10, (1,) * 10], stimulus.SlotTiming(slow, 1))
+    assert bus.times[-1] == stimulus.falling_dclk_time(slow, 10) + slow.ff_delay_ps + 312
 
 
 @pytest.mark.parametrize("rate", GRID_RATES)
@@ -79,16 +92,17 @@ def test_clock_events_match_fraction_grid(rate):
         rise, fall, _ = _fraction_grid(cfg, k)
         if rise > until:
             break
-        want.append((rise, HIGH))
+        want.append((rise, "Clock", HIGH))
         if fall <= until:
-            want.append((fall, LOW))
-    got = [(ev.time_ps, ev.level) for ev in stimulus.clock_events(cfg, until)]
-    assert got == want
+            want.append((fall, "Clock", LOW))
+    clock = stimulus._clock(cfg, until)
+    assert net_events(clock) == want
+    assert (clock.times.dtype, clock.net.dtype, clock.level.dtype) == (np.int64, np.int8, np.int8)
 
 
 def test_clock_events_alternate_and_stop_at_horizon(config):
     until = round(10 * config.bit_period)
-    events = stimulus.clock_events(config, until)
+    events = net_events(stimulus._clock(config, until))
     assert all(ev.time_ps <= until for ev in events)
     assert [ev.level for ev in events[:4]] == [HIGH, LOW, HIGH, LOW]
     rises = [ev.time_ps for ev in events if ev.level is HIGH]
@@ -98,8 +112,8 @@ def test_clock_events_alternate_and_stop_at_horizon(config):
 
 def test_enable_pulse_is_one_period_wide(config):
     sched = stimulus.ProtocolSchedule([(5000, stimulus.Action.ENABLE_PULSE)])
-    events = sched.to_events(config)
-    en = [(ev.time_ps, ev.level) for ev in events if ev.net == "Enable"]
+    en = [(ev.time_ps, ev.level) for ev in net_events(sched.changes(config))
+          if ev.net == "Enable"]
     assert en == [(5000, HIGH), (5000 + round(config.bit_period), LOW)]
 
 
@@ -114,7 +128,7 @@ def test_schedule_rejects_unordered_actions():
 def test_word_events_update_in_the_last_slot(config):
     timing = stimulus.timing_for_enable(config, 9000)
     words = [(0,) * 10, (1,) * 10]
-    events = stimulus.word_events(words, timing)
+    events = net_events(stimulus._bus(words, timing))
     t_update = timing.slot_mid(0, config.word_width)
     assert {ev.time_ps for ev in events} == {0, t_update}
     # the second word only flips the bits that changed
@@ -123,8 +137,95 @@ def test_word_events_update_in_the_last_slot(config):
 
 def test_word_events_reject_wrong_width(config):
     timing = stimulus.timing_for_enable(config, 9000)
-    with pytest.raises(ValueError):
-        stimulus.word_events([(1, 0)], timing)
+    with pytest.raises(ValueError, match="word 0 has width 2, expected 10"):
+        stimulus._bus([(1, 0)], timing)
+
+
+def _scenario_stimulus(rate, width, source, n_words, seed, disable):
+    """The config, words, schedule and tail periods of a ``run_scenario`` run of
+    ``source`` (a ``file`` source reads seeded random text) at ``rate``."""
+    config = ChannelConfig(serial_rate_hz=rate, word_width=width)
+    sc = scenario.Scenario(source=source, n_words=n_words, seed=seed,
+                           disable_at_word=None if disable is None else disable % n_words)
+    if source == "none":
+        words = []
+    elif source == "file":
+        words = golden.parse_word_text("\n".join(
+            "".join(map(str, word)) for word in stimulus.random_words(n_words, seed, width)),
+            width)
+    else:
+        words = scenario._words_for(config, sc)
+    return (config, words, *scenario._control(config, sc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rate=st.integers(10**8, 10**10), width=st.sampled_from((8, 10, 16)),
+       source=st.sampled_from(scenario.SOURCES), n_words=st.integers(1, 12),
+       seed=st.integers(1, 127), disable=st.none() | st.integers(0, 11))
+# every fall (1.6 GHz) or every odd rise (3.2 GHz) is a tie rounded to even
+@example(rate=1_600_000_000, width=10, source="prbs10", n_words=6, seed=5, disable=None)
+@example(rate=3_200_000_000, width=16, source="random", n_words=6, seed=5, disable=3)
+@example(rate=1_600_000_000, width=8, source="none", n_words=1, seed=1, disable=None)
+def test_stream_stimulus_matches_event_oracle(rate, width, source, n_words, seed, disable):
+    config, words, schedule, tail = _scenario_stimulus(rate, width, source, n_words, seed,
+                                                       disable)
+    stim = stimulus.stream_stimulus(config, words, schedule, tail)
+    want = merge_events([clock_events(config, stim.until_ps), control_events(schedule, config),
+                         word_events(words, stim.timing) if stim.timing else []])
+    assert net_events(stim.events) == want
+    assert len(stim.events) == len(want)
+    events = stim.events
+    assert (events.times.dtype, events.net.dtype, events.level.dtype) == (
+        np.int64, np.int8, np.int8)
+    if words:
+        # a word of the wrong width: the oracle's error, from the same word
+        bad = words[:seed % len(words)] + [(1,) * (width - 1)] + words[seed % len(words):]
+        with pytest.raises(ValueError) as info:
+            word_events(bad, stim.timing)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(info.value))}$"):
+            stimulus.stream_stimulus(config, bad, schedule, tail)
+
+
+class _Sized(Exception):
+    """Stops ``stimulus._clock`` once its edge count has passed the int64 check."""
+
+
+# the lowest rate, rates whose period has the largest numerator (10^12), the
+# default, a tie rate, and the highest rate validate() admits (a period > 6 ps)
+@pytest.mark.parametrize("rate", [1, 1_000_000_007, 1_650_000_000, 3_200_000_000,
+                                  142_857_142_857])
+def test_int64_edge_times_hold_at_the_work_budget(rate, monkeypatch):
+    # the coarsest dt_ps validate() admits, and the longest horizon the work
+    # budget admits with it: 2^20 bit periods
+    cfg = ChannelConfig(serial_rate_hz=rate, ff_delay_ps=1, buffer_delay_ps=1, skew_ps=0)
+    cfg = replace(cfg, dt_ps=cfg.ui_ps / 32)
+    cfg.validate()
+    until = int(scenario.WORK_BUDGET * cfg.dt_ps)
+    assert until <= 2**20 * cfg.bit_period
+    counts = []
+    check = stimulus._check_int64
+
+    def sized(config, n_end):
+        check(config, n_end)
+        counts.append(n_end)
+        raise _Sized
+
+    monkeypatch.setattr(stimulus, "_check_int64", sized)
+    with pytest.raises(_Sized):  # before any edge time is computed
+        stimulus._clock(cfg, until)
+    period = cfg.bit_period
+    assert counts[0] <= 2**21 + 2
+    assert counts[0] * max(period.numerator, 4 * period.denominator) < 2**62
+
+
+@pytest.mark.parametrize("rate, tail", [(1_650_000_000, 2**50), (1_000_000_007, 2**23)])
+def test_stimulus_past_the_int64_bound_is_a_config_error(rate, tail):
+    # rejected before any edge time is computed: the clock would need 2^51 or
+    # 2^24 edges, whose times n * 10^12 / rate / 2 overflow int64 in the making
+    cfg = ChannelConfig(serial_rate_hz=rate)
+    first = stimulus.ProtocolSchedule(stimulus.reset_schedule(cfg).actions[:1])
+    with pytest.raises(ConfigError, match="overflow the int64 edge times"):
+        stimulus.stream_stimulus(cfg, [], first, tail_periods=tail)
 
 
 # --------------------------------------------------------------------------
@@ -150,7 +251,7 @@ def test_stream_stimulus_without_enable_idles():
                                     tail_periods=200)
     assert stim.timing is None
     assert stim.until_ps == round(200 * config.bit_period)
-    assert {ev.net for ev in stim.events} == {"Clock", "Disable", "Enable"}
+    assert {ev.net for ev in net_events(stim.events)} == {"Clock", "Disable", "Enable"}
     with pytest.raises(ValueError, match="no enable pulse"):
         stimulus.stream_stimulus(config, [(0,) * 10], stimulus.ProtocolSchedule(first))
 
@@ -250,7 +351,7 @@ def test_enable_pulse_meets_exactly_one_sampling_edge(rate, buf):
     edges = [stimulus.rising_dclk_time(cfg, k) for k in range(40)]
     for t in range(5000, 5000 + 2 * round(cfg.bit_period)):
         pulse = stimulus.ProtocolSchedule([(t, stimulus.Action.ENABLE_PULSE)])
-        _, fall = (ev.time_ps for ev in pulse.to_events(cfg))
+        _, fall = pulse.changes(cfg).times.tolist()
         sampled = [k for k, r in enumerate(edges) if t <= r < fall]
         assert len(sampled) == 1, (t, fall, sampled)
         assert stimulus.timing_for_enable(cfg, t).first_sel_edge == sampled[0] + 1
