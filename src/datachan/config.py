@@ -101,7 +101,6 @@ class ChannelConfig:
     ff_delay_ps: int = 30             # flip-flop clock-to-output delay
     buffer_delay_ps: int = 15         # single buffer / gate stage delay
     skew_ps: int = 20                 # Nclk delay relative to inverted Dclk
-    loop_limit: int = 1000            # zero-delay events per timestamp
     eye_bins_t: int = 128
     eye_bins_v: int = 128
     horizon_words: int = 100
@@ -151,8 +150,6 @@ class ChannelConfig:
             raise ConfigError(
                 f"dt_ps = {self.dt_ps} gives fewer than 32 samples per {self.ui_ps} ps interval"
             )
-        if self.loop_limit <= 0:
-            raise ConfigError("loop_limit must be positive")
         if self.horizon_words < 1:
             raise ConfigError(f"horizon_words must be at least 1, got {self.horizon_words}")
         if self.eye_bins_t < 64 or self.eye_bins_v < 64:

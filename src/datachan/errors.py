@@ -9,10 +9,6 @@ class ConfigError(DataChanError):
     """Invalid configuration value or file."""
 
 
-class OscillationError(DataChanError):
-    """Zero-delay event loop exceeded the iteration bound at one timestamp."""
-
-
 class ContentionError(DataChanError):
     """Two selector blocks drove the same shared line with conflicting values."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ChannelConfig
-from .errors import ConfigError, ContentionError, OscillationError
+from .errors import ConfigError, ContentionError
 from .logic import AND, NOT, OR, SignalTraces, Stimulus
 
 
@@ -62,8 +62,6 @@ class Buffer:
 
 class DFlipFlop:
     def __init__(self, clk: str, d: str, q: str, delay_ps: int, edge: str = "fall"):
-        if delay_ps <= 0:
-            raise ConfigError("flip-flop delay must be positive")
         self.clk, self.d, self.q = clk, d, q
         self.delay_ps = delay_ps
         self.edge = edge
@@ -284,24 +282,24 @@ class Simulator:
     turns the logs into per-net columns.
 
     Sinks are not bound: every ``SharedLine`` (the wired lines Even, Odd,
-    nEven and nOdd) and each ``Buffer`` of positive delay whose output no
-    component reads (``Nclk``).  No event of theirs can change what the loop
-    does, nor count as zero-delay, so ``_drive_sinks`` computes their changes
-    after it, from the log, and appends them.  This is exact: the log holds
-    every change of a sink's inputs in the order applied, so it gives their
-    levels at each change, from which the kernel computed the level queued
-    at ``t + delay`` under the ``last[net]`` rule.  A conflict on a wired line
-    is raised for the first conflicting change in the log, also when the loop
-    stopped on an error later: the kernel raised it when applying that change.
-    A ``SharedLine`` without delay, or read by a component, is a ``ConfigError``.
+    nEven and nOdd) and every ``Buffer`` whose output no component reads
+    (``Nclk``), whatever their delay.  No event of theirs can change what the
+    loop does, so ``_drive_sinks`` computes their changes after it, from the
+    log, and appends them.  This is exact: the log holds every change of a
+    sink's inputs in the order applied, so it gives their levels at each
+    change, from which the kernel computed the level queued at ``t + delay``
+    under the ``last[net]`` rule.  A conflict on a wired line is raised for
+    the first conflicting change in the log: the kernel raised it when
+    applying that change.  A ``SharedLine`` that a component reads is a
+    ``ConfigError``, and so is a negative delay, or a bound component without
+    delay: no event is queued for the time that is running, so the loop ends.
 
     Pending events wait in one FIFO list per timestamp, and a heap holds
     the distinct timestamps.  The stimulus columns are checked whole before
     the loop and cut into one list of codes per distinct time, which the loop
     merges with the heap.  Stimulus events at a timestamp precede the
     events queued for it, so a list is processed in exactly the order of
-    (time, order of queueing).  ``config.loop_limit`` bounds the zero-delay
-    events per timestamp: those appended to its list while it runs.
+    (time, order of queueing).
     """
 
     def __init__(self, netlist: ChannelNetlist):
@@ -333,15 +331,18 @@ class Simulator:
         read = {net for comp in netlist.components for net in comp.inputs}
         self._sinks: list[tuple] = []  # (component, output net index), in component order
         for comp in netlist.components:
-            if isinstance(comp, SharedLine):
-                if comp.line in read or comp.delay_ps <= 0:
-                    raise ConfigError(f"wired line {comp.line} needs a positive delay "
-                                      "and no component reading it")
-                self._sinks.append((comp, self.index[comp.line]))
-            elif isinstance(comp, Buffer) and comp.dst not in read and comp.delay_ps > 0:
-                self._sinks.append((comp, self.index[comp.dst]))
-            else:
+            sink = isinstance(comp, SharedLine) or isinstance(comp, Buffer) and comp.dst not in read
+            if comp.delay_ps < 0 or comp.delay_ps == 0 and not sink:
+                raise ConfigError(f"{type(comp).__name__} on {', '.join(comp.inputs)} has a "
+                                  f"delay of {comp.delay_ps} ps: only a sink may have none")
+            if not sink:
                 comp.bind(self)
+            elif isinstance(comp, Buffer):
+                self._sinks.append((comp, self.index[comp.dst]))
+            elif comp.line in read:
+                raise ConfigError(f"wired line {comp.line} is read by a component")
+            else:
+                self._sinks.append((comp, self.index[comp.line]))
         self._actions = [tuple(a) for a in self._actions]
 
     def on(self, net: str, old: int, new: int, action: tuple):
@@ -377,19 +378,11 @@ class Simulator:
     def run(self, stimulus: Stimulus, until_ps: int) -> SignalTraces:
         log_t = array("q", bytes(8 * self.low))
         log_code = array("q", range(2, 4 * self.low, 4))  # net << 2 | UNKNOWN
-        stim = self._stimulus_buckets(stimulus, until_ps)
-        try:
-            self._loop(stim, until_ps, log_t, log_code)
-        except OscillationError:
-            # every logged change was applied before the error, and a
-            # conflict raises when its change is applied: it came first
-            self._drive_sinks(log_t, log_code, until_ps)
-            raise
+        self._loop(self._stimulus_buckets(stimulus, until_ps), until_ps, log_t, log_code)
         self._drive_sinks(log_t, log_code, until_ps)
         return SignalTraces.from_log(self.netlist.nets, log_t, log_code, until_ps)
 
     def _loop(self, stim, until_ps: int, log_t: array, log_code: array):
-        limit = self.netlist.config.loop_limit
         values, actions = self.values, self._actions
         log_t_append, log_code_append = log_t.append, log_code.append
         last, times, pending = self._last, self._times, self._pending
@@ -410,13 +403,7 @@ class Simulator:
                 break
             if t > until_ps:
                 break
-            # counts reach 1 only at the events queued while the list runs
-            for count, code in enumerate(bucket, 1 - len(bucket)):
-                if count > limit:
-                    raise OscillationError(
-                        f"more than {limit} zero-delay events at {t} ps "
-                        f"(net {self.netlist.nets[code >> 2]})"
-                    )
+            for code in bucket:
                 net, new = code >> 2, code & 3
                 old = values[net]
                 if new == old:

@@ -36,7 +36,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from datachan.config import ChannelConfig
-from datachan.errors import ContentionError, OscillationError
+from datachan.errors import ContentionError
 from datachan.logic import AND, HIGH, LOW, NOT, OR, UNKNOWN, Level, SignalTraces, Stimulus
 from datachan.netlist import Buffer, ChannelNetlist, DFlipFlop, ResetBlock, SharedLine
 from datachan.stimulus import (Action, ProtocolSchedule, SlotTiming, Word, rising_dclk_time,
@@ -279,6 +279,15 @@ class RefSharedLine(_Reference, SharedLine):
             sim.schedule(t + self.delay_ps, self.line, level)
 
 
+# zero-delay events the reference runs at one timestamp before it gives up: the
+# kernel rejects a zero-delay cycle when it is built, the reference would hang
+ZERO_DELAY_LIMIT = 1000
+
+
+class ZeroDelayLoopError(Exception):
+    """More than ``ZERO_DELAY_LIMIT`` zero-delay events at one timestamp."""
+
+
 _TWINS = {Buffer: RefBuffer, DFlipFlop: RefDFlipFlop, ResetBlock: RefResetBlock,
           SharedLine: RefSharedLine}
 
@@ -318,7 +327,6 @@ class ReferenceSimulator:
 
         # only zero-delay events count: those whose sequence number was drawn
         # after their timestamp began
-        limit = self.netlist.config.loop_limit
         cur_t, began, count = -1, 0, 0
         heap = self._heap
         while heap and heap[0][0] <= until_ps:
@@ -327,10 +335,9 @@ class ReferenceSimulator:
                 cur_t, began, count = t, next(self._seq), 0
             if seq > began:
                 count += 1
-                if count > limit:
-                    raise OscillationError(
-                        f"more than {limit} zero-delay events at {t} ps (net {net})"
-                    )
+                if count > ZERO_DELAY_LIMIT:
+                    raise ZeroDelayLoopError(f"more than {ZERO_DELAY_LIMIT} zero-delay "
+                                             f"events at {t} ps (net {net})")
             old = self.values[net]
             if level is old:
                 continue

@@ -9,17 +9,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from datachan import ChannelConfig, advance, build_channel, golden, protocol, stimulus
-from datachan.errors import ConfigError, ContentionError, OscillationError
+from datachan.errors import ConfigError, ContentionError
 from datachan.logic import HIGH, LOW, UNKNOWN
 from datachan.netlist import Buffer, ChannelNetlist, ResetBlock, SharedLine, Simulator
-from reference_kernel import (NetEvent, ReferenceSimulator, mux_lines, net_events, stimulus_of,
-                              traces_from_histories)
+from reference_kernel import (NetEvent, ReferenceSimulator, ZeroDelayLoopError, mux_lines,
+                              net_events, stimulus_of, traces_from_histories)
 
 
 @st.composite
 def channel_runs(draw):
-    """A configuration that ``validate()`` accepts (``loop_limit`` 1 too), a
-    reset schedule with its Disable anywhere in the first two periods, words
+    """A configuration that ``validate()`` accepts, a reset schedule with its Disable anywhere in the first two periods, words
     and a disable point."""
     width = draw(st.sampled_from((8, 10, 16)))
     rate = draw(st.integers(1_000_000_000, 3_000_000_000))
@@ -28,8 +27,7 @@ def channel_runs(draw):
     ff = draw(st.integers(1, shortest - 1 - 5 * buf))
     skew = draw(st.integers(0, math.ceil(shortest / 2) - 1))
     config = ChannelConfig(serial_rate_hz=rate, word_width=width, ff_delay_ps=ff,
-                           buffer_delay_ps=buf, skew_ps=skew,
-                           loop_limit=draw(st.sampled_from((1, 1000))))
+                           buffer_delay_ps=buf, skew_ps=skew)
     config.validate()
     schedule = stimulus.reset_schedule(config, assert_at=draw(st.integers(1, 2 * shortest)))
     words = draw(st.lists(st.tuples(*[st.integers(0, 1)] * width),
@@ -100,62 +98,44 @@ def _run(kernel, netlist, events, until_ps):
 
 
 def _error(kernel, netlist, events, until_ps):
-    with pytest.raises((OscillationError, ContentionError, ValueError)) as info:
+    with pytest.raises((ContentionError, ValueError)) as info:
         _run(kernel, netlist, events, until_ps)
     return info.type, str(info.value)
 
 
-def test_zero_delay_loop_error_matches_reference():
-    # only the events queued while 5 ps runs count, not the stimulus at 5 ps
+def test_zero_delay_loop_is_a_config_error():
+    # the kernel refuses a zero-delay cycle when it is built; the reference
+    # runs it until its own guard stops it (only the events queued while 5 ps
+    # runs count, not the stimulus at 5 ps)
     nl = ChannelNetlist(
-        config=ChannelConfig(loop_limit=50), nets=["A", "B"], primary_inputs=["A"],
+        config=ChannelConfig(), nets=["A", "B"], primary_inputs=["A"],
         components=[Buffer("A", "B", 0), Buffer("B", "A", 0, invert=True)],
     )
+    with pytest.raises(ConfigError, match="Buffer on A has a delay of 0 ps"):
+        Simulator(nl)
     for levels in [(HIGH,), (HIGH, LOW, HIGH, HIGH)]:
         events = [NetEvent(5, "A", level) for level in levels]
-        got = _error(Simulator, nl, events, 10)
-        assert got == _error(ReferenceSimulator, nl, events, 10)
-        assert got == (OscillationError, "more than 50 zero-delay events at 5 ps (net B)")
+        with pytest.raises(ZeroDelayLoopError, match="more than 1000 zero-delay events at 5 ps"):
+            ReferenceSimulator(nl).run(events, 10)
 
 
 def test_forced_contention_error_matches_reference():
-    nl = ChannelNetlist(
-        config=ChannelConfig(), nets=["Sa", "Sb", "Da", "Db", "L"],
-        primary_inputs=["Sa", "Sb", "Da", "Db"],
-        components=[SharedLine("L", [("Sa", "Da", 1), ("Sb", "Db", 1)], 5)],
-    )
-    events = [NetEvent(0, "Da", LOW), NetEvent(0, "Db", LOW), NetEvent(0, "Sa", HIGH),
-              NetEvent(0, "Sb", HIGH), NetEvent(7, "Da", HIGH)]
-    got = _error(Simulator, nl, events, 10)
-    assert got == _error(ReferenceSimulator, nl, events, 10)
-    assert got == (ContentionError, "conflicting drive on L at 7 ps from Sa, Sb")
-
-
-@pytest.mark.parametrize("loop_at, want", [
-    (9, (ContentionError, "conflicting drive on L at 7 ps from Sa, Sb")),
-    (5, (OscillationError, "more than 50 zero-delay events at 5 ps (net B)")),
-])
-def test_error_order_of_contention_and_zero_delay_loop_matches_reference(loop_at, want):
-    # the wired lines are computed after the loop, which raises at the
-    # zero-delay loop first: a conflict logged before it must still be the
-    # error.  L and nL conflict at 7 ps on one change, the earlier component
-    # wins; L2, first in component order, conflicts only at 8 ps.
-    nl = ChannelNetlist(
-        config=ChannelConfig(loop_limit=50),
-        nets=["Sa", "Sb", "Da", "Db", "Dc", "L2", "L", "nL", "A", "B"],
-        primary_inputs=["Sa", "Sb", "Da", "Db", "Dc", "A"],
-        components=[SharedLine("L2", [("Sa", "Dc", 1), ("Sb", "Db", 1)], 5),
-                    SharedLine("L", [("Sa", "Da", 1), ("Sb", "Db", 1)], 5),
-                    SharedLine("nL", [("Sa", "Da", 0), ("Sb", "Db", 0)], 5),
-                    Buffer("A", "B", 0), Buffer("B", "A", 0, invert=True)],
-    )
+    # L and nL conflict at 7 ps on one change: the earlier component wins.
+    # L2, first in component order, conflicts only at 8 ps.
+    lines = [SharedLine("L2", [("Sa", "Dc", 1), ("Sb", "Db", 1)], 5),
+             SharedLine("L", [("Sa", "Da", 1), ("Sb", "Db", 1)], 5),
+             SharedLine("nL", [("Sa", "Da", 0), ("Sb", "Db", 0)], 5)]
     events = [NetEvent(0, "Da", LOW), NetEvent(0, "Db", LOW), NetEvent(0, "Dc", LOW),
               NetEvent(0, "Sa", HIGH), NetEvent(0, "Sb", HIGH), NetEvent(7, "Da", HIGH),
               NetEvent(8, "Dc", HIGH)]
-    events = sorted(events + [NetEvent(loop_at, "A", HIGH)], key=lambda ev: ev.time_ps)
-    got = _error(Simulator, nl, events, 20)
-    assert got == _error(ReferenceSimulator, nl, events, 20)
-    assert got == want
+    for components in [lines[1:2], lines]:
+        nl = ChannelNetlist(
+            config=ChannelConfig(), nets=["Sa", "Sb", "Da", "Db", "Dc", "L2", "L", "nL"],
+            primary_inputs=["Sa", "Sb", "Da", "Db", "Dc"], components=components,
+        )
+        got = _error(Simulator, nl, events, 10)
+        assert got == _error(ReferenceSimulator, nl, events, 10)
+        assert got == (ContentionError, "conflicting drive on L at 7 ps from Sa, Sb")
 
 
 @pytest.mark.parametrize("events, want", [
@@ -218,17 +198,19 @@ def _outcome(kernel, netlist, events, until_ps):
         return str(exc)
 
 
-@pytest.mark.parametrize("first", ["Sa", "Sb"])
-def test_same_time_select_handover_matches_reference(first):
+@pytest.mark.parametrize("first, delay", [("Sa", 5), ("Sb", 5), ("Sa", 0), ("Sb", 0)],
+                         ids=["Sa", "Sb", "Sa-zero-delay", "Sb-zero-delay"])
+def test_same_time_select_handover_matches_reference(first, delay):
     # Sa hands both lines over to Sb at 10 ps.  Sa released first: M is pulled
     # up for no time, a transient that collapses.  Sb selected first: L's two
     # blocks pull differently for no time, a conflict.  At 20 ps a bus update
-    # and a select change share the time stamp.
+    # and a select change share the time stamp.  A wired line is a sink, so
+    # it may have no delay.
     nl = ChannelNetlist(
         config=ChannelConfig(), nets=["Sa", "Sb", "Da", "Db", "Dc", "L", "M", "X"],
         primary_inputs=["Sa", "Sb", "Da", "Db", "Dc"],
-        components=[SharedLine("L", [("Sa", "Da", 1), ("Sb", "Db", 1)], 5),
-                    SharedLine("M", [("Sa", "Dc", 1), ("Sb", "Dc", 1)], 5),
+        components=[SharedLine("L", [("Sa", "Da", 1), ("Sb", "Db", 1)], delay),
+                    SharedLine("M", [("Sa", "Dc", 1), ("Sb", "Dc", 1)], delay),
                     Buffer("Sa", "X", 3, invert=True)],
     )
     handover = [NetEvent(10, "Sa", LOW), NetEvent(10, "Sb", HIGH)]
@@ -241,19 +223,20 @@ def test_same_time_select_handover_matches_reference(first):
     if first == "Sb":
         assert got == "conflicting drive on L at 10 ps from Sa, Sb"
     else:
-        assert got["L"] == [(0, UNKNOWN), (5, HIGH), (15, LOW), (25, HIGH)]
-        assert got["M"] == [(0, UNKNOWN), (5, LOW), (25, HIGH)]
+        # without delay the power-on UNKNOWN collapses into the level at 0 ps
+        start = [(0, UNKNOWN)] if delay else []
+        assert got["L"] == start + [(delay, HIGH), (10 + delay, LOW), (20 + delay, HIGH)]
+        assert got["M"] == start + [(delay, LOW), (20 + delay, HIGH)]
         assert got["X"] == [(0, UNKNOWN), (3, LOW), (13, HIGH)]
 
 
 @pytest.mark.parametrize("components", [
     [SharedLine("L", [("S", "D", 1)], 5), Buffer("L", "Q", 1)],
-    [SharedLine("L", [("S", "D", 1)], 0)],
-], ids=["read", "zero-delay"])
+], ids=["read"])
 def test_wired_line_must_be_an_unread_delayed_sink(components):
     nl = ChannelNetlist(config=ChannelConfig(), nets=["S", "D", "L", "Q"],
                         primary_inputs=["S", "D"], components=components)
-    with pytest.raises(ConfigError, match="wired line L needs a positive delay"):
+    with pytest.raises(ConfigError, match="wired line L is read by a component"):
         Simulator(nl)
 
 
