@@ -230,13 +230,15 @@ def test_same_time_select_handover_matches_reference(first, delay):
         assert got["X"] == [(0, UNKNOWN), (3, LOW), (13, HIGH)]
 
 
-@pytest.mark.parametrize("components", [
-    [SharedLine("L", [("S", "D", 1)], 5), Buffer("L", "Q", 1)],
-], ids=["read"])
-def test_wired_line_must_be_an_unread_delayed_sink(components):
+@pytest.mark.parametrize("components, message", [
+    ([SharedLine("L", [("S", "D", 1)], 5), Buffer("L", "Q", 1)],
+     "wired line L is read by a component"),
+    ([SharedLine("L", [("S", "D", 1)], -1)], "SharedLine on S, D has a delay of -1 ps"),
+], ids=["read", "negative-delay"])
+def test_wired_line_must_be_an_unread_delayed_sink(components, message):
     nl = ChannelNetlist(config=ChannelConfig(), nets=["S", "D", "L", "Q"],
                         primary_inputs=["S", "D"], components=components)
-    with pytest.raises(ConfigError, match="wired line L is read by a component"):
+    with pytest.raises(ConfigError, match=message):
         Simulator(nl)
 
 
