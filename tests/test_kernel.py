@@ -103,7 +103,7 @@ def _error(kernel, netlist, events, until_ps):
     return info.type, str(info.value)
 
 
-def test_zero_delay_loop_is_a_config_error():
+def test_zero_delay_loop_error_matches_reference():
     # the kernel refuses a zero-delay cycle when it is built; the reference
     # runs it until its own guard stops it (only the events queued while 5 ps
     # runs count, not the stimulus at 5 ps)
@@ -120,22 +120,46 @@ def test_zero_delay_loop_is_a_config_error():
 
 
 def test_forced_contention_error_matches_reference():
-    # L and nL conflict at 7 ps on one change: the earlier component wins.
-    # L2, first in component order, conflicts only at 8 ps.
+    nl = ChannelNetlist(
+        config=ChannelConfig(), nets=["Sa", "Sb", "Da", "Db", "L"],
+        primary_inputs=["Sa", "Sb", "Da", "Db"],
+        components=[SharedLine("L", [("Sa", "Da", 1), ("Sb", "Db", 1)], 5)],
+    )
+    events = [NetEvent(0, "Da", LOW), NetEvent(0, "Db", LOW), NetEvent(0, "Sa", HIGH),
+              NetEvent(0, "Sb", HIGH), NetEvent(7, "Da", HIGH)]
+    got = _error(Simulator, nl, events, 10)
+    assert got == _error(ReferenceSimulator, nl, events, 10)
+    assert got == (ContentionError, "conflicting drive on L at 7 ps from Sa, Sb")
+
+
+@pytest.mark.parametrize("loop_at, want", [
+    (9, (ContentionError, "conflicting drive on L at 7 ps from Sa, Sb")),
+])
+def test_error_order_of_contention_and_zero_delay_loop_matches_reference(loop_at, want):
+    # the kernel refuses the zero-delay A/B pair when it is built, before any
+    # contention.  The reference runs it, and a conflict before the loop starts
+    # is its error; the kernel gives the same error without the pair.  L and nL
+    # conflict at 7 ps on one change, the earlier component wins; L2, first in
+    # component order, conflicts only at 8 ps.
     lines = [SharedLine("L2", [("Sa", "Dc", 1), ("Sb", "Db", 1)], 5),
              SharedLine("L", [("Sa", "Da", 1), ("Sb", "Db", 1)], 5),
              SharedLine("nL", [("Sa", "Da", 0), ("Sb", "Db", 0)], 5)]
+    loop = [Buffer("A", "B", 0), Buffer("B", "A", 0, invert=True)]
+    nets = ["Sa", "Sb", "Da", "Db", "Dc", "L2", "L", "nL", "A", "B"]
+    inputs = ["Sa", "Sb", "Da", "Db", "Dc", "A"]
+    with_loop = ChannelNetlist(config=ChannelConfig(), nets=nets, primary_inputs=inputs,
+                               components=lines + loop)
+    without = ChannelNetlist(config=ChannelConfig(), nets=nets, primary_inputs=inputs,
+                             components=lines)
     events = [NetEvent(0, "Da", LOW), NetEvent(0, "Db", LOW), NetEvent(0, "Dc", LOW),
               NetEvent(0, "Sa", HIGH), NetEvent(0, "Sb", HIGH), NetEvent(7, "Da", HIGH),
               NetEvent(8, "Dc", HIGH)]
-    for components in [lines[1:2], lines]:
-        nl = ChannelNetlist(
-            config=ChannelConfig(), nets=["Sa", "Sb", "Da", "Db", "Dc", "L2", "L", "nL"],
-            primary_inputs=["Sa", "Sb", "Da", "Db", "Dc"], components=components,
-        )
-        got = _error(Simulator, nl, events, 10)
-        assert got == _error(ReferenceSimulator, nl, events, 10)
-        assert got == (ContentionError, "conflicting drive on L at 7 ps from Sa, Sb")
+    events = sorted(events + [NetEvent(loop_at, "A", HIGH)], key=lambda ev: ev.time_ps)
+    with pytest.raises(ConfigError, match="Buffer on A has a delay of 0 ps"):
+        Simulator(with_loop)
+    got = _error(Simulator, without, events, 20)
+    assert got == _error(ReferenceSimulator, with_loop, events, 20)
+    assert got == want
 
 
 @pytest.mark.parametrize("events, want", [

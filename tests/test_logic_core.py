@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from datachan import ChannelConfig, advance, build_channel
 from datachan.errors import ConfigError, ContentionError
 from datachan.logic import AND, HIGH, LOW, NOT, OR, UNKNOWN, Level, SignalTraces
-from datachan.netlist import Buffer, DFlipFlop, SharedLine, Simulator
+from datachan.netlist import Buffer, ChannelNetlist, DFlipFlop, SharedLine, Simulator
 from datachan import stimulus
 from reference_kernel import (NetEvent, ReferenceSimulator, ResetState, clock_events, eval_reset,
                               intervals, k_and, histories_from_log, k_not, k_or, merge_events,
@@ -256,6 +256,16 @@ def test_determinism_of_advance(config, stream40):
     words, stim, traces = stream40
     again = advance(build_channel(config), stim.events, stim.until_ps)
     assert again.events == traces.events
+
+
+def test_zero_delay_loop_raises():
+    cfg = ChannelConfig()
+    nl = ChannelNetlist(
+        config=cfg, nets=["A", "B"], primary_inputs=["A"],
+        components=[Buffer("A", "B", 0), Buffer("B", "A", 0, invert=True)],
+    )
+    with pytest.raises(ConfigError, match="has a delay of 0 ps"):
+        Simulator(nl)
 
 
 def test_stimulus_must_hit_primary_inputs(config):
