@@ -45,7 +45,8 @@ def _sink_timeline(traces: SignalTraces, nets: tuple[str, str],
     """Merged (time, sinking) steps: sinking while either net is pulled low."""
     hists = [traces.arrays(net) for net in nets]
     inner = np.concatenate([ev_t[(ev_t > t_start) & (ev_t < t_end)] for ev_t, _ in hists])
-    times = np.concatenate((np.array([t_start], dtype=np.int64), np.unique(inner)))
+    # a time both nets change at stays in twice; the copy has the same state, so keep drops it
+    times = np.concatenate((np.array([t_start], dtype=np.int64), np.sort(inner)))
     state = np.zeros(len(times), dtype=bool)
     for ev_t, levels in hists:
         if len(ev_t):
@@ -68,12 +69,29 @@ def _passes(n: int):
     return ((s, min(n, s + _PASS_CELLS)) for s in range(0, n, _PASS_CELLS))
 
 
+def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The ``np.histogram`` bin of each value of ``x`` for the uniform ``edges`` of
+    ``np.histogram_bin_edges``, or ``len(edges) - 1`` outside them (NaN included):
+    numpy's estimate, corrected by one step against the edges as its fast path does."""
+    lo, hi, n = edges[0], edges[-1], len(edges) - 1
+    outside = ~((x >= lo) & (x <= hi))
+    if outside.any():
+        return np.where(outside, n, _bin_index(np.where(outside, lo, x), edges))
+    f = (x - lo) / (hi - lo) * n  # in numpy's order of operations
+    idx = f.astype(np.intp)
+    np.minimum(idx, n - 1, out=idx)  # the last bin holds the right edge
+    idx -= x < np.take(edges, idx, out=f, mode="clip")
+    idx += (x >= np.take(edges[1:], idx, out=f, mode="clip")) & (idx != n - 1)
+    return idx
+
+
 def _shape_segments(steps: list[tuple[int, bool]], params: DriverParams,
                     dt_ps: float, t_start: float, n: int) -> np.ndarray:
     """Edge-shaped leg voltage on ``n`` samples from its (time, sinking) steps.
 
     The level reached at the end of each segment is a scalar recurrence over
-    the steps; the samples are then filled a chunk of the grid at a time.
+    the steps.  The samples are then filled a pass of the grid at a time: the
+    segments that overlap the pass are repeated over their runs of samples.
     """
     v_hi, v_lo = params.v_standby, params.v_sink
     exponential = params.edge_model == "EXPONENTIAL"
@@ -98,20 +116,21 @@ def _shape_segments(steps: list[tuple[int, bool]], params: DriverParams,
             ue = min(max((seg_end - t) / t_full, 0.0), 1.0)
             v = v + (target - v) * 0.5 * (1.0 - math.cos(math.pi * ue))
 
-    # sample i belongs to the last segment whose first sample index is <= i
+    # segment k holds samples first[k] to first[k + 1] - 1: none if the next step is that close
     first = np.clip(np.ceil((np.asarray(seg_t) - t_start) / dt_ps), 0, n).astype(np.int64)
+    bounds = np.append(first, n)
     goals, v_starts = np.asarray(targets), np.asarray(v_start)
     seg_ts = np.asarray(seg_t, dtype=float)
     out = np.empty(n)
     for s, e in _passes(n):
-        i = np.arange(s, e)
-        seg = np.searchsorted(first, i, side="right") - 1
-        goal = goals[seg]
+        # the segments from the one holding sample s to the last starting before e
+        k0, k1 = first.searchsorted(s, side="right") - 1, first.searchsorted(e)
+        runs = np.minimum(bounds[k0 + 1:k1 + 1], e) - np.maximum(bounds[k0:k1], s)
+        goal, v0, t_seg = (np.repeat(a[k0:k1], runs) for a in (goals, v_starts, seg_ts))
         if instant:
             out[s:e] = goal
             continue
-        v0 = v_starts[seg]
-        rel = t_start + dt_ps * i - seg_ts[seg]
+        rel = t_start + dt_ps * np.arange(s, e) - t_seg
         if exponential:
             out[s:e] = goal + (v0 - goal) * np.exp(-rel / tau)
         else:

@@ -8,7 +8,7 @@ from functools import reduce
 import numpy as np
 
 from .config import check_mask
-from .driver import WaveformTrace, _passes, format_rows
+from .driver import WaveformTrace, _bin_index, _passes, format_rows
 from .errors import AlignmentError
 
 
@@ -68,7 +68,8 @@ def build_eye(tx_plus: WaveformTrace, tx_minus: WaveformTrace, ui_ps: float,
     ``fold_offset_ps`` picks the waveform time mapped to the left window
     edge; choose it half a UI before a bit center so the eye sits at the
     window center.  The samples are read in passes of ``_PASS_CELLS``: one
-    for the voltage range when ``v_range`` is None, one for the counts.
+    for the voltage range when ``v_range`` is None, one that counts each sample
+    in its ``np.histogram2d`` bin (``_bin_index``), unless it is outside ``v_range``.
     """
     if tx_plus.dt_ps != tx_minus.dt_ps or tx_plus.t0_ps != tx_minus.t0_ps \
             or len(tx_plus.samples) != len(tx_minus.samples):
@@ -85,16 +86,15 @@ def build_eye(tx_plus: WaveformTrace, tx_minus: WaveformTrace, ui_ps: float,
         vmax = vmax * 1.05 + 1e-9
         v_range = (-vmax, vmax)
 
-    # histogram2d bins each sample on its own, so the pass counts add up exactly
-    counts = np.zeros((bins_t, bins_v))
+    t_edges = np.histogram_bin_edges(np.empty(0), bins_t, (0.0, 2.0))
+    v_edges = np.histogram_bin_edges(np.empty(0), bins_v, (v_range[0], v_range[1]))
+    # [voltage bin, time bin] cells, with a last row and column for samples off the grid
+    counts = np.zeros((bins_v + 1) * (bins_t + 1), dtype=np.int64)
     for s, e in _passes(n):
         phase = np.mod(tx_plus.times(s, e) - fold_offset_ps, 2.0 * ui_ps) / ui_ps
-        part, t_edges, v_edges = np.histogram2d(
-            phase, diff(s, e), bins=[bins_t, bins_v],
-            range=[[0.0, 2.0], [v_range[0], v_range[1]]],
-        )
-        counts += part
-    return EyeHistogram(ui_ps=ui_ps, counts=counts.T.astype(np.int64),
+        cell = _bin_index(diff(s, e), v_edges) * (bins_t + 1) + _bin_index(phase, t_edges)
+        counts += np.bincount(cell, minlength=len(counts))
+    return EyeHistogram(ui_ps=ui_ps, counts=counts.reshape(bins_v + 1, -1)[:-1, :-1].copy(),
                         t_edges_ui=t_edges, v_edges=v_edges,
                         fold_offset_ps=fold_offset_ps)
 

@@ -6,7 +6,7 @@ from functools import reduce
 
 import numpy as np
 
-from .driver import WaveformTrace, _passes
+from .driver import WaveformTrace, _bin_index, _passes
 from .errors import NoSettleError, NoTransitionError
 
 _MODE_BINS = 2001
@@ -22,8 +22,9 @@ def measure_levels(trace: WaveformTrace) -> tuple[float, float, float]:
 
     The mode of a fine histogram is used instead of a mean so edge samples
     cannot bias the settled levels.  The samples are read in passes: one
-    for the range, one for both states' histograms, and one per state that
-    gathers its mode-bin samples in order, for a single mean over all of them.
+    for the range, one that counts each sample in its state's ``np.histogram``
+    bin (``_bin_index``), and one per state that gathers its mode-bin samples
+    in order, for a single mean over all of them.
     """
     if len(trace.samples) == 0:
         raise NoSettleError("empty trace")
@@ -34,13 +35,13 @@ def measure_levels(trace: WaveformTrace) -> tuple[float, float, float]:
 
     mid = 0.5 * (vmin + vmax)
     states = (lambda v: v[v > mid], lambda v: v[v <= mid])
-    counts = np.zeros((2, _MODE_BINS), dtype=np.int64)
+    # the edges span the samples; a row of bins above mid, then one at or below it
+    edges = np.histogram_bin_edges(np.empty(0), _MODE_BINS, (vmin, vmax))
+    counts = np.zeros(2 * _MODE_BINS, dtype=np.int64)
     for v in _parts(trace):
-        for total, state in zip(counts, states):
-            part, edges = np.histogram(state(v), bins=_MODE_BINS, range=(vmin, vmax))
-            total += part
+        counts += np.bincount(_bin_index(v, edges) + _MODE_BINS * (v <= mid), minlength=len(counts))
     modes = []
-    for total in counts:
+    for total in counts.reshape(2, -1):
         k = int(np.argmax(total))
         if total[k] < 3:
             raise NoSettleError("no settled interval found")
@@ -53,11 +54,12 @@ def measure_levels(trace: WaveformTrace) -> tuple[float, float, float]:
     return v_high, v_low, v_high - v_low
 
 
-def _rises(t: np.ndarray, v: np.ndarray, th: float) -> np.ndarray:
-    """Interpolated times where ``v`` rises through ``th``."""
+def _rises(trace: WaveformTrace, s: int, v: np.ndarray, th: float) -> np.ndarray:
+    """Interpolated times where ``v``, samples ``s`` on of ``trace``, rises through ``th``."""
     idx = np.nonzero((v[:-1] < th) & (v[1:] >= th))[0]
     frac = (th - v[idx]) / (v[idx + 1] - v[idx])
-    return t[idx] + frac * (t[idx + 1] - t[idx])
+    t0, t1 = (trace.t0_ps + trace.dt_ps * (s + i) for i in (idx, idx + 1))  # as times() does
+    return t0 + frac * (t1 - t0)
 
 
 def measure_edge(trace: WaveformTrace, which: str, levels: tuple[float, float, float]) -> float:
@@ -80,19 +82,13 @@ def measure_edge(trace: WaveformTrace, which: str, levels: tuple[float, float, f
     found = ([], [])
     for s, e in _passes(len(trace.samples)):
         v = trace.samples[s:e + 1] if rise else -trace.samples[s:e + 1]
-        t = trace.times(s, s + len(v))
         for out, th in zip(found, ths):
-            out.append(_rises(t, v, th))
+            out.append(_rises(trace, s, v, th))
     starts, ends = (np.concatenate(f) for f in found)
 
-    durations = []
-    j = 0
-    for i, t_start in enumerate(starts):
-        next_start = starts[i + 1] if i + 1 < len(starts) else np.inf
-        while j < len(ends) and ends[j] <= t_start:
-            j += 1
-        if j < len(ends) and ends[j] < next_start:
-            durations.append(ends[j] - t_start)
-    if not durations:
+    # a start pairs with the first end after it, if that end comes before the next start
+    end = np.append(ends, np.inf)[ends.searchsorted(starts, side="right")]
+    paired = end < np.append(starts[1:], np.inf)
+    if not paired.any():
         raise NoTransitionError(f"no complete {which} transition found")
-    return float(np.mean(durations))
+    return float(np.mean(end[paired] - starts[paired]))

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from datachan import driver as drv
+import reference_analysis
+from datachan import driver as drv, measure
 from datachan.config import ChannelConfig, DriverParams
 from datachan.errors import NoSettleError, NoTransitionError
 from datachan.eye import EyeHistogram, EyeMask, build_eye, mask_check
@@ -169,6 +170,136 @@ def test_times_range_is_a_slice_of_the_grid(n, data, t0, dt):
     assert_same_array(trace.times(), grid, "times()")
     assert_same_array(trace.times(start), grid[start:], "times(start)")
     assert_same_array(trace.times(start, stop), grid[start:stop], "times(start, stop)")
+
+
+# --------------------------------------------------------------------------
+# binning: the bins of np.histogram2d and np.histogram
+
+BIN_COUNTS = [1, 2, 3, 7, 100, 128, 2001]
+# explicit, with a signed-zero edge, zero-width (widened by 0.5 each side) and inverted
+V_RANGES = [None, (-0.6, 0.6), (-0.2, 0.1), (-0.0, 0.5), (0.25, 0.25), (0.0, 0.0), (0.5, -0.5)]
+
+
+def result_or_error(fn, *args, **kwargs):
+    """The result of ``fn``, or the type and message of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, NoSettleError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def on_and_beside(edges):
+    """The edges, and the float just below and just above each of them."""
+    return np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), bins_t=st.sampled_from(BIN_COUNTS), v_range=st.sampled_from(V_RANGES),
+       aligned=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       chunk=st.sampled_from([997, P]))
+def test_eye_bins_match_histogram2d(data, bins_t, v_range, aligned, seed, chunk):
+    bins_v = data.draw(st.sampled_from([b for b in BIN_COUNTS if b != bins_t]), "bins_v")
+    rng = np.random.default_rng(seed)
+    # at one UI, a step of 2 / bins_t puts the first bins_t phases on the time edges
+    dt, fold = (2.0 / bins_t, 0.0) if aligned else (0.37, data.draw(st.sampled_from([0.15, -1.3])))
+    n = int(np.ceil(100.0 / dt)) + int(rng.integers(0, 300))
+    pool = [np.array([0.0, -0.0, 0.5, -0.5]), rng.uniform(-0.5, 0.5, 64)]
+    if v_range is not None:
+        lo, hi = v_range
+        if lo == hi:
+            lo, hi = lo - 0.5, hi + 0.5
+        edges = np.linspace(lo, hi, bins_v + 1)
+        # on every edge, the right one included, and outside the range
+        pool += [on_and_beside(edges), np.array([lo - 1.0, hi + 1.0, -np.inf, np.inf])]
+    plus = rng.choice(np.concatenate(pool), n)
+    minus = np.where(rng.random(n) < 0.5, -0.0, 0.0)  # a difference keeps its sign of zero
+    traces = [drv.WaveformTrace(dt, v, 0.0) for v in (plus, minus)]
+    args = (*traces, 1.0, bins_t, bins_v)
+    kwargs = {"fold_offset_ps": fold, "v_range": v_range}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(drv, "_PASS_CELLS", chunk)
+        got = result_or_error(build_eye, *args, **kwargs)
+    want = result_or_error(ref_build_eye, *args, **kwargs)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert_same_eye(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bins=st.sampled_from(BIN_COUNTS),
+       lo=st.sampled_from([0.0, -0.0, -0.4, 1.2, 1.0e6]),
+       width=st.sampled_from([1.0, 0.3, 2.5e-12, 1e-13, 2e-9]),
+       n=st.integers(2, 3000), seed=st.integers(0, 2**32 - 1), chunk=st.sampled_from([7, P]))
+def test_levels_bins_match_histogram(bins, lo, width, n, seed, chunk):
+    # 1e6 with a 2e-9 range is too narrow for the bins to differ: numpy refuses it
+    rng = np.random.default_rng(seed)
+    hi = lo + width
+    pool = [on_and_beside(np.linspace(lo, hi, bins + 1)), np.full(8, lo), np.full(8, hi)]
+    if lo <= 0.0 <= hi:
+        pool.append(np.array([0.0, -0.0] * 4))
+    v = rng.choice(np.concatenate(pool), n)
+    v[:2] = lo, hi
+    trace = drv.WaveformTrace(10.0, v, 0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure, "_MODE_BINS", bins)
+        mp.setattr(reference_analysis, "MODE_BINS", bins)
+        mp.setattr(drv, "_PASS_CELLS", chunk)
+        got = result_or_error(measure_levels, trace)
+        want = result_or_error(ref_measure_levels, trace)
+    assert_same_outcome(got, want, "levels")
+
+
+# --------------------------------------------------------------------------
+# edge pairing: each start with the first end after it, before the next start
+
+
+def edge_trace(levels, t0=0.0, dt=10.0, which="rise"):
+    """A trace of the given sample levels (0 low, 1 high), each held for three
+    samples so that both levels settle; a fall is the rise mirrored."""
+    v = np.repeat(np.asarray(levels, dtype=float), 3)
+    return drv.WaveformTrace(dt, v if which == "rise" else 1.0 - v, t0)
+
+
+def up_crossings(trace, th):
+    t, v = ref_times(trace), trace.samples
+    idx = np.nonzero((v[:-1] < th) & (v[1:] >= th))[0]
+    return t[idx] + (th - v[idx]) / (v[idx + 1] - v[idx]) * (t[idx + 1] - t[idx])
+
+
+EDGE_CASES = {
+    # two starts before one end: only the later one pairs
+    "two-starts-one-end": [0, 0.5, 0, 0.5, 1, 1],
+    # the last start pairs with an end after it
+    "end-after-last-start": [0, 0.3, 0.6, 0.9, 1, 0, 0.5, 1],
+    # an end with no start before it, then a start with no end after it
+    "unpaired-end-and-start": [0.5, 1, 0, 0.5],
+    "ends-with-no-start": [0.5, 1, 0],
+    "starts-with-no-end": [1, 0, 0.5],
+}
+
+
+@pytest.mark.parametrize("which", ["rise", "fall"])
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_edge_pairing_matches_reference(case, which):
+    trace = edge_trace(EDGE_CASES[case], which=which)
+    assert_same_outcome(outcome(edge, trace, which), outcome(ref_measure_edge, trace, which),
+                        which)
+
+
+@pytest.mark.parametrize("which", ["rise", "fall"])
+def test_edge_end_at_a_start_time_does_not_pair(which):
+    # at 2^53 ps, where floats are 2 ps apart, samples 0.25 ps apart share a
+    # time: a one-sample jump from low to high crosses 20% and 80% at the same
+    # time.  The next rise is a ramp whose crossings are 2 ps apart.
+    levels = [0, 1, 0, 0.3, 0.6, 0.9, 1]
+    trace = edge_trace(levels, t0=2.0**53, dt=0.25, which=which)
+    rise = edge_trace(levels, t0=2.0**53, dt=0.25)
+    starts, ends = up_crossings(rise, 0.2), up_crossings(rise, 0.8)
+    assert starts[0] == ends[0] and len(starts) == len(ends) == 2
+    got = outcome(edge, trace, which)
+    assert_same_outcome(got, outcome(ref_measure_edge, trace, which), which)
+    assert got == ends[1] - starts[1]
 
 
 # --------------------------------------------------------------------------

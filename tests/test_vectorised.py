@@ -261,6 +261,22 @@ def test_supply_and_naive_current_share_the_deposit():
        dt=st.sampled_from([10.0, 3.0, 1.0]),
        window=st.tuples(st.integers(0, 600), st.integers(1, 3000)),
        chunk=st.sampled_from([7, 256, drv._PASS_CELLS]))
+# several steps inside one sample interval give segments that share their
+# first sample, so their runs are empty; the windows start mid-history, and at
+# chunk 7 the last run crosses several pass boundaries
+@example(hists=[[(0, HIGH), (12, LOW), (14, HIGH), (17, LOW), (19, HIGH), (55, LOW), (56, HIGH)],
+                [(0, HIGH), (100, LOW), (101, HIGH), (102, LOW), (108, HIGH)],
+                [(0, LOW), (13, HIGH), (18, LOW)],
+                [(0, HIGH)]],
+         edge="EXPONENTIAL", t_rf=104.0, dt=10.0, window=(5, 300), chunk=7)
+@example(hists=[[(1, HIGH), (150, LOW), (151, HIGH), (152, LOW), (160, HIGH), (161, LOW)],
+                [(1, LOW), (150, HIGH), (153, LOW)], [(1, HIGH), (151, LOW), (152, HIGH)],
+                [(1, LOW), (2, HIGH), (159, LOW), (160, UNKNOWN), (161, HIGH)]],
+         edge="RAISED_COSINE", t_rf=37.3, dt=3.0, window=(140, 100), chunk=7)
+@example(hists=[[(0, LOW), (21, HIGH), (22, LOW), (23, HIGH), (24, LOW), (70, HIGH)],
+                [(0, HIGH)], [(0, HIGH), (21, LOW), (22, HIGH), (23, LOW), (24, HIGH)],
+                [(0, HIGH)]],
+         edge="EXPONENTIAL", t_rf=0.0, dt=10.0, window=(15, 120), chunk=7)
 def test_tx_synthesis_matches_per_segment_loop(hists, edge, t_rf, dt, window, chunk):
     horizon = max([h[-1][0] for h in hists if h] + [0]) + 500
     traces = traces_from_histories(dict(zip(LINE_NETS, hists)), horizon)
