@@ -41,21 +41,17 @@ class WaveformTrace:
 
 
 def _sink_timeline(traces: SignalTraces, nets: tuple[str, str],
-                   t_start: int, t_end: int) -> list[tuple[int, bool]]:
-    """Merged (time, sinking) steps: sinking while either net is pulled low."""
-    hists = [traces.arrays(net) for net in nets]
-    inner = np.concatenate([ev_t[(ev_t > t_start) & (ev_t < t_end)] for ev_t, _ in hists])
+                   t_start: int, t_end: int) -> tuple[np.ndarray, np.ndarray]:
+    """The step times (int64) and sinking flags (bool) of a leg, from ``t_start``
+    and at each change of its state: sinking while either net is pulled low."""
+    inner = np.concatenate([ev_t[(ev_t > t_start) & (ev_t < t_end)]
+                            for ev_t, _ in map(traces.arrays, nets)])
     # a time both nets change at stays in twice; the copy has the same state, so keep drops it
     times = np.concatenate((np.array([t_start], dtype=np.int64), np.sort(inner)))
-    state = np.zeros(len(times), dtype=bool)
-    for ev_t, levels in hists:
-        if len(ev_t):
-            # the level at each time is the last change at or before it
-            idx = np.searchsorted(ev_t, times, side="right") - 1
-            state |= (idx >= 0) & (levels[np.maximum(idx, 0)] == LOW)
+    state = (traces.levels_at(nets[0], times) == LOW) | (traces.levels_at(nets[1], times) == LOW)
     keep = np.ones(len(times), dtype=bool)
     keep[1:] = state[1:] != state[:-1]
-    return list(zip(times[keep].tolist(), state[keep].tolist()))
+    return times[keep], state[keep]
 
 
 # elements of the work arrays in one numpy pass of the analog back end and of
@@ -85,9 +81,10 @@ def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _shape_segments(steps: list[tuple[int, bool]], params: DriverParams,
+def _shape_segments(seg_t: np.ndarray, sinking: np.ndarray, params: DriverParams,
                     dt_ps: float, t_start: float, n: int) -> np.ndarray:
-    """Edge-shaped leg voltage on ``n`` samples from its (time, sinking) steps.
+    """Edge-shaped leg voltage on ``n`` samples from its steps: at each time of
+    ``seg_t`` the leg starts toward the level that ``sinking`` flags there.
 
     The level reached at the end of each segment is a scalar recurrence over
     the steps.  The samples are then filled a pass of the grid at a time: the
@@ -102,11 +99,11 @@ def _shape_segments(steps: list[tuple[int, bool]], params: DriverParams,
         t_full = params.t_rf_ps / _RC_SPAN if params.t_rf_ps > 0 else 0.0
         instant = t_full == 0.0
 
-    seg_t = [t for t, _ in steps]
-    targets = [v_lo if sinking else v_hi for _, sinking in steps]
+    goals = np.where(sinking, v_lo, v_hi)
+    starts, targets = seg_t.tolist(), goals.tolist()
     v_start = []
-    v = v_lo if steps[0][1] else v_hi
-    for t, seg_end, target in zip(seg_t, seg_t[1:] + [t_start + n * dt_ps], targets):
+    v = targets[0]
+    for t, seg_end, target in zip(starts, starts[1:] + [t_start + n * dt_ps], targets):
         v_start.append(v)
         if instant:
             v = target
@@ -117,10 +114,9 @@ def _shape_segments(steps: list[tuple[int, bool]], params: DriverParams,
             v = v + (target - v) * 0.5 * (1.0 - math.cos(math.pi * ue))
 
     # segment k holds samples first[k] to first[k + 1] - 1: none if the next step is that close
-    first = np.clip(np.ceil((np.asarray(seg_t) - t_start) / dt_ps), 0, n).astype(np.int64)
+    first = np.clip(np.ceil((seg_t - t_start) / dt_ps), 0, n).astype(np.int64)
     bounds = np.append(first, n)
-    goals, v_starts = np.asarray(targets), np.asarray(v_start)
-    seg_ts = np.asarray(seg_t, dtype=float)
+    v_starts, seg_ts = np.asarray(v_start), seg_t.astype(float)
     out = np.empty(n)
     for s, e in _passes(n):
         # the segments from the one holding sample s to the last starting before e
@@ -153,10 +149,10 @@ def synthesize_tx(traces: SignalTraces, params: DriverParams, dt_ps: float,
     t1 = traces.horizon_ps if t_end is None else t_end
     n = int((t1 - t0) / dt_ps)
 
-    minus_steps = _sink_timeline(traces, ("Even", "Odd"), t0, t1)
-    plus_steps = _sink_timeline(traces, ("nEven", "nOdd"), t0, t1)
-    tx_minus = _shape_segments(minus_steps, params, dt_ps, t0, n)
-    tx_plus = _shape_segments(plus_steps, params, dt_ps, t0, n)
+    tx_minus = _shape_segments(*_sink_timeline(traces, ("Even", "Odd"), t0, t1),
+                               params, dt_ps, t0, n)
+    tx_plus = _shape_segments(*_sink_timeline(traces, ("nEven", "nOdd"), t0, t1),
+                              params, dt_ps, t0, n)
     return (WaveformTrace(dt_ps, tx_plus, t0), WaveformTrace(dt_ps, tx_minus, t0))
 
 

@@ -99,34 +99,37 @@ class ResetBlock:
         recurring Start pulse overlaps the last select instead of trailing it
         by a full clock.
 
-        A rising edge, or a falling one that leaves ``armed`` as it was, calls
-        no ``update``: it changes none of Start's inputs.  Every change of
-        Disable, Enable, Buffered_Sel or ``armed`` calls ``update``, so the
-        Start last queued (UNKNOWN at power-on, when every input is UNKNOWN)
-        is Start of the present inputs.  ``update`` would queue it again, and
-        the kernel drops an event equal to the code last queued for its net.
+        ``update`` writes Start into a value slot of the block's own, and the
+        action registered right after each handler that can change Start
+        queues that slot as a flip-flop queues its D.  A falling edge that
+        leaves ``armed`` as it was calls no ``update``, and the kernel drops
+        what it queues: every change of Disable, Enable, Buffered_Sel or
+        ``armed`` calls ``update``, so the slot holds the Start last queued.
         """
-        values, schedule = sim.values, sim.schedule
+        values = sim.values
         dis, en, blast = (sim.index[n] for n in
                           (self.disable, self.enable, self.buffered_last))
-        start_code, delay = sim.index[self.start] << 2, self.delay_ps
+        # never read before ``update`` writes it: each Dclk's first change is
+        # from UNKNOWN, and that change calls ``update``
+        slot = len(values)
+        values.append(2)
+        queue = (self.delay_ps, sim.index[self.start] << 2, slot)
         sampled_dis = sampled_en = armed = 2
 
-        def update(t: int):
+        def update():
             ndis = NOT[values[dis]]
-            start = OR[AND[ndis][armed]][AND[AND[ndis][NOT[values[en]]]][values[blast]]]
-            schedule(t + delay, start_code + start)
+            values[slot] = OR[AND[ndis][armed]][AND[AND[ndis][NOT[values[en]]]][values[blast]]]
 
-        def rise(t: int):
+        def rise():
             nonlocal sampled_dis, sampled_en
             sampled_dis, sampled_en = values[dis], values[en]
 
-        def fall(t: int):
+        def fall():
             nonlocal armed
             new = AND[NOT[sampled_dis]][sampled_en]
             if new != armed:
                 armed = new
-                update(t)
+                update()
 
         for net in self.inputs:
             for old, new in _CHANGES:
@@ -135,6 +138,8 @@ class ResetBlock:
                 else:
                     handler = rise if new == 1 else fall
                 sim.on(net, old, new, (None, handler, None))
+                if handler is not rise:
+                    sim.on(net, old, new, queue)
 
 
 class SharedLine:
@@ -267,8 +272,10 @@ class Simulator:
 
     - ``(delay, base, src)`` queues code ``base + values[src]`` at
       ``t + delay``: a flip-flop samples its D net, a buffer reads ``low``,
-      a slot that always holds 0;
-    - ``(None, handler, None)`` calls ``handler(t)``, which may ``schedule``.
+      a slot that always holds 0, and a reset block reads the slot its
+      handler wrote Start into;
+    - ``(None, handler, None)`` calls ``handler()``, which updates the
+      component's own state and slots and queues nothing.
 
     Components only compute levels; the kernel drops an event equal to
     ``last[net]``, the code most recently queued for its net.  This is exact:
@@ -308,25 +315,6 @@ class Simulator:
         self.low = len(netlist.nets)
         self.values = [2] * self.low + [0]
         self._inputs = {net: self.index[net] << 2 for net in netlist.primary_inputs}
-        last = [net << 2 | 2 for net in range(self.low)]
-        times: list[int] = []
-        pending: dict[int, list[int]] = {}
-        self._last, self._times, self._pending = last, times, pending
-
-        def schedule(time_ps: int, code: int):
-            if last[code >> 2] == code:
-                return
-            last[code >> 2] = code
-            bucket = pending.get(time_ps)
-            if bucket is None:
-                pending[time_ps] = [code]
-                heapq.heappush(times, time_ps)
-            else:
-                bucket.append(code)
-
-        # a closure, not a method: the handlers that call it hold no
-        # reference to the simulator, so a finished run is freed at once
-        self.schedule = schedule
         self._actions: list[list] = [[] for _ in range(12 * self.low)]
         read = {net for comp in netlist.components for net in comp.inputs}
         self._sinks: list[tuple] = []  # (component, output net index), in component order
@@ -385,7 +373,9 @@ class Simulator:
     def _loop(self, stim, until_ps: int, log_t: array, log_code: array):
         values, actions = self.values, self._actions
         log_t_append, log_code_append = log_t.append, log_code.append
-        last, times, pending = self._last, self._times, self._pending
+        last = [net << 2 | 2 for net in range(self.low)]
+        times: list[int] = []
+        pending: dict[int, list[int]] = {}
         heappush, heappop = heapq.heappush, heapq.heappop
         nxt = next(stim, None)
         while True:
@@ -413,9 +403,9 @@ class Simulator:
                 log_code_append(code)
                 for delay, base, src in actions[code * 3 + old]:
                     if delay is None:
-                        base(t)
+                        base()
                         continue
-                    queued = base + values[src]  # ``schedule``, inlined
+                    queued = base + values[src]
                     if last[base >> 2] == queued:
                         continue
                     last[base >> 2] = queued

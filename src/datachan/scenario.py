@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
+import statistics
 import tracemalloc
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
-
-import numpy as np
 
 from . import driver as drv
 from . import eye as eyemod
@@ -251,7 +250,7 @@ def run_scenario(config: ChannelConfig, sc: Scenario, out_dir: str | Path) -> Sc
     # output level before the channel was first enabled: all of a standby run
     enables = schedule.times_of(stimulus.Action.ENABLE_PULSE)
     n_off = max(1, int((enables[0] - tx_plus.t0_ps) / tx_plus.dt_ps)) if enables else None
-    v_off = float(np.median(tx_plus.samples[:n_off]))
+    v_off = statistics.median(tx_plus.samples[:n_off].tolist())
 
     if standby:
         result.report = report.compliance_report(

@@ -153,6 +153,7 @@ class SlotTiming:
     first_sel_edge: int
 
     def slot_start(self, round_idx: int, slot: int) -> int:
+        """For an int ``round_idx``, or each element of an int64 array of them."""
         cfg = self.config
         k = self.first_sel_edge + cfg.word_width * round_idx + (slot - 1)
         return falling_dclk_time(cfg, k) + cfg.ff_delay_ps
@@ -189,13 +190,10 @@ def _bus(words: list[Word], timing: SlotTiming) -> Stimulus:
     changed = np.ones(bits.shape, dtype=bool)
     changed[1:] = bits[1:] != bits[:-1]
     word, bit = np.nonzero(changed)  # word by word, bits in order
-    # word k at ``timing.slot_mid(k - 1, width)``: half a period after falling
-    # clock edge K = first_sel_edge + width * k - 1, half period 2 * K + 1, and
-    # the buffer and flip-flop delays
-    n = 2 * (timing.first_sel_edge + width * np.arange(len(words), dtype=np.int64)) - 1
-    _check_int64(config, int(n[-1]) + 1 if len(n) else 0)
-    at = (_half_periods(config, n) + config.buffer_delay_ps + config.ff_delay_ps
-          + _half_periods(config, 1))
+    # word k at ``timing.slot_mid(k - 1, width)``, after clock half period
+    # 2 * (first_sel_edge + width * k) - 1
+    _check_int64(config, 2 * (timing.first_sel_edge + width * (len(words) - 1)) if words else 0)
+    at = timing.slot_mid(np.arange(-1, len(words) - 1, dtype=np.int64), width)
     at[:1] = 0
     return Stimulus(tuple(f"D{b}" for b in range(width)), at[word], bit.astype(np.int8),
                     (bits[word, bit] != 0).astype(np.int8))

@@ -33,10 +33,10 @@ def shaped_pair(n, dt, t0, seed, noise=0.0, ui=UI, t_rf=104.0):
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, int(n * dt / ui) + 1).tolist()
     params = DriverParams(t_rf_ps=t_rf)
+    seg_t = np.array([t0 + i * ui for i in range(len(bits))])
     legs = []
     for sink in (0, 1):
-        steps = [(t0 + i * ui, b == sink) for i, b in enumerate(bits)]
-        v = drv._shape_segments(steps, params, dt, t0, n)
+        v = drv._shape_segments(seg_t, np.array(bits) == sink, params, dt, t0, n)
         legs.append(drv.WaveformTrace(dt, v + rng.normal(0.0, noise, n) if noise else v, t0))
     return legs
 

@@ -1,11 +1,16 @@
 """Scenario runner, VCD export and command-line behavior."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import datachan
 from datachan.cli import main
 from datachan.config import ChannelConfig, config_to_text
 from datachan.errors import ConfigError
@@ -327,6 +332,18 @@ def test_cli_config_file_round_trip(tmp_path):
     code = main(["report", "--config", str(cfg_path), "--scenario",
                  "stream-random", "--words", "25", "--out", str(tmp_path)])
     assert code == 0
+
+
+def test_cli_report_leaves_numpy_ma_unimported(tmp_path):
+    # numpy.ma costs a CLI process about 14 ms to import, and nothing a report
+    # computes needs masked arrays (np.median imports it on its first call)
+    code = ("import sys; from datachan.cli import main; "
+            f"code = main(['report', '--words', '20', '--out', {str(tmp_path)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(datachan.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 False"
 
 
 def test_cli_selftest():

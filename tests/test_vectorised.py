@@ -290,7 +290,8 @@ def test_tx_synthesis_matches_per_segment_loop(hists, edge, t_rf, dt, window, ch
         drv._PASS_CELLS = default_chunk
     for nets, got in ((("Even", "Odd"), got_minus), (("nEven", "nOdd"), got_plus)):
         steps = ref_sink_timeline(traces, nets, t0, t1)
-        assert drv._sink_timeline(traces, nets, t0, t1) == steps
+        seg_t, sinking = drv._sink_timeline(traces, nets, t0, t1)
+        assert list(zip(seg_t.tolist(), sinking.tolist())) == steps
         assert same_bits(got.samples, ref_shape_segments(steps, params, dt, t0, n))
     assert drv.line_transition_times(traces).tolist() == ref_line_transition_times(traces)
 
