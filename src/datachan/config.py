@@ -135,12 +135,17 @@ class ChannelConfig:
             raise ConfigError("word_width must be one of 8, 10, 16")
         if self.ff_delay_ps <= 0 or self.buffer_delay_ps <= 0:
             raise ConfigError("gate delays must be positive")
+        # the last select must re-arm Start before the next falling clock edge.
+        # Rounded clock falls are at least floor(period) apart, or one less when
+        # the period is an odd number of ps: every edge is then a tie, rounded
+        # to even, and the falls alternate period - 1 and period + 1 apart
+        period = self.bit_period
+        shortest = math.floor(period) - (period.denominator == 1 and period.numerator % 2)
         recirculation = self.ff_delay_ps + self.fo4_delay_ps + self.buffer_delay_ps
-        if recirculation >= math.floor(self.bit_period):
-            # the last select must re-arm Start before the next falling clock edge
+        if recirculation >= shortest:
             raise ConfigError(
                 f"ff_delay_ps + 5 * buffer_delay_ps = {recirculation} ps must be "
-                f"shorter than the shortest serial period ({math.floor(self.bit_period)} ps)"
+                f"shorter than the shortest serial period ({shortest} ps)"
             )
         if self.skew_ps < 0 or self.skew_ps >= self.bit_period / 2:
             raise ConfigError("skew_ps must satisfy 0 <= skew < half serial period")

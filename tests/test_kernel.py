@@ -16,34 +16,67 @@ from reference_kernel import (NetEvent, ReferenceSimulator, ZeroDelayLoopError, 
                               net_events, stimulus_of, traces_from_histories)
 
 
+def _shortest_period(rate):
+    """The least whole ps between two clock falls at ``rate``, the bound of ``validate()``."""
+    period = ChannelConfig(serial_rate_hz=rate).bit_period
+    return math.floor(period) - (period.denominator == 1 and period.numerator % 2)
+
+
+# where a control change may be moved: the first rising or falling Dclk edge at
+# or after its time, or the Clock fall that makes such a falling Dclk edge
+PLACES = ("as-scheduled", "rising-dclk", "falling-dclk", "clock-fall")
+
+
+def _placed(config, t, place):
+    """``t`` moved to ``place`` (one of ``PLACES``)."""
+    if place == "as-scheduled":
+        return t
+    edge = stimulus.rising_dclk_time if place == "rising-dclk" else stimulus.falling_dclk_time
+    shift = config.buffer_delay_ps if place == "clock-fall" else 0
+    k = max(0, int(t / config.bit_period) - 1)
+    while edge(config, k) - shift < t:
+        k += 1
+    return edge(config, k) - shift
+
+
+def _placed_run(config, assert_at, places, words, disable_at):
+    """A run whose Disable assert, release, Enable pulse and mid-word Disable (inside
+    word ``disable_at``, if not None) are moved to the ``places`` of each."""
+    actions = [(_placed(config, t, place), action) for (t, action), place
+               in zip(stimulus.reset_schedule(config, assert_at=assert_at).actions, places)]
+    if disable_at is not None:
+        timing = stimulus.timing_for_enable(config, actions[2][0])
+        actions.append((_placed(config, timing.slot_mid(disable_at, config.word_width // 2),
+                                places[3]), stimulus.Action.DISABLE_ASSERT))
+    return config, stimulus.ProtocolSchedule(actions), words, disable_at
+
+
 @st.composite
 def channel_runs(draw):
-    """A configuration that ``validate()`` accepts, a reset schedule with its Disable anywhere in the first two periods, words
-    and a disable point."""
+    """A configuration that ``validate()`` accepts, a reset schedule with its Disable anywhere
+    in the first two periods, words and a disable point; each control change as scheduled,
+    on a rising or falling Dclk edge, or on the Clock fall ``buffer_delay_ps`` before one."""
     width = draw(st.sampled_from((8, 10, 16)))
     rate = draw(st.integers(1_000_000_000, 3_000_000_000))
-    shortest = math.floor(ChannelConfig(serial_rate_hz=rate).bit_period)
+    shortest = _shortest_period(rate)
     buf = draw(st.integers(1, (shortest - 2) // 5))
     ff = draw(st.integers(1, shortest - 1 - 5 * buf))
     skew = draw(st.integers(0, math.ceil(shortest / 2) - 1))
     config = ChannelConfig(serial_rate_hz=rate, word_width=width, ff_delay_ps=ff,
                            buffer_delay_ps=buf, skew_ps=skew)
     config.validate()
-    schedule = stimulus.reset_schedule(config, assert_at=draw(st.integers(1, 2 * shortest)))
     words = draw(st.lists(st.tuples(*[st.integers(0, 1)] * width),
                           min_size=3, max_size=8))
     disable_at = draw(st.none() | st.integers(0, len(words) - 1))
-    return config, schedule, words, disable_at
+    places = draw(st.lists(st.sampled_from(PLACES), min_size=4, max_size=4))
+    return _placed_run(config, draw(st.integers(1, 2 * shortest)), places, words, disable_at)
 
 
 def _stimulus(config, schedule, words, disable_at):
-    """Stream ``words``, asserting Disable mid-word like ``run_scenario``."""
-    stim = stimulus.stream_stimulus(config, words, schedule)
-    if disable_at is None:
-        return stim
-    t_d = stim.timing.slot_mid(disable_at, config.word_width // 2)
-    schedule = stimulus.ProtocolSchedule(
-        stim.schedule.actions + [(t_d, stimulus.Action.DISABLE_ASSERT)])
+    """Stream ``words`` under the drawn ``schedule``, which already holds the Disable
+    asserted inside word ``disable_at`` (if not None), as ``run_scenario`` does."""
+    asserts = len(schedule.times_of(stimulus.Action.DISABLE_ASSERT))
+    assert asserts == (1 if disable_at is None else 2)
     return stimulus.stream_stimulus(config, words, schedule)
 
 
@@ -51,12 +84,25 @@ def _stimulus(config, schedule, words, disable_at):
 # end exactly on the next edge, so the channel never started
 _MISSED_ENABLE = ChannelConfig(serial_rate_hz=2_215_365_140, word_width=8,
                                ff_delay_ps=1, buffer_delay_ps=1, skew_ps=0)
+# 1 ps gates: a control change on a Clock fall reaches Start on the falling Dclk edge
+_ONE_PS = ChannelConfig(word_width=10, ff_delay_ps=1, buffer_delay_ps=1, skew_ps=0)
+# the recirculation one ps inside the shortest period, and Disable asserted on the
+# first Dclk change, from its power-on UNKNOWN, while every select is still UNKNOWN
+_TIGHT = ChannelConfig(serial_rate_hz=1_600_000_000, word_width=16, ff_delay_ps=3,
+                       buffer_delay_ps=124, skew_ps=0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(channel_runs())
 @example((_MISSED_ENABLE, stimulus.reset_schedule(_MISSED_ENABLE, assert_at=1),
           [(0,) * 8] * 3, None))
+@example(_placed_run(_ONE_PS, 1, ("clock-fall", "falling-dclk", "rising-dclk", "clock-fall"),
+                     [(1, 0) * 5, (0, 1) * 5, (1,) * 10, (0,) * 10], 2))
+@example(_placed_run(_ONE_PS, 1, ("rising-dclk", "clock-fall", "clock-fall", "falling-dclk"),
+                     [(0, 1) * 5] * 3, 1))
+@example(_placed_run(_TIGHT, 124, ("as-scheduled", "rising-dclk", "falling-dclk", "rising-dclk"),
+                     [(1,) * 16, (0,) * 16, (1, 0) * 8], 1))
+@example(_placed_run(_TIGHT, 1, ("as-scheduled",) * 4, [(1,) * 16] * 3, None))
 def test_compiled_kernel_matches_reference_and_oracles(run):
     config, schedule, words, disable_at = run
     width = config.word_width

@@ -342,6 +342,17 @@ def test_config_requires_token_recirculation_within_one_period():
         ChannelConfig(serial_rate_hz=2_500_000_000, buffer_delay_ps=80).validate()
 
 
+def test_config_recirculation_bound_is_the_shortest_gap_between_clock_falls():
+    # at 1.6 GHz the period is 625 ps, an odd whole number: every clock edge is
+    # a tie rounded to even, so the falls alternate 624 and 626 ps apart
+    cfg = ChannelConfig(serial_rate_hz=1_600_000_000)
+    falls = [stimulus.clock_fall_time(cfg, k) for k in range(6)]
+    assert sorted({b - a for a, b in zip(falls, falls[1:])}) == [624, 626]
+    replace(cfg, ff_delay_ps=618, buffer_delay_ps=1).validate()  # 623 ps
+    with pytest.raises(ConfigError, match=r"serial period \(624 ps\)"):
+        replace(cfg, ff_delay_ps=619, buffer_delay_ps=1).validate()  # 624 ps
+
+
 @pytest.mark.parametrize("rate, buf", [(1_650_000_000, 15), (2_215_365_140, 1),
                                        (1_000_000_007, 3), (3_000_000_000, 60)])
 def test_enable_pulse_meets_exactly_one_sampling_edge(rate, buf):
