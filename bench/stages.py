@@ -11,8 +11,13 @@ The script runs ``run_scenario`` with the default configuration:
 path), and `stream-random` at 100, 600, 1000 and 4000 words with every output.
 ``--words`` sets every run's word count.  The stage records are the ones
 ``run_scenario`` keeps in ``ScenarioResult.stages``, one per pipeline stage and
-artifact writer (stage ``write_<key>``).  Every run is a fresh subprocess
-(``--child``) that imports the package from this tree's ``src``.  Each
+artifact writer (stage ``write_<key>``).  The kernel counters are read from
+the run's stimulus and traces, so they count the same on any kernel:
+``stimulus_changes``, ``dclk_falls`` (falling edges of the working clock),
+and the changes of each net (``changes_per_net``: the entries of its trace
+after the power-on UNKNOWN), with their sum ``changes``.  Every run is a
+fresh subprocess (``--child``) that imports the package from this tree's
+``src``.  Each
 scenario runs ``REPEAT`` times untraced, for the median time of each stage by
 position, and once under ``tracemalloc``, for the traced MB live before and
 after each stage and the peak while it ran.  The artifacts are the same files
@@ -56,9 +61,28 @@ RUNS = (("stream-prbs10", 1500, ("report",)),) + tuple(
     ("stream-random", n, scenario.ALL_OUTPUTS) for n in (100, 600, 1000, 4000))
 
 
-def _run(sc: scenario.Scenario, traced: bool) -> tuple[list[dict], bool, dict]:
-    """(stage records, passed, artifact sizes and hashes) of one run of ``sc``."""
+def _counters(stim, traces) -> dict:
+    """The kernel counters of one run (see the module docstring)."""
+    per_net = {}
+    for net in traces.nets():
+        times, codes = traces.arrays(net)
+        per_net[net] = len(times) - int(len(times) > 0 and times[0] == 0 and codes[0] == 2)
+    return {"stimulus_changes": len(stim), "dclk_falls": len(traces.edges("Dclk", "fall")),
+            "changes": sum(per_net.values()), "changes_per_net": per_net}
+
+
+def _run(sc: scenario.Scenario, traced: bool) -> tuple[list[dict], bool, dict, dict]:
+    """(stage records, passed, artifact sizes and hashes, kernel counters) of one
+    run of ``sc``; the counters of a traced run only, whose times are not used."""
+    counters, advance = {}, scenario.advance
+
+    def counted(netlist, stim, until_ps):
+        traces = advance(netlist, stim, until_ps)
+        counters.update(_counters(stim, traces))
+        return traces
+
     if traced:
+        scenario.advance = counted
         tracemalloc.start()
     try:
         with tempfile.TemporaryDirectory() as out:
@@ -68,7 +92,8 @@ def _run(sc: scenario.Scenario, traced: bool) -> tuple[list[dict], bool, dict]:
                          for key, path in result.artifacts.items()}
     finally:
         tracemalloc.stop()
-    return result.stages, result.passed, artifacts
+        scenario.advance = advance
+    return result.stages, result.passed, artifacts, counters
 
 
 # The command of a child run: import the package from the ``src`` given first,
@@ -79,27 +104,28 @@ _CHILD = ("import runpy, sys; sys.path.insert(0, sys.argv[1]); import datachan; 
 
 
 def _child(src: Path, name: str, n_words: int, outputs: tuple[str, ...],
-           traced: bool) -> tuple[list[dict], bool, dict]:
+           traced: bool) -> tuple[list[dict], bool, dict, dict]:
     """``_run`` in a fresh interpreter that imports the package from ``src``."""
     spec = json.dumps({"name": name, "words": n_words, "outputs": outputs, "traced": traced})
     out = subprocess.run([sys.executable, "-c", _CHILD, str(src), __file__, "--child", spec],
                          check=True, capture_output=True, text=True).stdout
-    stages, passed, artifacts, package = json.loads(out)
+    stages, passed, artifacts, counters, package = json.loads(out)
     if Path(package).resolve() != (src / "datachan").resolve():
         raise RuntimeError(f"a child run for {src} imported the package from {package}")
-    return stages, passed, artifacts
+    return stages, passed, artifacts, counters
 
 
 def _summary(name: str, n_words: int, outputs: tuple[str, ...], runs: list) -> dict:
-    """Median stage times of all ``runs`` but the last, a traced one, with its memory."""
-    shapes = [([s["stage"] for s in stages], ok, files) for stages, ok, files in runs]
+    """Median stage times of all ``runs`` but the last, a traced one, with its memory
+    and kernel counters."""
+    shapes = [([s["stage"] for s in stages], ok, files) for stages, ok, files, _ in runs]
     if any(shape != shapes[0] for shape in shapes):
         raise RuntimeError(f"{name}: the runs differ in stage sequence, verdict or artifacts")
-    *timed, (traced, passed, artifacts) = runs
+    *timed, (traced, passed, artifacts, counters) = runs
     stages = [record | {"time_s": median(run[0][i]["time_s"] for run in timed)}
               for i, record in enumerate(traced)]
     return {"scenario": name, "words": n_words, "outputs": list(outputs), "passed": passed,
-            "stages": stages, "artifacts": artifacts}
+            "stages": stages, "artifacts": artifacts, "counters": counters}
 
 
 def _stage_times(stages: list[dict]) -> dict[str, float]:
@@ -136,7 +162,8 @@ def measure(name: str, n_words: int, outputs: tuple[str, ...],
         if stage in pairs[0][1]:
             q1, mid, q3 = np.percentile([a[stage] / b[stage] for a, b in pairs], [25, 50, 75])
             ratios[stage] = {"median": mid, "q1": q1, "q3": q3}
-    return this | {"other": {key: other[key] for key in ("passed", "stages", "artifacts")},
+    return this | {"other": {key: other[key]
+                             for key in ("passed", "stages", "artifacts", "counters")},
                    "ratios": ratios}
 
 

@@ -135,10 +135,9 @@ class ChannelConfig:
             raise ConfigError("word_width must be one of 8, 10, 16")
         if self.ff_delay_ps <= 0 or self.buffer_delay_ps <= 0:
             raise ConfigError("gate delays must be positive")
-        # the last select must re-arm Start before the next falling clock edge.
-        # Rounded clock falls are at least floor(period) apart, or one less when
-        # the period is an odd number of ps: every edge is then a tie, rounded
-        # to even, and the falls alternate period - 1 and period + 1 apart
+        # the last select must re-arm Start before the next falling clock edge; the
+        # rounded falls are floor(period) apart at least, or one ps less when every
+        # edge is a tie rounded to even (an odd whole period: period -/+ 1 apart)
         period = self.bit_period
         shortest = math.floor(period) - (period.denominator == 1 and period.numerator % 2)
         recirculation = self.ff_delay_ps + self.fo4_delay_ps + self.buffer_delay_ps

@@ -1,4 +1,4 @@
-"""Event-driven model of the serializer channel's digital netlist.
+"""Column model of the serializer channel's digital netlist.
 
 The netlist is a token-passing ring: a splitter derives the two working
 clocks from the single serial clock, eleven falling-edge flip-flops
@@ -7,12 +7,42 @@ parallel iSel1), a reset block arms the token from the Disable/Enable
 pair or recirculates it from the buffered last select, and ten selector
 blocks wire-multiplex the parallel data bits onto the four active-low
 pre-driver lines Even/Odd/nEven/nOdd.
+
+``advance`` has no event queue, but the results of the event-by-event
+kernel that ``tests/reference_kernel.py`` runs: a component queues its level
+``delay`` after each change of a net it reads, unless equal to the level it
+queued last; at one time the stimulus comes first, in column order, then
+queue order (what an earlier change queued first, what one change queued in
+component order).  Each change is a row of a log and knows the row that
+queued it, so this order is the row's key (``_Run._key``).  Three passes:
+
+1. ``Dclk``: ``Clock`` shifted by ``buffer_delay_ps`` (``Buffer.levels``).
+2. The ring (``_Run._ring``), one scalar pass over the falling ``Dclk``
+   edges: Start as ``Sel1`` samples it at fall *i* is ``(NOT Disable AND
+   armed) OR (NOT Disable AND NOT Enable AND Buffered_Sel)``, with ``armed``
+   committed at fall *i - 1* and ``Buffered_Sel`` the last select after
+   it, Start at fall *i - n*.  A Disable/Enable change made
+   ``buffer_delay_ps`` before the fall counts if listed before the change
+   that queued the fall.  ``Sel_k`` is ``Sel_{k-1}`` one fall later, and
+   ``Buffered_Sel{n}`` and Start follow from their ``levels`` rules.
+3. Every other net, in dependency order, by its component's ``levels`` rule
+   over the merged rows of its inputs: ``iSel1``, ``Show``, ``Read``, the
+   held bits, ``Nclk`` and the wired lines.
+
+The ring pass is exact when falling ``Dclk`` edges are more than
+``ff_delay_ps + 5 * buffer_delay_ps`` apart: all that fall *i - 1* makes
+(the selects, ``armed``, the buffered last select and the Start changes
+they cause) lands before fall *i*, and what fall *i* makes lands after it.
+``validate()`` requires it of the serial clock, whose rounded falls are at
+least ``floor(period)`` apart, one ps less at an odd whole period; closer
+falls in a stimulus raise ``ValueError``.  UNKNOWN needs no case of its own:
+the last select is UNKNOWN until fall *n*, ``armed`` until the first fall.
+Elsewhere rows of one time merge by their keys, as Show -> Read -> HoldD
+and the wired lines meet the bus update.
 """
 
 from __future__ import annotations
 
-import heapq
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,21 +51,28 @@ from .config import ChannelConfig
 from .errors import ConfigError, ContentionError
 from .logic import AND, NOT, OR, SignalTraces, Stimulus
 
+# gates on arrays of level codes (0 LOW, 1 HIGH, 2 UNKNOWN)
+_NOT = np.array(NOT, dtype=np.int8)
+_AND = np.array(AND, dtype=np.int8)
+_OR = np.array(OR, dtype=np.int8)
+
 
 # --------------------------------------------------------------------------
 # netlist components
 #
-# Components describe the netlist.  ``bind`` compiles one into the kernel:
-# it registers, for each input net and each level change that can make the
-# component act, an action bound to integer net indices (see ``Simulator``).
-# A sink, a component whose output net no component reads, is computed after
-# the run instead: ``levels`` maps its inputs' levels at each row of the
-# change log to the level it queues there.
+# A component reads the nets ``inputs`` and drives ``output``.  ``levels`` maps
+# its inputs' levels at each row of their merged changes (``held``) to the level
+# it has queued by then, and to where a wired line's drivers conflict (or None).
 
-# Inside the kernel a level is its code: 0 LOW, 1 HIGH, 2 UNKNOWN.
-_SAME = (0, 1, 2)
-_CHANGES = tuple((old, new) for old in _SAME for new in _SAME if old != new)
-_NOT = np.array(NOT, dtype=np.int8)
+def _edges(clk: np.ndarray, edge: str) -> np.ndarray:
+    """Where the levels ``clk`` (held at each row) rise or fall from the row before."""
+    prev = np.append(np.int8(2), clk[:-1])
+    return (prev == 0) & (clk == 1) if edge == "rise" else (prev == 1) & (clk == 0)
+
+
+def _hold(at: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """At each row, ``values`` at the last row ``at`` at or before it (UNKNOWN before)."""
+    return np.append(np.int8(2), values[at])[np.cumsum(at)]
 
 
 class Buffer:
@@ -48,12 +85,7 @@ class Buffer:
     def inputs(self):
         return (self.src,)
 
-    def bind(self, sim: "Simulator"):
-        out = NOT if self.invert else _SAME
-        dst = sim.index[self.dst] << 2
-        for net in self.inputs:
-            for old, new in _CHANGES:
-                sim.on(net, old, new, (self.delay_ps, dst + out[new], sim.low))
+    output = property(lambda self: self.dst)
 
     def levels(self, held: dict[str, np.ndarray]) -> tuple[np.ndarray, None]:
         src = held[self.src]
@@ -68,13 +100,13 @@ class DFlipFlop:
 
     @property
     def inputs(self):
-        return (self.clk,)
+        return (self.clk, self.d)
 
-    def bind(self, sim: "Simulator"):
-        old, new = (1, 0) if self.edge == "fall" else (0, 1)
-        action = (self.delay_ps, sim.index[self.q] << 2, sim.index[self.d])
-        for net in self.inputs:
-            sim.on(net, old, new, action)
+    output = property(lambda self: self.q)
+
+    def levels(self, held: dict[str, np.ndarray]) -> tuple[np.ndarray, None]:
+        """D's level at the rows of the clock's active edge, held until the next one."""
+        return _hold(_edges(held[self.clk], self.edge), held[self.d]), None
 
 
 class ResetBlock:
@@ -89,57 +121,18 @@ class ResetBlock:
     def inputs(self):
         return (self.dclk, self.disable, self.enable, self.buffered_last)
 
-    def bind(self, sim: "Simulator"):
-        """A rising working-clock edge samples Disable/Enable, the falling
-        edge commits ``armed = NOT disable AND enable``, and Start =
-        ``(NOT disable AND armed) OR (NOT disable AND NOT enable AND
-        buffered_last)`` is re-evaluated at every change of Disable, Enable or
-        Buffered_Sel, of the working clock to or from UNKNOWN, and of
-        ``armed``.  The recirculation term is level-sensitive, so the
-        recurring Start pulse overlaps the last select instead of trailing it
-        by a full clock.
+    output = property(lambda self: self.start)
 
-        ``update`` writes Start into a value slot of the block's own, and the
-        action registered right after each handler that can change Start
-        queues that slot as a flip-flop queues its D.  A falling edge that
-        leaves ``armed`` as it was calls no ``update``, and the kernel drops
-        what it queues: every change of Disable, Enable, Buffered_Sel or
-        ``armed`` calls ``update``, so the slot holds the Start last queued.
-        """
-        values = sim.values
-        dis, en, blast = (sim.index[n] for n in
-                          (self.disable, self.enable, self.buffered_last))
-        # never read before ``update`` writes it: each Dclk's first change is
-        # from UNKNOWN, and that change calls ``update``
-        slot = len(values)
-        values.append(2)
-        queue = (self.delay_ps, sim.index[self.start] << 2, slot)
-        sampled_dis = sampled_en = armed = 2
-
-        def update():
-            ndis = NOT[values[dis]]
-            values[slot] = OR[AND[ndis][armed]][AND[AND[ndis][NOT[values[en]]]][values[blast]]]
-
-        def rise():
-            nonlocal sampled_dis, sampled_en
-            sampled_dis, sampled_en = values[dis], values[en]
-
-        def fall():
-            nonlocal armed
-            new = AND[NOT[sampled_dis]][sampled_en]
-            if new != armed:
-                armed = new
-                update()
-
-        for net in self.inputs:
-            for old, new in _CHANGES:
-                if net != self.dclk or (old, new) not in ((0, 1), (1, 0)):
-                    handler = update
-                else:
-                    handler = rise if new == 1 else fall
-                sim.on(net, old, new, (None, handler, None))
-                if handler is not rise:
-                    sim.on(net, old, new, queue)
+    def levels(self, held: dict[str, np.ndarray]) -> tuple[np.ndarray, None]:
+        """A rising working-clock edge samples Disable/Enable, the falling edge commits
+        ``armed = NOT disable AND enable``, and Start = ``(NOT disable AND armed) OR
+        (NOT disable AND NOT enable AND buffered_last)``: level-sensitive, so the
+        recurring Start pulse overlaps the last select instead of trailing it."""
+        dclk = held[self.dclk]
+        ndis, nen = _NOT[held[self.disable]], _NOT[held[self.enable]]
+        sampled = _hold(_edges(dclk, "rise"), _AND[ndis, _NOT[nen]])
+        armed = _hold(_edges(dclk, "fall"), sampled)
+        return _OR[_AND[ndis, armed], _AND[_AND[ndis, nen], held[self.buffered_last]]], None
 
 
 class SharedLine:
@@ -157,11 +150,9 @@ class SharedLine:
 
     @property
     def inputs(self):
-        nets = []
-        for sel, src, _ in self.pullers:
-            nets.append(sel)
-            nets.append(src)
-        return tuple(dict.fromkeys(nets))
+        return tuple(dict.fromkeys(net for sel, src, _ in self.pullers for net in (sel, src)))
+
+    output = property(lambda self: self.line)
 
     def levels(self, held: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """The line level queued at each row: LOW if a selected block pulls,
@@ -260,96 +251,83 @@ def build_channel(config: ChannelConfig) -> ChannelNetlist:
 
 
 # --------------------------------------------------------------------------
-# simulation kernel
+# evaluation
 
-class Simulator:
-    """Deterministic event loop, compiled once per netlist instance.
-
-    Nets are interned as their index in ``netlist.nets`` and an event is
-    the code ``net << 2 | level``.  Each component's ``bind`` registers
-    actions per (net, old level, new level), in component and ``inputs``
-    order, so a change runs only the actions it can trigger:
-
-    - ``(delay, base, src)`` queues code ``base + values[src]`` at
-      ``t + delay``: a flip-flop samples its D net, a buffer reads ``low``,
-      a slot that always holds 0, and a reset block reads the slot its
-      handler wrote Start into;
-    - ``(None, handler, None)`` calls ``handler()``, which updates the
-      component's own state and slots and queues nothing.
-
-    Components only compute levels; the kernel drops an event equal to
-    ``last[net]``, the code most recently queued for its net.  This is exact:
-    a driven net has one driver with a fixed delay, so its pending events
-    are FIFO.  Stimulus no-ops still reach the loop, which skips an event
-    equal to the net's level.
-
-    The loop appends each applied change's time and code to two flat logs,
-    which start with every net's power-on ``(0, UNKNOWN)``.  Same-time
-    glitches are collapsed after the run, when ``SignalTraces.from_log``
-    turns the logs into per-net columns.
-
-    Sinks are not bound: every ``SharedLine`` (the wired lines Even, Odd,
-    nEven and nOdd) and every ``Buffer`` whose output no component reads
-    (``Nclk``), whatever their delay.  No event of theirs can change what the
-    loop does, so ``_drive_sinks`` computes their changes after it, from the
-    log, and appends them.  This is exact: the log holds every change of a
-    sink's inputs in the order applied, so it gives their levels at each
-    change, from which the kernel computed the level queued at ``t + delay``
-    under the ``last[net]`` rule.  A conflict on a wired line is raised for
-    the first conflicting change in the log: the kernel raised it when
-    applying that change.  A ``SharedLine`` that a component reads is a
-    ``ConfigError``, and so is a negative delay, or a bound component without
-    delay: no event is queued for the time that is running, so the loop ends.
-
-    Pending events wait in one FIFO list per timestamp, and a heap holds
-    the distinct timestamps.  The stimulus columns are checked whole before
-    the loop and cut into one list of codes per distinct time, which the loop
-    merges with the heap.  Stimulus events at a timestamp precede the
-    events queued for it, so a list is processed in exactly the order of
-    (time, order of queueing).
-    """
+class _Run:
+    """One evaluation of a netlist: a log of its changes, a row each, numbered in
+    the order added.  Rows ``0 .. n_stim - 1`` are the stimulus in column order;
+    every later one was queued by the row ``trig`` through a component.
+    ``cols[net]`` holds a net's rows in the order applied: numbers, times (int64),
+    levels (int8) and triggers."""
 
     def __init__(self, netlist: ChannelNetlist):
-        self.netlist = netlist
-        self.index = {net: i for i, net in enumerate(netlist.nets)}
-        self.low = len(netlist.nets)
-        self.values = [2] * self.low + [0]
-        self._inputs = {net: self.index[net] << 2 for net in netlist.primary_inputs}
-        self._actions: list[list] = [[] for _ in range(12 * self.low)]
-        read = {net for comp in netlist.components for net in comp.inputs}
-        self._sinks: list[tuple] = []  # (component, output net index), in component order
-        for comp in netlist.components:
-            sink = isinstance(comp, SharedLine) or isinstance(comp, Buffer) and comp.dst not in read
+        self.nets, self.comps = netlist.nets, netlist.components
+        self.index = {net: i for i, net in enumerate(self.nets)}
+        self.comp_index = {comp: i for i, comp in enumerate(self.comps)}
+        self.primary = set(netlist.primary_inputs)
+        self.driver = {comp.output: comp for comp in self.comps}
+        read = {net for comp in self.comps for net in comp.inputs}
+        for comp in self.comps:
+            sink = comp.output not in read
             if comp.delay_ps < 0 or comp.delay_ps == 0 and not sink:
                 raise ConfigError(f"{type(comp).__name__} on {', '.join(comp.inputs)} has a "
                                   f"delay of {comp.delay_ps} ps: only a sink may have none")
-            if not sink:
-                comp.bind(self)
-            elif isinstance(comp, Buffer):
-                self._sinks.append((comp, self.index[comp.dst]))
-            elif comp.line in read:
+            if isinstance(comp, SharedLine) and not sink:
                 raise ConfigError(f"wired line {comp.line} is read by a component")
-            else:
-                self._sinks.append((comp, self.index[comp.line]))
-        self._actions = [tuple(a) for a in self._actions]
+        for net in sorted(self.primary & set(self.driver))[:1]:
+            raise ConfigError(f"primary input {net} is driven by a component")
+        self.ring = self._find_ring()
+        ring = (self.ring[0], *self.ring[1], self.ring[2]) if self.ring else ()
+        self.step = {comp: self.ring for comp in ring}  # what computes a ring net
 
-    def on(self, net: str, old: int, new: int, action: tuple):
-        """Register ``action`` for a change of ``net`` from ``old`` to ``new``."""
-        self._actions[((self.index[net] << 2 | new) * 3) + old].append(action)
+    def _find_ring(self):
+        """(reset block, its flip-flops from the one sampling Start, the buffer of the
+        last select) of a reset block whose Start comes back to it, or None."""
+        for reset in self.comps:
+            blast = self.driver.get(getattr(reset, "buffered_last", None))
+            if not isinstance(reset, ResetBlock) or not isinstance(blast, Buffer) or blast.invert:
+                continue
+            chain = [self.driver.get(blast.src)]
+            while (isinstance(chain[-1], DFlipFlop) and chain[-1].clk == reset.dclk
+                   and chain[-1].edge == "fall" and len(chain) <= len(self.comps)):
+                if chain[-1].d == reset.start:
+                    if not {reset.disable, reset.enable} <= self.primary:
+                        raise ConfigError("the ring's Disable and Enable must be primary inputs")
+                    return reset, tuple(chain[::-1]), blast
+                chain.append(self.driver.get(chain[-1].d))
+        return None
 
-    def _stimulus_buckets(self, stimulus: Stimulus, until_ps: int):
-        """An iterator of (time, event codes) per distinct time of the stimulus, in
-        time order; each list is cut when it is reached, not before.
+    def run(self, stimulus: Stimulus, until_ps: int) -> SignalTraces:
+        net = self._check(stimulus, until_ps)
+        self.until, self.n_stim, self.stim_t = until_ps, len(stimulus), stimulus.times
+        self.size, self.added, self.conflicts = len(stimulus), [], []
+        self.cols, self.done, self.busy, self._flat, self._last = {}, set(), set(), None, ((),)
+        order = np.argsort(net, kind="stable")
+        bounds = np.searchsorted(net[order], np.arange(len(self.nets) + 1)).tolist()
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            rows = order[a:b]
+            self.cols[i] = rows, stimulus.times[rows], stimulus.level[rows], np.full(b - a, -1)
+        for comp in self.comps:
+            self._column(comp.output)
+        if self.conflicts:
+            raise min(self.conflicts, key=lambda c: c[:2])[2]
+        added = [self.cols[i] for i, _ in self.added]
+        times = [np.zeros(len(self.nets), dtype=np.int64), stimulus.times] + [c[1] for c in added]
+        codes = [np.arange(len(self.nets), dtype=np.int64) << 2 | 2, net << 2 | stimulus.level]
+        codes += [c[2].astype(np.int64) | i << 2 for (i, _), c in zip(self.added, added)]
+        times, codes = np.concatenate(times), np.concatenate(codes)
+        self.cols = self._flat = self._last = added = None  # not kept while the traces are built
+        return SignalTraces.from_log(self.nets, times, codes, until_ps)
 
-        The whole stimulus is checked first, with the error that reading its
-        changes one by one raises first: a change on a non-primary net or
-        earlier than the one before it (or than 0), then a change after
-        ``until_ps``.
-        """
+    def _check(self, stimulus: Stimulus, until_ps: int) -> np.ndarray:
+        """The net index of each stimulus change.  The first change on a non-primary
+        net or earlier than the one before it (or than 0) decides the error, then
+        the horizon, as reading the changes one by one would."""
         times = stimulus.times
-        base = np.array([self._inputs.get(net, -1) for net in stimulus.nets], dtype=np.int64)
-        codes = base[stimulus.net]
-        foreign = np.flatnonzero(codes < 0)[:1].tolist()
+        base = np.array([self.index[net] if net in self.primary else -1
+                         for net in stimulus.nets], dtype=np.int64)
+        net = base[stimulus.net]
+        foreign = np.flatnonzero(net < 0)[:1].tolist()
         unordered = np.flatnonzero(np.diff(times, prepend=0) < 0)[:1].tolist()
         if foreign and (not unordered or foreign[0] <= unordered[0]):
             raise ValueError(f"stimulus on non-primary net "
@@ -358,120 +336,135 @@ class Simulator:
             raise ValueError("stimulus events must be time-ordered")
         if until_ps < (times[-1] if len(times) else 0):
             raise ValueError("simulation horizon ends before the last stimulus event")
-        codes = (codes | stimulus.level).tolist()
-        starts = np.flatnonzero(np.diff(times, prepend=times[:1] - 1))  # of each time
-        bounds = [*starts.tolist(), len(codes)]
-        return zip(times[starts].tolist(), map(codes.__getitem__, map(slice, bounds, bounds[1:])))
+        return net
 
-    def run(self, stimulus: Stimulus, until_ps: int) -> SignalTraces:
-        log_t = array("q", bytes(8 * self.low))
-        log_code = array("q", range(2, 4 * self.low, 4))  # net << 2 | UNKNOWN
-        self._loop(self._stimulus_buckets(stimulus, until_ps), until_ps, log_t, log_code)
-        self._drive_sinks(log_t, log_code, until_ps)
-        return SignalTraces.from_log(self.netlist.nets, log_t, log_code, until_ps)
-
-    def _loop(self, stim, until_ps: int, log_t: array, log_code: array):
-        values, actions = self.values, self._actions
-        log_t_append, log_code_append = log_t.append, log_code.append
-        last = [net << 2 | 2 for net in range(self.low)]
-        times: list[int] = []
-        pending: dict[int, list[int]] = {}
-        heappush, heappop = heapq.heappush, heapq.heappop
-        nxt = next(stim, None)
-        while True:
-            if nxt is not None and (not times or nxt[0] <= times[0]):
-                t, bucket = nxt
-                nxt = next(stim, None)
-                if times and times[0] == t:
-                    heappop(times)
-                    bucket += pending[t]
-                pending[t] = bucket
-            elif times:
-                t = heappop(times)
-                bucket = pending[t]
+    def _column(self, net: str) -> tuple:
+        """The rows of ``net``, computed first (with the rows they need) if driven."""
+        comp = self.driver.get(net)
+        if comp is not None and net not in self.done:
+            step = self.step.get(comp, comp)
+            if step in self.busy:
+                raise ConfigError(f"feedback through {net} is not the channel ring")
+            self.busy.add(step)
+            if step is comp:
+                self._drive(comp)  # which computes its inputs first
             else:
-                break
-            if t > until_ps:
-                break
-            for code in bucket:
-                net, new = code >> 2, code & 3
-                old = values[net]
-                if new == old:
-                    continue
-                values[net] = new
-                log_t_append(t)
-                log_code_append(code)
-                for delay, base, src in actions[code * 3 + old]:
-                    if delay is None:
-                        base()
-                        continue
-                    queued = base + values[src]
-                    if last[base >> 2] == queued:
-                        continue
-                    last[base >> 2] = queued
-                    at = t + delay
-                    sched = pending.get(at)
-                    if sched is None:
-                        pending[at] = [queued]
-                        heappush(times, at)
-                    else:
-                        sched.append(queued)
-            del pending[t]
+                self._ring()
+        return self.cols[self.index[net]]
 
-    def _drive_sinks(self, log_t: array, log_code: array, until_ps: int):
-        """Append the sinks' changes up to ``until_ps`` to the logs, or raise the
-        contention of the earliest conflicting row (component order breaks ties).
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The time, trigger and component index of every row (-1: stimulus)."""
+        if self._flat is None:
+            added = [self.cols[i] for i, _ in self.added]
+            self._flat = (np.concatenate([self.stim_t] + [c[1] for c in added]),
+                          np.concatenate([np.full(self.n_stim, -1)] + [c[3] for c in added]),
+                          np.repeat([-1] + [ci for _, ci in self.added],
+                                    [self.n_stim] + [len(c[1]) for c in added]))
+        return self._flat
 
-        A sink's rows are the logged changes of its inputs after power-on; at
-        each, the kernel would have queued ``levels`` at ``t + delay`` unless
-        equal to the level queued before (UNKNOWN at first).
-        """
-        # numpy views: they must be gone before the logs grow
-        t = np.frombuffer(log_t, dtype=np.int64)[self.low:]
-        code = np.frombuffer(log_code, dtype=np.int64)[self.low:]
-        net, level = (code >> 2).astype(np.int16), (code & 3).astype(np.int8)
-        del code
-        by_inputs, queued, first = {}, [], None
-        for comp, dst in self._sinks:
-            if comp.inputs not in by_inputs:
-                wanted = np.zeros(self.low, dtype=bool)
-                wanted[[self.index[n] for n in comp.inputs]] = True
-                rows = np.flatnonzero(wanted[net])
-                r_net, r_level = net[rows], level[rows]
-                by_inputs[comp.inputs] = rows, {n: _held(r_net, r_level, self.index[n])
-                                                for n in comp.inputs}
-            rows, held = by_inputs[comp.inputs]
-            if not len(rows):
-                continue
-            levels, conflict = comp.levels(held)
-            if conflict is not None and conflict.any():
-                i = int(conflict.argmax())
-                if first is None or rows[i] < first[0]:
-                    first = rows[i], comp.contention(held, i, int(t[rows[i]]))
-            new = levels != np.append(np.int8(2), levels[:-1])
-            at = t[rows[new]] + comp.delay_ps
-            end = int(at.searchsorted(until_ps, side="right"))
-            queued.append((at[:end], levels[new][:end].astype(np.int64) | dst << 2))
-        if first is not None:
-            raise first[1]
-        del t
-        for at, codes in queued:
-            log_t.frombytes(at.view(np.uint8))
-            log_code.frombytes(codes.view(np.uint8))
+    def _key(self, row: int) -> tuple:
+        """The order of ``row`` among the rows of its time: ``(t, 0, row)`` for a
+        stimulus row, ``(t, 1, key of its trigger, component)`` for a queued one."""
+        t, trig, comp = self._table()
+        if row < self.n_stim:
+            return int(t[row]), 0, row
+        return int(t[row]), 1, self._key(int(trig[row])), int(comp[row])
 
+    def _merged(self, nets: tuple[str, ...]) -> tuple:
+        """The rows of ``nets`` in the order applied, their times, and each net's
+        level at each; kept for the next call, the other wired line of a pair."""
+        if nets != self._last[0]:
+            cols = [self._column(net) for net in nets]
+            rows, t, level = (np.concatenate([c[i] for c in cols]) for i in range(3))
+            which = np.repeat(np.arange(len(cols)), [len(c[0]) for c in cols])
+            if len(cols) > 1:
+                # at one time the stimulus first, in column order, then queue order
+                order = np.lexsort((np.minimum(rows, self.n_stim), t))
+                queued, tt = rows[order] >= self.n_stim, t[order]
+                tie = np.flatnonzero(queued[1:] & queued[:-1] & (tt[1:] == tt[:-1]))
+                if len(tie):
+                    at = np.union1d(tie, tie + 1)
+                    order[at] = sorted(order[at].tolist(), key=lambda i: self._key(int(rows[i])))
+                rows, t, level, which = rows[order], t[order], level[order], which[order]
+            self._last = nets, (rows, t, [_hold(which == j, level) for j in range(len(cols))])
+        return self._last[1]
 
-def _held(nets: np.ndarray, levels: np.ndarray, net: int) -> np.ndarray:
-    """The level of ``net`` at each row of the changes ``nets``/``levels``: that of
-    its last change at or before the row, UNKNOWN before its first."""
-    hit = nets == net
-    return np.append(np.int8(2), levels[hit])[np.cumsum(hit)]
+    def _add(self, comp, at: np.ndarray, level: np.ndarray, trig: np.ndarray):
+        """Log ``comp``'s changes at the times ``at`` up to the horizon."""
+        end = int(at.searchsorted(self.until, side="right"))
+        net = self.index[comp.output]
+        self.cols[net] = np.arange(self.size, self.size + end), at[:end], level[:end], trig[:end]
+        self.added.append((net, self.comp_index[comp]))
+        self.done.add(comp.output)
+        self.size += end
+        self._flat = None
+
+    def _drive(self, comp):
+        """Log ``comp``'s changes by its ``levels`` rule; note its first conflict."""
+        inputs = tuple(dict.fromkeys(comp.inputs))
+        rows, t, held = self._merged(inputs)
+        held = dict(zip(inputs, held))
+        levels, conflict = comp.levels(held)
+        new = levels != np.append(np.int8(2), levels[:-1])
+        self._add(comp, t[new] + comp.delay_ps, levels[new], rows[new])
+        if conflict is not None and conflict.any():
+            i = int(conflict.argmax())
+            self.conflicts.append((self._key(int(rows[i])), self.comp_index[comp],
+                                   comp.contention(held, i, int(t[i]))))
+
+    def _ring(self):
+        """Log the selects' changes by the recurrence over the falling edges, then
+        those of the last select's buffer and of Start by their rules."""
+        reset, chain, blast = self.ring
+        rows, t, level, trig = self._column(reset.dclk)
+        dis, en = self._column(reset.disable), self._column(reset.enable)
+        falls, rises = np.flatnonzero(_edges(level, "fall")), np.flatnonzero(_edges(level, "rise"))
+        fall_t = t[falls]
+        need = max(*(ff.delay_ps for ff in chain),
+                   chain[-1].delay_ps + blast.delay_ps + reset.delay_ps)
+        for i in np.flatnonzero(np.diff(fall_t) <= need)[:1].tolist():
+            raise ValueError(f"falling {reset.dclk} edges at {fall_t[i]} and {fall_t[i + 1]} ps: "
+                             f"the ring needs them more than {need} ps apart")
+
+        def after(col, seen):  # a stimulus net's level after the first ``seen`` stimulus rows
+            return np.append(np.int8(2), col[2])[np.searchsorted(col[0], seen)]
+
+        # Disable/Enable as each rising edge samples them (a queued edge after the
+        # stimulus of its time); the next fall commits ``armed``, the one after sees it
+        seen = np.where(rows[rises] < self.n_stim, rows[rises],
+                        np.searchsorted(self.stim_t, t[rises], side="right"))
+        armed = np.append(np.int8(2), _AND[_NOT[after(dis, seen)], after(en, seen)])
+        armed = np.append(np.int8(2), armed[np.searchsorted(rises, falls)][:-1])
+        # Disable/Enable as Start shows them at each fall: a change made
+        # buffer_delay_ps before it counts if it precedes the fall's trigger
+        made, (tab_t, _, tab_comp) = fall_t - reset.delay_ps, self._table()
+        trig = trig[falls]
+        trig_t = np.where(trig < 0, made - 1, tab_t[trig])  # a stimulus fall: after all
+        left, right = (np.searchsorted(self.stim_t, made, side=side) for side in ("left", "right"))
+        seen = np.where(trig_t < made, left, right)
+        seen = np.where((trig_t == made) & (trig < self.n_stim),
+                        trig + (self.comp_index[reset] < tab_comp[rows[falls]]), seen)
+        ndis = _NOT[after(dis, seen)]
+        n = len(chain)
+        start = [2] * n  # start[n + i]: Start at fall i; start[i]: the last select then
+        for i, (a, b) in enumerate(zip(_AND[ndis, armed].tolist(),
+                                       _AND[ndis, _NOT[after(en, seen)]].tolist())):
+            start.append(OR[a][AND[b][start[i]]])
+        start = np.array(start, dtype=np.int8)
+        j = np.flatnonzero(start[1:] != start[:-1])  # Sel_k takes start[j + 1] at fall j - n + k
+        for k, ff in enumerate(chain, 1):
+            i = (j - n + k)[j - n + k < len(falls)]
+            self._add(ff, fall_t[i] + ff.delay_ps, start[i + n - k + 1], rows[falls[i]])
+        self._drive(blast)
+        self._drive(reset)
 
 
 def advance(netlist: ChannelNetlist, stimulus: Stimulus, until_ps: int) -> SignalTraces:
-    """Run the netlist over ``stimulus`` and return the recorded traces.
+    """The traces of ``netlist`` over ``stimulus`` from power-on (all nets UNKNOWN).
 
-    Fully deterministic: identical inputs yield identical traces.  Each
-    call starts from power-on (all nets unknown).
+    ``ConfigError``: a negative delay, a read component without delay, a wired
+    line that a component reads, or feedback other than the channel ring.
+    ``ValueError``: a bad stimulus, or falling ring-clock edges too close for
+    the ring pass.  ``ContentionError``: the first conflict on a wired line.
     """
-    return Simulator(netlist).run(stimulus, until_ps)
-
+    return _Run(netlist).run(stimulus, until_ps)

@@ -222,6 +222,11 @@ class RefBuffer(_Reference, Buffer):
 
 
 class RefDFlipFlop(_Reference, DFlipFlop):
+    @property
+    def inputs(self):
+        # poked on its clock only: a change of D alone queues nothing
+        return (self.clk,)
+
     def reset(self):
         pass
 

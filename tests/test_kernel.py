@@ -5,13 +5,14 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from datachan import ChannelConfig, advance, build_channel, golden, protocol, stimulus
 from datachan.errors import ConfigError, ContentionError
 from datachan.logic import HIGH, LOW, UNKNOWN
-from datachan.netlist import Buffer, ChannelNetlist, ResetBlock, SharedLine, Simulator
+from datachan.netlist import Buffer, ChannelNetlist, ResetBlock, SharedLine
 from reference_kernel import (NetEvent, ReferenceSimulator, ZeroDelayLoopError, mux_lines,
                               net_events, stimulus_of, traces_from_histories)
 
@@ -138,9 +139,12 @@ def test_compiled_kernel_matches_reference_and_oracles(run):
 
 
 def _run(kernel, netlist, events, until_ps):
-    """A run of the ``NetEvent`` list ``events`` on a new ``kernel`` for ``netlist``."""
-    stim = events if kernel is ReferenceSimulator else stimulus_of(events)
-    return kernel(netlist).run(stim, until_ps)
+    """A run of the ``NetEvent`` list ``events`` on ``netlist`` by ``advance`` or by a
+    new ``ReferenceSimulator``.  A netlist without the channel ring is evaluated
+    by ``advance``'s pass over the stimulus-only log alone."""
+    if kernel is ReferenceSimulator:
+        return ReferenceSimulator(netlist).run(events, until_ps)
+    return advance(netlist, stimulus_of(events), until_ps)
 
 
 def _error(kernel, netlist, events, until_ps):
@@ -150,17 +154,17 @@ def _error(kernel, netlist, events, until_ps):
 
 
 def test_zero_delay_loop_error_matches_reference():
-    # the kernel refuses a zero-delay cycle when it is built; the reference
-    # runs it until its own guard stops it (only the events queued while 5 ps
-    # runs count, not the stimulus at 5 ps)
+    # advance refuses a zero-delay cycle before it reads the stimulus; the
+    # reference runs it until its own guard stops it (only the events queued
+    # while 5 ps runs count, not the stimulus at 5 ps)
     nl = ChannelNetlist(
         config=ChannelConfig(), nets=["A", "B"], primary_inputs=["A"],
         components=[Buffer("A", "B", 0), Buffer("B", "A", 0, invert=True)],
     )
-    with pytest.raises(ConfigError, match="Buffer on A has a delay of 0 ps"):
-        Simulator(nl)
     for levels in [(HIGH,), (HIGH, LOW, HIGH, HIGH)]:
         events = [NetEvent(5, "A", level) for level in levels]
+        with pytest.raises(ConfigError, match="Buffer on A has a delay of 0 ps"):
+            _run(advance, nl, events, 10)
         with pytest.raises(ZeroDelayLoopError, match="more than 1000 zero-delay events at 5 ps"):
             ReferenceSimulator(nl).run(events, 10)
 
@@ -173,7 +177,7 @@ def test_forced_contention_error_matches_reference():
     )
     events = [NetEvent(0, "Da", LOW), NetEvent(0, "Db", LOW), NetEvent(0, "Sa", HIGH),
               NetEvent(0, "Sb", HIGH), NetEvent(7, "Da", HIGH)]
-    got = _error(Simulator, nl, events, 10)
+    got = _error(advance, nl, events, 10)
     assert got == _error(ReferenceSimulator, nl, events, 10)
     assert got == (ContentionError, "conflicting drive on L at 7 ps from Sa, Sb")
 
@@ -182,9 +186,9 @@ def test_forced_contention_error_matches_reference():
     (9, (ContentionError, "conflicting drive on L at 7 ps from Sa, Sb")),
 ])
 def test_error_order_of_contention_and_zero_delay_loop_matches_reference(loop_at, want):
-    # the kernel refuses the zero-delay A/B pair when it is built, before any
-    # contention.  The reference runs it, and a conflict before the loop starts
-    # is its error; the kernel gives the same error without the pair.  L and nL
+    # advance refuses the zero-delay A/B pair before it reads the stimulus.
+    # The reference runs it, and a conflict before the loop starts is its
+    # error; advance gives the same error without the pair.  L and nL
     # conflict at 7 ps on one change, the earlier component wins; L2, first in
     # component order, conflicts only at 8 ps.
     lines = [SharedLine("L2", [("Sa", "Dc", 1), ("Sb", "Db", 1)], 5),
@@ -202,8 +206,8 @@ def test_error_order_of_contention_and_zero_delay_loop_matches_reference(loop_at
               NetEvent(8, "Dc", HIGH)]
     events = sorted(events + [NetEvent(loop_at, "A", HIGH)], key=lambda ev: ev.time_ps)
     with pytest.raises(ConfigError, match="Buffer on A has a delay of 0 ps"):
-        Simulator(with_loop)
-    got = _error(Simulator, without, events, 20)
+        _run(advance, with_loop, events, 20)
+    got = _error(advance, without, events, 20)
     assert got == _error(ReferenceSimulator, with_loop, events, 20)
     assert got == want
 
@@ -229,7 +233,7 @@ def test_stimulus_errors_match_reference(events, want):
     events = [NetEvent(0, "Da", LOW), NetEvent(0, "Db", LOW), NetEvent(0, "Sa", HIGH),
               NetEvent(0, "Sb", HIGH), NetEvent(7, "Da", HIGH)] + [
         NetEvent(t, net, level) for t, net, level in events]
-    got = _error(Simulator, nl, events, 20)
+    got = _error(advance, nl, events, 20)
     assert got == _error(ReferenceSimulator, nl, events, 20)
     assert got == (ValueError, want)
 
@@ -255,7 +259,7 @@ def test_reset_block_edges_match_reference(edge_first):
             controls.append(NetEvent(t, "Blast", HIGH if k % 2 else LOW))
         events += edge + controls if edge_first else controls + edge
     until = 10 * (4 * len(pairs) + 2)
-    got = _run(Simulator, nl, events, until).events
+    got = _run(advance, nl, events, until).events
     assert got == _run(ReferenceSimulator, nl, events, until).events
     assert {level for _, level in got["Start"]} == {LOW, HIGH, UNKNOWN}
 
@@ -288,7 +292,7 @@ def test_same_time_select_handover_matches_reference(first, delay):
                NetEvent(0, "Sb", LOW), NetEvent(0, "Sa", HIGH)]
               + (handover if first == "Sa" else handover[::-1])
               + [NetEvent(20, "Db", LOW), NetEvent(20, "Sb", LOW)])
-    got = _outcome(Simulator, nl, events, 40)
+    got = _outcome(advance, nl, events, 40)
     assert got == _outcome(ReferenceSimulator, nl, events, 40)
     if first == "Sb":
         assert got == "conflicting drive on L at 10 ps from Sa, Sb"
@@ -309,7 +313,7 @@ def test_wired_line_must_be_an_unread_delayed_sink(components, message):
     nl = ChannelNetlist(config=ChannelConfig(), nets=["S", "D", "L", "Q"],
                         primary_inputs=["S", "D"], components=components)
     with pytest.raises(ConfigError, match=message):
-        Simulator(nl)
+        advance(nl, stimulus_of([NetEvent(0, "S", HIGH)]), 10)
 
 
 def test_same_time_glitch_collapses_like_reference():
@@ -318,7 +322,7 @@ def test_same_time_glitch_collapses_like_reference():
         components=[Buffer("A", "B", 1)],
     )
     events = [NetEvent(0, "A", LOW), NetEvent(5, "A", HIGH), NetEvent(5, "A", LOW)]
-    traces = _run(Simulator, nl, events, 10)
+    traces = _run(advance, nl, events, 10)
     assert traces.events == _run(ReferenceSimulator, nl, events, 10).events
     assert traces.events == {"A": [(0, LOW)], "B": [(0, UNKNOWN), (1, LOW)]}
 
@@ -356,3 +360,90 @@ def test_finished_run_leaves_no_reference_cycles(config, stream40):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("rate, gap", [(9_433_962_264, 106), (9_500_000_000, 105)])
+def test_ring_needs_falling_dclk_edges_past_its_recirculation(rate, gap):
+    # the default channel's ring needs its falling Dclk edges more than
+    # ff_delay_ps + 5 * buffer_delay_ps = 105 ps apart; this Clock column comes
+    # from a faster serial clock, which no accepted config of the netlist gives
+    netlist = build_channel(ChannelConfig())
+    fast = ChannelConfig(serial_rate_hz=rate, ff_delay_ps=1, buffer_delay_ps=1, skew_ps=0,
+                         dt_ps=1.0)
+    stim = stimulus.stream_stimulus(fast, [(1, 0) * 5, (0,) * 10, (1,) * 10])
+    clock = stim.events.net == stim.events.nets.index("Clock")
+    assert np.diff(stim.events.times[clock & (stim.events.level == LOW)]).min() == gap
+    if gap > 105:
+        traces = advance(netlist, stim.events, stim.until_ps)
+        reference = ReferenceSimulator(netlist).run(net_events(stim.events), stim.until_ps)
+        assert traces.events == reference.events
+    else:
+        with pytest.raises(ValueError, match=r"^falling Dclk edges at \d+ and \d+ ps: "
+                                             r"the ring needs them more than 105 ps apart$"):
+            advance(netlist, stim.events, stim.until_ps)
+
+
+@pytest.mark.parametrize("controls_first", [False, True], ids=["clock-first", "controls-first"])
+def test_controls_on_a_clock_fall_match_reference_in_either_order(controls_first):
+    # every control change on a Clock fall, listed after it (as stream_stimulus
+    # lists them) or before it: the Start change it makes lands on the falling
+    # Dclk edge, and Sel1 takes it only when listed before
+    _, schedule, words, _ = _placed_run(_ONE_PS, 1, ("clock-fall",) * 4, [(1, 0) * 5] * 4, 1)
+    stim = stimulus.stream_stimulus(_ONE_PS, words, schedule)
+    events = net_events(stim.events)
+    if controls_first:
+        events.sort(key=lambda ev: (ev.time_ps, ev.net not in ("Disable", "Enable")))
+    netlist = build_channel(_ONE_PS)
+    traces = advance(netlist, stimulus_of(events), stim.until_ps)
+    assert traces.events == ReferenceSimulator(netlist).run(events, stim.until_ps).events
+    falls = traces.edges("Dclk", "fall")
+    starts = traces.arrays("Start")[0]
+    assert np.isin(starts, falls).any()
+
+
+@st.composite
+def primary_input_runs(draw):
+    """A channel with a 100 ps clock period and a hand-built stimulus: random changes
+    of every primary input (UNKNOWN, repeats and same-time glitches included), and
+    either random Clock changes or a 100 ps Clock, its edges up to 7 ps late, listed
+    before or after the other changes of their time."""
+    width = draw(st.sampled_from((8, 10)))
+    config = ChannelConfig(serial_rate_hz=10_000_000_000, word_width=width, dt_ps=1.0,
+                           ff_delay_ps=draw(st.integers(1, 10)),
+                           buffer_delay_ps=draw(st.integers(1, 6)),
+                           skew_ps=draw(st.integers(0, 3)))
+    config.validate()
+    nets = ["Clock", "Disable", "Enable"] * 3 + [f"D{i}" for i in range(width)]
+    events, t = [], 0
+    for _ in range(draw(st.integers(1, 400))):
+        t += draw(st.sampled_from((0, 0, 1, 2, 3, 5, 8, 13, 20, 40)))
+        events.append(NetEvent(t, draw(st.sampled_from(nets)),
+                               draw(st.sampled_from((LOW, HIGH, UNKNOWN)))))
+    if draw(st.booleans()):
+        clock = [NetEvent(50 * k + draw(st.sampled_from((0, 0, 0, 1, 7))), "Clock",
+                          HIGH if k % 2 == 0 else LOW) for k in range(t // 50 + 1)]
+        late = draw(st.booleans())
+        events = sorted(clock + [ev for ev in events if ev.net != "Clock"],
+                        key=lambda ev: (ev.time_ps, (ev.net == "Clock") == late))
+    return config, events, t + draw(st.integers(0, 50))
+
+
+def _outcome_or_error(kernel, netlist, events, until_ps):
+    """The histories of a run, or the type and message of its error."""
+    try:
+        return _run(kernel, netlist, events, until_ps).events
+    except (ContentionError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(primary_input_runs())
+def test_hand_built_stimulus_matches_reference_or_is_refused(run):
+    # advance never returns other traces than the reference: it refuses only
+    # Clock columns whose falls come too close for its ring pass
+    config, events, until = run
+    netlist = build_channel(config)
+    got = _outcome_or_error(advance, netlist, events, until)
+    if isinstance(got, tuple) and got[0] is ValueError and "the ring needs them" in got[1]:
+        return
+    assert got == _outcome_or_error(ReferenceSimulator, netlist, events, until)

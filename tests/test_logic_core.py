@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from datachan import ChannelConfig, advance, build_channel
 from datachan.errors import ConfigError, ContentionError
 from datachan.logic import AND, HIGH, LOW, NOT, OR, UNKNOWN, Level, SignalTraces
-from datachan.netlist import Buffer, ChannelNetlist, DFlipFlop, SharedLine, Simulator
+from datachan.netlist import Buffer, ChannelNetlist, DFlipFlop, SharedLine
 from datachan import stimulus
 from reference_kernel import (NetEvent, ReferenceSimulator, ResetState, clock_events, eval_reset,
                               intervals, k_and, histories_from_log, k_not, k_or, merge_events,
@@ -265,7 +265,7 @@ def test_zero_delay_loop_raises():
         components=[Buffer("A", "B", 0), Buffer("B", "A", 0, invert=True)],
     )
     with pytest.raises(ConfigError, match="has a delay of 0 ps"):
-        Simulator(nl)
+        advance(nl, stimulus_of([NetEvent(0, "A", HIGH)]), 10)
 
 
 def test_stimulus_must_hit_primary_inputs(config):
@@ -313,12 +313,15 @@ def test_columns_from_log_match_change_by_change_recording(case):
         assert not times.flags.writeable and not codes.flags.writeable
 
 
-@pytest.mark.parametrize("kernel", [Simulator, ReferenceSimulator])
+@pytest.mark.parametrize("kernel", [advance, ReferenceSimulator],
+                         ids=["Simulator", "ReferenceSimulator"])
 def test_stimulus_must_be_time_ordered(config, kernel):
     events = [NetEvent(20, "Enable", HIGH), NetEvent(10, "Disable", LOW)]
     with pytest.raises(ValueError, match="stimulus events must be time-ordered"):
-        kernel(build_channel(config)).run(
-            events if kernel is ReferenceSimulator else stimulus_of(events), 50)
+        if kernel is ReferenceSimulator:
+            ReferenceSimulator(build_channel(config)).run(events, 50)
+        else:
+            advance(build_channel(config), stimulus_of(events), 50)
 
 
 # --------------------------------------------------------------------------
