@@ -2,8 +2,9 @@
 
 Submodules:
 
-- ``logic`` / ``netlist``: three-valued event-driven simulation of the
-  one-hot ring serializer, its reset/enable protocol and wired line muxing
+- ``logic`` / ``netlist``: three-valued simulation of the one-hot ring
+  serializer, its reset/enable protocol and wired line muxing, one column of
+  changes per net
 - ``golden`` / ``protocol``: functional reference model and protocol checks
 - ``driver``: behavioral output stage and supply-current models
 - ``measure`` / ``eye`` / ``spectrum`` / ``report``: measurement kernels

@@ -62,21 +62,21 @@ class SignalTraces:
     horizon_ps: int
 
     @classmethod
-    def from_log(cls, nets: list[str], times, codes, horizon_ps: int) -> SignalTraces:
-        """The columns of a run's change log, in one numpy pass.
+    def from_columns(cls, nets: list[str], columns, horizon_ps: int) -> SignalTraces:
+        """The traces of a run, in one numpy pass over its change columns.
 
-        ``times[i]`` and ``codes[i]`` (``net << 2 | level``, net indexing
-        ``nets``) are int64 buffers in the order the changes were applied.  Per
-        net, the last change at each time is kept, and of those only the ones
-        to a new level: a change made and undone at one time leaves nothing.
+        ``columns[i]`` is ``(times, levels)`` of net ``nets[i]``: the changes
+        after its power-on UNKNOWN, in the order applied.  Per net, the last
+        change at each time is kept, and of those only the ones to a new level:
+        a change made and undone at one time leaves nothing.
         """
-        code = np.frombuffer(codes, dtype=np.int64)
-        net = (code >> 2).astype(np.int16)  # a stable sort of int16 is a radix sort
-        order = np.argsort(net, kind="stable")
-        net, t, level = net[order], np.frombuffer(times, dtype=np.int64)[order], code[order]
+        net = np.repeat(np.arange(len(nets), dtype=np.int16), [len(t) + 1 for t, _ in columns])
+        t = np.concatenate([c for times, _ in columns for c in ([0], times)], dtype=np.int64)
+        level = np.concatenate([c for _, codes in columns for c in ([UNKNOWN], codes)],
+                               dtype=np.int8)
         keep = np.ones(len(t), dtype=bool)
         keep[:-1] = (net[1:] != net[:-1]) | (t[1:] != t[:-1])
-        net, t, level = net[keep], t[keep], (level[keep] & 3).astype(np.int8)
+        net, t, level = net[keep], t[keep], level[keep]
         # an entry dropped here holds the level of the last kept one before it,
         # so comparing with the previous entry compares with the last kept one
         keep = np.ones(len(t), dtype=bool)

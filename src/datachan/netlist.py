@@ -43,6 +43,7 @@ and the wired lines meet the bus update.
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,7 +183,6 @@ class SharedLine:
 
 @dataclass
 class ChannelNetlist:
-    config: ChannelConfig
     nets: list[str]
     primary_inputs: list[str]
     components: list = field(default_factory=list)
@@ -243,7 +243,6 @@ def build_channel(config: ChannelConfig) -> ChannelNetlist:
     ]
 
     return ChannelNetlist(
-        config=config,
         nets=nets,
         primary_inputs=["Clock", "Disable", "Enable"] + data_nets,
         components=comps,
@@ -276,9 +275,22 @@ class _Run:
                 raise ConfigError(f"wired line {comp.line} is read by a component")
         for net in sorted(self.primary & set(self.driver))[:1]:
             raise ConfigError(f"primary input {net} is driven by a component")
+        for comp in [comp for comp in self.comps if self.driver[comp.output] is not comp][:1]:
+            raise ConfigError(f"net {comp.output} is driven by more than one component")
         self.ring = self._find_ring()
         ring = (self.ring[0], *self.ring[1], self.ring[2]) if self.ring else ()
-        self.step = {comp: self.ring for comp in ring}  # what computes a ring net
+        # the evaluation order: each step after the steps that drive what it reads;
+        # the ring's components are one step, their reads of each other no dependency
+        step = {comp: self.ring if comp in ring else comp for comp in self.comps}
+        graph = graphlib.TopologicalSorter()
+        for comp, node in step.items():
+            needs = [step[self.driver[net]] for net in comp.inputs if net in self.driver]
+            graph.add(node, *(need for need in needs if need is not node or node is not self.ring))
+        try:
+            self.order = list(graph.static_order())
+        except graphlib.CycleError as err:
+            net = next(node for node in err.args[1] if node is not self.ring).output
+            raise ConfigError(f"feedback through {net} is not the channel ring") from None
 
     def _find_ring(self):
         """(reset block, its flip-flops from the one sampling Start, the buffer of the
@@ -301,23 +313,22 @@ class _Run:
         net = self._check(stimulus, until_ps)
         self.until, self.n_stim, self.stim_t = until_ps, len(stimulus), stimulus.times
         self.size, self.added, self.conflicts = len(stimulus), [], []
-        self.cols, self.done, self.busy, self._flat, self._last = {}, set(), set(), None, ((),)
+        self.cols, self._flat, self._last = {}, None, ((),)
         order = np.argsort(net, kind="stable")
         bounds = np.searchsorted(net[order], np.arange(len(self.nets) + 1)).tolist()
-        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        for name, a, b in zip(self.nets, bounds, bounds[1:]):
             rows = order[a:b]
-            self.cols[i] = rows, stimulus.times[rows], stimulus.level[rows], np.full(b - a, -1)
-        for comp in self.comps:
-            self._column(comp.output)
+            self.cols[name] = rows, stimulus.times[rows], stimulus.level[rows], np.full(b - a, -1)
+        for step in self.order:
+            if step is self.ring:
+                self._ring()
+            else:
+                self._drive(step)
         if self.conflicts:
             raise min(self.conflicts, key=lambda c: c[:2])[2]
-        added = [self.cols[i] for i, _ in self.added]
-        times = [np.zeros(len(self.nets), dtype=np.int64), stimulus.times] + [c[1] for c in added]
-        codes = [np.arange(len(self.nets), dtype=np.int64) << 2 | 2, net << 2 | stimulus.level]
-        codes += [c[2].astype(np.int64) | i << 2 for (i, _), c in zip(self.added, added)]
-        times, codes = np.concatenate(times), np.concatenate(codes)
-        self.cols = self._flat = self._last = added = None  # not kept while the traces are built
-        return SignalTraces.from_log(self.nets, times, codes, until_ps)
+        columns = [self.cols[name][1:3] for name in self.nets]
+        self.cols = self._flat = self._last = None  # not kept while the traces are built
+        return SignalTraces.from_columns(self.nets, columns, until_ps)
 
     def _check(self, stimulus: Stimulus, until_ps: int) -> np.ndarray:
         """The net index of each stimulus change.  The first change on a non-primary
@@ -338,24 +349,10 @@ class _Run:
             raise ValueError("simulation horizon ends before the last stimulus event")
         return net
 
-    def _column(self, net: str) -> tuple:
-        """The rows of ``net``, computed first (with the rows they need) if driven."""
-        comp = self.driver.get(net)
-        if comp is not None and net not in self.done:
-            step = self.step.get(comp, comp)
-            if step in self.busy:
-                raise ConfigError(f"feedback through {net} is not the channel ring")
-            self.busy.add(step)
-            if step is comp:
-                self._drive(comp)  # which computes its inputs first
-            else:
-                self._ring()
-        return self.cols[self.index[net]]
-
     def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The time, trigger and component index of every row (-1: stimulus)."""
         if self._flat is None:
-            added = [self.cols[i] for i, _ in self.added]
+            added = [self.cols[net] for net, _ in self.added]
             self._flat = (np.concatenate([self.stim_t] + [c[1] for c in added]),
                           np.concatenate([np.full(self.n_stim, -1)] + [c[3] for c in added]),
                           np.repeat([-1] + [ci for _, ci in self.added],
@@ -374,7 +371,7 @@ class _Run:
         """The rows of ``nets`` in the order applied, their times, and each net's
         level at each; kept for the next call, the other wired line of a pair."""
         if nets != self._last[0]:
-            cols = [self._column(net) for net in nets]
+            cols = [self.cols[net] for net in nets]
             rows, t, level = (np.concatenate([c[i] for c in cols]) for i in range(3))
             which = np.repeat(np.arange(len(cols)), [len(c[0]) for c in cols])
             if len(cols) > 1:
@@ -392,10 +389,9 @@ class _Run:
     def _add(self, comp, at: np.ndarray, level: np.ndarray, trig: np.ndarray):
         """Log ``comp``'s changes at the times ``at`` up to the horizon."""
         end = int(at.searchsorted(self.until, side="right"))
-        net = self.index[comp.output]
-        self.cols[net] = np.arange(self.size, self.size + end), at[:end], level[:end], trig[:end]
-        self.added.append((net, self.comp_index[comp]))
-        self.done.add(comp.output)
+        rows = np.arange(self.size, self.size + end)
+        self.cols[comp.output] = rows, at[:end], level[:end], trig[:end]
+        self.added.append((comp.output, self.comp_index[comp]))
         self.size += end
         self._flat = None
 
@@ -416,8 +412,8 @@ class _Run:
         """Log the selects' changes by the recurrence over the falling edges, then
         those of the last select's buffer and of Start by their rules."""
         reset, chain, blast = self.ring
-        rows, t, level, trig = self._column(reset.dclk)
-        dis, en = self._column(reset.disable), self._column(reset.enable)
+        rows, t, level, trig = self.cols[reset.dclk]
+        dis, en = self.cols[reset.disable], self.cols[reset.enable]
         falls, rises = np.flatnonzero(_edges(level, "fall")), np.flatnonzero(_edges(level, "rise"))
         fall_t = t[falls]
         need = max(*(ff.delay_ps for ff in chain),
@@ -463,8 +459,10 @@ def advance(netlist: ChannelNetlist, stimulus: Stimulus, until_ps: int) -> Signa
     """The traces of ``netlist`` over ``stimulus`` from power-on (all nets UNKNOWN).
 
     ``ConfigError``: a negative delay, a read component without delay, a wired
-    line that a component reads, or feedback other than the channel ring.
-    ``ValueError``: a bad stimulus, or falling ring-clock edges too close for
-    the ring pass.  ``ContentionError``: the first conflict on a wired line.
+    line that a component reads, a net with two drivers, or feedback other than
+    the channel ring; raised before the stimulus is read, so before the
+    ``ValueError`` of a bad stimulus.  ``ValueError``: a bad stimulus, or
+    falling ring-clock edges too close for the ring pass.  ``ContentionError``:
+    the first conflict on a wired line.
     """
     return _Run(netlist).run(stimulus, until_ps)

@@ -11,7 +11,8 @@ The reference keeps list histories, recorded change by change with
 ``record``, the rule the kernel's loop once applied; ``traces_from_histories``
 turns such lists into ``SignalTraces`` columns, for the reference and for
 traces the tests build by hand.  ``histories_from_log`` applies ``record`` to
-a kernel change log: the oracle of ``SignalTraces.from_log``.
+a change log: the oracle of ``SignalTraces.from_columns``, which gets the
+log's changes grouped into per-net columns.
 
 ``mux_lines`` recomputes the four wired lines, delay-free, from the select
 traces and the data histories on the ``logic`` gate tables: the reference

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from datachan import ChannelConfig, advance, build_channel, golden, protocol, stimulus
 from datachan.errors import ConfigError, ContentionError
 from datachan.logic import HIGH, LOW, UNKNOWN
-from datachan.netlist import Buffer, ChannelNetlist, ResetBlock, SharedLine
+from datachan.netlist import Buffer, ChannelNetlist, DFlipFlop, ResetBlock, SharedLine
 from reference_kernel import (NetEvent, ReferenceSimulator, ZeroDelayLoopError, mux_lines,
                               net_events, stimulus_of, traces_from_histories)
 
@@ -158,7 +158,7 @@ def test_zero_delay_loop_error_matches_reference():
     # reference runs it until its own guard stops it (only the events queued
     # while 5 ps runs count, not the stimulus at 5 ps)
     nl = ChannelNetlist(
-        config=ChannelConfig(), nets=["A", "B"], primary_inputs=["A"],
+        nets=["A", "B"], primary_inputs=["A"],
         components=[Buffer("A", "B", 0), Buffer("B", "A", 0, invert=True)],
     )
     for levels in [(HIGH,), (HIGH, LOW, HIGH, HIGH)]:
@@ -171,7 +171,7 @@ def test_zero_delay_loop_error_matches_reference():
 
 def test_forced_contention_error_matches_reference():
     nl = ChannelNetlist(
-        config=ChannelConfig(), nets=["Sa", "Sb", "Da", "Db", "L"],
+        nets=["Sa", "Sb", "Da", "Db", "L"],
         primary_inputs=["Sa", "Sb", "Da", "Db"],
         components=[SharedLine("L", [("Sa", "Da", 1), ("Sb", "Db", 1)], 5)],
     )
@@ -197,10 +197,8 @@ def test_error_order_of_contention_and_zero_delay_loop_matches_reference(loop_at
     loop = [Buffer("A", "B", 0), Buffer("B", "A", 0, invert=True)]
     nets = ["Sa", "Sb", "Da", "Db", "Dc", "L2", "L", "nL", "A", "B"]
     inputs = ["Sa", "Sb", "Da", "Db", "Dc", "A"]
-    with_loop = ChannelNetlist(config=ChannelConfig(), nets=nets, primary_inputs=inputs,
-                               components=lines + loop)
-    without = ChannelNetlist(config=ChannelConfig(), nets=nets, primary_inputs=inputs,
-                             components=lines)
+    with_loop = ChannelNetlist(nets=nets, primary_inputs=inputs, components=lines + loop)
+    without = ChannelNetlist(nets=nets, primary_inputs=inputs, components=lines)
     events = [NetEvent(0, "Da", LOW), NetEvent(0, "Db", LOW), NetEvent(0, "Dc", LOW),
               NetEvent(0, "Sa", HIGH), NetEvent(0, "Sb", HIGH), NetEvent(7, "Da", HIGH),
               NetEvent(8, "Dc", HIGH)]
@@ -226,7 +224,7 @@ def test_error_order_of_contention_and_zero_delay_loop_matches_reference(loop_at
 ])
 def test_stimulus_errors_match_reference(events, want):
     nl = ChannelNetlist(
-        config=ChannelConfig(), nets=["Sa", "Sb", "Da", "Db", "L"],
+        nets=["Sa", "Sb", "Da", "Db", "L"],
         primary_inputs=["Sa", "Sb", "Da", "Db"],
         components=[SharedLine("L", [("Sa", "Da", 1), ("Sb", "Db", 1)], 5)],
     )
@@ -244,7 +242,7 @@ def test_reset_block_edges_match_reference(edge_first):
     # each of their nine level pairs at both kinds of edge, listed before or
     # after the edge: Start must not depend on which edges re-evaluate it
     nl = ChannelNetlist(
-        config=ChannelConfig(), nets=["Dclk", "Disable", "Enable", "Blast", "Start"],
+        nets=["Dclk", "Disable", "Enable", "Blast", "Start"],
         primary_inputs=["Dclk", "Disable", "Enable", "Blast"],
         components=[ResetBlock("Dclk", "Disable", "Enable", "Blast", "Start", 3)],
     )
@@ -281,7 +279,7 @@ def test_same_time_select_handover_matches_reference(first, delay):
     # and a select change share the time stamp.  A wired line is a sink, so
     # it may have no delay.
     nl = ChannelNetlist(
-        config=ChannelConfig(), nets=["Sa", "Sb", "Da", "Db", "Dc", "L", "M", "X"],
+        nets=["Sa", "Sb", "Da", "Db", "Dc", "L", "M", "X"],
         primary_inputs=["Sa", "Sb", "Da", "Db", "Dc"],
         components=[SharedLine("L", [("Sa", "Da", 1), ("Sb", "Db", 1)], delay),
                     SharedLine("M", [("Sa", "Dc", 1), ("Sb", "Dc", 1)], delay),
@@ -310,15 +308,43 @@ def test_same_time_select_handover_matches_reference(first, delay):
     ([SharedLine("L", [("S", "D", 1)], -1)], "SharedLine on S, D has a delay of -1 ps"),
 ], ids=["read", "negative-delay"])
 def test_wired_line_must_be_an_unread_delayed_sink(components, message):
-    nl = ChannelNetlist(config=ChannelConfig(), nets=["S", "D", "L", "Q"],
-                        primary_inputs=["S", "D"], components=components)
+    nl = ChannelNetlist(nets=["S", "D", "L", "Q"], primary_inputs=["S", "D"],
+                        components=components)
     with pytest.raises(ConfigError, match=message):
         advance(nl, stimulus_of([NetEvent(0, "S", HIGH)]), 10)
 
 
+@pytest.mark.parametrize("nets, components, fed_back", [
+    (["S", "A", "B"], [Buffer("A", "B", 2), Buffer("B", "A", 3, invert=True)], "B"),
+    (["S", "Q", "QN"], [DFlipFlop("S", "QN", "Q", 4), Buffer("Q", "QN", 1, invert=True)], "Q"),
+], ids=["two-buffer-loop", "toggled-flip-flop"])
+def test_feedback_other_than_the_ring_is_refused(nets, components, fed_back):
+    # refused when the netlist is read, so before a bad stimulus (a change on a
+    # net that a component drives) is looked at, as for a zero-delay loop
+    nl = ChannelNetlist(nets=nets, primary_inputs=["S"], components=components)
+    message = f"^feedback through {fed_back} is not the channel ring$"
+    for events in ([NetEvent(0, "S", LOW), NetEvent(10, "S", HIGH)],
+                   [NetEvent(0, "S", LOW), NetEvent(10, nets[1], HIGH)]):
+        with pytest.raises(ConfigError, match=message):
+            _run(advance, nl, events, 40)
+
+
+def test_net_with_two_drivers_is_refused():
+    # the reference applies both buffers' changes to B; advance keeps one
+    # column per net, so it refuses the netlist instead of dropping a driver
+    nl = ChannelNetlist(nets=["X", "Y", "B"], primary_inputs=["X", "Y"],
+                        components=[Buffer("X", "B", 2), Buffer("Y", "B", 5, invert=True)])
+    events = [NetEvent(0, "X", LOW), NetEvent(0, "Y", LOW), NetEvent(10, "X", HIGH),
+              NetEvent(20, "Y", HIGH)]
+    assert _run(ReferenceSimulator, nl, events, 40).events["B"] == [
+        (0, UNKNOWN), (2, LOW), (5, HIGH), (25, LOW)]
+    with pytest.raises(ConfigError, match="^net B is driven by more than one component$"):
+        _run(advance, nl, events, 40)
+
+
 def test_same_time_glitch_collapses_like_reference():
     nl = ChannelNetlist(
-        config=ChannelConfig(), nets=["A", "B"], primary_inputs=["A"],
+        nets=["A", "B"], primary_inputs=["A"],
         components=[Buffer("A", "B", 1)],
     )
     events = [NetEvent(0, "A", LOW), NetEvent(5, "A", HIGH), NetEvent(5, "A", LOW)]

@@ -1,7 +1,5 @@
 """Event kernel, ring netlist and wired-line multiplexing."""
 
-from array import array
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -259,9 +257,8 @@ def test_determinism_of_advance(config, stream40):
 
 
 def test_zero_delay_loop_raises():
-    cfg = ChannelConfig()
     nl = ChannelNetlist(
-        config=cfg, nets=["A", "B"], primary_inputs=["A"],
+        nets=["A", "B"], primary_inputs=["A"],
         components=[Buffer("A", "B", 0), Buffer("B", "A", 0, invert=True)],
     )
     with pytest.raises(ConfigError, match="has a delay of 0 ps"):
@@ -304,8 +301,11 @@ def change_logs(draw):
 @example((["A", "B", "C"], [(0, 2), (0, 6), (0, 10), (4, 5)]))  # nets with no changes
 def test_columns_from_log_match_change_by_change_recording(case):
     nets, log = case
-    traces = SignalTraces.from_log(nets, array("q", [t for t, _ in log]),
-                                   array("q", [code for _, code in log]), 50)
+    changes = log[len(nets):]  # each net's column: its changes after the power-on entries
+    columns = [(np.array([t for t, code in changes if code >> 2 == i], dtype=np.int64),
+                np.array([code & 3 for _, code in changes if code >> 2 == i], dtype=np.int8))
+               for i in range(len(nets))]
+    traces = SignalTraces.from_columns(nets, columns, 50)
     assert traces.events == histories_from_log(nets, log)
     assert traces.nets() == nets and traces.horizon_ps == 50
     for times, codes in traces.columns.values():
