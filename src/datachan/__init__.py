@@ -3,8 +3,7 @@
 Submodules:
 
 - ``logic`` / ``netlist``: three-valued simulation of the one-hot ring
-  serializer, its reset/enable protocol and wired line muxing, one column of
-  changes per net
+  serializer, its reset/enable protocol and wired line muxing
 - ``golden`` / ``protocol``: functional reference model and protocol checks
 - ``driver``: behavioral output stage and supply-current models
 - ``measure`` / ``eye`` / ``spectrum`` / ``report``: measurement kernels

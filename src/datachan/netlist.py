@@ -261,7 +261,6 @@ class _Run:
 
     def __init__(self, netlist: ChannelNetlist):
         self.nets, self.comps = netlist.nets, netlist.components
-        self.index = {net: i for i, net in enumerate(self.nets)}
         self.comp_index = {comp: i for i, comp in enumerate(self.comps)}
         self.primary = set(netlist.primary_inputs)
         self.driver = {comp.output: comp for comp in self.comps}
@@ -273,6 +272,8 @@ class _Run:
                                   f"delay of {comp.delay_ps} ps: only a sink may have none")
             if isinstance(comp, SharedLine) and not sink:
                 raise ConfigError(f"wired line {comp.line} is read by a component")
+        for net in sorted({*self.primary, *read, *self.driver} - set(self.nets))[:1]:
+            raise ConfigError(f"net {net} is not in the netlist's nets")
         for net in sorted(self.primary & set(self.driver))[:1]:
             raise ConfigError(f"primary input {net} is driven by a component")
         for comp in [comp for comp in self.comps if self.driver[comp.output] is not comp][:1]:
@@ -335,7 +336,7 @@ class _Run:
         net or earlier than the one before it (or than 0) decides the error, then
         the horizon, as reading the changes one by one would."""
         times = stimulus.times
-        base = np.array([self.index[net] if net in self.primary else -1
+        base = np.array([self.nets.index(net) if net in self.primary else -1
                          for net in stimulus.nets], dtype=np.int64)
         net = base[stimulus.net]
         foreign = np.flatnonzero(net < 0)[:1].tolist()
@@ -459,8 +460,8 @@ def advance(netlist: ChannelNetlist, stimulus: Stimulus, until_ps: int) -> Signa
     """The traces of ``netlist`` over ``stimulus`` from power-on (all nets UNKNOWN).
 
     ``ConfigError``: a negative delay, a read component without delay, a wired
-    line that a component reads, a net with two drivers, or feedback other than
-    the channel ring; raised before the stimulus is read, so before the
+    line that a component reads, a net missing from ``nets`` or with two
+    drivers, or feedback other than the channel ring; raised before the stimulus is read, so before the
     ``ValueError`` of a bad stimulus.  ``ValueError``: a bad stimulus, or
     falling ring-clock edges too close for the ring pass.  ``ContentionError``:
     the first conflict on a wired line.

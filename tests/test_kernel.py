@@ -342,6 +342,17 @@ def test_net_with_two_drivers_is_refused():
         _run(advance, nl, events, 40)
 
 
+@pytest.mark.parametrize("nets, missing", [(["A", "B"], "C"), (["B", "C"], "A")],
+                         ids=["driven", "primary"])
+def test_net_missing_from_the_nets_is_refused(nets, missing):
+    # advance keeps one column per listed net: a driven net left out would
+    # lose its trace
+    nl = ChannelNetlist(nets=nets, primary_inputs=["A"],
+                        components=[Buffer("A", "B", 1), Buffer("B", "C", 1)])
+    with pytest.raises(ConfigError, match=f"^net {missing} is not in the netlist's nets$"):
+        advance(nl, stimulus_of([NetEvent(0, "A", LOW)]), 10)
+
+
 def test_same_time_glitch_collapses_like_reference():
     nl = ChannelNetlist(
         nets=["A", "B"], primary_inputs=["A"],
