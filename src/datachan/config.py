@@ -20,6 +20,9 @@ from .errors import ConfigError, MaskError
 T = TypeVar("T")
 
 EDGE_MODELS = ("EXPONENTIAL", "RAISED_COSINE")
+# largest drop of the pulled-up standby level below avcc (10 mV): configs past
+# it are refused, and a standby report checks its measured drop against it
+STANDBY_DROP_MAX_V = 10e-3
 
 
 @dataclass
@@ -49,8 +52,8 @@ class DriverParams:
             raise ConfigError("avcc_v and r_term_ohm must be positive")
         if self.t_rf_ps < 0:
             raise ConfigError("t_rf_ps must be >= 0")
-        if self.i_standby_a * self.r_term_ohm > 10e-3:
-            raise ConfigError("standby drop exceeds the 10 mV budget")
+        if self.i_standby_a * self.r_term_ohm > STANDBY_DROP_MAX_V:
+            raise ConfigError(f"standby drop exceeds the {STANDBY_DROP_MAX_V * 1e3:g} mV budget")
 
 
 @dataclass

@@ -9,6 +9,7 @@ spike per pre-driver line transition on top of a quiescent DC draw.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -245,6 +246,108 @@ def _int_cells(values: np.ndarray, width: int) -> np.ndarray:
 def _table_cells(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Cells of the fixed-width ``S`` strings ``table[index]``, NUL-padded on the right."""
     return table[index].view(np.uint8).reshape(len(index), table.itemsize)
+
+
+def _ascii4(strings) -> np.ndarray:
+    """Up to four ASCII characters each, as the bytes of one uint32 (NUL-padded).
+
+    The strings are read one at a time: a list of thousands of small strings
+    would leave its memory with the process.
+    """
+    return np.fromiter(strings, dtype="S4").view(np.uint32)
+
+
+def _mantissa_head(h: int, strip: bool) -> str:
+    """"d.dd" of the three digits ``h``, with trailing zeros (and the point) stripped."""
+    text = "%d.%02d" % divmod(h, 100)
+    return text.rstrip("0").rstrip(".") if strip else text
+
+
+@functools.cache
+def _g6_tables() -> tuple:
+    """The fields and lookup tables of ``_g6_cells``, built on its first call
+    rather than at import, which every CLI call pays.
+
+    A cell is a sign byte, then three 4-byte fields.  In exponent notation,
+    with the six-digit mantissa ``1000*hi + lo``, these are: "d.dd" from
+    ``head[hi + 1001*(lo == 0)]`` (stripped when lo is zero; hi = 1000 is the
+    carry to 1,000,000, printed as 100); lo stripped, then "e", from
+    ``tail[lo]``; the signed exponent from ``exp[exponent + 300]``.  Fixed
+    notation overwrites the three fields.  ``scale[k]`` is 10**(305 - k) for
+    k = exponent + 300, correctly rounded: parsed, not a power.
+    """
+    cell = np.dtype({"names": ["sign", "head", "tail", "exp"],
+                     "formats": ["u1", "u4", "u4", "u4"], "offsets": [0, 1, 5, 9],
+                     "itemsize": 13})
+    head = _ascii4(_mantissa_head(h if h < 1000 else 100, strip)
+                   for strip in (False, True) for h in range(1001))
+    tail = _ascii4(("%03d" % lo).rstrip("0") + "e" for lo in range(1000))
+    exp = _ascii4("%+03d" % x for x in range(-300, 302))
+    scale = np.fromiter((float("1e%d" % (305 - k)) for k in range(601)), dtype=float)
+    return cell, head, tail, exp, scale
+
+
+_POW10 = 10 ** np.arange(12)
+_FROM_RIGHT = np.arange(11, -1, -1)
+
+
+def _fixed_cells(mant: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Characters 1 to 12 of ``"%.6g"`` in fixed notation, NUL-padded: the
+    six-digit ``mant`` times 10**(x - 5), for -4 <= x <= 5.
+
+    Counted from the right, the ``5 - x`` fraction digits come first, then
+    the point, then the integer part (a zero-padded ``mant``, so x < 0 gives
+    ``0.000...``).  A fraction digit is dropped when it and every digit right
+    of it are zero, the point when all of them are.
+    """
+    f = (5 - x)[:, None]
+    m = mant[:, None]
+    p = _FROM_RIGHT
+    digit = m // _POW10[p - (p > f)] % 10 + 48
+    keep = np.where(p <= f, m % _POW10[np.minimum(p + 1, f)] != 0, p <= np.maximum(f, 5) + 1)
+    return np.where(p == f, 46, digit) * keep
+
+
+def _g6_cells(values: np.ndarray) -> np.ndarray:
+    """``"%.6g" % v`` of each float64 as 13 ``uint8`` cells, with NUL bytes
+    where ``%g`` drops a character (the sign, the point, stripped zeros).
+
+    ``y = |v| * 10**(5 - e)``, with ``e = floor(log10|v|)``, is within 3e-10
+    of its exact value (one rounded scale, one rounded product), so rounding
+    it half up gives the six digits unless its fraction is within 1e-8 of one
+    half.  ``e`` can only be one off when |v| is within about 1e-12 of a power
+    of ten; ``y`` is then as close to 1e5 or 1e6 and rounds to 100000 or to
+    the carry 1000000, the digits and exponent the right ``e`` gives.
+    Near-ties, ±0, nan, ±inf and |v| outside [1e-300, 1e300) are formatted by
+    Python's ``%``.
+    """
+    cell, head, tail, exp, scale = _g6_tables()
+    n = len(values)
+    a = np.abs(values)
+    sure = (a >= 1e-300) & (a < 1e300)
+    a = np.where(sure, a, 1.0)
+    k = (np.log10(a) + 300.0).astype(np.intp)  # e + 300, floored: it is positive
+    y = a * scale[k]
+    r = np.floor(y + 0.5)
+    sure &= np.abs(y - r) < 0.5 - 1e-8
+    hi, lo = np.divmod(r.astype(np.intp), 1000)
+    k += hi == 1000
+    cells = np.empty((n, 13), dtype=np.uint8)
+    fields = cells.view(cell)[:, 0]
+    fields["sign"] = np.signbit(values) * np.uint8(45)
+    fields["head"] = head[hi + 1001 * (lo == 0)]
+    fields["tail"] = tail[lo]
+    fields["exp"] = exp[k]
+    fixed = (k >= 296) & (k <= 305)  # exponent -4 to 5
+    if fixed.any():
+        mant = hi[fixed] * 1000 + lo[fixed]
+        mant[mant == 1000000] = 100000  # the carry
+        cells[fixed, 1:] = _fixed_cells(mant, k[fixed] - 300)
+    if not sure.all():
+        bad = ~sure
+        text = np.array(["%.6g" % v for v in values[bad].tolist()], dtype="S13")
+        cells[bad] = text.view(np.uint8).reshape(len(text), 13)
+    return cells
 
 
 def _join_cells(n: int, columns: list, head: str = "", tail: str = "") -> str:

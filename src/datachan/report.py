@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .config import STANDBY_DROP_MAX_V
+
 
 @dataclass
 class ComplianceItem:
@@ -75,7 +77,7 @@ BOUNDS = {
 # a standby report: the pulled-up level and its drop below avcc
 STANDBY_BOUNDS = {
     "v_off": BOUNDS["v_off"],
-    "standby_drop": (None, 0.010),
+    "standby_drop": (None, STANDBY_DROP_MAX_V),
 }
 
 # the note that a report carries for each of these items it holds

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import WaveformTrace, format_rows
+from .driver import WaveformTrace, _g6_cells, _join_cells
 from .errors import ResolutionError
 
 
@@ -19,9 +19,12 @@ class Spectrum:
     rbw_hz: float
 
     def to_csv(self) -> str:
-        rows = np.column_stack((np.asarray(self.freqs_hz, dtype=float),
-                                np.asarray(self.mags_a, dtype=float)))
-        return "freq_hz,magnitude_a\n" + format_rows(rows, "%.6g,%.6g\n")
+        """``%.6g,%.6g`` lines, assembled as bytes a pass at a time."""
+        freqs = np.asarray(self.freqs_hz, dtype=float)
+        mags = np.asarray(self.mags_a, dtype=float)
+        return _join_cells(len(freqs), [(13, lambda s, e: _g6_cells(freqs[s:e])), b",",
+                                        (13, lambda s, e: _g6_cells(mags[s:e])), b"\n"],
+                           "freq_hz,magnitude_a\n")
 
 
 def spectrum(trace: WaveformTrace) -> Spectrum:

@@ -336,6 +336,60 @@ def test_spectrum_csv_matches_per_line_format(n, freqs, mags):
     assert_same_text(spec.to_csv(), ref_spectrum_csv(spec))
 
 
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@settings(max_examples=15, deadline=None)
+@given(freqs=st.lists(values, min_size=1, max_size=16),
+       mags=st.lists(values, min_size=1, max_size=16))
+def test_spectrum_csv_at_line_pass_boundary(offset, freqs, mags):
+    # a line is two 13-byte cells, a comma and a newline, so a pass holds a
+    # known number of lines: the spectrum ends one line before, on or after a
+    # pass; the ties mid-pass and on the last line are formatted by Python
+    n = drv._PASS_CELLS // 28 + offset
+    f, m = tiled(freqs, n), tiled(mags, n)
+    f[n // 2] = 123456.5
+    m[n - 1] = -625000.5
+    spec = Spectrum(freqs_hz=f, mags_a=m, rbw_hz=1.0)
+    assert_same_text(spec.to_csv(), ref_spectrum_csv(spec))
+
+
+def g6_lines(vals):
+    """``_g6_cells`` of ``vals`` as text, one value a line."""
+    cells = drv._g6_cells(np.asarray(vals, dtype=float))
+    lines = np.column_stack((cells, np.full(len(cells), ord("\n"), dtype=np.uint8)))
+    return lines[lines != 0].tobytes().decode()
+
+
+@settings(max_examples=500, deadline=None)
+@given(v=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(v=0.0)
+@example(v=-0.0)
+@example(v=123456.5)       # a tie: Python's % rounds it half to even
+@example(v=999999.5)       # mantissa carry, at a tie ...
+@example(v=9999995.0)
+@example(v=999999.6)       # ... and past one
+@example(v=-9999996.0)
+@example(v=1e-4)           # fixed notation down to an exponent of -4 ...
+@example(v=9.999995e-5)    # ... reached by the carry
+@example(v=9.999996e-5)
+@example(v=99999.95)       # fixed notation up to 5, left by the carry
+@example(v=99999.96)
+@example(v=1e100)          # three-digit exponent
+@example(v=9.999995e99)
+@example(v=9.999996e99)
+@example(v=5e-324)
+@example(v=1e-300)
+@example(v=1e300)
+@example(v=-1e-5)
+def test_g6_cells_match_percent_format(v):
+    assert g6_lines([v]) == "%.6g\n" % v
+
+
+def test_g6_cells_match_percent_format_on_random_bits():
+    # every exponent, both signs, nan and inf payloads, subnormals
+    vals = np.random.default_rng(23).integers(0, 2**64, 200_000, dtype=np.uint64).view(float)
+    assert_same_text(g6_lines(vals), "".join("%.6g\n" % v for v in vals.tolist()))
+
+
 @pytest.mark.parametrize("cols", [0, 1, 3, 128])
 @settings(max_examples=15, deadline=None)
 @given(counts=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=16),
