@@ -216,21 +216,6 @@ def supply_current(transition_times_ps: np.ndarray, model: SpikeModel,
 # --------------------------------------------------------------------------
 # CSV export
 
-# values formatted per pass by the bulk writers
-_FORMAT_CHUNK = 1 << 14
-
-
-def format_rows(rows: np.ndarray, line_fmt: str) -> str:
-    """One ``line_fmt % row`` line per row of a 2-D array.
-
-    Rows are converted with ``tolist()`` (formatting numpy scalars is slow)
-    and formatted a chunk at a time with a single ``%`` each.
-    """
-    step = max(1, _FORMAT_CHUNK // max(1, rows.shape[1]))
-    return "".join(line_fmt * len(chunk) % tuple(chunk.ravel().tolist())
-                   for chunk in (rows[s:s + step] for s in range(0, len(rows), step)))
-
-
 def _int_cells(values: np.ndarray, width: int) -> np.ndarray:
     """Right-aligned ASCII digits of non-negative int64s, NUL-padded on the left."""
     cells = np.empty((len(values), width), dtype=np.uint8)
@@ -257,10 +242,8 @@ def _ascii4(strings) -> np.ndarray:
     return np.fromiter(strings, dtype="S4").view(np.uint32)
 
 
-def _mantissa_head(h: int, strip: bool) -> str:
-    """"d.dd" of the three digits ``h``, with trailing zeros (and the point) stripped."""
-    text = "%d.%02d" % divmod(h, 100)
-    return text.rstrip("0").rstrip(".") if strip else text
+# bytes of a ``_g6_cells`` cell: a sign byte, then four 4-byte fields
+_G6_WIDTH = 17
 
 
 @functools.cache
@@ -268,49 +251,51 @@ def _g6_tables() -> tuple:
     """The fields and lookup tables of ``_g6_cells``, built on its first call
     rather than at import, which every CLI call pays.
 
-    A cell is a sign byte, then three 4-byte fields.  In exponent notation,
-    with the six-digit mantissa ``1000*hi + lo``, these are: "d.dd" from
-    ``head[hi + 1001*(lo == 0)]`` (stripped when lo is zero; hi = 1000 is the
-    carry to 1,000,000, printed as 100); lo stripped, then "e", from
-    ``tail[lo]``; the signed exponent from ``exp[exponent + 300]``.  Fixed
-    notation overwrites the three fields.  ``scale[k]`` is 10**(305 - k) for
-    k = exponent + 300, correctly rounded: parsed, not a power.
+    A cell is a sign byte, then four 4-byte fields: prefix, head, tail and
+    exponent.  With the six-digit mantissa ``1000*hi + lo`` and k = exponent
+    + 300 they are ``prefix[k]``, ``head[head_row[k] + 1000*(lo == 0) + hi]``,
+    ``tail[tail_row[k] + lo]`` and ``exp[k]``.  The head forms are "d.dd"
+    (exponent 0 and exponent notation), "dd.d" (1), an integer "ddd" (2 to
+    5), a fraction "ddd" (-3 to -1) and "0ddd" (-4), each followed by a copy
+    for lo == 0, stripped where it holds a fraction.  The tail forms, stripped
+    where they hold a fraction, are "ddd" then "e", "ddd" (-4 to 1), ".ddd",
+    "d.dd", "dd.d" and "ddd" (2, 3, 4 and 5).  The prefix is "0.", "0.0" or
+    "0.00" below exponent 0; the exponent is written outside -4 to 5.
+    ``scale[k]`` is 10**(305 - k), correctly rounded: parsed, not a power.
     """
-    cell = np.dtype({"names": ["sign", "head", "tail", "exp"],
-                     "formats": ["u1", "u4", "u4", "u4"], "offsets": [0, 1, 5, 9],
-                     "itemsize": 13})
-    head = _ascii4(_mantissa_head(h if h < 1000 else 100, strip)
-                   for strip in (False, True) for h in range(1001))
-    tail = _ascii4(("%03d" % lo).rstrip("0") + "e" for lo in range(1000))
-    exp = _ascii4("%+03d" % x for x in range(-300, 302))
+    cell = np.dtype({"names": ["sign", "prefix", "head", "tail", "exp"],
+                     "formats": ["u1", "u4", "u4", "u4", "u4"],
+                     "offsets": [0, 1, 5, 9, 13], "itemsize": _G6_WIDTH})
+    digits = [tuple("%03d" % i) for i in range(1000)]
+
+    def texts(form: str, strip: bool, end: str = ""):
+        for d in digits:
+            text = form % d
+            yield (text.rstrip("0").rstrip(".") if strip else text) + end
+
+    head = _ascii4(text for form, fraction in (("%s.%s%s", True), ("%s%s.%s", True),
+                                               ("%s%s%s", False), ("%s%s%s", True),
+                                               ("0%s%s%s", True))
+                   for strip in (False, fraction) for text in texts(form, strip))
+    tail = _ascii4(text for args in (("%s%s%s", True, "e"), ("%s%s%s", True), (".%s%s%s", True),
+                                     ("%s.%s%s", True), ("%s%s.%s", True), ("%s%s%s", False))
+                   for text in texts(*args))
+    # the forms of the exponents -4 to 5; every other one takes form 0 and no prefix
+    head_form = dict(zip(range(-4, 6), (4, 3, 3, 3, 0, 1, 2, 2, 2, 2)))
+    tail_form = dict(zip(range(-4, 6), (1, 1, 1, 1, 1, 1, 2, 3, 4, 5)))
+    prefixes = dict(zip(range(-4, 0), ("0.00", "0.00", "0.0", "0.")))
+    xs = range(-300, 302)
+    head_row = np.array([2000 * head_form.get(x, 0) for x in xs])
+    tail_row = np.array([1000 * tail_form.get(x, 0) for x in xs])
+    prefix = _ascii4(prefixes.get(x, "") for x in xs)
+    exp = _ascii4("" if -4 <= x <= 5 else "%+03d" % x for x in xs)
     scale = np.fromiter((float("1e%d" % (305 - k)) for k in range(601)), dtype=float)
-    return cell, head, tail, exp, scale
-
-
-_POW10 = 10 ** np.arange(12)
-_FROM_RIGHT = np.arange(11, -1, -1)
-
-
-def _fixed_cells(mant: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Characters 1 to 12 of ``"%.6g"`` in fixed notation, NUL-padded: the
-    six-digit ``mant`` times 10**(x - 5), for -4 <= x <= 5.
-
-    Counted from the right, the ``5 - x`` fraction digits come first, then
-    the point, then the integer part (a zero-padded ``mant``, so x < 0 gives
-    ``0.000...``).  A fraction digit is dropped when it and every digit right
-    of it are zero, the point when all of them are.
-    """
-    f = (5 - x)[:, None]
-    m = mant[:, None]
-    p = _FROM_RIGHT
-    digit = m // _POW10[p - (p > f)] % 10 + 48
-    keep = np.where(p <= f, m % _POW10[np.minimum(p + 1, f)] != 0, p <= np.maximum(f, 5) + 1)
-    return np.where(p == f, 46, digit) * keep
+    return cell, prefix, head, head_row, tail, tail_row, exp, scale
 
 
 def _g6_cells(values: np.ndarray) -> np.ndarray:
-    """``"%.6g" % v`` of each float64 as 13 ``uint8`` cells, with NUL bytes
-    where ``%g`` drops a character (the sign, the point, stripped zeros).
+    """``"%.6g" % v`` of each float64 as ``_G6_WIDTH`` ``uint8`` cells, with NUL
+    bytes where ``%g`` drops a character (the sign, the point, stripped zeros).
 
     ``y = |v| * 10**(5 - e)``, with ``e = floor(log10|v|)``, is within 3e-10
     of its exact value (one rounded scale, one rounded product), so rounding
@@ -321,8 +306,7 @@ def _g6_cells(values: np.ndarray) -> np.ndarray:
     Near-ties, ±0, nan, ±inf and |v| outside [1e-300, 1e300) are formatted by
     Python's ``%``.
     """
-    cell, head, tail, exp, scale = _g6_tables()
-    n = len(values)
+    cell, prefix, head, head_row, tail, tail_row, exp, scale = _g6_tables()
     a = np.abs(values)
     sure = (a >= 1e-300) & (a < 1e300)
     a = np.where(sure, a, 1.0)
@@ -330,23 +314,21 @@ def _g6_cells(values: np.ndarray) -> np.ndarray:
     y = a * scale[k]
     r = np.floor(y + 0.5)
     sure &= np.abs(y - r) < 0.5 - 1e-8
+    carry = r == 1e6
+    r -= 9e5 * carry
+    k += carry
     hi, lo = np.divmod(r.astype(np.intp), 1000)
-    k += hi == 1000
-    cells = np.empty((n, 13), dtype=np.uint8)
+    cells = np.empty((len(values), _G6_WIDTH), dtype=np.uint8)
     fields = cells.view(cell)[:, 0]
     fields["sign"] = np.signbit(values) * np.uint8(45)
-    fields["head"] = head[hi + 1001 * (lo == 0)]
-    fields["tail"] = tail[lo]
+    fields["prefix"] = prefix[k]
+    fields["head"] = head[head_row[k] + 1000 * (lo == 0) + hi]
+    fields["tail"] = tail[tail_row[k] + lo]
     fields["exp"] = exp[k]
-    fixed = (k >= 296) & (k <= 305)  # exponent -4 to 5
-    if fixed.any():
-        mant = hi[fixed] * 1000 + lo[fixed]
-        mant[mant == 1000000] = 100000  # the carry
-        cells[fixed, 1:] = _fixed_cells(mant, k[fixed] - 300)
     if not sure.all():
         bad = ~sure
-        text = np.array(["%.6g" % v for v in values[bad].tolist()], dtype="S13")
-        cells[bad] = text.view(np.uint8).reshape(len(text), 13)
+        text = np.array(["%.6g" % v for v in values[bad].tolist()], dtype=f"S{_G6_WIDTH}")
+        cells[bad] = text.view(np.uint8).reshape(len(text), _G6_WIDTH)
     return cells
 
 
@@ -356,16 +338,13 @@ def _join_cells(n: int, columns: list, head: str = "", tail: str = "") -> str:
     A column is ``bytes``, the same on every line, or ``(width, cells)``, where
     ``cells(s, e)`` gives the ``(e - s, width)`` cells of lines ``s`` to
     ``e - 1``.  NUL bytes pad the cells and are dropped.  Lines are built in
-    passes of about ``_PASS_CELLS`` cells into one buffer, which is decoded
-    once.
+    passes of about ``_PASS_CELLS`` cells; each pass is decoded to a string,
+    and the strings are joined.
     """
     widths = [len(c) if isinstance(c, bytes) else c[0] for c in columns]
     line = sum(widths)
-    head_b, tail_b = head.encode(), tail.encode()
-    buf = np.empty(len(head_b) + n * line + len(tail_b), dtype=np.uint8)
-    buf[:len(head_b)] = np.frombuffer(head_b, dtype=np.uint8)
-    pos = len(head_b)
     step = max(1, _PASS_CELLS // line)
+    parts = [head]
     for s in range(0, n, step):
         e = min(n, s + step)
         cells = np.empty((e - s, line), dtype=np.uint8)
@@ -374,11 +353,9 @@ def _join_cells(n: int, columns: list, head: str = "", tail: str = "") -> str:
             cells[:, col:col + w] = (np.frombuffer(c, dtype=np.uint8) if isinstance(c, bytes)
                                      else c[1](s, e))
             col += w
-        kept = cells[cells != 0]
-        buf[pos:pos + len(kept)] = kept
-        pos += len(kept)
-    buf[pos:pos + len(tail_b)] = np.frombuffer(tail_b, dtype=np.uint8)
-    return str(memoryview(buf[:pos + len(tail_b)]), "utf-8")
+        parts.append(cells.tobytes().translate(None, b"\0").decode())
+    parts.append(tail)
+    return "".join(parts)
 
 
 def _digits(values: np.ndarray) -> int:
@@ -389,25 +366,28 @@ def _digits(values: np.ndarray) -> int:
 def trace_to_csv(trace: WaveformTrace) -> str:
     """``time_ps,value`` lines; the i-th timestamp is ``t0_ps + i*dt_ps``.
 
-    When every timestamp is an integer >= 0 (not -0.0), ``%.3f`` prints it as
-    ``%d.000``, and ``%.6g`` runs once per distinct sample bit pattern: the
-    text is assembled as bytes.  Other timestamps take ``format_rows``.
+    Every value is a ``_g6_cells`` cell.  When every timestamp is an integer
+    >= 0 (not -0.0), ``%.3f`` prints it as ``%d.000``, assembled as bytes;
+    other timestamps are formatted by Python's ``%``.
     """
     values = trace.samples
     times = trace.times()
-    head = "time_ps,value\n"
     exact = not len(times) or (not np.signbit(times).any() and times.max() < 2.0**63
                                and (times == np.floor(times)).all())
-    if not exact:
-        return head + format_rows(np.column_stack((times, values)), "%.3f,%.6g\n")
-    times = times.astype(np.int64)  # exact, and frees the float copy
-    # unique bit patterns, not values: 0.0 and -0.0 print differently
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    table = np.array(["%.6g" % v for v in bits.view(float).tolist()], dtype="S")
-    width = _digits(times)
-    return _join_cells(len(values), [
-        (width, lambda s, e: _int_cells(times[s:e], width)),
-        b".000,",
-        (table.itemsize, lambda s, e: _table_cells(table, inverse[s:e])),
-        b"\n",
-    ], head)
+    if exact:
+        times = times.astype(np.int64)  # exact, and frees the float copy
+        width = _digits(times)
+        stamps = [(width, lambda s, e: _int_cells(times[s:e], width)), b".000,"]
+    else:
+        # "%.3f" is widest at the lowest or the highest time; a nan or ±inf
+        # time comes with no finite one, and "-inf," is the widest of those
+        width = max(len("%.3f," % t) for t in (times.min(), times.max(), -math.inf))
+
+        def stamp_cells(s: int, e: int) -> np.ndarray:
+            text = ("%.3f,\n" * (e - s) % tuple(times[s:e].tolist())).encode()
+            cells = np.array(text.split(b"\n")[:-1], dtype=f"S{width}")
+            return cells.view(np.uint8).reshape(e - s, width)
+
+        stamps = [(width, stamp_cells)]
+    return _join_cells(len(values), stamps + [
+        (_G6_WIDTH, lambda s, e: _g6_cells(values[s:e])), b"\n"], "time_ps,value\n")

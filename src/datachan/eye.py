@@ -8,7 +8,7 @@ from functools import reduce
 import numpy as np
 
 from .config import check_mask
-from .driver import WaveformTrace, _bin_index, _passes, format_rows
+from .driver import WaveformTrace, _bin_index, _passes
 from .errors import AlignmentError
 
 
@@ -30,7 +30,8 @@ class EyeHistogram:
         """One line of comma-separated counts per voltage bin."""
         if not len(self.counts):
             return "\n"
-        return format_rows(self.counts, ",".join(["%d"] * self.counts.shape[1]) + "\n")
+        line = ",".join(["%d"] * self.counts.shape[1]) + "\n"
+        return "".join(line % tuple(row.tolist()) for row in self.counts)
 
 
 @dataclass

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import WaveformTrace, _g6_cells, _join_cells
+from .driver import _G6_WIDTH, WaveformTrace, _g6_cells, _join_cells
 from .errors import ResolutionError
 
 
@@ -22,8 +22,8 @@ class Spectrum:
         """``%.6g,%.6g`` lines, assembled as bytes a pass at a time."""
         freqs = np.asarray(self.freqs_hz, dtype=float)
         mags = np.asarray(self.mags_a, dtype=float)
-        return _join_cells(len(freqs), [(13, lambda s, e: _g6_cells(freqs[s:e])), b",",
-                                        (13, lambda s, e: _g6_cells(mags[s:e])), b"\n"],
+        return _join_cells(len(freqs), [(_G6_WIDTH, lambda s, e: _g6_cells(freqs[s:e])), b",",
+                                        (_G6_WIDTH, lambda s, e: _g6_cells(mags[s:e])), b"\n"],
                            "freq_hz,magnitude_a\n")
 
 

@@ -87,14 +87,17 @@ def boundary_settings(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(boundary_settings(), st.integers(1, 6),
-       st.sampled_from(("stream-random", "stream-prbs10", "disable-midword", "standby")))
-def test_boundary_configs_end_in_a_documented_exit(chosen, words, preset):
+       st.sampled_from(("stream-random", "stream-prbs10", "disable-midword", "standby")),
+       st.sampled_from(("report", "run")))
+def test_boundary_configs_end_in_a_documented_exit(chosen, words, preset, command):
+    # "run" writes every artifact, so each writer meets non-integer timestamps
+    # (dt_ps 0.5, 3.4, 18.9) and word widths 8 and 16
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "boundary.cfg"
         path.write_text("".join(f"{key} = {value!r}\n" for key, value in chosen.items()))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["report", "--config", str(path), "--scenario", preset,
+            code = main([command, "--config", str(path), "--scenario", preset,
                          "--words", str(words), "--out", str(Path(tmp) / "out")])
     assert code in (0, 1, 2), (code, err.getvalue())
     if code == 2:

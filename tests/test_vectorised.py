@@ -171,7 +171,7 @@ def same_bits(a, b):
 SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.5, -2.25, 123456.789]
 values = st.one_of(st.sampled_from(SPECIAL),
                    st.floats(allow_nan=False, allow_infinity=False))
-ROWS_PER_CHUNK = drv._FORMAT_CHUNK // 2
+ROWS_PER_CHUNK = (1 << 14) // 2
 LENGTHS = [0, 1, ROWS_PER_CHUNK - 1, ROWS_PER_CHUNK, ROWS_PER_CHUNK + 1]
 # the byte-assembled writers also work in passes of this many lines
 TRACE_LENGTHS = LENGTHS + [drv._PASS_CELLS - 1, drv._PASS_CELLS, drv._PASS_CELLS + 1]
@@ -322,7 +322,7 @@ def test_trace_csv_matches_per_line_format(n, vals, t0, dt):
 def test_trace_csv_at_line_pass_boundary(offset, vals):
     # ten-digit times make every line equally wide, so a pass holds a known
     # number of lines: the trace ends one line before, on or after a pass
-    line = len("1000000000.000,") + max(len("%.6g" % v) for v in vals) + 1
+    line = len("1000000000.000,") + drv._G6_WIDTH + 1
     trace = drv.WaveformTrace(1.0, tiled(vals, drv._PASS_CELLS // line + offset), 1e9)
     assert_same_text(drv.trace_to_csv(trace), ref_trace_csv(trace))
 
@@ -341,10 +341,10 @@ def test_spectrum_csv_matches_per_line_format(n, freqs, mags):
 @given(freqs=st.lists(values, min_size=1, max_size=16),
        mags=st.lists(values, min_size=1, max_size=16))
 def test_spectrum_csv_at_line_pass_boundary(offset, freqs, mags):
-    # a line is two 13-byte cells, a comma and a newline, so a pass holds a
-    # known number of lines: the spectrum ends one line before, on or after a
-    # pass; the ties mid-pass and on the last line are formatted by Python
-    n = drv._PASS_CELLS // 28 + offset
+    # a line is two cells, a comma and a newline, so a pass holds a known
+    # number of lines: the spectrum ends one line before, on or after a pass;
+    # the ties mid-pass and on the last line are formatted by Python
+    n = drv._PASS_CELLS // (2 * drv._G6_WIDTH + 2) + offset
     f, m = tiled(freqs, n), tiled(mags, n)
     f[n // 2] = 123456.5
     m[n - 1] = -625000.5
@@ -390,13 +390,28 @@ def test_g6_cells_match_percent_format_on_random_bits():
     assert_same_text(g6_lines(vals), "".join("%.6g\n" % v for v in vals.tolist()))
 
 
+def test_g6_cells_fixed_notation_sweep():
+    # every head and a few tails at the exponents of fixed notation and one
+    # past each end, both signs, and the next float up and down: the head and
+    # tail forms of each exponent, and the switches to exponent notation below
+    # -4 and above 5
+    mant = (np.arange(100, 1000)[:, None] * 1000
+            + np.array([0, 1, 10, 100, 120, 500, 999])).ravel().astype(float)
+    exact = np.concatenate([mant / 10.0**(5 - x) if x <= 5 else mant * 10.0**(x - 5)
+                            for x in range(-6, 8)])
+    exact = np.concatenate((exact, -exact))
+    vals = np.concatenate((exact, np.nextafter(exact, np.inf), np.nextafter(exact, -np.inf)))
+    assert len(vals) == 529_200
+    assert_same_text(g6_lines(vals), "".join("%.6g\n" % v for v in vals.tolist()))
+
+
 @pytest.mark.parametrize("cols", [0, 1, 3, 128])
 @settings(max_examples=15, deadline=None)
 @given(counts=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=16),
        extra_rows=st.sampled_from([-1, 0, 1]))
 def test_eye_csv_matches_per_line_format(cols, counts, extra_rows):
-    # row counts around one formatting chunk, and the empty histogram
-    rows = max(0, drv._FORMAT_CHUNK // max(1, cols) + extra_rows) if cols else 3
+    # row counts around 2**14 values, and the empty histogram
+    rows = max(0, (1 << 14) // max(1, cols) + extra_rows) if cols else 3
     grid = np.resize(np.asarray(counts, dtype=np.int64), (rows, cols))
     eye = EyeHistogram(ui_ps=606.0, counts=grid, t_edges_ui=np.zeros(cols + 1),
                        v_edges=np.zeros(rows + 1))
