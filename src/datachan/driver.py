@@ -56,9 +56,11 @@ def _sink_timeline(traces: SignalTraces, nets: tuple[str, str],
 
 
 # elements of the work arrays in one numpy pass of the analog back end and of
-# the analysis stages, and the cells, rounded down to whole lines, in one pass
-# of the text writers
+# the analysis stages
 _PASS_CELLS = 1 << 16
+# cells, rounded down to whole lines, in one pass of the artifact writers: a
+# pass's bytes are copied out at once, but the cell temporaries grow with it
+_WRITE_CELLS = 1 << 17
 
 
 def _passes(n: int):
@@ -216,30 +218,51 @@ def supply_current(transition_times_ps: np.ndarray, model: SpikeModel,
 # --------------------------------------------------------------------------
 # CSV export
 
-def _int_cells(values: np.ndarray, width: int) -> np.ndarray:
-    """Right-aligned ASCII digits of non-negative int64s, NUL-padded on the left."""
-    cells = np.empty((len(values), width), dtype=np.uint8)
+@functools.cache
+def _digit_groups() -> np.ndarray:
+    """"0000" to "9999", each as the bytes of one uint32."""
+    i = np.arange(10000, dtype=np.uint16)
+    digits = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1) + ord("0")
+    return digits.astype(np.uint8).view(np.uint32)[:, 0]
+
+
+def _int_cells(values: np.ndarray, width: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Right-aligned ASCII digits of non-negative integers of at most ``width``
+    digits, NUL-padded on the left, into ``out`` if given; four digits a lookup."""
+    groups, table = -(-width // 4), _digit_groups()
     # 32-bit division is about twice as fast, and 9 digits always fit
-    v = values.astype(np.uint32 if width <= 9 else np.int64)
-    for j in range(width):
-        present = v > 0 if j else True  # a digit left of the leading one is padding
-        v, digit = np.divmod(v, 10)
-        cells[:, width - 1 - j] = np.where(present, digit + 48, 0)
-    return cells
+    v = values.astype(np.uint32 if width <= 9 else np.uint64)
+    digits = np.empty((len(values), groups), dtype=np.uint32)
+    for j in reversed(range(groups)):
+        v, low = np.divmod(v, 10000)
+        digits[:, j] = table[low]
+    if out is None:
+        out = np.empty((len(values), width), dtype=np.uint8)
+    out[:] = digits.view(np.uint8)[:, 4 * groups - width:]
+    # a zero left of the leading digit is padding: none within the digits of the least value
+    least = len(str(int(values.min()))) if len(values) else width
+    for k in range(least, width):
+        out[:, width - 1 - k] *= values >= 10**k
+    return out
 
 
-def _table_cells(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Cells of the fixed-width ``S`` strings ``table[index]``, NUL-padded on the right."""
-    return table[index].view(np.uint8).reshape(len(index), table.itemsize)
+def _table_cells(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+    """The fixed-width ``S`` strings ``table[index]``, NUL-padded on the right, into ``out``."""
+    out[:] = table[index].view(np.uint8).reshape(len(index), table.itemsize)
 
 
 def _ascii4(strings) -> np.ndarray:
-    """Up to four ASCII characters each, as the bytes of one uint32 (NUL-padded).
+    """Up to four ASCII characters each, as the bytes of one uint32 (NUL-padded);
+    a longer string is a ``ValueError``, not cut.
 
     The strings are read one at a time: a list of thousands of small strings
     would leave its memory with the process.
     """
-    return np.fromiter(strings, dtype="S4").view(np.uint32)
+    table = np.fromiter(strings, dtype="S5")
+    long = table.view(np.uint8)[4::5] != 0  # a fifth byte
+    if long.any():
+        raise ValueError(f"table form {table[long][0].decode()!r} is longer than four bytes")
+    return table.astype("S4").view(np.uint32)
 
 
 # bytes of a ``_g6_cells`` cell: a sign byte, then four 4-byte fields
@@ -293,9 +316,10 @@ def _g6_tables() -> tuple:
     return cell, prefix, head, head_row, tail, tail_row, exp, scale
 
 
-def _g6_cells(values: np.ndarray) -> np.ndarray:
-    """``"%.6g" % v`` of each float64 as ``_G6_WIDTH`` ``uint8`` cells, with NUL
-    bytes where ``%g`` drops a character (the sign, the point, stripped zeros).
+def _g6_cells(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``"%.6g" % v`` of each float64 as ``_G6_WIDTH`` ``uint8`` cells, into ``out``
+    if given, with NUL bytes where ``%g`` drops a character (the sign, the point,
+    stripped zeros).
 
     ``y = |v| * 10**(5 - e)``, with ``e = floor(log10|v|)``, is within 3e-10
     of its exact value (one rounded scale, one rounded product), so rounding
@@ -318,7 +342,7 @@ def _g6_cells(values: np.ndarray) -> np.ndarray:
     r -= 9e5 * carry
     k += carry
     hi, lo = np.divmod(r.astype(np.intp), 1000)
-    cells = np.empty((len(values), _G6_WIDTH), dtype=np.uint8)
+    cells = np.empty((len(values), _G6_WIDTH), dtype=np.uint8) if out is None else out
     fields = cells.view(cell)[:, 0]
     fields["sign"] = np.signbit(values) * np.uint8(45)
     fields["prefix"] = prefix[k]
@@ -332,30 +356,44 @@ def _g6_cells(values: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _join_cells(n: int, columns: list, head: str = "", tail: str = "") -> str:
-    """``head``, ``n`` lines built from fixed-width ``uint8`` cell columns, ``tail``.
+def _join_cells(n: int, columns: list, head: bytes = b"", tail: bytes = b"") -> memoryview:
+    """The bytes of ``head``, ``n`` lines built from fixed-width ``uint8`` cell
+    columns, and ``tail``, as a memoryview.
 
-    A column is ``bytes``, the same on every line, or ``(width, cells)``, where
-    ``cells(s, e)`` gives the ``(e - s, width)`` cells of lines ``s`` to
-    ``e - 1``.  NUL bytes pad the cells and are dropped.  Lines are built in
-    passes of about ``_PASS_CELLS`` cells; each pass is decoded to a string,
-    and the strings are joined.
+    A column is ``bytes``, the same on every line, or ``(width, fill)``, where
+    ``fill(cells, s, e)`` writes the cells of lines ``s`` to ``e - 1`` into
+    ``cells``, an ``(e - s, width)`` view.  NUL bytes pad the cells and are
+    dropped.  The lines of a pass, about ``_WRITE_CELLS`` cells, are built in
+    one buffer that every pass reuses.  Each pass's bytes are copied into an
+    array as long as all the cells; only the pages written are ever touched,
+    so the output is held once, at its own size.
     """
     widths = [len(c) if isinstance(c, bytes) else c[0] for c in columns]
-    line = sum(widths)
-    step = max(1, _PASS_CELLS // line)
-    parts = [head]
+    starts = np.cumsum([0] + widths).tolist()
+    line = starts[-1]
+    step = max(1, _WRITE_CELLS // line)
+    buf = bytearray(min(n, step) * line)
+    lines = np.frombuffer(buf, dtype=np.uint8).reshape(-1, line)
+    for c, col in zip(columns, starts):
+        if isinstance(c, bytes):  # written once, as no pass writes over it
+            lines[:, col:col + len(c)] = np.frombuffer(c, dtype=np.uint8)
+    out = np.empty(len(head) + n * line + len(tail), dtype=np.uint8)
+    size = 0
+
+    def put(data: bytes) -> None:
+        nonlocal size
+        out[size:size + len(data)] = np.frombuffer(data, dtype=np.uint8)
+        size += len(data)
+
+    put(head)
     for s in range(0, n, step):
         e = min(n, s + step)
-        cells = np.empty((e - s, line), dtype=np.uint8)
-        col = 0
-        for c, w in zip(columns, widths):
-            cells[:, col:col + w] = (np.frombuffer(c, dtype=np.uint8) if isinstance(c, bytes)
-                                     else c[1](s, e))
-            col += w
-        parts.append(cells.tobytes().translate(None, b"\0").decode())
-    parts.append(tail)
-    return "".join(parts)
+        for c, col, w in zip(columns, starts, widths):
+            if not isinstance(c, bytes):
+                c[1](lines[:e - s, col:col + w], s, e)
+        put((buf if e - s == len(lines) else buf[:(e - s) * line]).translate(None, b"\0"))
+    put(tail)
+    return memoryview(out[:size])
 
 
 def _digits(values: np.ndarray) -> int:
@@ -363,7 +401,7 @@ def _digits(values: np.ndarray) -> int:
     return len(str(int(values.max()))) if len(values) else 1
 
 
-def trace_to_csv(trace: WaveformTrace) -> str:
+def trace_to_csv(trace: WaveformTrace) -> memoryview:
     """``time_ps,value`` lines; the i-th timestamp is ``t0_ps + i*dt_ps``.
 
     Every value is a ``_g6_cells`` cell.  When every timestamp is an integer
@@ -377,17 +415,18 @@ def trace_to_csv(trace: WaveformTrace) -> str:
     if exact:
         times = times.astype(np.int64)  # exact, and frees the float copy
         width = _digits(times)
-        stamps = [(width, lambda s, e: _int_cells(times[s:e], width)), b".000,"]
+        stamps = [(width, lambda cells, s, e: _int_cells(times[s:e], width, cells)), b".000,"]
     else:
         # "%.3f" is widest at the lowest or the highest time; a nan or ±inf
         # time comes with no finite one, and "-inf," is the widest of those
         width = max(len("%.3f," % t) for t in (times.min(), times.max(), -math.inf))
 
-        def stamp_cells(s: int, e: int) -> np.ndarray:
+        def stamp_cells(cells: np.ndarray, s: int, e: int) -> None:
             text = ("%.3f,\n" * (e - s) % tuple(times[s:e].tolist())).encode()
-            cells = np.array(text.split(b"\n")[:-1], dtype=f"S{width}")
-            return cells.view(np.uint8).reshape(e - s, width)
+            cells[:] = np.array(text.split(b"\n")[:-1], dtype=f"S{width}").view(
+                np.uint8).reshape(e - s, width)
 
         stamps = [(width, stamp_cells)]
     return _join_cells(len(values), stamps + [
-        (_G6_WIDTH, lambda s, e: _g6_cells(values[s:e])), b"\n"], "time_ps,value\n")
+        (_G6_WIDTH, lambda cells, s, e: _g6_cells(values[s:e], cells)), b"\n"],
+        b"time_ps,value\n")

@@ -8,7 +8,7 @@ from functools import reduce
 import numpy as np
 
 from .config import check_mask
-from .driver import WaveformTrace, _bin_index, _passes
+from .driver import WaveformTrace, _bin_index, _digits, _int_cells, _join_cells, _passes
 from .errors import AlignmentError
 
 
@@ -26,12 +26,29 @@ class EyeHistogram:
     v_edges: np.ndarray
     fold_offset_ps: float = 0.0
 
-    def to_csv(self) -> str:
-        """One line of comma-separated counts per voltage bin."""
-        if not len(self.counts):
-            return "\n"
-        line = ",".join(["%d"] * self.counts.shape[1]) + "\n"
-        return "".join(line % tuple(row.tolist()) for row in self.counts)
+    def to_csv(self) -> memoryview:
+        """One line of comma-separated counts per voltage bin.
+
+        Each count is a cell of a sign byte and the digits of its magnitude,
+        followed by a ``,`` or, at the end of a row, a newline.
+        """
+        rows, cols = self.counts.shape
+        if not rows or not cols:
+            return memoryview(b"\n" * max(rows, 1))
+        values = self.counts.ravel()
+        # np.abs(-2**63) wraps to -2**63, whose uint64 cast is its magnitude
+        mags = np.abs(values).astype(np.uint64)
+        width = _digits(mags)
+
+        def signs(cells: np.ndarray, s: int, e: int) -> None:
+            cells[:, 0] = (values[s:e] < 0) * np.uint8(ord("-"))
+
+        def ends(cells: np.ndarray, s: int, e: int) -> None:
+            cells[:, 0] = np.where(np.arange(s, e) % cols == cols - 1, ord("\n"), ord(","))
+
+        return _join_cells(len(values), [
+            (1, signs), (width, lambda cells, s, e: _int_cells(mags[s:e], width, cells)),
+            (1, ends)])
 
 
 @dataclass

@@ -210,20 +210,21 @@ def _control(config: ChannelConfig, sc: Scenario) -> tuple[stimulus.ProtocolSche
 
 
 # Artifacts in write order: (output kind, product, result key, file suffix,
-# writer).  A product the run did not make (no eye from a short window, no
-# bit stream from a standby run) writes nothing.  The writers are lambdas so
+# writer).  A writer returns the file's bytes; text is encoded as UTF-8.  A
+# product the run did not make (no eye from a short window, no bit stream
+# from a standby run) writes nothing.  The writers are lambdas so
 # that each call looks its function up: perfbench/tracing.py patches
 # vcd.traces_to_vcd, driver.trace_to_csv and the to_csv/to_json/to_text
 # methods after import, and a function captured here would escape them.
 ARTIFACTS = (
     ("vcd", "traces", "vcd", ".vcd", lambda traces: vcd.traces_to_vcd(traces)),
-    ("bits", "bits", "bits", ".bits.txt", lambda bits: golden.format_bitstream(bits)),
+    ("bits", "bits", "bits", ".bits.txt", lambda bits: golden.format_bitstream(bits).encode()),
     ("tx", "tx_plus", "tx_plus", ".tx_plus.csv", lambda tx: drv.trace_to_csv(tx)),
     ("tx", "tx_minus", "tx_minus", ".tx_minus.csv", lambda tx: drv.trace_to_csv(tx)),
     ("eye", "eye", "eye", ".eye.csv", lambda eye: eye.to_csv()),
     ("spectrum", "spectrum", "spectrum", ".spectrum.csv", lambda spec: spec.to_csv()),
-    ("report", "report", "report", ".report.json", lambda rep: rep.to_json()),
-    ("report", "report", "report_txt", ".report.txt", lambda rep: rep.to_text()),
+    ("report", "report", "report", ".report.json", lambda rep: rep.to_json().encode()),
+    ("report", "report", "report_txt", ".report.txt", lambda rep: rep.to_text().encode()),
 )
 
 
@@ -268,9 +269,9 @@ def run_scenario(config: ChannelConfig, sc: Scenario, out_dir: str | Path) -> Sc
     for kind, product, key, suffix, write in ARTIFACTS:
         if kind in sc.outputs and products.get(product) is not None:
             out.mkdir(parents=True, exist_ok=True)
-            result.artifacts[key] = out / (sc.name + suffix)
-            result.artifacts[key].write_text(
-                _stage(result, "write_" + key, write, products[product]))
+            path = result.artifacts[key] = out / (sc.name + suffix)
+            # the record covers the file write too
+            _stage(result, "write_" + key, lambda: path.write_bytes(write(products[product])))
     return result
 
 

@@ -18,13 +18,14 @@ class Spectrum:
     mags_a: np.ndarray
     rbw_hz: float
 
-    def to_csv(self) -> str:
+    def to_csv(self) -> memoryview:
         """``%.6g,%.6g`` lines, assembled as bytes a pass at a time."""
         freqs = np.asarray(self.freqs_hz, dtype=float)
         mags = np.asarray(self.mags_a, dtype=float)
-        return _join_cells(len(freqs), [(_G6_WIDTH, lambda s, e: _g6_cells(freqs[s:e])), b",",
-                                        (_G6_WIDTH, lambda s, e: _g6_cells(mags[s:e])), b"\n"],
-                           "freq_hz,magnitude_a\n")
+        return _join_cells(len(freqs), [
+            (_G6_WIDTH, lambda cells, s, e: _g6_cells(freqs[s:e], cells)), b",",
+            (_G6_WIDTH, lambda cells, s, e: _g6_cells(mags[s:e], cells)), b"\n"],
+            b"freq_hz,magnitude_a\n")
 
 
 def spectrum(trace: WaveformTrace) -> Spectrum:

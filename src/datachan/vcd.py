@@ -24,7 +24,7 @@ def _identifiers(n: int) -> list[str]:
     return ids
 
 
-def traces_to_vcd(traces: SignalTraces) -> str:
+def traces_to_vcd(traces: SignalTraces) -> memoryview:
     """Render traces as VCD text in module ``channel``; byte-stable for identical inputs."""
     nets = traces.nets()
     if not nets:
@@ -66,16 +66,15 @@ def traces_to_vcd(traces: SignalTraces) -> str:
     new_time[1:] = t[1:] != t[:-1]
     width = _digits(t)
 
-    def time_heads(s: int, e: int) -> np.ndarray:
+    def time_heads(cells: np.ndarray, s: int, e: int) -> None:
         new = new_time[s:e]
-        cells = np.zeros((e - s, width + 2), dtype=np.uint8)
+        cells[:] = 0
         cells[new, 0] = ord("#")
         cells[new, 1:-1] = _int_cells(t[s:e][new], width)
         cells[new, -1] = ord("\n")
-        return cells
 
     return _join_cells(len(t), [
         (width + 2, time_heads),
-        (table.itemsize, lambda s, e: _table_cells(table, code[s:e])),
+        (table.itemsize, lambda cells, s, e: _table_cells(table, code[s:e], cells)),
         b"\n",
-    ], "\n".join(out) + "\n", f"#{traces.horizon_ps}\n")
+    ], ("\n".join(out) + "\n").encode(), f"#{traces.horizon_ps}\n".encode())

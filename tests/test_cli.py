@@ -32,7 +32,7 @@ def _small_traces():
 
 
 def test_vcd_structure():
-    text = traces_to_vcd(_small_traces())
+    text = bytes(traces_to_vcd(_small_traces())).decode()
     assert text.startswith("$timescale 1 ps $end\n")
     assert "$var wire 1 ! Clk $end" in text
     assert "$var wire 1 \" Q $end" in text
@@ -44,7 +44,7 @@ def test_vcd_structure():
 
 
 def test_vcd_initial_values_at_zero():
-    text = traces_to_vcd(_small_traces())
+    text = bytes(traces_to_vcd(_small_traces())).decode()
     dump = text.split("$dumpvars\n", 1)[1].split("$end", 1)[0]
     assert "0!" in dump   # Clk starts LOW
     assert 'x"' in dump   # Q starts UNKNOWN

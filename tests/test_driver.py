@@ -130,7 +130,7 @@ def test_waveform_trace_holds_float64_samples():
 
 def test_trace_csv_shape():
     trace = drv.WaveformTrace(10.0, np.array([1.0, 2.0]), 100.0)
-    lines = drv.trace_to_csv(trace).splitlines()
+    lines = bytes(drv.trace_to_csv(trace)).decode().splitlines()
     assert lines[0] == "time_ps,value"
     assert lines[1].startswith("100.000,")
     assert len(lines) == 3
@@ -140,7 +140,7 @@ def test_trace_csv_timestamps_do_not_drift():
     # 0.1 ps is not exact in binary: summing it 10^5 times drifts by about
     # 2e-8 ps, which moves this t0 across a rounding boundary of "%.3f"
     n, dt, t0 = 100_000, 0.1, 0.00049999
-    text = drv.trace_to_csv(drv.WaveformTrace(dt, np.zeros(n), t0))
+    text = bytes(drv.trace_to_csv(drv.WaveformTrace(dt, np.zeros(n), t0))).decode()
     stamps = [line.split(",")[0] for line in text.splitlines()[1:]]
     assert len(stamps) == n
     assert stamps[-1] == f"{t0 + (n - 1) * dt:.3f}" == "9999.900"

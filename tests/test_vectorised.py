@@ -160,6 +160,12 @@ def assert_same_text(got, want):
                          f"got {line(got_lines)}, want {line(want_lines)}")
 
 
+def assert_same_bytes(got, want):
+    """A writer's bytes against the reference text, which is ASCII."""
+    assert len(got) == memoryview(got).nbytes  # len() counts bytes
+    assert_same_text(bytes(got).decode("ascii"), want)
+
+
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -173,8 +179,10 @@ values = st.one_of(st.sampled_from(SPECIAL),
                    st.floats(allow_nan=False, allow_infinity=False))
 ROWS_PER_CHUNK = (1 << 14) // 2
 LENGTHS = [0, 1, ROWS_PER_CHUNK - 1, ROWS_PER_CHUNK, ROWS_PER_CHUNK + 1]
-# the byte-assembled writers also work in passes of this many lines
-TRACE_LENGTHS = LENGTHS + [drv._PASS_CELLS - 1, drv._PASS_CELLS, drv._PASS_CELLS + 1]
+# the writers work in passes of _WRITE_CELLS cells, 24 to 42 a Tx CSV line
+# here, so traces of _WRITE_CELLS / 2 lines cross 13 to 22 passes
+LONG = drv._WRITE_CELLS // 2
+TRACE_LENGTHS = LENGTHS + [LONG - 1, LONG, LONG + 1]
 LINE_NETS = ("Even", "Odd", "nEven", "nOdd")
 
 
@@ -313,7 +321,7 @@ def test_tx_synthesis_matches_per_segment_loop(hists, edge, t_rf, dt, window, ch
 @example(vals=[1e300, 0.0], t0=99_995.0, dt=1.0)
 def test_trace_csv_matches_per_line_format(n, vals, t0, dt):
     trace = drv.WaveformTrace(dt, tiled(vals, n), t0)
-    assert_same_text(drv.trace_to_csv(trace), ref_trace_csv(trace))
+    assert_same_bytes(drv.trace_to_csv(trace), ref_trace_csv(trace))
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -323,8 +331,8 @@ def test_trace_csv_at_line_pass_boundary(offset, vals):
     # ten-digit times make every line equally wide, so a pass holds a known
     # number of lines: the trace ends one line before, on or after a pass
     line = len("1000000000.000,") + drv._G6_WIDTH + 1
-    trace = drv.WaveformTrace(1.0, tiled(vals, drv._PASS_CELLS // line + offset), 1e9)
-    assert_same_text(drv.trace_to_csv(trace), ref_trace_csv(trace))
+    trace = drv.WaveformTrace(1.0, tiled(vals, drv._WRITE_CELLS // line + offset), 1e9)
+    assert_same_bytes(drv.trace_to_csv(trace), ref_trace_csv(trace))
 
 
 @pytest.mark.parametrize("n", LENGTHS)
@@ -333,7 +341,7 @@ def test_trace_csv_at_line_pass_boundary(offset, vals):
        mags=st.lists(values, min_size=1, max_size=16))
 def test_spectrum_csv_matches_per_line_format(n, freqs, mags):
     spec = Spectrum(freqs_hz=tiled(freqs, n), mags_a=tiled(mags, n), rbw_hz=1.0)
-    assert_same_text(spec.to_csv(), ref_spectrum_csv(spec))
+    assert_same_bytes(spec.to_csv(), ref_spectrum_csv(spec))
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -344,12 +352,12 @@ def test_spectrum_csv_at_line_pass_boundary(offset, freqs, mags):
     # a line is two cells, a comma and a newline, so a pass holds a known
     # number of lines: the spectrum ends one line before, on or after a pass;
     # the ties mid-pass and on the last line are formatted by Python
-    n = drv._PASS_CELLS // (2 * drv._G6_WIDTH + 2) + offset
+    n = drv._WRITE_CELLS // (2 * drv._G6_WIDTH + 2) + offset
     f, m = tiled(freqs, n), tiled(mags, n)
     f[n // 2] = 123456.5
     m[n - 1] = -625000.5
     spec = Spectrum(freqs_hz=f, mags_a=m, rbw_hz=1.0)
-    assert_same_text(spec.to_csv(), ref_spectrum_csv(spec))
+    assert_same_bytes(spec.to_csv(), ref_spectrum_csv(spec))
 
 
 def g6_lines(vals):
@@ -405,6 +413,13 @@ def test_g6_cells_fixed_notation_sweep():
     assert_same_text(g6_lines(vals), "".join("%.6g\n" % v for v in vals.tolist()))
 
 
+def test_ascii4_refuses_a_form_longer_than_four_bytes():
+    # a table form written one character too long is an error, not cut to four
+    assert drv._ascii4(iter(["", "0.", "0.00"])).view("S4").tolist() == [b"", b"0.", b"0.00"]
+    with pytest.raises(ValueError, match="'0.000' is longer than four bytes"):
+        drv._ascii4(iter(["0.", "0.000", "e"]))
+
+
 @pytest.mark.parametrize("cols", [0, 1, 3, 128])
 @settings(max_examples=15, deadline=None)
 @given(counts=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=16),
@@ -415,13 +430,29 @@ def test_eye_csv_matches_per_line_format(cols, counts, extra_rows):
     grid = np.resize(np.asarray(counts, dtype=np.int64), (rows, cols))
     eye = EyeHistogram(ui_ps=606.0, counts=grid, t_edges_ui=np.zeros(cols + 1),
                        v_edges=np.zeros(rows + 1))
-    assert_same_text(eye.to_csv(), ref_eye_csv(eye))
+    assert_same_bytes(eye.to_csv(), ref_eye_csv(eye))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("one_row", [False, True])
+@settings(max_examples=10, deadline=None)
+@given(counts=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=16))
+def test_eye_csv_at_line_pass_boundary(offset, one_row, counts):
+    # with -2**63 in the grid every count is a 21-byte cell (a sign, 19
+    # digits, a terminator), so a pass holds a known number of counts: the
+    # grid, one column or one row, ends one count before, on or after a pass
+    n = drv._WRITE_CELLS // 21 + offset
+    grid = np.resize(np.asarray(counts, dtype=np.int64), (1, n) if one_row else (n, 1))
+    grid[0, 0] = -2**63
+    eye = EyeHistogram(ui_ps=606.0, counts=grid, t_edges_ui=np.zeros(grid.shape[1] + 1),
+                       v_edges=np.zeros(grid.shape[0] + 1))
+    assert_same_bytes(eye.to_csv(), ref_eye_csv(eye))
 
 
 def test_eye_csv_with_no_rows():
     eye = EyeHistogram(ui_ps=606.0, counts=np.zeros((0, 4), dtype=np.int64),
                        t_edges_ui=np.zeros(5), v_edges=np.zeros(1))
-    assert eye.to_csv() == ref_eye_csv(eye) == "\n"
+    assert bytes(eye.to_csv()) == ref_eye_csv(eye).encode() == b"\n"
 
 
 @settings(max_examples=120, deadline=None)
@@ -437,4 +468,15 @@ def test_vcd_matches_per_event_loop(hists, extra, copies, scale):
     events = {f"n{i}": h for i, h in enumerate(hists)}
     horizon = max([h[-1][0] for h in hists if h] + [0]) + extra
     traces = traces_from_histories(events, horizon)
-    assert_same_text(traces_to_vcd(traces), ref_vcd(traces))
+    assert_same_bytes(traces_to_vcd(traces), ref_vcd(traces))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_vcd_at_line_pass_boundary(offset):
+    # one net changing at every ten-digit time: each change is a 15-byte line
+    # ("#t", "\n", level, identifier, "\n"), so a pass holds a known number of
+    # changes and the dump ends one change before, on or after a pass
+    n = drv._WRITE_CELLS // 15 + offset
+    hist = [(10**9 + i, (LOW, HIGH, UNKNOWN)[i % 3]) for i in range(n)]
+    traces = traces_from_histories({"A": hist}, 2 * 10**9)
+    assert_same_bytes(traces_to_vcd(traces), ref_vcd(traces))
