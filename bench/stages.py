@@ -1,6 +1,6 @@
-"""Per-stage trajectory: the time and the `tracemalloc` memory of every stage and writer.
+"""Per-stage trajectory: the time and the memory of every stage and writer.
 
-Usage, from the root of a checkout (Python >= 3.10 and numpy):
+Usage, from the root of a Linux checkout (Python >= 3.10 and numpy):
 
     python3 bench/stages.py --out BENCH_11.json
     python3 bench/stages.py --out /tmp/small.json --words 20
@@ -19,9 +19,12 @@ after the power-on UNKNOWN), with their sum ``changes``.  Every run is a
 fresh subprocess (``--child``) that imports the package from this tree's
 ``src``.  Each
 scenario runs ``REPEAT`` times untraced, for the median time of each stage by
-position, and once under ``tracemalloc``, for the traced MB live before and
-after each stage and the peak while it ran.  The artifacts are the same files
-a plain run writes.
+position and the median ``vm_hwm_mb``: the process's peak resident MB
+(``VmHWM`` of ``/proc/self/status``) read after the stage, which counts what
+``tracemalloc`` does not see, such as pocketfft's buffers, and only the pages
+touched.  It runs once more under ``tracemalloc``, for the traced MB live
+before and after each stage and the peak while it ran.  The artifacts are the
+same files a plain run writes.
 
 ``--ab OTHER_ROOT`` compares this tree with another checkout, whose runs
 import the package from its ``src``: the untraced runs go in ``REPEAT`` pairs,
@@ -71,19 +74,37 @@ def _counters(stim, traces) -> dict:
             "changes": sum(per_net.values()), "changes_per_net": per_net}
 
 
+def _vm_hwm_mb() -> float:
+    """This process's peak resident memory in MB: ``VmHWM``, in KiB on Linux."""
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024 / 1e6
+    raise RuntimeError("/proc/self/status holds no VmHWM line")
+
+
 def _run(sc: scenario.Scenario, traced: bool) -> tuple[list[dict], bool, dict, dict]:
     """(stage records, passed, artifact sizes and hashes, kernel counters) of one
-    run of ``sc``; the counters of a traced run only, whose times are not used."""
-    counters, advance = {}, scenario.advance
+    run of ``sc``.  The counters come from a traced run only, whose times are not
+    used, and ``vm_hwm_mb`` from an untraced one, as tracing allocates too."""
+    counters, advance, stage = {}, scenario.advance, scenario._stage
 
     def counted(netlist, stim, until_ps):
         traces = advance(netlist, stim, until_ps)
         counters.update(_counters(stim, traces))
         return traces
 
+    def peaked(result, name, fn, /, *args, **kwargs):
+        try:
+            return stage(result, name, fn, *args, **kwargs)
+        finally:
+            result.stages[-1]["vm_hwm_mb"] = _vm_hwm_mb()
+
     if traced:
         scenario.advance = counted
         tracemalloc.start()
+    else:
+        scenario._stage = peaked
     try:
         with tempfile.TemporaryDirectory() as out:
             result = scenario.run_scenario(ChannelConfig(), sc, out)
@@ -92,7 +113,7 @@ def _run(sc: scenario.Scenario, traced: bool) -> tuple[list[dict], bool, dict, d
                          for key, path in result.artifacts.items()}
     finally:
         tracemalloc.stop()
-        scenario.advance = advance
+        scenario.advance, scenario._stage = advance, stage
     return result.stages, result.passed, artifacts, counters
 
 
@@ -116,13 +137,14 @@ def _child(src: Path, name: str, n_words: int, outputs: tuple[str, ...],
 
 
 def _summary(name: str, n_words: int, outputs: tuple[str, ...], runs: list) -> dict:
-    """Median stage times of all ``runs`` but the last, a traced one, with its memory
-    and kernel counters."""
+    """Median stage times and ``vm_hwm_mb`` of all ``runs`` but the last, a traced
+    one, with its memory and kernel counters."""
     shapes = [([s["stage"] for s in stages], ok, files) for stages, ok, files, _ in runs]
     if any(shape != shapes[0] for shape in shapes):
         raise RuntimeError(f"{name}: the runs differ in stage sequence, verdict or artifacts")
     *timed, (traced, passed, artifacts, counters) = runs
-    stages = [record | {"time_s": median(run[0][i]["time_s"] for run in timed)}
+    stages = [record | {key: median(run[0][i][key] for run in timed)
+                        for key in ("time_s", "vm_hwm_mb")}
               for i, record in enumerate(traced)]
     return {"scenario": name, "words": n_words, "outputs": list(outputs), "passed": passed,
             "stages": stages, "artifacts": artifacts, "counters": counters}
@@ -193,8 +215,10 @@ def main(argv: list[str] | None = None) -> int:
         runs.append(measure(name, n_words, outputs, other_root))
         stages = runs[-1]["stages"]
         top = max(stages, key=lambda s: s["peak_mb"])
+        hwm = next(s for s in stages if s["vm_hwm_mb"] == stages[-1]["vm_hwm_mb"])
         print(f"{name} {n_words} words: stages {sum(s['time_s'] for s in stages):.3f} s, "
-              f"highest peak {top['peak_mb']:.1f} MB ({top['stage']})", flush=True)
+              f"highest traced peak {top['peak_mb']:.1f} MB ({top['stage']}), "
+              f"VmHWM {hwm['vm_hwm_mb']:.1f} MB (from {hwm['stage']})", flush=True)
     host = {"python": platform.python_version(), "numpy": np.__version__,
             "machine": platform.machine(), "cpus": os.cpu_count()}
     doc = {"repeat": REPEAT, "src_lines": src_lines(), "host": host, "runs": runs}

@@ -205,14 +205,33 @@ def _deposit_spikes(samples: np.ndarray, t0: float, dt: float,
                   (np.diff(cum, axis=1) / (dt * 1e-12))[inside])  # charge per bin -> amperes
 
 
+def _fft_length(n: int) -> int:
+    """The FFT length of ``n`` >= 1 samples: the next power of two."""
+    return 1 << (n - 1).bit_length()
+
+
+class _PaddedTrace(WaveformTrace):
+    """A trace whose samples are the head of a buffer of their ``_fft_length``,
+    which ``spectrum.spectrum`` may pad in place.
+
+    Only ``supply_current`` makes one, so a view of its samples taken
+    elsewhere is padded in a copy: its buffer's tail may hold samples.
+    """
+
+
 def supply_current(transition_times_ps: np.ndarray, model: SpikeModel,
                    dt_ps: float, t0_ps: float, horizon_ps: float) -> WaveformTrace:
-    """Quiescent DC draw plus one charge spike per line transition."""
+    """Quiescent DC draw plus one charge spike per line transition.
+
+    The samples are the head of a buffer of their FFT length, filled with the
+    DC draw, so that the spectrum pads them without a copy.  The spikes are
+    deposited into the samples only, so they are clipped to the window.
+    """
     model.validate()
     n = int((horizon_ps - t0_ps) / dt_ps)
-    samples = np.full(n, model.i_dc_a)
+    samples = np.full(_fft_length(n) if n > 0 else n, model.i_dc_a)[:n]
     _deposit_spikes(samples, t0_ps, dt_ps, transition_times_ps, model.q_c, model.w_ps)
-    return WaveformTrace(dt_ps, samples, t0_ps)
+    return _PaddedTrace(dt_ps, samples, t0_ps)
 
 
 # --------------------------------------------------------------------------
@@ -227,8 +246,9 @@ def _digit_groups() -> np.ndarray:
 
 
 def _int_cells(values: np.ndarray, width: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Right-aligned ASCII digits of non-negative integers of at most ``width``
-    digits, NUL-padded on the left, into ``out`` if given; four digits a lookup."""
+    """Right-aligned ASCII digits of non-negative integers (or integral floats) of
+    at most ``width`` digits, NUL-padded on the left, into ``out`` if given; four
+    digits a lookup."""
     groups, table = -(-width // 4), _digit_groups()
     # 32-bit division is about twice as fast, and 9 digits always fit
     v = values.astype(np.uint32 if width <= 9 else np.uint64)
@@ -406,23 +426,28 @@ def trace_to_csv(trace: WaveformTrace) -> memoryview:
 
     Every value is a ``_g6_cells`` cell.  When every timestamp is an integer
     >= 0 (not -0.0), ``%.3f`` prints it as ``%d.000``, assembled as bytes;
-    other timestamps are formatted by Python's ``%``.
+    other timestamps are formatted by Python's ``%``.  The timestamps are
+    computed a pass at a time, for the test and again for the cells, so no
+    array holds them all.
     """
     values = trace.samples
-    times = trace.times()
-    exact = not len(times) or (not np.signbit(times).any() and times.max() < 2.0**63
-                               and (times == np.floor(times)).all())
+    n = len(values)
+    # t0 + dt*i is monotone in i: the lowest and the highest time are at the ends
+    ends = np.array([trace.times(i, i + 1)[0] for i in (0, n - 1)]) if n else np.empty(0)
+    exact = (not n or ends.max() < 2.0**63) and all(
+        not np.signbit(t).any() and (t == np.floor(t)).all()
+        for t in (trace.times(s, e) for s, e in _passes(n)))
     if exact:
-        times = times.astype(np.int64)  # exact, and frees the float copy
-        width = _digits(times)
-        stamps = [(width, lambda cells, s, e: _int_cells(times[s:e], width, cells)), b".000,"]
+        width = _digits(ends)
+        stamps = [(width, lambda cells, s, e: _int_cells(trace.times(s, e), width, cells)),
+                  b".000,"]
     else:
         # "%.3f" is widest at the lowest or the highest time; a nan or ±inf
         # time comes with no finite one, and "-inf," is the widest of those
-        width = max(len("%.3f," % t) for t in (times.min(), times.max(), -math.inf))
+        width = max(len("%.3f," % t) for t in [*ends, -math.inf])
 
         def stamp_cells(cells: np.ndarray, s: int, e: int) -> None:
-            text = ("%.3f,\n" * (e - s) % tuple(times[s:e].tolist())).encode()
+            text = ("%.3f,\n" * (e - s) % tuple(trace.times(s, e).tolist())).encode()
             cells[:] = np.array(text.split(b"\n")[:-1], dtype=f"S{width}").view(
                 np.uint8).reshape(e - s, width)
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import _G6_WIDTH, WaveformTrace, _g6_cells, _join_cells
+from .driver import _G6_WIDTH, WaveformTrace, _fft_length, _g6_cells, _join_cells, _PaddedTrace
 from .errors import ResolutionError
 
 
@@ -32,15 +32,23 @@ def spectrum(trace: WaveformTrace) -> Spectrum:
     """Rectangular-window DFT magnitude, mean-padded to a power of two.
 
     Padding with the mean (rather than zero) keeps bin 0 equal to the
-    input trace mean and adds no artificial step at the trace end.  The
-    padded copy is released before the magnitudes, the transform after them.
+    input trace mean and adds no artificial step at the trace end.  A supply
+    current (``driver._PaddedTrace``) is padded in place: the mean is written
+    into its buffer's tail, past its samples.  Any other trace is padded in a
+    copy, released before the magnitudes, the transform after them.
     """
     x = trace.samples
     if len(x) == 0:
         raise ValueError("empty trace")
-    n = 1 << (len(x) - 1).bit_length()
+    n = _fft_length(len(x))
     if n != len(x):
-        x = np.pad(x, (0, n - len(x)), constant_values=float(x.mean()))
+        mean = float(x.mean())
+        buf = x.base
+        if isinstance(trace, _PaddedTrace) and _is_head(x, buf, n):
+            buf[len(x):] = mean
+            x = buf
+        else:
+            x = np.pad(x, (0, n - len(x)), constant_values=mean)
 
     X = np.fft.rfft(x)
     del x
@@ -53,6 +61,12 @@ def spectrum(trace: WaveformTrace) -> Spectrum:
     dt_s = trace.dt_ps * 1e-12
     freqs = np.fft.rfftfreq(n, d=dt_s)
     return Spectrum(freqs_hz=freqs, mags_a=mags, rbw_hz=1.0 / (n * dt_s))
+
+
+def _is_head(x: np.ndarray, buf, n: int) -> bool:
+    """Whether ``x`` is ``buf[:len(x)]`` and ``buf`` an array of ``n`` elements."""
+    return (isinstance(buf, np.ndarray) and buf.shape == (n,) and buf.dtype == x.dtype
+            and x.flags.c_contiguous and x.ctypes.data == buf.ctypes.data)
 
 
 def low_band_ratio(spec: Spectrum) -> float:

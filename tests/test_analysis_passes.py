@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_analysis
 from datachan import driver as drv, measure
-from datachan.config import ChannelConfig, DriverParams
+from datachan.config import ChannelConfig, DriverParams, SpikeModel
 from datachan.errors import NoSettleError, NoTransitionError
 from datachan.eye import EyeHistogram, EyeMask, build_eye, mask_check
 from datachan.measure import measure_edge, measure_levels
@@ -383,3 +383,45 @@ def test_spectrum_holds_one_padded_copy_and_one_transform(big_pair):
     peak = traced_peak(spectrum, plus)
     # the magnitudes are made after the padded copy is released
     assert peak <= padded + transform + 64 * 1024, f"{peak / 1e6:.2f} MB above the input"
+
+
+def supply_trace(n, seed):
+    """A supply current of ``n`` samples at 10 ps with a spike about every 60 ps."""
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.uniform(-100.0, 10.0 * n + 100.0, max(1, n // 6)))
+    return drv.supply_current(times, SpikeModel(), 10.0, 0.0, 10.0 * n)
+
+
+def test_spectrum_pads_a_supply_current_without_a_copy():
+    current = supply_trace(N_BIG, seed=6)
+    n = len(current.samples.base)
+    assert n == 1 << (N_BIG - 1).bit_length()
+    transform, magnitudes = 16 * (n // 2 + 1), 8 * (n // 2 + 1)
+    spectrum(current)  # the first transform of a length also caches its plan
+    peak = traced_peak(spectrum, current)
+    # the transform and then rfftfreq's two arrays are live next to the
+    # magnitudes; a padded copy would add 8 * n to the first
+    assert peak <= transform + magnitudes + 128 * 1024, f"{peak / 1e6:.2f} MB above the input"
+
+
+@pytest.mark.parametrize("n", [1, 2**12 - 1, 2**12, 2**12 + 1])
+def test_spectrum_of_a_supply_current_equals_that_of_a_copy(n):
+    current = supply_trace(n, seed=n)
+    samples = current.samples.copy()
+    want = spectrum(drv.WaveformTrace(current.dt_ps, samples.copy(), current.t0_ps))
+    for _ in range(2):  # the second call pads the padded buffer again
+        got = spectrum(current)
+        assert_same_array(got.freqs_hz, want.freqs_hz, "frequencies")
+        assert_same_array(got.mags_a, want.mags_a, "magnitudes")
+        assert got.rbw_hz == want.rbw_hz
+        assert_same_array(current.samples, samples, "samples")
+
+
+def test_a_view_of_a_supply_current_is_padded_in_a_copy():
+    current = supply_trace(1000, seed=8)
+    samples = current.samples.copy()
+    # the view's FFT length is its buffer's length too, but the buffer holds samples there
+    view = drv.WaveformTrace(current.dt_ps, current.samples[:900], current.t0_ps)
+    got, want = spectrum(view), ref_spectrum(view)
+    assert_same_array(got.mags_a, want.mags_a, "magnitudes")
+    assert_same_array(current.samples, samples, "samples")

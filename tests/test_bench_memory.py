@@ -18,6 +18,10 @@ def test_memory_bench_records_each_stage(stage_bench):
         for stage in run["stages"]:
             assert stage["time_s"] >= 0
             assert stage["peak_mb"] >= max(stage["before_mb"], stage["after_mb"])
+        # the process's peak resident MB after each stage, on both sides of --ab
+        for side in (run, run["other"]):
+            hwm = [stage["vm_hwm_mb"] for stage in side["stages"]]
+            assert hwm[0] > 0 and hwm == sorted(hwm)
     # the levels are measured once and passed to both edge measurements
     names = [stage["stage"] for stage in report["stages"]]
     assert set(names) == STAGES | {"write_report", "write_report_txt"}

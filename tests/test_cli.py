@@ -90,8 +90,8 @@ def test_unknown_scenario_name():
         load_scenario("no-such-preset")
 
 
-STREAM_STAGES = ["stimulus", "kernel", "tx_synthesis", "extract", "protocol", "transitions",
-                 "supply_current", "spectrum", "low_band_ratio", "levels", "edges", "edges",
+STREAM_STAGES = ["stimulus", "kernel", "extract", "protocol", "transitions", "supply_current",
+                 "spectrum", "tx_synthesis", "low_band_ratio", "levels", "edges", "edges",
                  "eye", "mask"]
 WRITERS = ["write_vcd", "write_bits", "write_tx_plus", "write_tx_minus", "write_eye",
            "write_spectrum", "write_report", "write_report_txt"]
