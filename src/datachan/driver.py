@@ -70,12 +70,12 @@ def _passes(n: int):
 
 def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """The ``np.histogram`` bin of each value of ``x`` for the uniform ``edges`` of
-    ``np.histogram_bin_edges``, or ``len(edges) - 1`` outside them (NaN included):
-    numpy's estimate, corrected by one step against the edges as its fast path does."""
+    ``np.histogram_bin_edges``: numpy's estimate, corrected by one step against
+    the edges as its fast path does.  Every value must lie within the edges, as
+    each caller's do: the level edges span the samples, the eye's voltage edges
+    ±(1.05 max|Tx+ - Tx-| + 1e-9), and its time edges [0, 2], where a phase
+    ``np.mod(t, 2ui) / ui`` lies.  So the estimate is in [0, n]."""
     lo, hi, n = edges[0], edges[-1], len(edges) - 1
-    outside = ~((x >= lo) & (x <= hi))
-    if outside.any():
-        return np.where(outside, n, _bin_index(np.where(outside, lo, x), edges))
     f = (x - lo) / (hi - lo) * n  # in numpy's order of operations
     idx = f.astype(np.intp)
     np.minimum(idx, n - 1, out=idx)  # the last bin holds the right edge
@@ -266,11 +266,6 @@ def _int_cells(values: np.ndarray, width: int, out: np.ndarray | None = None) ->
     return out
 
 
-def _table_cells(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
-    """The fixed-width ``S`` strings ``table[index]``, NUL-padded on the right, into ``out``."""
-    out[:] = table[index].view(np.uint8).reshape(len(index), table.itemsize)
-
-
 def _ascii4(strings) -> np.ndarray:
     """Up to four ASCII characters each, as the bytes of one uint32 (NUL-padded);
     a longer string is a ``ValueError``, not cut.
@@ -424,19 +419,18 @@ def _digits(values: np.ndarray) -> int:
 def trace_to_csv(trace: WaveformTrace) -> memoryview:
     """``time_ps,value`` lines; the i-th timestamp is ``t0_ps + i*dt_ps``.
 
-    Every value is a ``_g6_cells`` cell.  When every timestamp is an integer
-    >= 0 (not -0.0), ``%.3f`` prints it as ``%d.000``, assembled as bytes;
-    other timestamps are formatted by Python's ``%``.  The timestamps are
-    computed a pass at a time, for the test and again for the cells, so no
-    array holds them all.
+    Every value is a ``_g6_cells`` cell.  When ``t0_ps`` and ``dt_ps`` are
+    integers and both end timestamps are >= 0 (not -0.0) and below 2**63,
+    ``%.3f`` prints every timestamp as ``%d.000``, assembled as bytes: sums and
+    products of integral floats round to integers (a float >= 2**52 is one),
+    and ``t0 + dt*i`` is monotone in i, so the ends bound the rest.  Other
+    timestamps are formatted by Python's ``%``, a pass at a time.
     """
     values = trace.samples
     n = len(values)
-    # t0 + dt*i is monotone in i: the lowest and the highest time are at the ends
     ends = np.array([trace.times(i, i + 1)[0] for i in (0, n - 1)]) if n else np.empty(0)
-    exact = (not n or ends.max() < 2.0**63) and all(
-        not np.signbit(t).any() and (t == np.floor(t)).all()
-        for t in (trace.times(s, e) for s, e in _passes(n)))
+    exact = (float(trace.t0_ps).is_integer() and float(trace.dt_ps).is_integer()
+             and not np.signbit(ends).any() and (ends < 2.0**63).all())
     if exact:
         width = _digits(ends)
         stamps = [(width, lambda cells, s, e: _int_cells(trace.times(s, e), width, cells)),

@@ -34,7 +34,8 @@ class AlignmentError(DataChanError):
 
 
 class ResolutionError(DataChanError):
-    """Spectral resolution too coarse for the requested band measurement."""
+    """A window too short to measure: its spectral resolution is too coarse for
+    the low band, or it spans fewer than the eye's 100 unit intervals."""
 
 
 class SeedError(ConfigError):

@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import check_mask
 from .driver import WaveformTrace, _bin_index, _digits, _int_cells, _join_cells, _passes
-from .errors import AlignmentError
+from .errors import AlignmentError, ResolutionError
 
 
 @dataclass
@@ -79,40 +79,38 @@ class EyeMask:
 
 def build_eye(tx_plus: WaveformTrace, tx_minus: WaveformTrace, ui_ps: float,
               bins_t: int = 128, bins_v: int = 128,
-              fold_offset_ps: float = 0.0,
-              v_range: tuple[float, float] | None = None) -> EyeHistogram:
+              fold_offset_ps: float = 0.0) -> EyeHistogram:
     """Fold the differential signal modulo two unit intervals into a grid.
 
     ``fold_offset_ps`` picks the waveform time mapped to the left window
     edge; choose it half a UI before a bit center so the eye sits at the
-    window center.  The samples are read in passes of ``_PASS_CELLS``: one
-    for the voltage range when ``v_range`` is None, one that counts each sample
-    in its ``np.histogram2d`` bin (``_bin_index``), unless it is outside ``v_range``.
+    window center.  A window shorter than 100 UI is a ``ResolutionError``.
+    The samples are read in passes of ``_PASS_CELLS``: one for the voltage
+    range, ±(1.05 max|Tx+ - Tx-| + 1e-9), and one that counts each sample in
+    its ``np.histogram2d`` bin (``_bin_index``).  The range spans every
+    difference, so each sample of a finite window lands on the grid.
     """
     if tx_plus.dt_ps != tx_minus.dt_ps or tx_plus.t0_ps != tx_minus.t0_ps \
             or len(tx_plus.samples) != len(tx_minus.samples):
         raise AlignmentError("tx_plus and tx_minus are not on the same grid")
     n = len(tx_plus.samples)
     if n * tx_plus.dt_ps < 100 * ui_ps:
-        raise ValueError("need at least 100 unit intervals of waveform")
+        raise ResolutionError(f"streaming window is {n * tx_plus.dt_ps / ui_ps:.1f} UI, "
+                              "the eye needs at least 100")
 
     def diff(s: int, e: int) -> np.ndarray:
         return tx_plus.samples[s:e] - tx_minus.samples[s:e]
 
-    if v_range is None:
-        vmax = float(reduce(np.maximum, (np.abs(diff(s, e)).max() for s, e in _passes(n))))
-        vmax = vmax * 1.05 + 1e-9
-        v_range = (-vmax, vmax)
-
+    vmax = float(reduce(np.maximum, (np.abs(diff(s, e)).max() for s, e in _passes(n))))
+    vmax = vmax * 1.05 + 1e-9
     t_edges = np.histogram_bin_edges(np.empty(0), bins_t, (0.0, 2.0))
-    v_edges = np.histogram_bin_edges(np.empty(0), bins_v, (v_range[0], v_range[1]))
-    # [voltage bin, time bin] cells, with a last row and column for samples off the grid
-    counts = np.zeros((bins_v + 1) * (bins_t + 1), dtype=np.int64)
+    v_edges = np.histogram_bin_edges(np.empty(0), bins_v, (-vmax, vmax))
+    counts = np.zeros(bins_v * bins_t, dtype=np.int64)  # [voltage bin, time bin] cells
     for s, e in _passes(n):
         phase = np.mod(tx_plus.times(s, e) - fold_offset_ps, 2.0 * ui_ps) / ui_ps
-        cell = _bin_index(diff(s, e), v_edges) * (bins_t + 1) + _bin_index(phase, t_edges)
+        cell = _bin_index(diff(s, e), v_edges) * bins_t + _bin_index(phase, t_edges)
         counts += np.bincount(cell, minlength=len(counts))
-    return EyeHistogram(ui_ps=ui_ps, counts=counts.reshape(bins_v + 1, -1)[:-1, :-1].copy(),
+    return EyeHistogram(ui_ps=ui_ps, counts=counts.reshape(bins_v, bins_t),
                         t_edges_ui=t_edges, v_edges=v_edges,
                         fold_offset_ps=fold_offset_ps)
 

@@ -335,18 +335,17 @@ def _stream_checks(config: ChannelConfig, sc: Scenario, words: list[stimulus.Wor
         )
         result.checks["compliance"] = result.report.passed
 
-    eye_obj = None
-    if len(wp.samples) * wp.dt_ps >= 100 * config.ui_ps:
-        fold = t_stream0 - config.ui_ps / 2.0
+    try:
         eye_obj = _stage(result, "eye", eyemod.build_eye, wp, wm, config.ui_ps,
-                         config.eye_bins_t, config.eye_bins_v, fold_offset_ps=fold)
+                         config.eye_bins_t, config.eye_bins_v,
+                         fold_offset_ps=t_stream0 - config.ui_ps / 2.0)
+    except ResolutionError as exc:
+        eye_obj = None
+        result.skipped["eye-mask"] = str(exc)
+    else:
         mask = eyemod.EyeMask(config.mask_vertices)
         eye_pass, margin = _stage(result, "mask", eyemod.mask_check, eye_obj, mask)
         result.checks["eye-mask"] = eye_pass
         result.messages.append(f"eye mask margin: {margin * 1e3:.1f} mV")
-    else:
-        span_ui = len(wp.samples) * wp.dt_ps / config.ui_ps
-        result.skipped["eye-mask"] = (f"streaming window is {span_ui:.1f} UI, "
-                                      "the eye needs at least 100")
     return {"bits": extracted, "tx_plus": wp, "tx_minus": wm, "eye": eye_obj,
             "spectrum": spec_obj}

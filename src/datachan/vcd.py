@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .driver import _digits, _int_cells, _join_cells, _table_cells
+from .driver import _digits, _int_cells, _join_cells
 from .logic import UNKNOWN, SignalTraces
 
 _ID_CHARS = [chr(c) for c in range(33, 127)]
@@ -73,8 +73,11 @@ def traces_to_vcd(traces: SignalTraces) -> memoryview:
         cells[new, 1:-1] = _int_cells(t[s:e][new], width)
         cells[new, -1] = ord("\n")
 
+    def changes(cells: np.ndarray, s: int, e: int) -> None:
+        cells[:] = table[code[s:e]].view(np.uint8).reshape(e - s, table.itemsize)
+
     return _join_cells(len(t), [
         (width + 2, time_heads),
-        (table.itemsize, lambda cells, s, e: _table_cells(table, code[s:e], cells)),
+        (table.itemsize, changes),
         b"\n",
     ], ("\n".join(out) + "\n").encode(), f"#{traces.horizon_ps}\n".encode())

@@ -102,7 +102,7 @@ def test_eye_needs_matching_grids():
     p, m = _eye_traces(ui)
     with pytest.raises(AlignmentError):
         build_eye(p, WaveformTrace(m.dt_ps, m.samples, 5.0), ui)
-    with pytest.raises(ValueError):
+    with pytest.raises(ResolutionError, match="window is 1.7 UI, the eye needs at least 100"):
         build_eye(WaveformTrace(10.0, p.samples[:100]),
                   WaveformTrace(10.0, m.samples[:100]), ui)
 

@@ -82,10 +82,10 @@ def assert_same_eye(got, want):
     assert_same_array(got.v_edges, want.v_edges, "v_edges")
 
 
-def assert_same_analysis(plus, minus, ui, fold, v_range):
+def assert_same_analysis(plus, minus, ui, fold):
     """Eye, levels, both edges and the spectrum equal their oracles."""
-    assert_same_eye(build_eye(plus, minus, ui, fold_offset_ps=fold, v_range=v_range),
-                    ref_build_eye(plus, minus, ui, fold_offset_ps=fold, v_range=v_range))
+    assert_same_eye(build_eye(plus, minus, ui, fold_offset_ps=fold),
+                    ref_build_eye(plus, minus, ui, fold_offset_ps=fold))
     for trace in (plus, minus):
         assert_same_outcome(outcome(measure_levels, trace),
                             outcome(ref_measure_levels, trace), "levels")
@@ -107,18 +107,16 @@ def assert_same_analysis(plus, minus, ui, fold, v_range):
 @given(seed=st.integers(0, 2**32 - 1), dt=st.sampled_from([10.0, 3.3]),
        t0=st.sampled_from([0.0, 10040.0, -55.5, 1234.5]),
        fold=st.sampled_from([0.0, 9737.0, -303.25]),
-       v_range=st.sampled_from([None, (-0.6, 0.6), (-0.2, 0.1)]),
        noise=st.sampled_from([0.0, 2e-3]))
-def test_analysis_matches_whole_array_oracles(n, seed, dt, t0, fold, v_range, noise):
+def test_analysis_matches_whole_array_oracles(n, seed, dt, t0, fold, noise):
     plus, minus = shaped_pair(n, dt, t0, seed, noise)
-    assert_same_analysis(plus, minus, UI, fold, v_range)
+    assert_same_analysis(plus, minus, UI, fold)
 
 
 @pytest.mark.parametrize("n", WINDOWS)
-@pytest.mark.parametrize("v_range", [None, (-1.5, 1.5)])
-def test_analysis_with_signed_zeros(n, v_range):
+def test_analysis_with_signed_zeros(n):
     plus, minus = signed_zero_pair(n, 10.0, 10040.0, seed=n)
-    assert_same_analysis(plus, minus, UI, 9737.0, v_range)
+    assert_same_analysis(plus, minus, UI, 9737.0)
 
 
 @pytest.mark.parametrize("n", WINDOWS)
@@ -148,14 +146,13 @@ def test_edge_between_two_passes(which):
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2000, 2600),
        t0=st.sampled_from([0.0, -55.5, 1234.5]),
-       v_range=st.sampled_from([None, (-0.3, 0.3)]),
        noise=st.sampled_from([0.0, 2e-3]))
-def test_analysis_in_many_small_passes(chunk, seed, n, t0, v_range, noise):
+def test_analysis_in_many_small_passes(chunk, seed, n, t0, noise):
     # crossings and mode-bin samples fall on every side of many pass boundaries
     plus, minus = shaped_pair(n, 1.0, t0, seed, noise, ui=20.0, t_rf=5.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(drv, "_PASS_CELLS", chunk)
-        assert_same_analysis(plus, minus, 20.0, t0 - 10.0, v_range)
+        assert_same_analysis(plus, minus, 20.0, t0 - 10.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -176,14 +173,14 @@ def test_times_range_is_a_slice_of_the_grid(n, data, t0, dt):
 # binning: the bins of np.histogram2d and np.histogram
 
 BIN_COUNTS = [1, 2, 3, 7, 100, 128, 2001]
-# explicit, with a signed-zero edge, zero-width (widened by 0.5 each side) and inverted
-V_RANGES = [None, (-0.6, 0.6), (-0.2, 0.1), (-0.0, 0.5), (0.25, 0.25), (0.0, 0.0), (0.5, -0.5)]
+# the eye's derived voltage range when the largest |Tx+ - Tx-| is 0.5
+V_MAX = 0.5 * 1.05 + 1e-9
 
 
-def result_or_error(fn, *args, **kwargs):
+def result_or_error(fn, *args):
     """The result of ``fn``, or the type and message of the error it raised."""
     try:
-        return fn(*args, **kwargs)
+        return fn(*args)
     except (ValueError, NoSettleError) as exc:
         return type(exc).__name__, str(exc)
 
@@ -194,36 +191,28 @@ def on_and_beside(edges):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), bins_t=st.sampled_from(BIN_COUNTS), v_range=st.sampled_from(V_RANGES),
-       aligned=st.booleans(), seed=st.integers(0, 2**32 - 1),
-       chunk=st.sampled_from([997, P]))
-def test_eye_bins_match_histogram2d(data, bins_t, v_range, aligned, seed, chunk):
+@given(data=st.data(), bins_t=st.sampled_from(BIN_COUNTS), aligned=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), chunk=st.sampled_from([997, P]))
+def test_eye_bins_match_histogram2d(data, bins_t, aligned, seed, chunk):
     bins_v = data.draw(st.sampled_from([b for b in BIN_COUNTS if b != bins_t]), "bins_v")
     rng = np.random.default_rng(seed)
     # at one UI, a step of 2 / bins_t puts the first bins_t phases on the time edges
     dt, fold = (2.0 / bins_t, 0.0) if aligned else (0.37, data.draw(st.sampled_from([0.15, -1.3])))
     n = int(np.ceil(100.0 / dt)) + int(rng.integers(0, 300))
-    pool = [np.array([0.0, -0.0, 0.5, -0.5]), rng.uniform(-0.5, 0.5, 64)]
-    if v_range is not None:
-        lo, hi = v_range
-        if lo == hi:
-            lo, hi = lo - 0.5, hi + 0.5
-        edges = np.linspace(lo, hi, bins_v + 1)
-        # on every edge, the right one included, and outside the range
-        pool += [on_and_beside(edges), np.array([lo - 1.0, hi + 1.0, -np.inf, np.inf])]
+    v_edges = np.histogram_bin_edges(np.empty(0), bins_v, (-V_MAX, V_MAX))
+    # on and beside every voltage edge within ±0.5, so the derived range stays ±V_MAX
+    near = on_and_beside(v_edges)
+    pool = [np.array([0.0, -0.0, 0.5, -0.5]), rng.uniform(-0.5, 0.5, 64), near[abs(near) <= 0.5]]
     plus = rng.choice(np.concatenate(pool), n)
+    plus[rng.integers(n)] = rng.choice([0.5, -0.5])
     minus = np.where(rng.random(n) < 0.5, -0.0, 0.0)  # a difference keeps its sign of zero
     traces = [drv.WaveformTrace(dt, v, 0.0) for v in (plus, minus)]
     args = (*traces, 1.0, bins_t, bins_v)
-    kwargs = {"fold_offset_ps": fold, "v_range": v_range}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(drv, "_PASS_CELLS", chunk)
-        got = result_or_error(build_eye, *args, **kwargs)
-    want = result_or_error(ref_build_eye, *args, **kwargs)
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        assert_same_eye(got, want)
+        got = build_eye(*args, fold_offset_ps=fold)
+    assert_same_array(got.v_edges, v_edges, "v_edges")
+    assert_same_eye(got, ref_build_eye(*args, fold_offset_ps=fold))
 
 
 @settings(max_examples=80, deadline=None)

@@ -179,15 +179,18 @@ def test_run_scenario_reports_skipped_checks(tmp_path, config):
     assert _stage_names(res) == STREAM_STAGES[:11] + ["eye", "mask"] + WRITERS[:6]
 
     res = run_scenario(config, replace(PRESETS["stream-random"], n_words=1), tmp_path)
-    # the raising low-band ratio is recorded; no level or edge is measured
+    # the raising low-band ratio and eye are recorded; no level or edge is measured
     assert res.skipped["compliance"].startswith("resolution")
-    assert _stage_names(res) == STREAM_STAGES[:9] + WRITERS[:4] + ["write_spectrum"]
+    assert res.skipped["eye-mask"] == "streaming window is 10.0 UI, the eye needs at least 100"
+    assert _stage_names(res) == STREAM_STAGES[:9] + ["eye"] + WRITERS[:4] + ["write_spectrum"]
 
     res = run_scenario(config, replace(PRESETS["stream-random"], n_words=5), tmp_path)
     assert set(res.checks) == {"serial-equivalence", "protocol", "compliance"}
     assert res.skipped == {
         "eye-mask": "streaming window is 50.0 UI, the eye needs at least 100"}
     assert "eye" not in res.artifacts
+    # the raising eye is recorded; the mask never runs
+    assert _stage_names(res) == STREAM_STAGES[:13] + WRITERS[:4] + WRITERS[5:]
 
 
 def test_cli_prints_skipped_checks(tmp_path, capsys):

@@ -319,6 +319,10 @@ def test_tx_synthesis_matches_per_segment_loop(hists, edge, t_rf, dt, window, ch
 # integer timestamps crossing 9 -> 10 and 99,999 -> 100,000
 @example(vals=[-0.0, 0.0], t0=5.0, dt=1.0)
 @example(vals=[1e300, 0.0], t0=99_995.0, dt=1.0)
+# integer timestamps on grids that are not integral (one sample at a half
+# step; half steps from 2**53), printed by Python's "%.3f"
+@example(vals=[1.5], t0=0.0, dt=0.5)
+@example(vals=[1.5, -2.0], t0=2.0**53, dt=0.5)
 def test_trace_csv_matches_per_line_format(n, vals, t0, dt):
     trace = drv.WaveformTrace(dt, tiled(vals, n), t0)
     assert_same_bytes(drv.trace_to_csv(trace), ref_trace_csv(trace))
