@@ -68,13 +68,11 @@ def _passes(n: int):
     return ((s, min(n, s + _PASS_CELLS)) for s in range(0, n, _PASS_CELLS))
 
 
-def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+def _histogram_bins(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """The ``np.histogram`` bin of each value of ``x`` for the uniform ``edges`` of
     ``np.histogram_bin_edges``: numpy's estimate, corrected by one step against
-    the edges as its fast path does.  Every value must lie within the edges, as
-    each caller's do: the level edges span the samples, the eye's voltage edges
-    ±(1.05 max|Tx+ - Tx-| + 1e-9), and its time edges [0, 2], where a phase
-    ``np.mod(t, 2ui) / ui`` lies.  So the estimate is in [0, n]."""
+    the edges as its fast path does.  Every value must lie within the edges, so
+    the estimate is in [0, n]."""
     lo, hi, n = edges[0], edges[-1], len(edges) - 1
     f = (x - lo) / (hi - lo) * n  # in numpy's order of operations
     idx = f.astype(np.intp)
@@ -82,6 +80,59 @@ def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     idx -= x < np.take(edges, idx, out=f, mode="clip")
     idx += (x >= np.take(edges[1:], idx, out=f, mode="clip")) & (idx != n - 1)
     return idx
+
+
+def _floor_bins(c: np.ndarray, n: int, m: float, d: float, exact) -> np.ndarray:
+    """The bin of each coordinate of ``c`` as ``intp``: ``floor(c)`` where that is
+    certain, and ``exact(w)`` at the indices ``w`` of the rest.  ``c`` is
+    overwritten.  Its truncation is its floor wherever it is certain: a
+    negative coordinate never is.
+
+    ``c`` places each value on ``n`` bins of width ``d / n``, bin k being
+    [k, k + 1).  The caller shows that the rounding of ``c`` and of the bin
+    edges it stands for moves a value by at most 15 ulp of ``m`` (a bound on
+    the magnitudes involved), plus (n + 1) 2^-1075 from roundings to a
+    subnormal.  In bins that is below ``margin`` = 16 n (ulp(m) + n 2^-1074)
+    / d, so a coordinate more than ``margin`` from every integer lies
+    strictly inside bin floor(c).  A coordinate within ``margin`` of an
+    integer, or nan, is not certain, nor is any when ``margin`` >= 1/2.
+    """
+    margin = 16 * n * (np.spacing(m) + n * 2.0**-1074) / d
+    idx = c.astype(np.intp)
+    c -= idx  # the fraction: in [0, 1) where c >= 0, or nan
+    unsure = ~((c > margin) & (c < 1.0 - margin))
+    if unsure.any():
+        w = np.flatnonzero(unsure)
+        idx[w] = exact(w)
+    return idx
+
+
+def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The ``np.histogram`` bin of each value of ``x`` for the uniform ``edges`` of
+    ``np.histogram_bin_edges``, by ``_floor_bins`` with ``_histogram_bins`` as
+    the exact path.
+
+    Every value must lie within the edges, as each caller's do: the level
+    edges span the samples, and the eye's voltage edges ±(1.05 max|Tx+ - Tx-|
+    + 1e-9).  The coordinate ``(x - lo) * (n / (hi - lo))`` is clipped to
+    [1/2, n - 1/2]: a value below the first inner edge can only be in bin 0,
+    and one above the last in bin n - 1, which holds the right edge; the
+    clip leaves them no nearer an integer.  Its four roundings,
+    with ``x - lo`` at most D = hi - lo, move a value by at most 4.1u D
+    (u = 2^-53).  The edges ``lo + fl(i fl(D / n))`` of ``np.linspace`` are each
+    within 3.1u D + ulp(m) / 2 of exact, m = max(|lo|, |hi|), and within
+    (n + 1) 2^-1075 more for a subnormal step.  As D <= 2m and u m <= ulp(m),
+    the sum is below 15 ulp(m).  Where the margin is not small (a range 1e-12
+    wide at 3, say), every value takes the exact path.  A value farther from
+    an edge is also in the bin numpy gives: its estimate is then off by at
+    most one.
+    """
+    lo, hi, n = edges[0], edges[-1], len(edges) - 1
+    c = x - lo
+    c *= n / (hi - lo)
+    np.clip(c, 0.5, n - 0.5, out=c)
+    return _floor_bins(c, n, max(abs(lo), abs(hi)), hi - lo,
+                       lambda w: _histogram_bins(x[w], edges))
 
 
 def _shape_segments(seg_t: np.ndarray, sinking: np.ndarray, params: DriverParams,
@@ -120,20 +171,32 @@ def _shape_segments(seg_t: np.ndarray, sinking: np.ndarray, params: DriverParams
     first = np.clip(np.ceil((seg_t - t_start) / dt_ps), 0, n).astype(np.int64)
     bounds = np.append(first, n)
     v_starts, seg_ts = np.asarray(v_start), seg_t.astype(float)
+    steps = v_starts - goals
     out = np.empty(n)
     for s, e in _passes(n):
         # the segments from the one holding sample s to the last starting before e
         k0, k1 = first.searchsorted(s, side="right") - 1, first.searchsorted(e)
         runs = np.minimum(bounds[k0 + 1:k1 + 1], e) - np.maximum(bounds[k0:k1], s)
-        goal, v0, t_seg = (np.repeat(a[k0:k1], runs) for a in (goals, v_starts, seg_ts))
+
+        def each(a: np.ndarray) -> np.ndarray:
+            return np.repeat(a[k0:k1], runs)
+
         if instant:
-            out[s:e] = goal
+            out[s:e] = each(goals)
             continue
-        rel = t_start + dt_ps * np.arange(s, e) - t_seg
+        grid = t_start + dt_ps * np.arange(s, e)
         if exponential:
-            out[s:e] = goal + (v0 - goal) * np.exp(-rel / tau)
+            # goal + (v_start - goal) exp(-(grid - t_seg) / tau), in place: a
+            # difference negated is exact, and so is a quotient's sign
+            leg = out[s:e]
+            np.subtract(each(seg_ts), grid, out=leg)
+            leg /= tau
+            np.exp(leg, out=leg)
+            leg *= each(steps)
+            leg += each(goals)
         else:
-            u = np.clip(rel / t_full, 0.0, 1.0)
+            goal, v0 = each(goals), each(v_starts)
+            u = np.clip((grid - each(seg_ts)) / t_full, 0.0, 1.0)
             out[s:e] = v0 + (goal - v0) * 0.5 * (1.0 - np.cos(np.pi * u))
     return out
 

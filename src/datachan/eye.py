@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .config import check_mask
-from .driver import WaveformTrace, _bin_index, _digits, _int_cells, _join_cells, _passes
+from .driver import (WaveformTrace, _bin_index, _digits, _floor_bins, _histogram_bins, _int_cells,
+                     _join_cells, _passes)
 from .errors import AlignmentError, ResolutionError
 
 
@@ -84,12 +86,33 @@ def build_eye(tx_plus: WaveformTrace, tx_minus: WaveformTrace, ui_ps: float,
 
     ``fold_offset_ps`` picks the waveform time mapped to the left window
     edge; choose it half a UI before a bit center so the eye sits at the
-    window center.  A window shorter than 100 UI is a ``ResolutionError``.
-    The samples are read in passes of ``_PASS_CELLS``: one for the voltage
-    range, ±(1.05 max|Tx+ - Tx-| + 1e-9), and one that counts each sample in
-    its ``np.histogram2d`` bin (``_bin_index``).  The range spans every
-    difference, so each sample of a finite window lands on the grid.
+    window center.  A UI that is not positive and finite, or a non-finite
+    time grid or offset, is a ``ValueError``; a window shorter than 100 UI
+    is a ``ResolutionError``.  The samples are read in passes of
+    ``_PASS_CELLS``: one for the voltage range, ±(1.05 max|Tx+ - Tx-| +
+    1e-9), and one that counts each sample in its ``np.histogram2d`` bin.
+    The range spans every difference, so each sample lands on the grid; its
+    voltage bin is ``_bin_index``'s.
+
+    The time bin is certify-or-exact (``_floor_bins``).  With P = 2 UI and x
+    the sample time less the offset, the fast phase x - P floor(x / P) is
+    scaled by bins_t / P to a bin coordinate.  Where floor(x / P) is right,
+    the fast phase is off from the exact one by the roundings of
+    P floor(x / P) and of the difference, at most u (|x| + 2P) (u = 2^-53),
+    and the scale adds 2.1u P.  The bin it must match is that of
+    ``np.mod(x, P) / ui``, at most two roundings (2u P) from the exact phase,
+    among the edges fl(i fl(2 / bins_t)) of [0, 2], each within 2.1u P of
+    exact.  The sum is below 11 ulp of m = max(|x|, P).  Where floor(x / P)
+    is one off, x is within u |x| of a multiple of P, so the coordinate is
+    near 0 or bins_t, the wrap, which is never certain.  A sample that is not
+    certain gets ``np.mod(x, P) / ui`` and ``_histogram_bins``.
     """
+    if not (math.isfinite(ui_ps) and ui_ps > 0):
+        raise ValueError(f"the eye needs a positive, finite ui_ps, got {ui_ps}")
+    for name, value in (("t0_ps", tx_plus.t0_ps), ("dt_ps", tx_plus.dt_ps),
+                        ("fold_offset_ps", fold_offset_ps)):
+        if not math.isfinite(value):
+            raise ValueError(f"the eye needs a finite {name}, got {value}")
     if tx_plus.dt_ps != tx_minus.dt_ps or tx_plus.t0_ps != tx_minus.t0_ps \
             or len(tx_plus.samples) != len(tx_minus.samples):
         raise AlignmentError("tx_plus and tx_minus are not on the same grid")
@@ -106,9 +129,22 @@ def build_eye(tx_plus: WaveformTrace, tx_minus: WaveformTrace, ui_ps: float,
     t_edges = np.histogram_bin_edges(np.empty(0), bins_t, (0.0, 2.0))
     v_edges = np.histogram_bin_edges(np.empty(0), bins_v, (-vmax, vmax))
     counts = np.zeros(bins_v * bins_t, dtype=np.int64)  # [voltage bin, time bin] cells
+    period = 2.0 * ui_ps
     for s, e in _passes(n):
-        phase = np.mod(tx_plus.times(s, e) - fold_offset_ps, 2.0 * ui_ps) / ui_ps
-        cell = _bin_index(diff(s, e), v_edges) * bins_t + _bin_index(phase, t_edges)
+        x = tx_plus.times(s, e)
+        x -= fold_offset_ps
+        c = x / period
+        np.floor(c, out=c)
+        c *= period
+        np.subtract(x, c, out=c)  # the fast phase, in ps
+        c *= bins_t / period
+        # dt > 0 (the window holds 100 UI), so x is monotone and largest at an end
+        m = max(abs(x[0]), abs(x[-1]), period)
+        t_bin = _floor_bins(c, bins_t, m, period,
+                            lambda w: _histogram_bins(np.mod(x[w], period) / ui_ps, t_edges))
+        cell = _bin_index(diff(s, e), v_edges)
+        cell *= bins_t
+        cell += t_bin
         counts += np.bincount(cell, minlength=len(counts))
     return EyeHistogram(ui_ps=ui_ps, counts=counts.reshape(bins_v, bins_t),
                         t_edges_ui=t_edges, v_edges=v_edges,

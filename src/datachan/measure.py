@@ -23,8 +23,10 @@ def measure_levels(trace: WaveformTrace) -> tuple[float, float, float]:
     The mode of a fine histogram is used instead of a mean so edge samples
     cannot bias the settled levels.  The samples are read in passes: one
     for the range, one that counts each sample in its state's ``np.histogram``
-    bin (``_bin_index``), and one per state that gathers its mode-bin samples
-    in order, for a single mean over all of them.
+    bin (``_bin_index``, certify-or-exact), and one per state that gathers
+    its mode-bin samples in order, for a single mean over all of them.  Where
+    the whole mode bin lies on its state's side of the midpoint, that pass
+    tests the bin alone: it keeps the same samples.
     """
     if len(trace.samples) == 0:
         raise NoSettleError("empty trace")
@@ -34,7 +36,6 @@ def measure_levels(trace: WaveformTrace) -> tuple[float, float, float]:
         return vmin, vmin, 0.0
 
     mid = 0.5 * (vmin + vmax)
-    states = (lambda v: v[v > mid], lambda v: v[v <= mid])
     # the edges span the samples; a row of bins above mid, then one at or below it
     edges = np.histogram_bin_edges(np.empty(0), _MODE_BINS, (vmin, vmax))
     counts = np.zeros(2 * _MODE_BINS, dtype=np.int64)
@@ -47,8 +48,14 @@ def measure_levels(trace: WaveformTrace) -> tuple[float, float, float]:
             raise NoSettleError("no settled interval found")
         modes.append((edges[k], edges[k + 1]))
     levels = []
-    for state, (lo, hi) in zip(states, modes):
-        sel = [x[(x >= lo) & (x <= hi)] for x in map(state, _parts(trace))]
+    for side, (lo, hi) in zip((np.greater, np.less_equal), modes):
+        whole = side(lo, mid) and side(hi, mid)
+        sel = []
+        for v in _parts(trace):
+            keep = (v >= lo) & (v <= hi)
+            if not whole:
+                keep &= side(v, mid)
+            sel.append(v[keep])
         levels.append(float(np.concatenate(sel).mean()))
     v_high, v_low = levels
     return v_high, v_low, v_high - v_low

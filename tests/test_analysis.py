@@ -107,6 +107,22 @@ def test_eye_needs_matching_grids():
                   WaveformTrace(10.0, m.samples[:100]), ui)
 
 
+@pytest.mark.parametrize("ui, dt, t0, fold, bad", [
+    (0.0, 10.0, 0.0, 0.0, "ui_ps, got 0.0"),
+    (-1.0, 10.0, 0.0, 0.0, "ui_ps, got -1.0"),
+    (math.nan, 10.0, 0.0, 0.0, "ui_ps, got nan"),
+    (math.inf, 10.0, 0.0, 0.0, "ui_ps, got inf"),
+    (606.06, 10.0, math.nan, 0.0, "t0_ps, got nan"),
+    (606.06, math.inf, 0.0, 0.0, "dt_ps, got inf"),
+    (606.06, 10.0, 0.0, -math.inf, "fold_offset_ps, got -inf"),
+])
+def test_eye_refuses_a_bad_ui_or_time_grid(ui, dt, t0, fold, bad):
+    # refused before any pass, on one line, rather than binned as a nan phase
+    p, m = (WaveformTrace(dt, t.samples, t0) for t in _eye_traces(606.06))
+    with pytest.raises(ValueError, match=f"^the eye needs a (positive, )?finite {bad}$"):
+        build_eye(p, m, ui, fold_offset_ps=fold)
+
+
 def test_eye_total_counts_all_samples():
     ui = 606.06
     p, m = _eye_traces(ui)

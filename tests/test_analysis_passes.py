@@ -7,17 +7,19 @@ pass, and they must not allocate temporaries as long as the window.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_analysis
-from datachan import driver as drv, measure
+from datachan import driver as drv, eye as eyemod, measure
 from datachan.config import ChannelConfig, DriverParams, SpikeModel
 from datachan.errors import NoSettleError, NoTransitionError
 from datachan.eye import EyeHistogram, EyeMask, build_eye, mask_check
 from datachan.measure import measure_edge, measure_levels
+from datachan.scenario import PRESETS, run_scenario
 from datachan.spectrum import spectrum
 from reference_analysis import (assert_same_array, ref_build_eye, ref_mask_check,
                                 ref_measure_edge, ref_measure_levels, ref_spectrum,
@@ -190,15 +192,29 @@ def on_and_beside(edges):
     return np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), bins_t=st.sampled_from(BIN_COUNTS), aligned=st.booleans(),
+@settings(max_examples=80, deadline=None)
+@given(bins=st.lists(st.sampled_from(BIN_COUNTS), min_size=2, max_size=2, unique=True),
+       ui=st.one_of(st.sampled_from([1.0, 606.0606060606061]), st.floats(0.05, 1e3)),
+       per_ui=st.one_of(st.sampled_from([2.7027027027027026]), st.floats(2.0, 60.0)),
+       t0=st.one_of(st.sampled_from([0.0, -0.0, 10040.0, 2.0**50]), st.floats(-1e7, 1e7)),
+       fold=st.one_of(st.sampled_from([0.0, 0.15, -1.3]), st.floats(-1e7, 1e7)),
        seed=st.integers(0, 2**32 - 1), chunk=st.sampled_from([997, P]))
-def test_eye_bins_match_histogram2d(data, bins_t, aligned, seed, chunk):
-    bins_v = data.draw(st.sampled_from([b for b in BIN_COUNTS if b != bins_t]), "bins_v")
+# phases on the time edges: a step of 2 / bins_t at one UI
+@example(bins=[128, 100], ui=1.0, per_ui=64.0, t0=0.0, fold=0.0, seed=1, chunk=P)
+@example(bins=[7, 2001], ui=1.0, per_ui=3.5, t0=0.0, fold=0.0, seed=2, chunk=997)
+# phases on the wrap, from below zero: -2^-1074 folds to 2 UI, the right edge
+@example(bins=[128, 100], ui=1.0, per_ui=2.0, t0=0.0, fold=2.0**-1074, seed=3, chunk=P)
+@example(bins=[3, 128], ui=1.0, per_ui=2.0, t0=-1e6, fold=0.0, seed=4, chunk=997)
+# decimal steps, every fourth on the wrap but for rounding, out to some 250 UI
+@example(bins=[1, 2], ui=0.05, per_ui=2.0, t0=0.0, fold=0.15, seed=0, chunk=997)
+# a UI of dt * bins_t / 2: every sample on a time edge
+@example(bins=[128, 100], ui=640.0, per_ui=64.0, t0=10040.0, fold=9720.0, seed=5, chunk=P)
+@example(bins=[100, 128], ui=640.0, per_ui=64.0, t0=10040.0, fold=-9720.0, seed=6, chunk=997)
+def test_eye_bins_match_histogram2d(bins, ui, per_ui, t0, fold, seed, chunk):
+    bins_t, bins_v = bins
     rng = np.random.default_rng(seed)
-    # at one UI, a step of 2 / bins_t puts the first bins_t phases on the time edges
-    dt, fold = (2.0 / bins_t, 0.0) if aligned else (0.37, data.draw(st.sampled_from([0.15, -1.3])))
-    n = int(np.ceil(100.0 / dt)) + int(rng.integers(0, 300))
+    dt = ui / per_ui
+    n = int(np.ceil(100.0 * per_ui)) + 1 + int(rng.integers(0, 300))
     v_edges = np.histogram_bin_edges(np.empty(0), bins_v, (-V_MAX, V_MAX))
     # on and beside every voltage edge within ±0.5, so the derived range stays ±V_MAX
     near = on_and_beside(v_edges)
@@ -206,13 +222,60 @@ def test_eye_bins_match_histogram2d(data, bins_t, aligned, seed, chunk):
     plus = rng.choice(np.concatenate(pool), n)
     plus[rng.integers(n)] = rng.choice([0.5, -0.5])
     minus = np.where(rng.random(n) < 0.5, -0.0, 0.0)  # a difference keeps its sign of zero
-    traces = [drv.WaveformTrace(dt, v, 0.0) for v in (plus, minus)]
-    args = (*traces, 1.0, bins_t, bins_v)
+    traces = [drv.WaveformTrace(dt, v, t0) for v in (plus, minus)]
+    args = (*traces, ui, bins_t, bins_v)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(drv, "_PASS_CELLS", chunk)
         got = build_eye(*args, fold_offset_ps=fold)
     assert_same_array(got.v_edges, v_edges, "v_edges")
     assert_same_eye(got, ref_build_eye(*args, fold_offset_ps=fold))
+
+
+@pytest.mark.parametrize("lo, width, bins, everything", [
+    (3.0, 1e-12, 100, True),  # a margin of 0.7 bins: every value takes the exact path
+    (-V_MAX, 2 * V_MAX, 128, False),  # only values on and beside the inner edges do
+])
+def test_bin_index_sends_what_it_cannot_certify_to_the_exact_path(lo, width, bins, everything):
+    edges = np.histogram_bin_edges(np.empty(0), bins, (lo, lo + width))
+    near = on_and_beside(edges)
+    x = np.concatenate([near[(near >= edges[0]) & (near <= edges[-1])],
+                        np.random.default_rng(7).uniform(edges[0], edges[-1], 1000)])
+    sent, exact = [], drv._histogram_bins
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(drv, "_histogram_bins", lambda v, e: sent.append(v) or exact(v, e))
+        got = drv._bin_index(x, edges)
+    assert_same_array(got, exact(x, edges), "bins")
+    assert_same_array(np.bincount(got, minlength=bins),
+                      np.histogram(x, bins, (edges[0], edges[-1]))[0], "counts")
+    want = x if everything else on_and_beside(edges[1:-1])
+    assert_same_array(np.sort(np.concatenate(sent)), np.sort(want), "sent")
+
+
+def test_few_values_take_the_exact_path_on_a_report_window(tmp_path):
+    """On the default 1500-word ``stream-prbs10`` report window, under 1% of the
+    values that the eye and the level measurement bin take the exact path, so
+    a margin that sent them all there would fail here, not only in a bench."""
+    seen = {"eye time": [0, 0], "voltage": [0, 0]}
+
+    def counting(real, tally):
+        def floor_bins(c, n, m, d, exact):
+            tally[0] += len(c)
+
+            def sent(w):
+                tally[1] += len(w)
+                return exact(w)
+            return real(c, n, m, d, sent)
+        return floor_bins
+
+    sc = replace(PRESETS["stream-prbs10"], n_words=1500, outputs=("report",))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eyemod, "_floor_bins", counting(eyemod._floor_bins, seen["eye time"]))
+        mp.setattr(drv, "_floor_bins", counting(drv._floor_bins, seen["voltage"]))
+        assert run_scenario(ChannelConfig(), sc, tmp_path).passed
+    (n, _), (binned, _) = seen["eye time"], seen["voltage"]
+    assert n > 900_000 and binned == 2 * n  # the eye's two axes and the levels
+    total, exact = np.sum(list(seen.values()), axis=0)
+    assert exact < 0.01 * total, seen
 
 
 @settings(max_examples=80, deadline=None)
