@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from datachan import ChannelConfig, advance, build_channel, golden, protocol, stimulus
 from datachan.errors import ConfigError, ContentionError
-from datachan.logic import HIGH, LOW, UNKNOWN
+from datachan.logic import HIGH, LOW, UNKNOWN, Level
 from datachan.netlist import Buffer, ChannelNetlist, DFlipFlop, ResetBlock, SharedLine
 from reference_kernel import (NetEvent, ReferenceSimulator, ZeroDelayLoopError, mux_lines,
                               net_events, stimulus_of, traces_from_histories)
@@ -483,4 +483,65 @@ def test_hand_built_stimulus_matches_reference_or_is_refused(run):
     got = _outcome_or_error(advance, netlist, events, until)
     if isinstance(got, tuple) and got[0] is ValueError and "the ring needs them" in got[1]:
         return
+    assert got == _outcome_or_error(ReferenceSimulator, netlist, events, until)
+
+
+@st.composite
+def ring_runs(draw):
+    """A hand-built ring as ``_Run._find_ring`` admits it: 2-4 flip-flops on the falling
+    ``Dclk``, closed by a buffer of the last select and a reset block.  ``Dclk`` is a
+    primary input or a buffer of ``Clock`` whose delay is below, equal to or above the
+    reset block's; ``Clock`` is a primary input or, so that a fall's trigger is queued, a
+    buffer of one.  Disable/Enable change on clock and ``Dclk`` edges, one ps either side
+    of them and one reset delay before a fall, listed before or after a clock change of
+    their time."""
+    n = draw(st.integers(2, 4))
+    ffs = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    blast, dclk = draw(st.integers(1, 9)), draw(st.sampled_from(("primary", "below", "equal",
+                                                                 "above")))
+    reset = draw(st.integers(2 if dclk == "below" else 1, 8 if dclk == "above" else 9))
+    lo, hi = {"primary": (0, 0), "below": (1, reset - 1), "equal": (reset, reset),
+              "above": (reset + 1, 9)}[dclk]
+    buf = draw(st.integers(lo, hi))  # the Dclk buffer's delay, 0 for a primary Dclk
+    sels = [f"S{k}" for k in range(1, n + 1)]
+    comps = [DFlipFlop("Dclk", d, q, delay) for d, q, delay in zip(["Start"] + sels, sels, ffs)]
+    comps += [Buffer(sels[-1], "B", blast), ResetBlock("Dclk", "Disable", "Enable", "B", "Start",
+                                                       reset)]
+    relay = draw(st.integers(1, 9)) if buf and draw(st.booleans()) else 0
+    clock = "Dclk" if not buf else "Pclk" if relay else "Clock"
+    for src, dst, delay in (("Clock", "Dclk", buf), ("Pclk", "Clock", relay)):
+        if delay:
+            comps.insert(draw(st.integers(0, len(comps))), Buffer(src, dst, delay))
+    netlist = ChannelNetlist(nets=[clock, "Disable", "Enable", *(["Clock"] if relay else []),
+                                   *(["Dclk"] if buf else []), "Start", *sels, "B"],
+                             primary_inputs=[clock, "Disable", "Enable"], components=comps)
+    need = max(*ffs, ffs[-1] + blast + reset)
+    half = need + draw(st.integers(1, 6))
+    first = draw(st.sampled_from((LOW, HIGH)))
+    edges = [(k * half, first if k % 2 == 0 else 1 - first)
+             for k in range(draw(st.integers(4, 24)))]
+    # (time, rank, event): a control change ranks before (0) or after (2) a clock change
+    events = [(t, 1, NetEvent(t, clock, Level(level))) for t, level in edges]
+    levels = st.sampled_from((LOW, HIGH, LOW, HIGH, UNKNOWN))
+    events += [(0, 0, NetEvent(0, net, draw(levels))) for net in ("Disable", "Enable")]
+    for _ in range(draw(st.integers(0, 12))):
+        # on a clock edge, on the edges it makes, or one reset delay before the Dclk edge
+        lag = relay + buf
+        t = draw(st.sampled_from(edges))[0] + draw(st.sampled_from((0, relay, lag, lag - reset)))
+        t = max(0, t + draw(st.sampled_from((-1, 0, 0, 1))))
+        events.append((t, draw(st.sampled_from((0, 2))),
+                       NetEvent(t, draw(st.sampled_from(("Disable", "Enable"))), draw(levels))))
+    events.sort(key=lambda e: e[:2])
+    return netlist, [ev for _, _, ev in events], edges[-1][0] + relay + buf + need + draw(
+        st.integers(0, 20))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ring_runs())
+def test_hand_built_rings_match_reference(run):
+    # the ring pass decides which Disable/Enable changes a fall's Start sees
+    # from the Dclk driver's delay against the reset block's, and from the
+    # order of same-time changes
+    netlist, events, until = run
+    got = _outcome_or_error(advance, netlist, events, until)
     assert got == _outcome_or_error(ReferenceSimulator, netlist, events, until)
