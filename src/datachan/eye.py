@@ -32,15 +32,19 @@ class EyeHistogram:
         """One line of comma-separated counts per voltage bin.
 
         Each count is a cell of a sign byte and the digits of its magnitude,
-        followed by a ``,`` or, at the end of a row, a newline.
+        followed by a ``,`` or, at the end of a row, a newline.  The widest
+        magnitude is that of the least or the greatest count.
         """
         rows, cols = self.counts.shape
         if not rows or not cols:
             return memoryview(b"\n" * max(rows, 1))
         values = self.counts.ravel()
-        # np.abs(-2**63) wraps to -2**63, whose uint64 cast is its magnitude
-        mags = np.abs(values).astype(np.uint64)
-        width = _digits(mags)
+
+        def mags(s: int, e: int) -> np.ndarray:
+            # np.abs(-2**63) wraps to -2**63, whose uint64 cast is its magnitude
+            return np.abs(values[s:e]).astype(np.uint64)
+
+        width = max(_digits(mags(i, i + 1)) for i in (values.argmin(), values.argmax()))
 
         def signs(cells: np.ndarray, s: int, e: int) -> None:
             cells[:, 0] = (values[s:e] < 0) * np.uint8(ord("-"))
@@ -49,7 +53,7 @@ class EyeHistogram:
             cells[:, 0] = np.where(np.arange(s, e) % cols == cols - 1, ord("\n"), ord(","))
 
         return _join_cells(len(values), [
-            (1, signs), (width, lambda cells, s, e: _int_cells(mags[s:e], width, cells)),
+            (1, signs), (width, lambda cells, s, e: _int_cells(mags(s, e), width, cells)),
             (1, ends)])
 
 
@@ -145,7 +149,7 @@ def build_eye(tx_plus: WaveformTrace, tx_minus: WaveformTrace, ui_ps: float,
         cell = _bin_index(diff(s, e), v_edges)
         cell *= bins_t
         cell += t_bin
-        counts += np.bincount(cell, minlength=len(counts))
+        np.add.at(counts, cell, 1)
     return EyeHistogram(ui_ps=ui_ps, counts=counts.reshape(bins_v, bins_t),
                         t_edges_ui=t_edges, v_edges=v_edges,
                         fold_offset_ps=fold_offset_ps)
@@ -159,29 +163,18 @@ def mask_check(eye: EyeHistogram, mask: EyeMask) -> tuple[bool, float]:
     falls back to the clearance between mask and grid edge.
     """
     t_centers = 0.5 * (eye.t_edges_ui[:-1] + eye.t_edges_ui[1:]) - 1.0
-    v_centers = (0.5 * (eye.v_edges[:-1] + eye.v_edges[1:])).tolist()
+    v_centers = 0.5 * (eye.v_edges[:-1] + eye.v_edges[1:])
 
-    # the mask extent depends only on the bin's time column
-    extents = [mask.vertical_extent(x) for x in t_centers.tolist()]
-    margin = None
-    violated = False
+    # the mask extent depends only on the bin's time column: nan where it has none
+    extents = [mask.vertical_extent(x) or (math.nan, math.nan) for x in t_centers.tolist()]
+    v_lo, v_hi = np.array(extents, dtype=float).reshape(-1, 2).T
     vi, ti = np.nonzero(eye.counts)
-    for iv, it in zip(vi.tolist(), ti.tolist()):
-        extent = extents[it]
-        if extent is None:
-            continue
-        v = v_centers[iv]
-        v_lo, v_hi = extent
-        if v < v_lo:
-            d = v_lo - v
-        elif v > v_hi:
-            d = v - v_hi
-        else:
-            violated = True
-            d = -min(v - v_lo, v_hi - v)
-        margin = d if margin is None else min(margin, d)
-
-    if margin is None:
+    under = ~np.isnan(v_lo[ti])
+    v, ti = v_centers[vi[under]], ti[under]
+    # the clearance below v_lo or above v_hi, and minus the nearer one inside (-0.0 on
+    # the edge): v_lo <= v_hi, so the lesser difference is the one to negate
+    d = -np.minimum(v - v_lo[ti], v_hi[ti] - v)
+    if not len(d):
         mask_vs = [v for _, v in mask.vertices]
-        margin = min(eye.v_edges[-1] - max(mask_vs), min(mask_vs) - eye.v_edges[0])
-    return (not violated, float(margin))
+        return True, float(min(eye.v_edges[-1] - max(mask_vs), min(mask_vs) - eye.v_edges[0]))
+    return not (d <= 0).any(), float(d.min())

@@ -40,7 +40,7 @@ def measure_levels(trace: WaveformTrace) -> tuple[float, float, float]:
     edges = np.histogram_bin_edges(np.empty(0), _MODE_BINS, (vmin, vmax))
     counts = np.zeros(2 * _MODE_BINS, dtype=np.int64)
     for v in _parts(trace):
-        counts += np.bincount(_bin_index(v, edges) + _MODE_BINS * (v <= mid), minlength=len(counts))
+        np.add.at(counts, _bin_index(v, edges) + _MODE_BINS * (v <= mid), 1)
     modes = []
     for total in counts.reshape(2, -1):
         k = int(np.argmax(total))

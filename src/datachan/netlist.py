@@ -14,7 +14,8 @@ kernel that ``tests/reference_kernel.py`` runs: a component queues its level
 queued last; at one time the stimulus comes first, in column order, then
 queue order (what an earlier change queued first, what one change queued in
 component order).  Each change is a row of a log and knows the row that
-queued it, so this order is the row's key (``_Run._key``).  Three passes:
+queued it; a queued row's component is its net's one driver, so this order is
+the row's key (``_Run._key``), read from the net's column.  Three passes:
 
 1. ``Dclk``: ``Clock`` shifted by ``buffer_delay_ps`` (``Buffer.levels``).
 2. The ring (``_Run._ring``), one scalar pass over the falling ``Dclk``
@@ -43,6 +44,7 @@ and the wired lines meet the bus update.
 
 from __future__ import annotations
 
+import bisect
 import graphlib
 from dataclasses import dataclass, field
 
@@ -255,9 +257,10 @@ def build_channel(config: ChannelConfig) -> ChannelNetlist:
 class _Run:
     """One evaluation of a netlist: a log of its changes, a row each, numbered in
     the order added.  Rows ``0 .. n_stim - 1`` are the stimulus in column order;
-    every later one was queued by the row ``trig`` through a component.
-    ``cols[net]`` holds a net's rows in the order applied: numbers, times (int64),
-    levels (int8) and triggers."""
+    every later one was queued by the row ``trig`` through its net's driver, in a
+    block of consecutive rows that ``_add`` logs for that net.  ``cols[net]`` holds
+    a net's rows in the order applied: numbers, times (int64), levels (int8) and
+    triggers."""
 
     def __init__(self, netlist: ChannelNetlist):
         self.nets, self.comps = netlist.nets, netlist.components
@@ -313,8 +316,9 @@ class _Run:
     def run(self, stimulus: Stimulus, until_ps: int) -> SignalTraces:
         net = self._check(stimulus, until_ps)
         self.until, self.n_stim, self.stim_t = until_ps, len(stimulus), stimulus.times
-        self.size, self.added, self.conflicts = len(stimulus), [], []
-        self.cols, self._flat, self._last = {}, None, ((),)
+        self.size, self.conflicts = len(stimulus), []
+        self.block_rows, self.block_nets = [], []  # the first row and net of each block
+        self.cols, self._last = {}, ((),)
         order = np.argsort(net, kind="stable")
         bounds = np.searchsorted(net[order], np.arange(len(self.nets) + 1)).tolist()
         for name, a, b in zip(self.nets, bounds, bounds[1:]):
@@ -328,7 +332,7 @@ class _Run:
         if self.conflicts:
             raise min(self.conflicts, key=lambda c: c[:2])[2]
         columns = [self.cols[name][1:3] for name in self.nets]
-        self.cols = self._flat = self._last = None  # not kept while the traces are built
+        self.cols = self._last = None  # not kept while the traces are built
         return SignalTraces.from_columns(self.nets, columns, until_ps)
 
     def _check(self, stimulus: Stimulus, until_ps: int) -> np.ndarray:
@@ -350,23 +354,15 @@ class _Run:
             raise ValueError("simulation horizon ends before the last stimulus event")
         return net
 
-    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The time, trigger and component index of every row (-1: stimulus)."""
-        if self._flat is None:
-            added = [self.cols[net] for net, _ in self.added]
-            self._flat = (np.concatenate([self.stim_t] + [c[1] for c in added]),
-                          np.concatenate([np.full(self.n_stim, -1)] + [c[3] for c in added]),
-                          np.repeat([-1] + [ci for _, ci in self.added],
-                                    [self.n_stim] + [len(c[1]) for c in added]))
-        return self._flat
-
     def _key(self, row: int) -> tuple:
         """The order of ``row`` among the rows of its time: ``(t, 0, row)`` for a
         stimulus row, ``(t, 1, key of its trigger, component)`` for a queued one."""
-        t, trig, comp = self._table()
         if row < self.n_stim:
-            return int(t[row]), 0, row
-        return int(t[row]), 1, self._key(int(trig[row])), int(comp[row])
+            return int(self.stim_t[row]), 0, row
+        net = self.block_nets[bisect.bisect_right(self.block_rows, row) - 1]
+        rows, t, _, trig = self.cols[net]
+        i = row - int(rows[0])
+        return int(t[i]), 1, self._key(int(trig[i])), self.comp_index[self.driver[net]]
 
     def _merged(self, nets: tuple[str, ...]) -> tuple:
         """The rows of ``nets`` in the order applied, their times, and each net's
@@ -392,9 +388,9 @@ class _Run:
         end = int(at.searchsorted(self.until, side="right"))
         rows = np.arange(self.size, self.size + end)
         self.cols[comp.output] = rows, at[:end], level[:end], trig[:end]
-        self.added.append((comp.output, self.comp_index[comp]))
+        self.block_rows.append(self.size)
+        self.block_nets.append(comp.output)
         self.size += end
-        self._flat = None
 
     def _drive(self, comp):
         """Log ``comp``'s changes by its ``levels`` rule; note its first conflict."""
@@ -432,15 +428,18 @@ class _Run:
                         np.searchsorted(self.stim_t, t[rises], side="right"))
         armed = np.append(np.int8(2), _AND[_NOT[after(dis, seen)], after(en, seen)])
         armed = np.append(np.int8(2), armed[np.searchsorted(rises, falls)][:-1])
-        # Disable/Enable as Start shows them at each fall: a change made
-        # buffer_delay_ps before it counts if it precedes the fall's trigger
-        made, (tab_t, _, tab_comp) = fall_t - reset.delay_ps, self._table()
-        trig = trig[falls]
-        trig_t = np.where(trig < 0, made - 1, tab_t[trig])  # a stimulus fall: after all
-        left, right = (np.searchsorted(self.stim_t, made, side=side) for side in ("left", "right"))
-        seen = np.where(trig_t < made, left, right)
-        seen = np.where((trig_t == made) & (trig < self.n_stim),
-                        trig + (self.comp_index[reset] < tab_comp[rows[falls]]), seen)
+        # Disable/Enable as Start shows them at each fall: a change at ``made``
+        # counts if listed before the fall's trigger, the Dclk driver's delay before
+        # the fall; a primary Dclk fall counts as an earlier trigger.  A stimulus
+        # trigger at ``made`` follows the rows before it, and itself if the reset
+        # block comes first; a queued one follows every row of its time
+        made, driver = fall_t - reset.delay_ps, self.driver.get(reset.dclk)
+        lag = driver.delay_ps - reset.delay_ps if driver else 1
+        seen = np.searchsorted(self.stim_t, made, side="left" if lag > 0 else "right")
+        if lag == 0:
+            trig = trig[falls]
+            seen = np.where(trig < self.n_stim,
+                            trig + (self.comp_index[reset] < self.comp_index[driver]), seen)
         ndis = _NOT[after(dis, seen)]
         n = len(chain)
         start = [2] * n  # start[n + i]: Start at fall i; start[i]: the last select then

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import statistics
 import tracemalloc
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
+
+import numpy as np
 
 from . import driver as drv
 from . import eye as eyemod
@@ -276,7 +277,9 @@ def _synthesize(config: ChannelConfig, schedule: stimulus.ProtocolSchedule, trac
                                traces, config.driver, config.dt_ps)
     enables = schedule.times_of(stimulus.Action.ENABLE_PULSE)
     n_off = max(1, int((enables[0] - tx_plus.t0_ps) / tx_plus.dt_ps)) if enables else None
-    return tx_plus, tx_minus, statistics.median(tx_plus.samples[:n_off].tolist())
+    off = tx_plus.samples[:n_off]  # the mean of the middle one or two (np.median imports numpy.ma)
+    lo, hi = (len(off) - 1) // 2, len(off) // 2
+    return tx_plus, tx_minus, float(np.partition(off, [lo, hi])[lo:hi + 1].mean())
 
 
 def _stream_checks(config: ChannelConfig, sc: Scenario, words: list[stimulus.Word],

@@ -358,21 +358,33 @@ def test_edge_end_at_a_start_time_does_not_pair(which):
 # mask check: one extent per time column
 
 
-@st.composite
-def eyes(draw):
-    bins_t = draw(st.sampled_from([1, 2, 5, 128]))
-    bins_v = draw(st.sampled_from([1, 3, 128]))
-    half = draw(st.sampled_from([0.05, 0.1, 0.2, 0.5, 0.8]))
-    density = draw(st.sampled_from([0.0, 0.002, 0.05, 0.5, 1.0]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    counts = np.where(rng.random((bins_v, bins_t)) < density,
-                      rng.integers(1, 1000, (bins_v, bins_t)), 0)
+def grid_eye(counts, half):
+    """An eye of ``counts`` over two UI and ``[-half, half]``."""
+    bins_v, bins_t = counts.shape
     return EyeHistogram(ui_ps=UI, counts=counts, t_edges_ui=np.linspace(0.0, 2.0, bins_t + 1),
                         v_edges=np.linspace(-half, half, bins_v + 1))
 
 
+@st.composite
+def eyes(draw):
+    bins_t = draw(st.sampled_from([1, 2, 4, 5, 128]))
+    bins_v = draw(st.sampled_from([1, 2, 3, 128]))
+    half = draw(st.sampled_from([0.05, 0.1, 0.2, 0.4, 0.5, 0.8]))
+    density = draw(st.sampled_from([0.0, 0.002, 0.05, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = np.where(rng.random((bins_v, bins_t)) < density,
+                      rng.integers(1, 1000, (bins_v, bins_t)), 0)
+    return grid_eye(counts, half)
+
+
 @settings(max_examples=300, deadline=None)
 @given(eye=eyes())
+# the bin centered on the mask's lower edge at the eye center (margin -0.0)
+@example(eye=grid_eye(np.array([[1], [0]]), 0.4))
+# bins on the mask's boundary at its corners, ±0.25 UI, and beside its span
+@example(eye=grid_eye(np.array([[1, 1, 1, 1]]), 0.4))
+# bins occupied beside the mask's span only: the grid-edge fallback
+@example(eye=grid_eye(np.ones((3, 2), dtype=np.int64), 0.5))
 def test_mask_check_matches_per_bin_loop(eye):
     mask = EyeMask(ChannelConfig().mask_vertices)
     got, want = mask_check(eye, mask), ref_mask_check(eye, mask)
@@ -425,6 +437,28 @@ def test_analysis_memory_is_bounded_by_passes(big_pair, stage):
     else:
         peak = traced_peak(measure_edge, minus, stage, measure_levels(minus))
     assert peak < PASS_BOUND, f"{stage}: {peak / 1e6:.2f} MB above the inputs"
+
+
+EYE_BINS = 2048  # 4M cells: a temporary the size of the grid would double the peak
+
+
+@pytest.fixture(scope="module")
+def fine_eye_pair():
+    return shaped_pair(20_000, 10.0, 0.0, seed=7, noise=2e-3)
+
+
+def test_eye_holds_its_counts_and_a_pass(fine_eye_pair):
+    counts = 8 * EYE_BINS**2
+    peak = traced_peak(build_eye, *fine_eye_pair, UI, EYE_BINS, EYE_BINS, fold_offset_ps=-UI / 2)
+    assert peak <= counts + PASS_BOUND, f"{peak / 1e6:.2f} MB above the input"
+
+
+def test_eye_csv_holds_its_output_and_a_pass(fine_eye_pair):
+    eye = build_eye(*fine_eye_pair, UI, EYE_BINS, EYE_BINS, fold_offset_ps=-UI / 2)
+    # a sign byte, the digits and a separator per count
+    output = EYE_BINS**2 * (len(str(eye.counts.max())) + 2)
+    peak = traced_peak(eye.to_csv)
+    assert peak <= output + PASS_BOUND, f"{peak / 1e6:.2f} MB above the eye"
 
 
 def test_spectrum_holds_one_padded_copy_and_one_transform(big_pair):
