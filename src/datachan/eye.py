@@ -165,16 +165,17 @@ def mask_check(eye: EyeHistogram, mask: EyeMask) -> tuple[bool, float]:
     t_centers = 0.5 * (eye.t_edges_ui[:-1] + eye.t_edges_ui[1:]) - 1.0
     v_centers = 0.5 * (eye.v_edges[:-1] + eye.v_edges[1:])
 
-    # the mask extent depends only on the bin's time column: nan where it has none
-    extents = [mask.vertical_extent(x) or (math.nan, math.nan) for x in t_centers.tolist()]
+    # the mask extent depends only on the bin's time column; where the mask has
+    # none, the empty [inf, -inf] gives every bin an infinite clearance
+    extents = [mask.vertical_extent(x) or (math.inf, -math.inf) for x in t_centers.tolist()]
     v_lo, v_hi = np.array(extents, dtype=float).reshape(-1, 2).T
     vi, ti = np.nonzero(eye.counts)
-    under = ~np.isnan(v_lo[ti])
-    v, ti = v_centers[vi[under]], ti[under]
+    v = v_centers[vi]
     # the clearance below v_lo or above v_hi, and minus the nearer one inside (-0.0 on
     # the edge): v_lo <= v_hi, so the lesser difference is the one to negate
     d = -np.minimum(v - v_lo[ti], v_hi[ti] - v)
-    if not len(d):
+    margin = float(d.min(initial=math.inf))
+    if margin == math.inf:
         mask_vs = [v for _, v in mask.vertices]
         return True, float(min(eye.v_edges[-1] - max(mask_vs), min(mask_vs) - eye.v_edges[0]))
-    return not (d <= 0).any(), float(d.min())
+    return margin > 0, margin  # a bin inside, or on the edge (-0.0), violates
