@@ -167,7 +167,8 @@ def mask_check(eye: EyeHistogram, mask: EyeMask) -> tuple[bool, float]:
 
     # the mask extent depends only on the bin's time column; where the mask has
     # none, the empty [inf, -inf] gives every bin an infinite clearance
-    extents = [mask.vertical_extent(x) or (math.inf, -math.inf) for x in t_centers.tolist()]
+    empty = (math.inf, -math.inf)
+    extents = [mask.vertical_extent(x) or empty for x in t_centers.tolist()]
     v_lo, v_hi = np.array(extents, dtype=float).reshape(-1, 2).T
     vi, ti = np.nonzero(eye.counts)
     v = v_centers[vi]
