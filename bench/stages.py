@@ -22,9 +22,12 @@ scenario runs ``REPEAT`` times untraced, for the median time of each stage by
 position and the median ``vm_hwm_mb``: the process's peak resident MB, the
 highest ``VmHWM`` of ``/proc/self/status`` read up to the stage's end, which
 counts what ``tracemalloc`` does not see, such as pocketfft's buffers, and
-only the pages touched.  It runs once more under ``tracemalloc``, for the
-traced MB live before and after each stage and the peak while it ran.  The
-artifacts are the same files a plain run writes.
+only the pages touched.  Before each stage of an untraced run the cyclic
+garbage collector runs, outside the stage's timed interval, so that no stage
+pays for a collection that the allocations of earlier ones set off.  It runs
+once more under ``tracemalloc``, for the traced MB live before and after each
+stage and the peak while it ran.  The artifacts are the same files a plain run
+writes.
 
 ``--ab OTHER_ROOT`` compares this tree with another checkout, whose runs
 import the package from its ``src``: the untraced runs go in ``REPEAT`` pairs,
@@ -38,6 +41,7 @@ changed reads 1 within them.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -95,6 +99,7 @@ def _run(sc: scenario.Scenario, traced: bool) -> tuple[list[dict], bool, dict, d
         return traces
 
     def peaked(result, name, fn, /, *args, **kwargs):
+        gc.collect()  # before the stage's timer starts
         try:
             return stage(result, name, fn, *args, **kwargs)
         finally:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,12 @@ class WaveformTrace:
     dt_ps: float
     samples: np.ndarray
     t0_ps: float = 0.0
+    # a leg of edge shapes (``synthesize_tx``) also keeps the table its samples
+    # were gathered from: sample first[k] + j, before first[k + 1], is
+    # table[offset[k] + j]
+    table: np.ndarray | None = None
+    first: np.ndarray | None = None
+    offset: np.ndarray | None = None
 
     def __post_init__(self):
         """Hold float64 samples; a float64 array is kept, so a window stays a view."""
@@ -39,6 +47,19 @@ class WaveformTrace:
         """Sample times ``start`` to ``stop - 1`` (default: all of them)."""
         stop = len(self.samples) if stop is None else stop
         return self.t0_ps + self.dt_ps * np.arange(start, stop)
+
+    def window(self, i0: int, i1: int) -> WaveformTrace:
+        """Samples ``i0`` to ``i1 - 1`` (0 <= i0 <= i1) as a trace: a view, with
+        the segments of the table that they cover."""
+        trace = WaveformTrace(self.dt_ps, self.samples[i0:i1], self.t0_ps + i0 * self.dt_ps)
+        if self.table is not None:
+            k0, k1 = self.first.searchsorted(i0, side="right") - 1, self.first.searchsorted(i1)
+            first, offset = self.first[k0:k1] - i0, self.offset[k0:k1].copy()
+            if len(first):  # the first segment starts at sample i0
+                offset[0] -= first[0]
+                first[0] = 0
+            trace.table, trace.first, trace.offset = self.table, first, offset
+        return trace
 
 
 def _sink_timeline(traces: SignalTraces, nets: tuple[str, str],
@@ -135,69 +156,175 @@ def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
                        lambda w: _histogram_bins(x[w], edges))
 
 
-def _shape_segments(seg_t: np.ndarray, sinking: np.ndarray, params: DriverParams,
-                    dt_ps: float, t_start: float, n: int) -> np.ndarray:
-    """Edge-shaped leg voltage on ``n`` samples from its steps: at each time of
-    ``seg_t`` the leg starts toward the level that ``sinking`` flags there.
+def _spans(first: np.ndarray, s: int, e: int) -> tuple[int, int, np.ndarray]:
+    """``(k0, k1, runs)``: segments ``k0`` to ``k1 - 1`` of the ascending ``first``
+    (``first[0] <= s``) hold samples ``s`` to ``e - 1``, ``runs`` of them each."""
+    k0, k1 = first.searchsorted(s, side="right") - 1, first.searchsorted(e)
+    starts = np.maximum(first[k0:k1], s)
+    runs = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=runs[:-1])
+    runs[-1] = e - starts[-1]
+    return k0, k1, runs
+
+
+def _ramps(first: np.ndarray, start: np.ndarray, step: int, s: int, e: int) -> np.ndarray:
+    """``start[k] + step * i`` (int64) for each sample i from s to e - 1, where
+    segment k of the strictly ascending ``first`` (``first[0] <= s``) holds i.
+
+    A running sum of ``step`` that jumps where a segment starts: faster than
+    repeating ``start`` over short runs.
+    """
+    k0, k1 = first.searchsorted(s, side="right") - 1, first.searchsorted(e)
+    out = np.empty(e - s, dtype=np.int64)
+    out.fill(step)
+    out[first[k0 + 1:k1] - s] += start[k0 + 1:k1] - start[k0:k1 - 1]
+    out[0] = start[k0] + step * s
+    return np.cumsum(out, out=out)
+
+
+def _ranks(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rank of each element of ``x`` among its distinct values, and how
+    many there are.
+
+    A sort and a search: ``np.unique`` would sort with kernels that no other
+    stage runs, whose code adds 0.4 MB to a short run's resident peak.
+    """
+    values = np.sort(x)
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    values = values[keep]
+    return np.searchsorted(values, x), len(values)
+
+
+def _exact_grid(t_start: float, dt_ps: float, n: int, seg_ts: list) -> bool:
+    """Whether ``t_start``, ``dt_ps`` and every step time of ``seg_ts`` are
+    integers and every time, up to ``t_start + n dt_ps``, lies in [0, 2^53):
+    then every ``grid - seg_t`` is an exact integer."""
+    times = [t_start, t_start + n * dt_ps, dt_ps]
+    times += [t for seg_t in seg_ts if len(seg_t) for t in (seg_t.min(), seg_t.max())]
+    return (all(float(t).is_integer() and 0 <= t < 2.0**53 for t in times)
+            and all(seg_t.dtype.kind in "iu" or (np.floor(seg_t) == seg_t).all()
+                    for seg_t in seg_ts))
+
+
+def _shape_segments(timelines: list, params: DriverParams, dt_ps: float,
+                    t_start: float, n: int) -> list[WaveformTrace]:
+    """Edge-shaped legs on ``n`` samples, one per ``(seg_t, sinking)`` of
+    ``timelines``: at each time of ``seg_t`` the leg starts toward the level
+    that ``sinking`` flags there.
 
     The level reached at the end of each segment is a scalar recurrence over
-    the steps.  The samples are then filled a pass of the grid at a time: the
-    segments that overlap the pass are repeated over their runs of samples.
+    the steps, with one ``exp`` (or ``cos``) per distinct segment length.
+    Sample ``first + j`` of a segment that starts at ``seg_t`` and holds
+    samples from ``first`` is a function of its start level, its goal and
+    ``grid - seg_t`` = ``off + j dt``, with ``off = t_start + first dt - seg_t``.
+
+    Where ``t_start``, ``dt_ps`` and every ``seg_t`` are integers and every
+    time lies in [0, 2^53), that difference is exact, so segments with the
+    same (start level by its bits, goal, ``off``) have the same samples, each
+    a prefix of the longest's.  The legs then share one table of edge shapes:
+    each distinct triple's longest run, computed once with the expressions of
+    the other grids.  Each leg is gathered from it and keeps it, with the
+    first sample and the table offset of each non-empty segment.  On other
+    grids every sample is computed, a pass at a time: the segments that
+    overlap the pass are repeated over their runs of samples.
     """
     v_hi, v_lo = params.v_standby, params.v_sink
     exponential = params.edge_model == "EXPONENTIAL"
-    if exponential:
-        tau = params.t_rf_ps / LN4 if params.t_rf_ps > 0 else 0.0
-        instant = tau == 0.0
-    else:
-        t_full = params.t_rf_ps / _RC_SPAN if params.t_rf_ps > 0 else 0.0
-        instant = t_full == 0.0
+    # tau of the exponential or the full duration of the raised cosine
+    scale = params.t_rf_ps / (LN4 if exponential else _RC_SPAN) if params.t_rf_ps > 0 else 0.0
+    factors: dict = {}  # the factor of each distinct segment length
 
-    goals = np.where(sinking, v_lo, v_hi)
-    starts, targets = seg_t.tolist(), goals.tolist()
-    v_start = []
-    v = targets[0]
-    for t, seg_end, target in zip(starts, starts[1:] + [t_start + n * dt_ps], targets):
-        v_start.append(v)
-        if instant:
-            v = target
+    def shape(v0: np.ndarray, goal: np.ndarray, runs: np.ndarray, out: np.ndarray) -> None:
+        """Overwrite ``out``, the time of each sample after its segment's step,
+        with the samples of segments from ``v0`` toward ``goal``, ``runs``
+        samples each; in place, as a temporary costs page faults."""
+        if scale == 0.0:
+            out[:] = np.repeat(goal, runs)
         elif exponential:
-            v = target + (v - target) * math.exp(-(seg_end - t) / tau)
+            # goal + (v_start - goal) exp((t_seg - grid) / tau): a difference
+            # negated is exact, and so is a quotient's sign
+            out /= -scale
+            np.exp(out, out=out)
+            out *= np.repeat(v0 - goal, runs)
+            out += np.repeat(goal, runs)
         else:
-            ue = min(max((seg_end - t) / t_full, 0.0), 1.0)
-            v = v + (target - v) * 0.5 * (1.0 - math.cos(math.pi * ue))
+            g, v = np.repeat(goal, runs), np.repeat(v0, runs)
+            u = np.clip(out / scale, 0.0, 1.0)
+            out[:] = v + (g - v) * 0.5 * (1.0 - np.cos(np.pi * u))
 
-    # segment k holds samples first[k] to first[k + 1] - 1: none if the next step is that close
-    first = np.clip(np.ceil((seg_t - t_start) / dt_ps), 0, n).astype(np.int64)
-    bounds = np.append(first, n)
-    v_starts, seg_ts = np.asarray(v_start), seg_t.astype(float)
-    steps = v_starts - goals
-    out = np.empty(n)
-    for s, e in _passes(n):
-        # the segments from the one holding sample s to the last starting before e
-        k0, k1 = first.searchsorted(s, side="right") - 1, first.searchsorted(e)
-        runs = np.minimum(bounds[k0 + 1:k1 + 1], e) - np.maximum(bounds[k0:k1], s)
+    legs = []  # (first, seg_t, sinking, v_start) of the non-empty segments
+    for seg_t, sinking in timelines:
+        starts, targets = seg_t.tolist(), np.where(sinking, v_lo, v_hi).tolist()
+        v_start = targets[:1] + targets[:-1]
+        if scale:
+            v_start, v = [], targets[0]
+            for t, seg_end, target in zip(starts, starts[1:] + [t_start + n * dt_ps], targets):
+                v_start.append(v)
+                f = factors.get(seg_end - t)
+                if f is None:
+                    f = factors[seg_end - t] = (
+                        math.exp(-(seg_end - t) / scale) if exponential else
+                        1.0 - math.cos(math.pi * min(max((seg_end - t) / scale, 0.0), 1.0)))
+                v = target + (v - target) * f if exponential else v + (target - v) * 0.5 * f
+        # segment k holds samples first[k] to first[k + 1] - 1: none if the next step is that close
+        first = np.clip(np.ceil((seg_t - t_start) / dt_ps), 0, n).astype(np.int64)
+        keep = np.diff(first, append=n) > 0
+        legs.append((first[keep], seg_t[keep], sinking[keep], np.asarray(v_start)[keep]))
 
-        def each(a: np.ndarray) -> np.ndarray:
-            return np.repeat(a[k0:k1], runs)
+    if _exact_grid(t_start, dt_ps, n, [seg_t for _, seg_t, _, _ in legs]):
+        dt = int(dt_ps)
+        v0, sink, off, runs = (np.concatenate(c) for c in zip(*(
+            (v, sinking, int(t_start) + dt * first - seg_t.astype(np.int64),
+             np.diff(first, append=n)) for first, seg_t, sinking, v in legs)))
+        # a key per (start level by its bits, goal, off), from the ranks of the parts
+        which, shapes = _ranks((2 * _ranks(v0.view(np.int64))[0] + sink) * len(off)
+                               + _ranks(off)[0])
+        at = np.empty(shapes, dtype=np.int64)
+        at[which] = np.arange(len(which))  # a segment of each shape: any has its key
+        longest = np.zeros(shapes, dtype=np.int64)
+        np.maximum.at(longest, which, runs)
+        # the table pays for itself where it is shorter than a leg
+        if longest.sum() < n:
+            return _gather_legs(legs, v0[at], np.where(sink[at], v_lo, v_hi), off[at], which,
+                                longest, shape, dt_ps, t_start, n)
 
-        if instant:
-            out[s:e] = each(goals)
-            continue
-        grid = t_start + dt_ps * np.arange(s, e)
-        if exponential:
-            # goal + (v_start - goal) exp(-(grid - t_seg) / tau), in place: a
-            # difference negated is exact, and so is a quotient's sign
-            leg = out[s:e]
-            np.subtract(each(seg_ts), grid, out=leg)
-            leg /= tau
-            np.exp(leg, out=leg)
-            leg *= each(steps)
-            leg += each(goals)
-        else:
-            goal, v0 = each(goals), each(v_starts)
-            u = np.clip((grid - each(seg_ts)) / t_full, 0.0, 1.0)
-            out[s:e] = v0 + (goal - v0) * 0.5 * (1.0 - np.cos(np.pi * u))
+    out = []
+    for first, seg_t, sinking, v0 in legs:
+        samples, seg_ts, goals = np.empty(n), seg_t.astype(float), np.where(sinking, v_lo, v_hi)
+        for s, e in _passes(n):
+            k0, k1, runs = _spans(first, s, e)
+            np.subtract(t_start + dt_ps * np.arange(s, e), np.repeat(seg_ts[k0:k1], runs),
+                        out=samples[s:e])
+            shape(v0[k0:k1], goals[k0:k1], runs, samples[s:e])
+        out.append(WaveformTrace(dt_ps, samples, t_start))
+    return out
+
+
+def _gather_legs(legs: list, v0: np.ndarray, goal: np.ndarray, off: np.ndarray,
+                 which: np.ndarray, longest: np.ndarray, shape, dt_ps: float, t_start: float,
+                 n: int) -> list[WaveformTrace]:
+    """The legs of ``_shape_segments`` from one table: shape u, from ``v0[u]``
+    toward ``goal[u]`` and ``off[u]`` after its step at its first sample,
+    computed by ``shape`` over its ``longest`` run, and the segments of the
+    legs, in order, gathered from the shapes ``which``."""
+    dt = int(dt_ps)
+    base = np.cumsum(longest) - longest  # each shape's first entry in the table
+    table = np.empty(int(longest.sum()))
+    start = off - dt * base  # entry base + j of a shape is off + j dt after its step
+    for s, e in _passes(len(table)):
+        k0, k1, runs = _spans(base, s, e)
+        table[s:e] = _ramps(base, start, dt, s, e)
+        shape(v0[k0:k1], goal[k0:k1], runs, table[s:e])
+    out, at = [], 0
+    for first, *_ in legs:
+        offset = base[which[at:at + len(first)]]
+        at += len(first)
+        samples = np.empty(n)
+        for s, e in _passes(n):
+            np.take(table, _ramps(first, offset - first, 1, s, e), out=samples[s:e], mode="clip")
+        out.append(WaveformTrace(dt_ps, samples, t_start, table, first, offset))
     return out
 
 
@@ -208,18 +335,19 @@ def synthesize_tx(traces: SignalTraces, params: DriverParams, dt_ps: float,
 
     Tx- sinks while Even or Odd is active (serialized bit 1); Tx+ sinks
     while a complement line is active (bit 0).  In standby both legs sit
-    at the pulled-up standby level.
+    at the pulled-up standby level.  On an integral grid the two legs share
+    one table of edge shapes where it is shorter than a leg
+    (``_shape_segments``), and ``trace_to_csv`` formats the table instead of
+    every sample.
     """
     params.validate()
     t0 = 0 if t_start is None else t_start
     t1 = traces.horizon_ps if t_end is None else t_end
     n = int((t1 - t0) / dt_ps)
-
-    tx_minus = _shape_segments(*_sink_timeline(traces, ("Even", "Odd"), t0, t1),
-                               params, dt_ps, t0, n)
-    tx_plus = _shape_segments(*_sink_timeline(traces, ("nEven", "nOdd"), t0, t1),
-                              params, dt_ps, t0, n)
-    return (WaveformTrace(dt_ps, tx_plus, t0), WaveformTrace(dt_ps, tx_minus, t0))
+    tx_minus, tx_plus = _shape_segments(
+        [_sink_timeline(traces, nets, t0, t1) for nets in (("Even", "Odd"), ("nEven", "nOdd"))],
+        params, dt_ps, t0, n)
+    return tx_plus, tx_minus
 
 
 # --------------------------------------------------------------------------
@@ -406,7 +534,8 @@ def _g6_cells(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     of ten; ``y`` is then as close to 1e5 or 1e6 and rounds to 100000 or to
     the carry 1000000, the digits and exponent the right ``e`` gives.
     Near-ties, ±0, nan, ±inf and |v| outside [1e-300, 1e300) are formatted by
-    Python's ``%``.
+    Python's ``%``, from the head field on where the text fits, as most cells
+    are: that adds no column to ``_table_cells``.
     """
     cell, prefix, head, head_row, tail, tail_row, exp, scale = _g6_tables()
     a = np.abs(values)
@@ -430,8 +559,46 @@ def _g6_cells(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if not sure.all():
         bad = ~sure
         text = np.array(["%.6g" % v for v in values[bad].tolist()], dtype=f"S{_G6_WIDTH}")
-        cells[bad] = text.view(np.uint8).reshape(len(text), _G6_WIDTH)
+        text = text.view(np.uint8).reshape(len(text), _G6_WIDTH)
+        fits = text[:, 12] == 0  # 12 bytes or fewer: from the head field on
+        text[fits, 5:], text[fits, :5] = text[fits, :12], 0
+        cells[bad] = text
     return cells
+
+
+# the anonymous mapping that the writers' outputs of at least _MAPPED_BYTES
+# share, one output at a time; private where it can be, as a shared one is a
+# file of its first size, which a resize does not grow
+_MAPPED_BYTES = 1 << 22
+_mapping: mmap.mmap | None = None
+_PRIVATE = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS}
+            if hasattr(mmap, "MAP_ANONYMOUS") else {})
+
+
+def _output(size: int) -> np.ndarray:
+    """``size`` bytes for a writer's output: from the heap below
+    ``_MAPPED_BYTES``, else from ``_mapping`` once no earlier output holds it,
+    grown if it is shorter, or from a new mapping.
+
+    A large output so reuses the pages that the last one faulted in, as the
+    heap would, but it also fits where it is larger: from the heap, a written
+    output's pages could stay resident while a larger one added its own (at
+    1000 words the spectrum CSV raised the run's peak by 13 MB so).  The
+    mapping keeps the pages of the largest output until the next one needs
+    them; small outputs share the heap's pages with everything else.
+    Writers run on one thread.
+    """
+    global _mapping
+    if size < _MAPPED_BYTES:
+        return np.empty(size, dtype=np.uint8)
+    if _mapping is not None and sys.getrefcount(_mapping) == 2 and len(_mapping) < size:
+        try:
+            _mapping.resize(size)  # keeps the pages it has
+        except (OSError, SystemError):  # no mremap here
+            _mapping = None
+    if _mapping is None or sys.getrefcount(_mapping) > 2 or len(_mapping) < size:
+        _mapping = mmap.mmap(-1, size, **_PRIVATE)
+    return np.frombuffer(_mapping, dtype=np.uint8, count=size)
 
 
 def _join_cells(n: int, columns: list, head: bytes = b"", tail: bytes = b"") -> memoryview:
@@ -443,8 +610,8 @@ def _join_cells(n: int, columns: list, head: bytes = b"", tail: bytes = b"") -> 
     ``cells``, an ``(e - s, width)`` view.  NUL bytes pad the cells and are
     dropped.  The lines of a pass, about ``_WRITE_CELLS`` cells, are built in
     one buffer that every pass reuses.  Each pass's bytes are copied into an
-    array as long as all the cells; only the pages written are ever touched,
-    so the output is held once, at its own size.
+    array as long as all the cells (``_output``); only the pages written are
+    ever touched, so the output is held once, at its own size.
     """
     widths = [len(c) if isinstance(c, bytes) else c[0] for c in columns]
     starts = np.cumsum([0] + widths).tolist()
@@ -455,7 +622,7 @@ def _join_cells(n: int, columns: list, head: bytes = b"", tail: bytes = b"") -> 
     for c, col in zip(columns, starts):
         if isinstance(c, bytes):  # written once, as no pass writes over it
             lines[:, col:col + len(c)] = np.frombuffer(c, dtype=np.uint8)
-    out = np.empty(len(head) + n * line + len(tail), dtype=np.uint8)
+    out = _output(len(head) + n * line + len(tail))
     size = 0
 
     def put(data: bytes) -> None:
@@ -479,15 +646,93 @@ def _digits(values: np.ndarray) -> int:
     return len(str(int(values.max()))) if len(values) else 1
 
 
+def _table_cells(table: np.ndarray) -> np.ndarray:
+    """``_g6_cells`` of ``table`` in only the columns that some cell writes,
+    followed by NUL columns up to a power-of-two width, whose items
+    ``np.take`` copies fastest.  ``_join_cells`` drops every NUL.
+
+    The table is formatted a writer pass's values at a time.  The columns are
+    those written so far; a pass that writes another one widens them, and the
+    rows before it get NUL there, as they wrote none.  So no full-width copy
+    of the table is held, and it is formatted once.
+    """
+    cell = _g6_tables()[0]
+    chunk = _WRITE_CELLS // _G6_WIDTH
+    buf = np.empty((min(chunk, len(table)), _G6_WIDTH), dtype=np.uint8)
+    used = np.zeros(_G6_WIDTH, dtype=bool)
+    out = np.zeros((len(table), 0), dtype=np.uint8)
+    for s in range(0, len(table), chunk):
+        part = table[s:s + chunk]
+        cells = _g6_cells(part, buf[:len(part)])
+        # the bytes some cell writes, from each field's OR: one pass over a field
+        # is faster than numpy's reduction down the columns
+        fields = cells.view(cell)[:, 0]
+        words = np.array([np.bitwise_or.reduce(fields[name]) for name in cell.names[1:]],
+                         dtype=np.uint32)
+        wider = used | np.concatenate(([fields["sign"].any()], words.view(np.uint8) != 0))
+        if (wider != used).any():
+            width = int(wider.sum())
+            grown = np.zeros((len(table), 1 << (width - 1).bit_length()), dtype=np.uint8)
+            grown[:s, np.flatnonzero(used[wider])] = out[:s, :int(used.sum())]
+            used, out = wider, grown
+        out[s:s + len(part), :int(used.sum())] = cells[:, used]
+    return out
+
+
+def _integral_stamps(trace: WaveformTrace, width: int):
+    """The ``fill`` of ``_join_cells`` for the timestamps ``t0_ps + i dt_ps`` of an
+    integral grid: integers in [0, 2^63), right-aligned in cells of ``width``,
+    a multiple of four.
+
+    Below 2^53 a timestamp is its exact integer.  Its low four digits repeat
+    every 10^4 / gcd(dt, 10^4) lines, so a pass copies them from one cycle.
+    The digits above them form a group per 10^4, each formatted once and
+    repeated over its lines.  Timestamps below 10^4 (whose low group is
+    padded), a grid that reaches 2^53 or has more groups than lines, and a
+    ``width`` of 4 are formatted by ``_int_cells``.
+    """
+    t0, dt, n = int(trace.t0_ps), int(trace.dt_ps), len(trace.samples)
+
+    def plain(cells: np.ndarray, s: int, e: int) -> None:
+        _int_cells(trace.times(s, e), width, cells)
+
+    last = t0 + dt * (n - 1)
+    if width == 4 or dt <= 0 or last >= 2**53 or last // 10**4 - t0 // 10**4 >= n:
+        return plain
+    groups = np.arange(t0 // 10**4, last // 10**4 + 1)
+    high = f"V{width - 4}"
+    heads = _int_cells(groups, width - 4).view(high)[:, 0]
+    # the first line of each group: ceil((10^4 group - t0) / dt), from line 0
+    starts = np.maximum((groups * 10**4 - t0 + dt - 1) // dt, 0)
+    period = 10**4 // math.gcd(dt, 10**4)
+    cycle = np.empty(0, dtype=np.uint32)
+
+    def fill(cells: np.ndarray, s: int, e: int) -> None:
+        nonlocal cycle
+        if t0 + dt * s < 10**4:
+            plain(cells, s, e)
+            return
+        if len(cycle) < period + e - s:
+            cycle = _digit_groups()[(t0 + dt * np.arange(period + e - s)) % 10**4]
+        k0, k1, runs = _spans(starts, s, e)
+        cells[:, :width - 4].view(high)[:, 0] = np.repeat(heads[k0:k1], runs)
+        cells[:, width - 4:].view(np.uint32)[:, 0] = cycle[s % period:s % period + e - s]
+
+    return fill
+
+
 def trace_to_csv(trace: WaveformTrace) -> memoryview:
     """``time_ps,value`` lines; the i-th timestamp is ``t0_ps + i*dt_ps``.
 
-    Every value is a ``_g6_cells`` cell.  When ``t0_ps`` and ``dt_ps`` are
-    integers and both end timestamps are >= 0 (not -0.0) and below 2**63,
-    ``%.3f`` prints every timestamp as ``%d.000``, assembled as bytes: sums and
-    products of integral floats round to integers (a float >= 2**52 is one),
-    and ``t0 + dt*i`` is monotone in i, so the ends bound the rest.  Other
-    timestamps are formatted by Python's ``%``, a pass at a time.
+    Every value is a ``_g6_cells`` cell.  A leg of edge shapes with a table
+    shorter than itself formats the table once (``_table_cells``) and gathers
+    each line's cell from it; other traces format every sample.  When
+    ``t0_ps`` and ``dt_ps`` are integers and both end timestamps are >= 0 (not
+    -0.0) and below 2**63, ``%.3f`` prints every timestamp as ``%d.000``,
+    assembled as bytes (``_integral_stamps``): sums and products of integral
+    floats round to integers (a float >= 2**52 is one), and ``t0 + dt*i`` is
+    monotone in i, so the ends bound the rest.  Other timestamps are formatted
+    by Python's ``%``, a pass at a time.
     """
     values = trace.samples
     n = len(values)
@@ -495,9 +740,9 @@ def trace_to_csv(trace: WaveformTrace) -> memoryview:
     exact = (float(trace.t0_ps).is_integer() and float(trace.dt_ps).is_integer()
              and not np.signbit(ends).any() and (ends < 2.0**63).all())
     if exact:
-        width = _digits(ends)
-        stamps = [(width, lambda cells, s, e: _int_cells(trace.times(s, e), width, cells)),
-                  b".000,"]
+        # NUL-padded to whole four-digit groups
+        width = -(-_digits(ends) // 4) * 4
+        stamps = [(width, _integral_stamps(trace, width)), b".000,"]
     else:
         # "%.3f" is widest at the lowest or the highest time; a nan or ±inf
         # time comes with no finite one, and "-inf," is the widest of those
@@ -509,6 +754,13 @@ def trace_to_csv(trace: WaveformTrace) -> memoryview:
                 np.uint8).reshape(e - s, width)
 
         stamps = [(width, stamp_cells)]
-    return _join_cells(len(values), stamps + [
-        (_G6_WIDTH, lambda cells, s, e: _g6_cells(values[s:e], cells)), b"\n"],
-        b"time_ps,value\n")
+    # the table is formatted whole, so it pays where it is shorter than the trace
+    if trace.table is None or len(trace.table) >= n:
+        cells = (_G6_WIDTH, lambda cells, s, e: _g6_cells(values[s:e], cells))
+    else:
+        table = _table_cells(trace.table)
+        kind, start = f"V{table.shape[1]}", trace.offset - trace.first
+        table = table.view(kind)[:, 0]
+        cells = (table.itemsize, lambda cells, s, e: np.take(
+            table, _ramps(trace.first, start, 1, s, e), out=cells.view(kind)[:, 0], mode="clip"))
+    return _join_cells(n, stamps + [cells, b"\n"], b"time_ps,value\n")

@@ -316,13 +316,9 @@ def _stream_checks(config: ChannelConfig, sc: Scenario, words: list[stimulus.Wor
 
     tx_plus, tx_minus, v_off = _synthesize(config, stim.schedule, traces, result)
 
-    def window(trace: drv.WaveformTrace) -> drv.WaveformTrace:
-        i0 = int((t_stream0 - trace.t0_ps) / trace.dt_ps)
-        i1 = int((t_stream1 - trace.t0_ps) / trace.dt_ps)
-        return drv.WaveformTrace(trace.dt_ps, trace.samples[i0:i1],
-                                 trace.t0_ps + i0 * trace.dt_ps)
-
-    wp, wm = window(tx_plus), window(tx_minus)
+    # both legs lie on one grid
+    i0, i1 = (int((t - tx_plus.t0_ps) / tx_plus.dt_ps) for t in (t_stream0, t_stream1))
+    wp, wm = tx_plus.window(i0, i1), tx_minus.window(i0, i1)
     try:
         ratio = _stage(result, "low_band_ratio", specmod.low_band_ratio, spec_obj)
         levels = v_hi, v_lo, swing = _stage(result, "levels", measure.measure_levels, wm)

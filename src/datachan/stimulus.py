@@ -279,7 +279,12 @@ _LFSR_TAPS = {"PRBS7": (7, 6), "PRBS10": (10, 7)}
 
 
 def prbs_bits(kind: str, n_bits: int, seed: int) -> list[int]:
-    """Maximal-length LFSR bit stream (x^7+x^6+1 or x^10+x^7+1)."""
+    """Maximal-length LFSR bit stream (x^7+x^6+1 or x^10+x^7+1).
+
+    Both polynomials are primitive, so the register runs through every one of
+    its 2^n - 1 non-zero states before it returns to the seed: the register is
+    stepped for one period at most, and the period repeated.
+    """
     if kind not in _LFSR_TAPS:
         raise ValueError(f"unknown PRBS kind {kind!r}")
     n, m = _LFSR_TAPS[kind]
@@ -288,12 +293,12 @@ def prbs_bits(kind: str, n_bits: int, seed: int) -> list[int]:
     if state == 0:
         raise SeedError(f"seed {seed:#x} leaves the {kind} register stuck at zero")
     bits = []
-    for _ in range(n_bits):
+    for _ in range(min(n_bits, mask)):
         out = (state >> (n - 1)) & 1
         bits.append(out)
         new = ((state >> (n - 1)) ^ (state >> (m - 1))) & 1
         state = ((state << 1) | new) & mask
-    return bits
+    return (bits * (n_bits // mask + 1))[:n_bits]
 
 
 def gen_prbs(kind: str, n_words: int, seed: int, width: int = 10) -> list[Word]:

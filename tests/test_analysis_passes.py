@@ -36,11 +36,10 @@ def shaped_pair(n, dt, t0, seed, noise=0.0, ui=UI, t_rf=104.0):
     bits = rng.integers(0, 2, int(n * dt / ui) + 1).tolist()
     params = DriverParams(t_rf_ps=t_rf)
     seg_t = np.array([t0 + i * ui for i in range(len(bits))])
-    legs = []
-    for sink in (0, 1):
-        v = drv._shape_segments(seg_t, np.array(bits) == sink, params, dt, t0, n)
-        legs.append(drv.WaveformTrace(dt, v + rng.normal(0.0, noise, n) if noise else v, t0))
-    return legs
+    legs = drv._shape_segments([(seg_t, np.array(bits) == sink) for sink in (0, 1)],
+                               params, dt, t0, n)
+    return [drv.WaveformTrace(dt, leg.samples + rng.normal(0.0, noise, n) if noise
+                              else leg.samples, t0) for leg in legs]
 
 
 def signed_zero_pair(n, dt, t0, seed):

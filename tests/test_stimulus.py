@@ -244,6 +244,36 @@ def test_prbs10_has_period_1023():
     assert sum(bits[:1023]) == 512
 
 
+def lfsr_steps(kind, n_bits, seed):
+    """The register stepped ``n_bits`` times: (output bits, final state)."""
+    n, m = stimulus._LFSR_TAPS[kind]
+    mask = (1 << n) - 1
+    state, bits = seed & mask, []
+    for _ in range(n_bits):
+        bits.append((state >> (n - 1)) & 1)
+        state = ((state << 1) | (((state >> (n - 1)) ^ (state >> (m - 1))) & 1)) & mask
+    return bits, state
+
+
+@pytest.mark.parametrize("kind, period", [("PRBS7", 127), ("PRBS10", 1023)])
+def test_prbs_by_period_matches_stepwise_register(kind, period):
+    for seed in (1, 5, 0x2A, period, period + 3, 0xBEEF):
+        for n_bits in (0, 1, period - 1, period, period + 1, 3 * period + 5):
+            assert stimulus.prbs_bits(kind, n_bits, seed) == lfsr_steps(kind, n_bits, seed)[0]
+
+
+@pytest.mark.parametrize("kind, period", [("PRBS7", 127), ("PRBS10", 1023)])
+def test_prbs_register_returns_to_its_seed_after_one_period(kind, period):
+    # maximal length: back to the seed after the period, and not before
+    for seed in (1, 0x55, period):
+        state, states = seed, []
+        for _ in range(period):
+            state = lfsr_steps(kind, 1, state)[1]
+            states.append(state)
+        assert states[-1] == seed
+        assert seed not in states[:-1]
+
+
 def test_stream_stimulus_without_enable_idles():
     config = ChannelConfig()
     first = stimulus.reset_schedule(config).actions[:1]

@@ -6,6 +6,7 @@ bit for bit (compared as raw bytes, which also tells -0.0 from 0.0).
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -304,6 +305,128 @@ def test_tx_synthesis_matches_per_segment_loop(hists, edge, t_rf, dt, window, ch
     assert drv.line_transition_times(traces).tolist() == ref_line_transition_times(traces)
 
 
+@settings(max_examples=60, deadline=None)
+@given(hists=st.lists(histories(), min_size=4, max_size=4),
+       edge=st.sampled_from(["EXPONENTIAL", "RAISED_COSINE"]),
+       t_rf=st.sampled_from([0.0, 104.0, 37.3]),
+       dt=st.sampled_from([0.5, 3.4, 18.9]),
+       window=st.tuples(st.integers(0, 600), st.integers(1, 3000)),
+       chunk=st.sampled_from([7, 256, drv._PASS_CELLS]))
+def test_tx_synthesis_on_a_non_integral_grid_computes_every_sample(hists, edge, t_rf, dt,
+                                                                  window, chunk):
+    # grid - seg_t is not exact here, so no table of edge shapes is built
+    horizon = max([h[-1][0] for h in hists if h] + [0]) + 500
+    traces = traces_from_histories(dict(zip(LINE_NETS, hists)), horizon)
+    params = DriverParams(t_rf_ps=t_rf, edge_model=edge)
+    t0, t1 = window[0], window[0] + window[1]
+    n = int((t1 - t0) / dt)
+    default_chunk, drv._PASS_CELLS = drv._PASS_CELLS, chunk
+    try:
+        got_plus, got_minus = drv.synthesize_tx(traces, params, dt, t0, t1)
+    finally:
+        drv._PASS_CELLS = default_chunk
+    for nets, got in ((("Even", "Odd"), got_minus), (("nEven", "nOdd"), got_plus)):
+        assert got.table is None
+        steps = ref_sink_timeline(traces, nets, t0, t1)
+        assert same_bits(got.samples, ref_shape_segments(steps, params, dt, t0, n))
+
+
+def test_tx_legs_share_a_table_of_edge_shapes():
+    # the lines repeat every 200 ps, so once the start levels repeat the legs'
+    # shapes do: the pair shares a table shorter than a leg, and the samples
+    # gathered from it are the per-segment loop's; step times off the integers
+    # compute every sample
+    hists = [[(0, HIGH)] + [(t + d, lvl) for t in range(5, 20005, 200)
+                            for d, lvl in ((0, LOW), (1, HIGH), (2, LOW), (100, HIGH))],
+             [(0, HIGH)],
+             [(0, HIGH)] + [(t + d, lvl) for t in range(5, 20005, 200)
+                            for d, lvl in ((100, LOW), (190, HIGH))],
+             [(0, HIGH)]]
+    traces = traces_from_histories(dict(zip(LINE_NETS, hists)), 20500)
+    n = (20500 - 3) // 10
+    for edge, t_rf in (("EXPONENTIAL", 37.3), ("RAISED_COSINE", 104.0), ("EXPONENTIAL", 0.0)):
+        params = DriverParams(t_rf_ps=t_rf, edge_model=edge)
+        plus, minus = drv.synthesize_tx(traces, params, 10.0, 3, 20500)
+        assert minus.table is plus.table and len(minus.table) < n
+        for nets, got in ((("Even", "Odd"), minus), (("nEven", "nOdd"), plus)):
+            steps = ref_sink_timeline(traces, nets, 3, 20500)
+            assert same_bits(got.samples, ref_shape_segments(steps, params, 10.0, 3, n))
+        seg_t, sinking = drv._sink_timeline(traces, ("Even", "Odd"), 3, 20500)
+        moved = seg_t + 0.5
+        moved[[0, -1]] = seg_t[[0, -1]]  # only inner times are off the integers
+        (leg,) = drv._shape_segments([(moved, sinking)], params, 10.0, 3, n)
+        assert leg.table is None
+        steps = list(zip(moved.tolist(), sinking.tolist()))
+        assert same_bits(leg.samples, ref_shape_segments(steps, params, 10.0, 3, n))
+
+
+@st.composite
+def periodic_lines(draw):
+    """Line histories that each go low once a period, so that the Tx legs repeat
+    their edge shapes, and their horizon; a line may glitch high for 1 ps, so
+    that two steps fall between grid points."""
+    period, cycles = draw(st.integers(20, 2000)), draw(st.integers(12, 24))
+    hists = []
+    for _ in LINE_NETS:
+        phase, low = draw(st.integers(1, period - 3)), draw(st.integers(2, period - 1))
+        glitch = draw(st.booleans())
+        hist = [(0, HIGH)]
+        for k in range(cycles):
+            t = phase + k * period
+            hist += [(t, LOW), (t + 1, HIGH), (t + 2, LOW)] if glitch else [(t, LOW)]
+            hist.append((t + low, HIGH))
+        hists.append(sorted(set(hist)))
+    return hists, (cycles + 1) * period + 500
+
+
+@settings(max_examples=40, deadline=None)
+@given(lines=periodic_lines(),
+       edge=st.sampled_from(["EXPONENTIAL", "RAISED_COSINE"]),
+       t_rf=st.sampled_from([0.0, 104.0, 37.3]),
+       dt=st.sampled_from([3.0, 10.0]),
+       cut=st.tuples(st.floats(0.0, 0.25), st.floats(0.75, 1.0)),
+       chunk=st.sampled_from([7, drv._PASS_CELLS]),
+       write_cells=st.sampled_from([64, 1000, drv._WRITE_CELLS]),
+       stamps=st.sampled_from(["window", "1e4", "2**53"]))
+# a 1 ps glitch every period gives empty runs; the raised cosine settles
+# within a period, so the legs repeat their shapes and the table is written
+@example(lines=([[(0, HIGH)] + [(t + d, lvl) for t in range(5, 1205, 200)
+                                for d, lvl in ((0, LOW), (1, HIGH), (2, LOW), (100, HIGH))],
+                 [(0, HIGH)],
+                 [(0, HIGH)] + [(t + d, lvl) for t in range(50, 1250, 200)
+                                for d, lvl in ((0, LOW), (100, HIGH))],
+                 [(0, HIGH)]], 1700),
+         edge="RAISED_COSINE", t_rf=37.3, dt=10.0, cut=(0.1, 1.0), chunk=7, write_cells=64,
+         stamps="1e4")
+def test_tx_csv_of_a_windowed_leg_of_edge_shapes(lines, edge, t_rf, dt, cut, chunk, write_cells,
+                                                  stamps):
+    # the window starts mid-segment; the stamps are the window's, or moved to
+    # straddle 10^4 (padded low digits) or 2^53 (formatted as floats)
+    hists, horizon = lines
+    traces = traces_from_histories(dict(zip(LINE_NETS, hists)), horizon)
+    params = DriverParams(t_rf_ps=t_rf, edge_model=edge)
+    default_chunk, drv._PASS_CELLS = drv._PASS_CELLS, chunk
+    try:
+        legs = drv.synthesize_tx(traces, params, dt, 3, horizon)
+    finally:
+        drv._PASS_CELLS = default_chunk
+    for leg in legs:
+        n = len(leg.samples)
+        i0, i1 = int(cut[0] * n), int(cut[1] * n)
+        win = leg.window(i0, i1)
+        assert same_bits(win.samples, leg.samples[i0:i1])
+        assert win.t0_ps == leg.t0_ps + i0 * dt
+        t0 = {"window": win.t0_ps, "1e4": max(0.0, 1e4 - dt * (len(win.samples) // 2)),
+              "2**53": 2.0**53 - dt * (len(win.samples) // 2)}[stamps]
+        trace = drv.WaveformTrace(dt, win.samples, t0, win.table, win.first, win.offset)
+        default_cells, drv._WRITE_CELLS = drv._WRITE_CELLS, write_cells
+        try:
+            got = drv.trace_to_csv(trace)
+        finally:
+            drv._WRITE_CELLS = default_cells
+        assert_same_bytes(got, ref_trace_csv(trace))
+
+
 # --------------------------------------------------------------------------
 # writers
 
@@ -337,6 +460,28 @@ def test_trace_csv_at_line_pass_boundary(offset, vals):
     line = len("1000000000.000,") + drv._G6_WIDTH + 1
     trace = drv.WaveformTrace(1.0, tiled(vals, drv._WRITE_CELLS // line + offset), 1e9)
     assert_same_bytes(drv.trace_to_csv(trace), ref_trace_csv(trace))
+
+
+def test_large_outputs_share_a_mapping_only_once_released(monkeypatch):
+    # an output still held keeps its bytes while later ones are written; a
+    # released one's mapping is reused, grown for a longer output
+    monkeypatch.setattr(drv, "_MAPPED_BYTES", 64)
+    monkeypatch.setattr(drv, "_mapping", None)
+    traces = [drv.WaveformTrace(dt, np.linspace(0.1, 0.9, n), t0)
+              for n, dt, t0 in ((300, 1.0, 5.0), (500, 3.0, 0.0), (2000, 10.0, 7.0))]
+    held = drv.trace_to_csv(traces[0])
+    first = weakref.ref(drv._mapping)  # a reference would count as a holder
+    second = drv.trace_to_csv(traces[1])
+    assert drv._mapping is not first()
+    assert_same_bytes(held, ref_trace_csv(traces[0]))
+    assert_same_bytes(second, ref_trace_csv(traces[1]))
+    del held, second
+    shared = weakref.ref(drv._mapping)
+    assert_same_bytes(drv.trace_to_csv(traces[2]), ref_trace_csv(traces[2]))
+    assert drv._mapping is shared()
+    small = drv.WaveformTrace(1.0, np.ones(2), 0.0)
+    assert_same_bytes(drv.trace_to_csv(small), ref_trace_csv(small))
+    assert drv._mapping is shared()
 
 
 @pytest.mark.parametrize("n", LENGTHS)
