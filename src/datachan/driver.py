@@ -25,6 +25,22 @@ LN4 = math.log(4.0)
 _RC_SPAN = (math.acos(-0.6) - math.acos(0.6)) / math.pi
 
 
+class EdgeTable:
+    """The table of edge shapes that the legs of a Tx pair, and their windows,
+    share, with its CSV cells (``_table_cells``): formatted by the first CSV
+    written from it, and freed with the table once no leg holds it."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    @functools.cached_property
+    def cells(self) -> np.ndarray:
+        return _table_cells(self.values)
+
+
 @dataclass
 class WaveformTrace:
     """Uniformly sampled series: a voltage waveform or a supply current."""
@@ -34,8 +50,8 @@ class WaveformTrace:
     t0_ps: float = 0.0
     # a leg of edge shapes (``synthesize_tx``) also keeps the table its samples
     # were gathered from: sample first[k] + j, before first[k + 1], is
-    # table[offset[k] + j]
-    table: np.ndarray | None = None
+    # table.values[offset[k] + j]
+    table: EdgeTable | None = None
     first: np.ndarray | None = None
     offset: np.ndarray | None = None
 
@@ -317,14 +333,14 @@ def _gather_legs(legs: list, v0: np.ndarray, goal: np.ndarray, off: np.ndarray,
         k0, k1, runs = _spans(base, s, e)
         table[s:e] = _ramps(base, start, dt, s, e)
         shape(v0[k0:k1], goal[k0:k1], runs, table[s:e])
-    out, at = [], 0
+    out, at, shared = [], 0, EdgeTable(table)
     for first, *_ in legs:
         offset = base[which[at:at + len(first)]]
         at += len(first)
         samples = np.empty(n)
         for s, e in _passes(n):
             np.take(table, _ramps(first, offset - first, 1, s, e), out=samples[s:e], mode="clip")
-        out.append(WaveformTrace(dt_ps, samples, t_start, table, first, offset))
+        out.append(WaveformTrace(dt_ps, samples, t_start, shared, first, offset))
     return out
 
 
@@ -337,8 +353,8 @@ def synthesize_tx(traces: SignalTraces, params: DriverParams, dt_ps: float,
     while a complement line is active (bit 0).  In standby both legs sit
     at the pulled-up standby level.  On an integral grid the two legs share
     one table of edge shapes where it is shorter than a leg
-    (``_shape_segments``), and ``trace_to_csv`` formats the table instead of
-    every sample.
+    (``_shape_segments``), and ``trace_to_csv`` formats the table, once for
+    the pair, instead of every sample.
     """
     params.validate()
     t0 = 0 if t_start is None else t_start
@@ -471,6 +487,17 @@ def _ascii4(strings) -> np.ndarray:
     return table.astype("S4").view(np.uint32)
 
 
+def _stripped(forms: np.ndarray) -> np.ndarray:
+    """Rows of ASCII bytes, NUL-padded, as ``rstrip("0").rstrip(".")`` leaves
+    them: the zeros after the last other byte, then a point that is last,
+    turned to NUL."""
+    back = forms[:, ::-1]
+    zeros = np.logical_and.accumulate((back == 0) | (back == ord("0")), axis=1)[:, ::-1]
+    last = np.ones_like(zeros)  # every byte after it dropped
+    last[:, :-1] = zeros[:, 1:]
+    return np.where(zeros | ((forms == ord(".")) & last), np.uint8(0), forms)
+
+
 # bytes of a ``_g6_cells`` cell: a sign byte, then four 4-byte fields
 _G6_WIDTH = 17
 
@@ -491,24 +518,25 @@ def _g6_tables() -> tuple:
     "d.dd", "dd.d" and "ddd" (2, 3, 4 and 5).  The prefix is "0.", "0.0" or
     "0.00" below exponent 0; the exponent is written outside -4 to 5.
     ``scale[k]`` is 10**(305 - k), correctly rounded: parsed, not a power.
+
+    The head and tail forms are built as (1000, 4) byte arrays from the
+    digits "000" to "999", not as 16,000 strings.
     """
     cell = np.dtype({"names": ["sign", "prefix", "head", "tail", "exp"],
                      "formats": ["u1", "u4", "u4", "u4", "u4"],
                      "offsets": [0, 1, 5, 9, 13], "itemsize": _G6_WIDTH})
-    digits = [tuple("%03d" % i) for i in range(1000)]
-
-    def texts(form: str, strip: bool, end: str = ""):
-        for d in digits:
-            text = form % d
-            yield (text.rstrip("0").rstrip(".") if strip else text) + end
-
-    head = _ascii4(text for form, fraction in (("%s.%s%s", True), ("%s%s.%s", True),
-                                               ("%s%s%s", False), ("%s%s%s", True),
-                                               ("0%s%s%s", True))
-                   for strip in (False, fraction) for text in texts(form, strip))
-    tail = _ascii4(text for args in (("%s%s%s", True, "e"), ("%s%s%s", True), (".%s%s%s", True),
-                                     ("%s.%s%s", True), ("%s%s.%s", True), ("%s%s%s", False))
-                   for text in texts(*args))
+    i = np.arange(1000)
+    d = (np.stack((i // 100, i // 10 % 10, i % 10), axis=1) + ord("0")).astype(np.uint8)
+    point, zero, nul = (np.full((1000, 1), c, dtype=np.uint8) for c in b".0\0")
+    # "d.dd", "dd.d", "ddd", ".ddd" and "0ddd" of the digits "000" to "999"
+    dpdd, ddpd, ddd, pddd, zddd = (np.hstack(f) for f in (
+        (d[:, :1], point, d[:, 1:]), (d[:, :2], point, d[:, 2:]), (d, nul), (point, d), (zero, d)))
+    ddde = _stripped(ddd)
+    ddde[i, np.count_nonzero(ddde, axis=1)] = ord("e")
+    head = np.concatenate((dpdd, _stripped(dpdd), ddpd, _stripped(ddpd), ddd, ddd,
+                           ddd, _stripped(ddd), zddd, _stripped(zddd))).view(np.uint32)[:, 0]
+    tail = np.concatenate((ddde, _stripped(ddd), _stripped(pddd), _stripped(dpdd),
+                           _stripped(ddpd), ddd)).view(np.uint32)[:, 0]
     # the forms of the exponents -4 to 5; every other one takes form 0 and no prefix
     head_form = dict(zip(range(-4, 6), (4, 3, 3, 3, 0, 1, 2, 2, 2, 2)))
     tail_form = dict(zip(range(-4, 6), (1, 1, 1, 1, 1, 1, 2, 3, 4, 5)))
@@ -534,8 +562,9 @@ def _g6_cells(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     of ten; ``y`` is then as close to 1e5 or 1e6 and rounds to 100000 or to
     the carry 1000000, the digits and exponent the right ``e`` gives.
     Near-ties, ±0, nan, ±inf and |v| outside [1e-300, 1e300) are formatted by
-    Python's ``%``, from the head field on where the text fits, as most cells
-    are: that adds no column to ``_table_cells``.
+    Python's ``%`` (``_percent_g6``), each distinct value once, so a column of
+    zeros costs one call.  The text goes from the head field on where it
+    fits, as most cells do: that adds no column to ``_table_cells``.
     """
     cell, prefix, head, head_row, tail, tail_row, exp, scale = _g6_tables()
     a = np.abs(values)
@@ -557,13 +586,22 @@ def _g6_cells(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     fields["tail"] = tail[tail_row[k] + lo]
     fields["exp"] = exp[k]
     if not sure.all():
-        bad = ~sure
-        text = np.array(["%.6g" % v for v in values[bad].tolist()], dtype=f"S{_G6_WIDTH}")
-        text = text.view(np.uint8).reshape(len(text), _G6_WIDTH)
+        bad = np.flatnonzero(~sure)
+        # each distinct value, told apart by its bits (-0.0 prints as "-0"), once
+        which, count = _ranks(values[bad].view(np.int64))
+        rep = np.empty(count, dtype=np.intp)  # an index of each
+        rep[which] = bad
+        text = _percent_g6(values[rep])
         fits = text[:, 12] == 0  # 12 bytes or fewer: from the head field on
         text[fits, 5:], text[fits, :5] = text[fits, :12], 0
-        cells[bad] = text
+        cells[bad] = text[which]
     return cells
+
+
+def _percent_g6(values: np.ndarray) -> np.ndarray:
+    """``"%.6g" % v`` of each value, by Python, as ``_G6_WIDTH``-byte rows."""
+    text = np.array(["%.6g" % v for v in values.tolist()], dtype=f"S{_G6_WIDTH}")
+    return text.view(np.uint8).reshape(len(text), _G6_WIDTH)
 
 
 # the anonymous mapping that the writers' outputs of at least _MAPPED_BYTES
@@ -725,8 +763,10 @@ def trace_to_csv(trace: WaveformTrace) -> memoryview:
     """``time_ps,value`` lines; the i-th timestamp is ``t0_ps + i*dt_ps``.
 
     Every value is a ``_g6_cells`` cell.  A leg of edge shapes with a table
-    shorter than itself formats the table once (``_table_cells``) and gathers
-    each line's cell from it; other traces format every sample.  When
+    shorter than itself gathers each line's cell from the table's cells,
+    formatted once for every leg and window that holds the table
+    (``EdgeTable.cells``); the stamps are built per CSV.  Other traces format
+    every sample.  When
     ``t0_ps`` and ``dt_ps`` are integers and both end timestamps are >= 0 (not
     -0.0) and below 2**63, ``%.3f`` prints every timestamp as ``%d.000``,
     assembled as bytes (``_integral_stamps``): sums and products of integral
@@ -758,9 +798,8 @@ def trace_to_csv(trace: WaveformTrace) -> memoryview:
     if trace.table is None or len(trace.table) >= n:
         cells = (_G6_WIDTH, lambda cells, s, e: _g6_cells(values[s:e], cells))
     else:
-        table = _table_cells(trace.table)
-        kind, start = f"V{table.shape[1]}", trace.offset - trace.first
-        table = table.view(kind)[:, 0]
+        kind, start = f"V{trace.table.cells.shape[1]}", trace.offset - trace.first
+        table = trace.table.cells.view(kind)[:, 0]
         cells = (table.itemsize, lambda cells, s, e: np.take(
             table, _ramps(trace.first, start, 1, s, e), out=cells.view(kind)[:, 0], mode="clip"))
     return _join_cells(n, stamps + [cells, b"\n"], b"time_ps,value\n")

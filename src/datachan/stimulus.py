@@ -308,7 +308,16 @@ def gen_prbs(kind: str, n_words: int, seed: int, width: int = 10) -> list[Word]:
 
 
 def random_words(n_words: int, seed: int, width: int = 10) -> list[Word]:
+    """Seeded random words: each bit as ``random.Random(seed).randint(0, 1)``
+    draws it on CPython 3.11 to 3.13, ``getrandbits(2)`` drawn again on 2 or
+    3, without the calls around it."""
     import random
 
-    rng = random.Random(seed)
-    return [tuple(rng.randint(0, 1) for _ in range(width)) for _ in range(n_words)]
+    draw = random.Random(seed).getrandbits
+    bits = []
+    for _ in range(n_words * width):
+        bit = draw(2)
+        while bit > 1:
+            bit = draw(2)
+        bits.append(bit)
+    return [tuple(bits[i:i + width]) for i in range(0, len(bits), width)]

@@ -1,5 +1,6 @@
 """Stimulus generation, PRBS sources and configuration round-trips."""
 
+import random
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -311,6 +312,15 @@ def test_random_words_deterministic_per_seed():
     assert a == b
     assert a != c
     assert all(len(w) == 10 for w in a)
+
+
+@pytest.mark.parametrize("width", [8, 10, 16])
+def test_random_words_are_those_of_randint(width):
+    # the words of one randint(0, 1) per bit, over many seeds
+    for seed in range(300):
+        rng = random.Random(seed)
+        want = [tuple(rng.randint(0, 1) for _ in range(width)) for _ in range(37)]
+        assert stimulus.random_words(37, seed, width) == want
 
 
 # --------------------------------------------------------------------------

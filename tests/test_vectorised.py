@@ -20,6 +20,7 @@ from datachan.spectrum import Spectrum
 from datachan.vcd import _identifiers, traces_to_vcd
 from reference_analysis import naive_supply_current, transition_times
 from reference_kernel import traces_from_histories
+from reference_writers import ref_g6_tables
 
 # --------------------------------------------------------------------------
 # per-element references
@@ -331,11 +332,15 @@ def test_tx_synthesis_on_a_non_integral_grid_computes_every_sample(hists, edge, 
         assert same_bits(got.samples, ref_shape_segments(steps, params, dt, t0, n))
 
 
-def test_tx_legs_share_a_table_of_edge_shapes():
+def test_tx_legs_share_a_table_of_edge_shapes(monkeypatch):
     # the lines repeat every 200 ps, so once the start levels repeat the legs'
     # shapes do: the pair shares a table shorter than a leg, and the samples
-    # gathered from it are the per-segment loop's; step times off the integers
-    # compute every sample
+    # gathered from it are the per-segment loop's; both CSVs gather from the
+    # table's cells, formatted once for the pair and freed with the legs; step
+    # times off the integers compute every sample
+    formatted, table_cells = [], drv._table_cells
+    monkeypatch.setattr(drv, "_table_cells",
+                        lambda values: formatted.append(values) or table_cells(values))
     hists = [[(0, HIGH)] + [(t + d, lvl) for t in range(5, 20005, 200)
                             for d, lvl in ((0, LOW), (1, HIGH), (2, LOW), (100, HIGH))],
              [(0, HIGH)],
@@ -351,6 +356,11 @@ def test_tx_legs_share_a_table_of_edge_shapes():
         for nets, got in ((("Even", "Odd"), minus), (("nEven", "nOdd"), plus)):
             steps = ref_sink_timeline(traces, nets, 3, 20500)
             assert same_bits(got.samples, ref_shape_segments(steps, params, 10.0, 3, n))
+            assert_same_bytes(drv.trace_to_csv(got), ref_trace_csv(got))
+        assert len(formatted) == 1 and formatted.pop() is plus.table.values
+        cells = weakref.ref(plus.table.cells)
+        del plus, minus, got
+        assert cells() is None
         seg_t, sinking = drv._sink_timeline(traces, ("Even", "Odd"), 3, 20500)
         moved = seg_t + 0.5
         moved[[0, -1]] = seg_t[[0, -1]]  # only inner times are off the integers
@@ -560,6 +570,30 @@ def test_g6_cells_fixed_notation_sweep():
     vals = np.concatenate((exact, np.nextafter(exact, np.inf), np.nextafter(exact, -np.inf)))
     assert len(vals) == 529_200
     assert_same_text(g6_lines(vals), "".join("%.6g\n" % v for v in vals.tolist()))
+
+
+def test_g6_cells_format_each_uncertified_value_once(monkeypatch):
+    # a column of zeros or of ties reaches Python's % once, not once a value;
+    # 0.5 is certified and never reaches it
+    calls, percent = [], drv._percent_g6
+    monkeypatch.setattr(drv, "_percent_g6", lambda vals: calls.append(len(vals)) or percent(vals))
+    for v, sent in ((0.0, [1]), (-0.0, [1]), (123456.5, [1]), (0.5, [])):
+        assert g6_lines(np.full(100_000, v)) == "%.6g\n" % v * 100_000
+        assert calls == sent
+        calls.clear()
+    mixed = np.tile([0.0, -0.0, 0.5, 123456.5, math.nan, -math.inf, 2.5e-301], 1000)
+    assert g6_lines(mixed) == "".join("%.6g\n" % v for v in mixed.tolist())
+    assert calls == [6]
+
+
+def test_g6_tables_match_the_string_built_tables():
+    got, want = drv._g6_tables(), ref_g6_tables()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, np.dtype):
+            assert g == w
+        else:
+            assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
 
 
 def test_ascii4_refuses_a_form_longer_than_four_bytes():
