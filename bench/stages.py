@@ -36,11 +36,20 @@ traced run each.  A run records both sides, and for each stage name (the
 times of its calls summed) and for all stages together the ratio this / other
 of every pair: its median and quartiles.  The ratio of a stage neither tree
 changed reads 1 within them.
+
+Before a scenario's runs each tree's ``src`` is byte-compiled
+(``compileall``), so that every child of either tree loads fresh bytecode.
+Where ``PYTHONDONTWRITEBYTECODE`` is set, a child cannot write the bytecode
+of a module it finds stale, so it would compile that module in every run, and
+peak higher for it.  The compile is forced: ``compileall`` takes bytecode
+for fresh when its source's mtime matches, but the import also compares the
+source's size.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import gc
 import hashlib
 import json
@@ -174,6 +183,8 @@ def measure(name: str, n_words: int, outputs: tuple[str, ...],
     sides = {"this": ROOT / "src"}
     if other_root is not None:
         sides["other"] = other_root / "src"
+    for src in sides.values():
+        compileall.compile_dir(src, quiet=1, force=True)  # see the module docstring
     timed: dict[str, list] = {side: [] for side in sides}
     for pair in range(REPEAT):
         for side in reversed(sides) if pair % 2 else sides:

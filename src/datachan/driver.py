@@ -106,17 +106,15 @@ def _passes(n: int):
 
 
 def _histogram_bins(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """The ``np.histogram`` bin of each value of ``x`` for the uniform ``edges`` of
-    ``np.histogram_bin_edges``: numpy's estimate, corrected by one step against
-    the edges as its fast path does.  Every value must lie within the edges, so
-    the estimate is in [0, n]."""
-    lo, hi, n = edges[0], edges[-1], len(edges) - 1
-    f = (x - lo) / (hi - lo) * n  # in numpy's order of operations
-    idx = f.astype(np.intp)
-    np.minimum(idx, n - 1, out=idx)  # the last bin holds the right edge
-    idx -= x < np.take(edges, idx, out=f, mode="clip")
-    idx += (x >= np.take(edges[1:], idx, out=f, mode="clip")) & (idx != n - 1)
-    return idx
+    """The ``np.histogram`` bin of each value of ``x`` for the ascending ``edges``,
+    found by a search: bin k holds [edges[k], edges[k + 1]), and the last bin
+    also holds the right edge.  Every value must lie within the edges.
+
+    For uniform edges numpy estimates the bin and corrects it by one step
+    against the edges, which gives this bin wherever the estimate is at most
+    one off, as it is on every caller's range."""
+    idx = edges.searchsorted(x, side="right") - 1
+    return np.minimum(idx, len(edges) - 2, out=idx)
 
 
 def _floor_bins(c: np.ndarray, n: int, m: float, d: float, exact) -> np.ndarray:
@@ -160,9 +158,8 @@ def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     within 3.1u D + ulp(m) / 2 of exact, m = max(|lo|, |hi|), and within
     (n + 1) 2^-1075 more for a subnormal step.  As D <= 2m and u m <= ulp(m),
     the sum is below 15 ulp(m).  Where the margin is not small (a range 1e-12
-    wide at 3, say), every value takes the exact path.  A value farther from
-    an edge is also in the bin numpy gives: its estimate is then off by at
-    most one.
+    wide at 3, say), every value takes the exact path, the edge search.  A
+    value farther from an edge is in the bin that search gives.
     """
     lo, hi, n = edges[0], edges[-1], len(edges) - 1
     c = x - lo
@@ -240,11 +237,12 @@ def _shape_segments(timelines: list, params: DriverParams, dt_ps: float,
     time lies in [0, 2^53), that difference is exact, so segments with the
     same (start level by its bits, goal, ``off``) have the same samples, each
     a prefix of the longest's.  The legs then share one table of edge shapes:
-    each distinct triple's longest run, computed once with the expressions of
-    the other grids.  Each leg is gathered from it and keeps it, with the
-    first sample and the table offset of each non-empty segment.  On other
-    grids every sample is computed, a pass at a time: the segments that
-    overlap the pass are repeated over their runs of samples.
+    each distinct triple's longest run, end to end, computed a pass at a time
+    with the expressions of the other grids.  Each leg is gathered from it, a
+    pass at a time, and keeps it, with the first sample and the table offset
+    of each non-empty segment.  On other grids every sample is computed, a
+    pass at a time: the segments that overlap the pass are repeated over
+    their runs of samples.
     """
     v_hi, v_lo = params.v_standby, params.v_sink
     exponential = params.edge_model == "EXPONENTIAL"
@@ -303,8 +301,25 @@ def _shape_segments(timelines: list, params: DriverParams, dt_ps: float,
         np.maximum.at(longest, which, runs)
         # the table pays for itself where it is shorter than a leg
         if longest.sum() < n:
-            return _gather_legs(legs, v0[at], np.where(sink[at], v_lo, v_hi), off[at], which,
-                                longest, shape, dt_ps, t_start, n)
+            base = np.cumsum(longest) - longest  # each shape's first entry in the table
+            table = np.empty(int(longest.sum()))
+            # shape u runs from v0[u] toward goal[u]; its entry base + j is off + j dt
+            # after its step
+            v0, goal, start = v0[at], np.where(sink[at], v_lo, v_hi), off[at] - dt * base
+            for s, e in _passes(len(table)):
+                k0, k1, runs = _spans(base, s, e)
+                table[s:e] = _ramps(base, start, dt, s, e)
+                shape(v0[k0:k1], goal[k0:k1], runs, table[s:e])
+            out, k, shared = [], 0, EdgeTable(table)
+            for first, *_ in legs:
+                offset = base[which[k:k + len(first)]]
+                k += len(first)
+                samples = np.empty(n)
+                for s, e in _passes(n):
+                    np.take(table, _ramps(first, offset - first, 1, s, e), out=samples[s:e],
+                            mode="clip")
+                out.append(WaveformTrace(dt_ps, samples, t_start, shared, first, offset))
+            return out
 
     out = []
     for first, seg_t, sinking, v0 in legs:
@@ -315,32 +330,6 @@ def _shape_segments(timelines: list, params: DriverParams, dt_ps: float,
                         out=samples[s:e])
             shape(v0[k0:k1], goals[k0:k1], runs, samples[s:e])
         out.append(WaveformTrace(dt_ps, samples, t_start))
-    return out
-
-
-def _gather_legs(legs: list, v0: np.ndarray, goal: np.ndarray, off: np.ndarray,
-                 which: np.ndarray, longest: np.ndarray, shape, dt_ps: float, t_start: float,
-                 n: int) -> list[WaveformTrace]:
-    """The legs of ``_shape_segments`` from one table: shape u, from ``v0[u]``
-    toward ``goal[u]`` and ``off[u]`` after its step at its first sample,
-    computed by ``shape`` over its ``longest`` run, and the segments of the
-    legs, in order, gathered from the shapes ``which``."""
-    dt = int(dt_ps)
-    base = np.cumsum(longest) - longest  # each shape's first entry in the table
-    table = np.empty(int(longest.sum()))
-    start = off - dt * base  # entry base + j of a shape is off + j dt after its step
-    for s, e in _passes(len(table)):
-        k0, k1, runs = _spans(base, s, e)
-        table[s:e] = _ramps(base, start, dt, s, e)
-        shape(v0[k0:k1], goal[k0:k1], runs, table[s:e])
-    out, at, shared = [], 0, EdgeTable(table)
-    for first, *_ in legs:
-        offset = base[which[at:at + len(first)]]
-        at += len(first)
-        samples = np.empty(n)
-        for s, e in _passes(n):
-            np.take(table, _ramps(first, offset - first, 1, s, e), out=samples[s:e], mode="clip")
-        out.append(WaveformTrace(dt_ps, samples, t_start, shared, first, offset))
     return out
 
 

@@ -19,7 +19,8 @@ class EyeHistogram:
     """2D occupancy of the differential waveform folded over two unit intervals.
 
     Time axis is in unit intervals, [0, 2), with the eye center at 1.0.
-    ``counts`` is indexed [voltage_bin, time_bin].
+    ``counts`` is indexed [voltage_bin, time_bin]; each is the non-negative
+    number of samples in the bin.
     """
 
     ui_ps: float
@@ -31,30 +32,20 @@ class EyeHistogram:
     def to_csv(self) -> memoryview:
         """One line of comma-separated counts per voltage bin.
 
-        Each count is a cell of a sign byte and the digits of its magnitude,
-        followed by a ``,`` or, at the end of a row, a newline.  The widest
-        magnitude is that of the least or the greatest count.
+        Each count is a cell of its digits, as wide as the greatest count's,
+        followed by a ``,`` or, at the end of a row, a newline.
         """
         rows, cols = self.counts.shape
         if not rows or not cols:
             return memoryview(b"\n" * max(rows, 1))
         values = self.counts.ravel()
-
-        def mags(s: int, e: int) -> np.ndarray:
-            # np.abs(-2**63) wraps to -2**63, whose uint64 cast is its magnitude
-            return np.abs(values[s:e]).astype(np.uint64)
-
-        width = max(_digits(mags(i, i + 1)) for i in (values.argmin(), values.argmax()))
-
-        def signs(cells: np.ndarray, s: int, e: int) -> None:
-            cells[:, 0] = (values[s:e] < 0) * np.uint8(ord("-"))
+        width = _digits(values)
 
         def ends(cells: np.ndarray, s: int, e: int) -> None:
             cells[:, 0] = np.where(np.arange(s, e) % cols == cols - 1, ord("\n"), ord(","))
 
         return _join_cells(len(values), [
-            (1, signs), (width, lambda cells, s, e: _int_cells(mags(s, e), width, cells)),
-            (1, ends)])
+            (width, lambda cells, s, e: _int_cells(values[s:e], width, cells)), (1, ends)])
 
 
 @dataclass
@@ -109,7 +100,7 @@ def build_eye(tx_plus: WaveformTrace, tx_minus: WaveformTrace, ui_ps: float,
     exact.  The sum is below 11 ulp of m = max(|x|, P).  Where floor(x / P)
     is one off, x is within u |x| of a multiple of P, so the coordinate is
     near 0 or bins_t, the wrap, which is never certain.  A sample that is not
-    certain gets ``np.mod(x, P) / ui`` and ``_histogram_bins``.
+    certain gets ``np.mod(x, P) / ui`` and the edge search ``_histogram_bins``.
     """
     if not (math.isfinite(ui_ps) and ui_ps > 0):
         raise ValueError(f"the eye needs a positive, finite ui_ps, got {ui_ps}")

@@ -250,6 +250,21 @@ def test_bin_index_sends_what_it_cannot_certify_to_the_exact_path(lo, width, bin
     assert_same_array(np.sort(np.concatenate(sent)), np.sort(want), "sent")
 
 
+@pytest.mark.parametrize("lo, hi, bins", [
+    (3.0, 3.0 + 1e-12, 100),
+    (-V_MAX, V_MAX, 128),  # the eye's voltage edges
+    (0.0, 2.0, 128),  # the eye's time edges
+    (DriverParams().v_sink, DriverParams().v_standby, measure._MODE_BINS),  # a leg's levels
+])
+def test_histogram_bins_match_numpy_value_by_value(lo, hi, bins):
+    # each value on or beside an edge, the right edge among them, alone in np.histogram
+    edges = np.histogram_bin_edges(np.empty(0), bins, (lo, hi))
+    near = on_and_beside(edges)
+    x = near[(near >= lo) & (near <= hi)]
+    want = [int(np.flatnonzero(np.histogram([v], bins, (lo, hi))[0])[0]) for v in x.tolist()]
+    assert_same_array(drv._histogram_bins(x, edges), np.array(want, dtype=np.intp), "bins")
+
+
 def test_few_values_take_the_exact_path_on_a_report_window(tmp_path):
     """On the default 1500-word ``stream-prbs10`` report window, under 1% of the
     values that the eye and the level measurement bin take the exact path, so

@@ -1,5 +1,12 @@
 """The stage bench's ``--ab`` mode: both trees in subprocesses, stage times paired."""
 
+import importlib.util
+import marshal
+import os
+import py_compile
+import struct
+from pathlib import Path
+
 
 def test_ab_against_its_own_tree(stage_bench):
     _, doc, other = stage_bench
@@ -22,3 +29,36 @@ def test_ab_against_its_own_tree(stage_bench):
         for side in (run, other):
             kernel = next(s for s in side["stages"] if s["stage"] == "kernel")
             assert kernel["after_mb"] > kernel["before_mb"] and kernel["time_s"] > 0
+
+
+def test_ab_refreshes_stale_bytecode_before_the_first_run(stage_bench, tmp_path, monkeypatch):
+    # each side's src holds a module whose bytecode is stale to the import (the
+    # source's size changed) though its mtime matches: with bytecode writes off,
+    # every child would compile it again
+    bench = stage_bench[0]
+    sources = []
+    for side in ("this", "other"):
+        source = tmp_path / side / "src" / "datachan" / "mod.py"
+        source.parent.mkdir(parents=True)
+        source.write_text("X = 1\n")
+        py_compile.compile(str(source))
+        mtime = source.stat().st_mtime_ns
+        source.write_text("X = 22\n")
+        os.utime(source, ns=(mtime, mtime))
+        sources.append(source)
+    seen = []
+
+    def child(src, name, n_words, outputs, traced):
+        for source in sources:
+            pyc = Path(importlib.util.cache_from_source(str(source))).read_bytes()
+            st = source.stat()
+            names = {}
+            exec(marshal.loads(pyc[16:]), names)
+            seen.append((pyc[8:16] == struct.pack("<LL", int(st.st_mtime), st.st_size),
+                         names["X"]))
+        return [{"stage": "kernel", "time_s": 1.0, "vm_hwm_mb": 1.0}], True, {}, {}
+
+    monkeypatch.setattr(bench, "ROOT", tmp_path / "this")
+    monkeypatch.setattr(bench, "_child", child)
+    bench.measure("stream-random", 12, ("report",), tmp_path / "other")
+    assert seen and set(seen) == {(True, 22)}

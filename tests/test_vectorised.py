@@ -605,7 +605,7 @@ def test_ascii4_refuses_a_form_longer_than_four_bytes():
 
 @pytest.mark.parametrize("cols", [0, 1, 3, 128])
 @settings(max_examples=15, deadline=None)
-@given(counts=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=16),
+@given(counts=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=16),
        extra_rows=st.sampled_from([-1, 0, 1]))
 def test_eye_csv_matches_per_line_format(cols, counts, extra_rows):
     # row counts around 2**14 values, and the empty histogram
@@ -619,14 +619,14 @@ def test_eye_csv_matches_per_line_format(cols, counts, extra_rows):
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 @pytest.mark.parametrize("one_row", [False, True])
 @settings(max_examples=10, deadline=None)
-@given(counts=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=16))
+@given(counts=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=16))
 def test_eye_csv_at_line_pass_boundary(offset, one_row, counts):
-    # with -2**63 in the grid every count is a 21-byte cell (a sign, 19
-    # digits, a terminator), so a pass holds a known number of counts: the
-    # grid, one column or one row, ends one count before, on or after a pass
-    n = drv._WRITE_CELLS // 21 + offset
+    # with 2**63 - 1 in the grid every count is a 20-byte cell (19 digits, a
+    # terminator), so a pass holds a known number of counts: the grid, one
+    # column or one row, ends one count before, on or after a pass
+    n = drv._WRITE_CELLS // 20 + offset
     grid = np.resize(np.asarray(counts, dtype=np.int64), (1, n) if one_row else (n, 1))
-    grid[0, 0] = -2**63
+    grid[0, 0] = 2**63 - 1
     eye = EyeHistogram(ui_ps=606.0, counts=grid, t_edges_ui=np.zeros(grid.shape[1] + 1),
                        v_edges=np.zeros(grid.shape[0] + 1))
     assert_same_bytes(eye.to_csv(), ref_eye_csv(eye))
