@@ -43,17 +43,19 @@ class EdgeTable:
 
 @dataclass
 class WaveformTrace:
-    """Uniformly sampled series: a voltage waveform or a supply current."""
+    """Uniformly sampled series: a voltage waveform or a supply current.
+
+    A leg of edge shapes (``synthesize_tx``) also keeps the table its samples
+    were gathered from: sample i of segment k, from ``first[k]`` and before
+    ``first[k + 1]``, is ``table.values[i + shift[k]]``.
+    """
 
     dt_ps: float
     samples: np.ndarray
     t0_ps: float = 0.0
-    # a leg of edge shapes (``synthesize_tx``) also keeps the table its samples
-    # were gathered from: sample first[k] + j, before first[k + 1], is
-    # table.values[offset[k] + j]
     table: EdgeTable | None = None
     first: np.ndarray | None = None
-    offset: np.ndarray | None = None
+    shift: np.ndarray | None = None
 
     def __post_init__(self):
         """Hold float64 samples; a float64 array is kept, so a window stays a view."""
@@ -66,15 +68,12 @@ class WaveformTrace:
 
     def window(self, i0: int, i1: int) -> WaveformTrace:
         """Samples ``i0`` to ``i1 - 1`` (0 <= i0 <= i1) as a trace: a view, with
-        the segments of the table that they cover."""
+        the segments of the table that they cover, counted from ``i0``."""
         trace = WaveformTrace(self.dt_ps, self.samples[i0:i1], self.t0_ps + i0 * self.dt_ps)
         if self.table is not None:
             k0, k1 = self.first.searchsorted(i0, side="right") - 1, self.first.searchsorted(i1)
-            first, offset = self.first[k0:k1] - i0, self.offset[k0:k1].copy()
-            if len(first):  # the first segment starts at sample i0
-                offset[0] -= first[0]
-                first[0] = 0
-            trace.table, trace.first, trace.offset = self.table, first, offset
+            trace.table, trace.first, trace.shift = (
+                self.table, np.maximum(self.first[k0:k1] - i0, 0), self.shift[k0:k1] + i0)
         return trace
 
 
@@ -239,10 +238,10 @@ def _shape_segments(timelines: list, params: DriverParams, dt_ps: float,
     a prefix of the longest's.  The legs then share one table of edge shapes:
     each distinct triple's longest run, end to end, computed a pass at a time
     with the expressions of the other grids.  Each leg is gathered from it, a
-    pass at a time, and keeps it, with the first sample and the table offset
-    of each non-empty segment.  On other grids every sample is computed, a
-    pass at a time: the segments that overlap the pass are repeated over
-    their runs of samples.
+    pass at a time, and keeps it, with the first sample and the shift (table
+    entry less sample index) of each non-empty segment.  On other grids every
+    sample is computed, a pass at a time: the segments that overlap the pass
+    are repeated over their runs of samples.
     """
     v_hi, v_lo = params.v_standby, params.v_sink
     exponential = params.edge_model == "EXPONENTIAL"
@@ -312,13 +311,12 @@ def _shape_segments(timelines: list, params: DriverParams, dt_ps: float,
                 shape(v0[k0:k1], goal[k0:k1], runs, table[s:e])
             out, k, shared = [], 0, EdgeTable(table)
             for first, *_ in legs:
-                offset = base[which[k:k + len(first)]]
+                shift = base[which[k:k + len(first)]] - first
                 k += len(first)
                 samples = np.empty(n)
                 for s, e in _passes(n):
-                    np.take(table, _ramps(first, offset - first, 1, s, e), out=samples[s:e],
-                            mode="clip")
-                out.append(WaveformTrace(dt_ps, samples, t_start, shared, first, offset))
+                    np.take(table, _ramps(first, shift, 1, s, e), out=samples[s:e], mode="clip")
+                out.append(WaveformTrace(dt_ps, samples, t_start, shared, first, shift))
             return out
 
     out = []
@@ -462,20 +460,6 @@ def _int_cells(values: np.ndarray, width: int, out: np.ndarray | None = None) ->
     return out
 
 
-def _ascii4(strings) -> np.ndarray:
-    """Up to four ASCII characters each, as the bytes of one uint32 (NUL-padded);
-    a longer string is a ``ValueError``, not cut.
-
-    The strings are read one at a time: a list of thousands of small strings
-    would leave its memory with the process.
-    """
-    table = np.fromiter(strings, dtype="S5")
-    long = table.view(np.uint8)[4::5] != 0  # a fifth byte
-    if long.any():
-        raise ValueError(f"table form {table[long][0].decode()!r} is longer than four bytes")
-    return table.astype("S4").view(np.uint32)
-
-
 def _stripped(forms: np.ndarray) -> np.ndarray:
     """Rows of ASCII bytes, NUL-padded, as ``rstrip("0").rstrip(".")`` leaves
     them: the zeros after the last other byte, then a point that is last,
@@ -509,7 +493,9 @@ def _g6_tables() -> tuple:
     ``scale[k]`` is 10**(305 - k), correctly rounded: parsed, not a power.
 
     The head and tail forms are built as (1000, 4) byte arrays from the
-    digits "000" to "999", not as 16,000 strings.
+    digits "000" to "999", not as 16,000 strings; the prefix and exponent
+    forms as ``S4`` strings, which would cut a longer one (the oracle
+    ``tests/reference_writers.py`` asserts that each fits).
     """
     cell = np.dtype({"names": ["sign", "prefix", "head", "tail", "exp"],
                      "formats": ["u1", "u4", "u4", "u4", "u4"],
@@ -533,8 +519,8 @@ def _g6_tables() -> tuple:
     xs = range(-300, 302)
     head_row = np.array([2000 * head_form.get(x, 0) for x in xs])
     tail_row = np.array([1000 * tail_form.get(x, 0) for x in xs])
-    prefix = _ascii4(prefixes.get(x, "") for x in xs)
-    exp = _ascii4("" if -4 <= x <= 5 else "%+03d" % x for x in xs)
+    prefix = np.array([prefixes.get(x, "") for x in xs], dtype="S4").view(np.uint32)
+    exp = np.array(["" if -4 <= x <= 5 else "%+03d" % x for x in xs], dtype="S4").view(np.uint32)
     scale = np.fromiter((float("1e%d" % (305 - k)) for k in range(601)), dtype=float)
     return cell, prefix, head, head_row, tail, tail_row, exp, scale
 
@@ -752,16 +738,15 @@ def trace_to_csv(trace: WaveformTrace) -> memoryview:
     """``time_ps,value`` lines; the i-th timestamp is ``t0_ps + i*dt_ps``.
 
     Every value is a ``_g6_cells`` cell.  A leg of edge shapes with a table
-    shorter than itself gathers each line's cell from the table's cells,
-    formatted once for every leg and window that holds the table
-    (``EdgeTable.cells``); the stamps are built per CSV.  Other traces format
-    every sample.  When
-    ``t0_ps`` and ``dt_ps`` are integers and both end timestamps are >= 0 (not
-    -0.0) and below 2**63, ``%.3f`` prints every timestamp as ``%d.000``,
-    assembled as bytes (``_integral_stamps``): sums and products of integral
-    floats round to integers (a float >= 2**52 is one), and ``t0 + dt*i`` is
-    monotone in i, so the ends bound the rest.  Other timestamps are formatted
-    by Python's ``%``, a pass at a time.
+    shorter than itself gathers line i's cell from the table's cells at
+    ``i + shift[k]``, formatted once for every leg and window that holds the
+    table (``EdgeTable.cells``); the stamps are built per CSV.  Other traces
+    format every sample.  When ``t0_ps`` and ``dt_ps`` are integers and both
+    end timestamps are >= 0 (not -0.0) and below 2**63, ``%.3f`` prints every
+    timestamp as ``%d.000``, assembled as bytes (``_integral_stamps``): sums
+    and products of integral floats round to integers (a float >= 2**52 is
+    one), and ``t0 + dt*i`` is monotone in i, so the ends bound the rest.
+    Other timestamps are formatted by Python's ``%``, a pass at a time.
     """
     values = trace.samples
     n = len(values)
@@ -787,8 +772,9 @@ def trace_to_csv(trace: WaveformTrace) -> memoryview:
     if trace.table is None or len(trace.table) >= n:
         cells = (_G6_WIDTH, lambda cells, s, e: _g6_cells(values[s:e], cells))
     else:
-        kind, start = f"V{trace.table.cells.shape[1]}", trace.offset - trace.first
+        kind = f"V{trace.table.cells.shape[1]}"
         table = trace.table.cells.view(kind)[:, 0]
         cells = (table.itemsize, lambda cells, s, e: np.take(
-            table, _ramps(trace.first, start, 1, s, e), out=cells.view(kind)[:, 0], mode="clip"))
+            table, _ramps(trace.first, trace.shift, 1, s, e), out=cells.view(kind)[:, 0],
+            mode="clip"))
     return _join_cells(n, stamps + [cells, b"\n"], b"time_ps,value\n")

@@ -34,14 +34,6 @@ class BitStream:
     start_time_ps: int = 0
     bit_period: Fraction = Fraction(10**12, 1_650_000_000)
 
-    def __len__(self):
-        return len(self.bits)
-
-    def __eq__(self, other):
-        if isinstance(other, BitStream):
-            return self.bits == other.bits
-        return NotImplemented
-
 
 def golden_serialize(words: list[Word], width: int = 10,
                      bit_period: Fraction | None = None) -> BitStream:

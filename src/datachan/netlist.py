@@ -78,11 +78,12 @@ def _hold(at: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.append(np.int8(2), values[at])[np.cumsum(at)]
 
 
+@dataclass(eq=False)
 class Buffer:
-    def __init__(self, src: str, dst: str, delay_ps: int, invert: bool = False):
-        self.src, self.dst = src, dst
-        self.delay_ps = delay_ps
-        self.invert = invert
+    src: str
+    dst: str
+    delay_ps: int
+    invert: bool = False
 
     @property
     def inputs(self):
@@ -95,11 +96,13 @@ class Buffer:
         return (_NOT[src] if self.invert else src), None
 
 
+@dataclass(eq=False)
 class DFlipFlop:
-    def __init__(self, clk: str, d: str, q: str, delay_ps: int, edge: str = "fall"):
-        self.clk, self.d, self.q = clk, d, q
-        self.delay_ps = delay_ps
-        self.edge = edge
+    clk: str
+    d: str
+    q: str
+    delay_ps: int
+    edge: str = "fall"
 
     @property
     def inputs(self):
@@ -112,13 +115,14 @@ class DFlipFlop:
         return _hold(_edges(held[self.clk], self.edge), held[self.d]), None
 
 
+@dataclass(eq=False)
 class ResetBlock:
-    def __init__(self, dclk: str, disable: str, enable: str, buffered_last: str,
-                 start: str, delay_ps: int):
-        self.dclk, self.disable, self.enable = dclk, disable, enable
-        self.buffered_last = buffered_last
-        self.start = start
-        self.delay_ps = delay_ps
+    dclk: str
+    disable: str
+    enable: str
+    buffered_last: str
+    start: str
+    delay_ps: int
 
     @property
     def inputs(self):
@@ -138,6 +142,7 @@ class ResetBlock:
         return _OR[_AND[ndis, armed], _AND[_AND[ndis, nen], held[self.buffered_last]]], None
 
 
+@dataclass(eq=False)
 class SharedLine:
     """Active-low wired line with pull-up, driven by up to five selector blocks.
 
@@ -146,10 +151,9 @@ class SharedLine:
     ``active_bit`` (1 for the true line, 0 for the complement line).
     """
 
-    def __init__(self, line: str, pullers: list[tuple[str, str, int]], delay_ps: int):
-        self.line = line
-        self.pullers = pullers
-        self.delay_ps = delay_ps
+    line: str
+    pullers: list[tuple[str, str, int]]
+    delay_ps: int
 
     @property
     def inputs(self):

@@ -9,12 +9,13 @@ It also holds the single-line supply baseline that acceptance criterion 6
 compares the split-line channel against; nothing in ``src/`` models it.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from datachan.driver import WaveformTrace, _deposit_spikes
 from datachan.errors import NoSettleError, NoTransitionError
 from datachan.eye import EyeHistogram
-from datachan.spectrum import Spectrum
 
 MODE_BINS = 2001
 
@@ -142,7 +143,7 @@ def ref_spectrum(trace):
         mags[-1] /= 2.0
     dt_s = trace.dt_ps * 1e-12
     freqs = np.fft.rfftfreq(n, d=dt_s)
-    return Spectrum(freqs_hz=freqs, mags_a=mags, rbw_hz=1.0 / (n * dt_s))
+    return SimpleNamespace(freqs_hz=freqs, mags_a=mags, rbw_hz=1.0 / (n * dt_s))
 
 
 def ref_mean_square(spec):

@@ -6,6 +6,7 @@ code in ``reference_analysis``, whatever the window length is relative to a
 pass, and they must not allocate temporaries as long as the window.
 """
 
+import io
 import tracemalloc
 from dataclasses import replace
 
@@ -20,7 +21,7 @@ from datachan.errors import NoSettleError, NoTransitionError
 from datachan.eye import EyeHistogram, EyeMask, build_eye, mask_check
 from datachan.measure import measure_edge, measure_levels
 from datachan.scenario import PRESETS, run_scenario
-from datachan.spectrum import spectrum
+from datachan.spectrum import Spectrum, low_band_ratio, spectrum
 from reference_analysis import (assert_same_array, ref_build_eye, ref_mask_check,
                                 ref_measure_edge, ref_measure_levels, ref_spectrum,
                                 ref_times)
@@ -499,8 +500,8 @@ def test_spectrum_pads_a_supply_current_without_a_copy():
     transform, magnitudes = 16 * (n // 2 + 1), 8 * (n // 2 + 1)
     spectrum(current)  # the first transform of a length also caches its plan
     peak = traced_peak(spectrum, current)
-    # the transform and then rfftfreq's two arrays are live next to the
-    # magnitudes; a padded copy would add 8 * n to the first
+    # the transform is live next to the magnitudes; a padded copy would add
+    # 8 * n to it
     assert peak <= transform + magnitudes + 128 * 1024, f"{peak / 1e6:.2f} MB above the input"
 
 
@@ -525,3 +526,35 @@ def test_a_view_of_a_supply_current_is_padded_in_a_copy():
     got, want = spectrum(view), ref_spectrum(view)
     assert_same_array(got.mags_a, want.mags_a, "magnitudes")
     assert_same_array(current.samples, samples, "samples")
+
+
+@pytest.mark.parametrize("n", [1, 2, 2**12 - 1, 2**12, 2**12 + 1, 2**22])
+def test_spectrum_frequencies_are_rfftfreq(n):
+    # bin k is at k * rbw_hz, bit for bit rfftfreq's arange(n // 2 + 1) * (1 / (n d));
+    # 2^22 is the FFT length of a 4000-word run
+    dt = 3.3
+    spec = spectrum(drv.WaveformTrace(dt, np.full(n, 1e-3)))
+    want = np.fft.rfftfreq(drv._fft_length(n), d=dt * 1e-12)
+    assert_same_array(spec.freqs_hz, want, "frequencies")
+    lines = io.BytesIO(bytes(spec.to_csv()))
+    assert next(lines) == b"freq_hz,magnitude_a\n"
+    assert all(line.split(b",")[0] == b"%.6g" % f
+               for line, f in zip(lines, want.tolist(), strict=True))
+
+
+@pytest.mark.parametrize("m", [11, 12, 1000, 1943, 4097, 3**12, 2**20])
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+def test_low_band_ratio_finds_its_band_by_index(m, ulps):
+    # an RBW of 500 MHz / m, one that the quotient gives back exactly, and one
+    # ulp either side (one ulp up from 500 MHz / 1943, bin 1943 is in the band
+    # though the quotient is 1942); rising magnitudes put the peak on the
+    # band's last bin, in spectra that end before, on and past the band's edge
+    rbw = 5e8 / m
+    assert 5e8 / rbw == m
+    rbw = np.nextafter(rbw, ulps * np.inf) if ulps else rbw
+    for size in (1, m // 2, m, m + 1, m + 2, m + 3, 2 * m):
+        mags = np.arange(1.0, size + 1)
+        freqs = np.arange(size) * rbw  # rfftfreq's bins for any n and d that give this RBW
+        band = (freqs > 0) & (freqs <= 5e8)  # the mask of the frequency array
+        want = float(mags[band].max()) / mags[0] if band.any() else 0.0
+        assert low_band_ratio(Spectrum(mags_a=mags, rbw_hz=rbw)) == want

@@ -1,7 +1,8 @@
 """Stand-ins for a linter: every name a ``datachan`` module or bench script
 imports is used, every public function, class, method or property of the
-package has a caller outside the tests, and only ``logic`` reads a trace's
-histories."""
+package has a caller outside the tests, every private one (and every private
+module constant) is read in the package or the stage bench, and only
+``logic`` reads a trace's histories."""
 
 import ast
 import re
@@ -82,26 +83,36 @@ def _named(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return names
 
 
-def _definitions(tree: ast.Module):
-    """Top-level functions and classes, and the methods and properties of the classes."""
+def _definitions(tree: ast.Module, constants: bool = False):
+    """(node, name) of the top-level functions and classes, the methods and
+    properties of the classes, and with ``constants`` the names assigned at
+    the top level."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node, node.name
         if isinstance(node, ast.ClassDef):
-            yield from (f for f in node.body if isinstance(f, ast.FunctionDef))
+            yield from ((f, f.name) for f in node.body if isinstance(f, ast.FunctionDef))
+        if constants and isinstance(node, ast.Assign):
+            yield from ((node, t.id) for t in node.targets if isinstance(t, ast.Name))
 
 
-def _uncalled(paths: list[Path], callers: list[Path]) -> set[str]:
-    """Public definitions of ``paths`` (see ``_definitions``) that ``callers`` never name."""
+def _private(name: str) -> bool:
+    """One leading underscore: a dunder is not private."""
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _uncalled(paths: list[Path], callers: list[Path], private: bool = False) -> set[str]:
+    """Public definitions of ``paths`` (see ``_definitions``) that ``callers`` never
+    name; with ``private``, the private ones and the private module constants."""
     trees = {path: ast.parse(path.read_text()) for path in {*paths, *callers}}
     named = {path: _named(trees[path]) for path in callers}
     out = set()
     for path in paths:
         others = set().union(*(names for caller, names in named.items() if caller != path))
-        for node in _definitions(trees[path]):
-            if (not node.name.startswith("_")
-                    and node.name not in others | _named(trees[path], node)):
-                out.add(node.name)
+        for node, name in _definitions(trees[path], constants=private):
+            if ((_private(name) if private else not name.startswith("_"))
+                    and name not in others | _named(trees[path], node)):
+                out.add(name)
     return out
 
 
@@ -109,6 +120,23 @@ def test_every_public_name_has_a_caller():
     """Public API that only the tests call moves to a ``tests/reference_*.py`` oracle
     (``mux_lines``, ``intervals``)."""
     assert not _uncalled(PACKAGE, CALLERS)
+
+
+def test_every_private_name_is_read():
+    """A private helper that only the tests call moves to a ``tests/reference_*.py``
+    oracle, or goes."""
+    readers = PACKAGE + sorted((ROOT / "bench").glob("*.py"))
+    assert not _uncalled(PACKAGE, readers, private=True)
+
+
+def test_the_check_finds_an_unread_private_name(tmp_path):
+    lib, user = tmp_path / "lib.py", tmp_path / "user.py"
+    lib.write_text("_USED = 1\n_UNREAD = 2\n_A = _B = 3\n\n\ndef _helper():\n    _helper()\n\n\n"
+                   "class _Kept:\n    def __init__(self):\n        self._spare()\n\n"
+                   "    def _spare(self):\n        pass\n\n    def _dead(self):\n        pass\n\n\n"
+                   "def public():\n    return _USED + _A\n")
+    user.write_text("import lib\nlib._Kept()\n")
+    assert _uncalled([lib], [lib, user], private=True) == {"_UNREAD", "_B", "_helper", "_dead"}
 
 
 def test_the_check_finds_an_uncalled_function(tmp_path):

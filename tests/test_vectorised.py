@@ -105,8 +105,8 @@ def ref_trace_csv(trace):
 
 def ref_spectrum_csv(spec):
     lines = ["freq_hz,magnitude_a"]
-    for f, m in zip(spec.freqs_hz, spec.mags_a):
-        lines.append(f"{f:.6g},{m:.6g}")
+    for k, m in enumerate(spec.mags_a):
+        lines.append(f"{k * spec.rbw_hz:.6g},{m:.6g}")
     return "\n".join(lines) + "\n"
 
 
@@ -179,6 +179,8 @@ def same_bits(a, b):
 SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.5, -2.25, 123456.789]
 values = st.one_of(st.sampled_from(SPECIAL),
                    st.floats(allow_nan=False, allow_infinity=False))
+# a resolution: positive, and finite at every bin
+rbws = st.floats(min_value=5e-324, max_value=1e300)
 ROWS_PER_CHUNK = (1 << 14) // 2
 LENGTHS = [0, 1, ROWS_PER_CHUNK - 1, ROWS_PER_CHUNK, ROWS_PER_CHUNK + 1]
 # the writers work in passes of _WRITE_CELLS cells, 24 to 42 a Tx CSV line
@@ -428,13 +430,44 @@ def test_tx_csv_of_a_windowed_leg_of_edge_shapes(lines, edge, t_rf, dt, cut, chu
         assert win.t0_ps == leg.t0_ps + i0 * dt
         t0 = {"window": win.t0_ps, "1e4": max(0.0, 1e4 - dt * (len(win.samples) // 2)),
               "2**53": 2.0**53 - dt * (len(win.samples) // 2)}[stamps]
-        trace = drv.WaveformTrace(dt, win.samples, t0, win.table, win.first, win.offset)
+        trace = drv.WaveformTrace(dt, win.samples, t0, win.table, win.first, win.shift)
         default_cells, drv._WRITE_CELLS = drv._WRITE_CELLS, write_cells
         try:
             got = drv.trace_to_csv(trace)
         finally:
             drv._WRITE_CELLS = default_cells
         assert_same_bytes(got, ref_trace_csv(trace))
+
+
+def tabled_legs():
+    """Both legs of a raised-cosine pair at 10 ps over 2049 samples, gathered
+    from a table of 137 edge shapes."""
+    glitched = [(t + d, lvl) for t in range(5, 20005, 200)
+                for d, lvl in ((0, LOW), (1, HIGH), (2, LOW), (100, HIGH))]
+    plain = [(t + d, lvl) for t in range(50, 20050, 200) for d, lvl in ((0, LOW), (100, HIGH))]
+    hists = [[(0, HIGH)] + glitched, [(0, HIGH)], [(0, HIGH)] + plain, [(0, HIGH)]]
+    traces = traces_from_histories(dict(zip(LINE_NETS, hists)), 20500)
+    return drv.synthesize_tx(traces, DriverParams(t_rf_ps=37.3, edge_model="RAISED_COSINE"),
+                             10.0, 3, 20500)
+
+
+@pytest.mark.parametrize("case", ["on a first sample", "after a first sample", "from 0",
+                                  "empty", "to the end"])
+def test_window_shifts_its_segments(case):
+    # sample j of a window is table.values[j + shift[k]] for its segment k, so
+    # its samples and its Tx CSV are those of the leg's slice
+    for leg in tabled_legs():
+        n, a = len(leg.samples), int(leg.first[len(leg.first) // 2])
+        assert len(leg.table) < n // 4
+        i0, i1 = {"on a first sample": (a, n - 9), "after a first sample": (a + 1, n - 9),
+                  "from 0": (0, n // 2), "empty": (a, a), "to the end": (a + 1, n)}[case]
+        win = leg.window(i0, i1)
+        assert same_bits(win.samples, leg.samples[i0:i1])
+        if i1 > i0:
+            at = drv._ramps(win.first, win.shift, 1, 0, i1 - i0)
+            assert same_bits(win.table.values[at], leg.samples[i0:i1])
+        plain = drv.WaveformTrace(leg.dt_ps, leg.samples[i0:i1].copy(), win.t0_ps)
+        assert_same_bytes(drv.trace_to_csv(win), ref_trace_csv(plain))
 
 
 # --------------------------------------------------------------------------
@@ -494,29 +527,38 @@ def test_large_outputs_share_a_mapping_only_once_released(monkeypatch):
     assert drv._mapping is shared()
 
 
+def near_tie(v):
+    """Whether ``_g6_cells`` leaves ``v`` to Python: its seventh significant
+    digit is within 1e-8 of a half."""
+    y = abs(v) * 10.0 ** (5 - math.floor(math.log10(abs(v))))
+    return abs(y - math.floor(y) - 0.5) < 1e-8
+
+
 @pytest.mark.parametrize("n", LENGTHS)
 @settings(max_examples=15, deadline=None)
-@given(freqs=st.lists(values, min_size=1, max_size=16),
-       mags=st.lists(values, min_size=1, max_size=16))
-def test_spectrum_csv_matches_per_line_format(n, freqs, mags):
-    spec = Spectrum(freqs_hz=tiled(freqs, n), mags_a=tiled(mags, n), rbw_hz=1.0)
+@given(rbw=rbws, mags=st.lists(values, min_size=1, max_size=16))
+# the frequency of bin 1 and a magnitude are near-ties, formatted by Python
+@example(rbw=1.000005, mags=[-625000.5, 2.0])
+def test_spectrum_csv_matches_per_line_format(n, rbw, mags):
+    spec = Spectrum(mags_a=tiled(mags, n), rbw_hz=rbw)
     assert_same_bytes(spec.to_csv(), ref_spectrum_csv(spec))
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 @settings(max_examples=15, deadline=None)
-@given(freqs=st.lists(values, min_size=1, max_size=16),
-       mags=st.lists(values, min_size=1, max_size=16))
-def test_spectrum_csv_at_line_pass_boundary(offset, freqs, mags):
+@given(rbw=rbws, mags=st.lists(values, min_size=1, max_size=16))
+def test_spectrum_csv_at_line_pass_boundary(offset, rbw, mags):
     # a line is two cells, a comma and a newline, so a pass holds a known
     # number of lines: the spectrum ends one line before, on or after a pass;
     # the ties mid-pass and on the last line are formatted by Python
     n = drv._WRITE_CELLS // (2 * drv._G6_WIDTH + 2) + offset
-    f, m = tiled(freqs, n), tiled(mags, n)
-    f[n // 2] = 123456.5
+    m = tiled(mags, n)
     m[n - 1] = -625000.5
-    spec = Spectrum(freqs_hz=f, mags_a=m, rbw_hz=1.0)
+    spec = Spectrum(mags_a=m, rbw_hz=rbw)
     assert_same_bytes(spec.to_csv(), ref_spectrum_csv(spec))
+    tie = Spectrum(mags_a=m, rbw_hz=123456.5 / (n // 2))
+    assert near_tie((n // 2) * tie.rbw_hz) and near_tie(m[n - 1])
+    assert_same_bytes(tie.to_csv(), ref_spectrum_csv(tie))
 
 
 def g6_lines(vals):
@@ -594,13 +636,6 @@ def test_g6_tables_match_the_string_built_tables():
             assert g == w
         else:
             assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
-
-
-def test_ascii4_refuses_a_form_longer_than_four_bytes():
-    # a table form written one character too long is an error, not cut to four
-    assert drv._ascii4(iter(["", "0.", "0.00"])).view("S4").tolist() == [b"", b"0.", b"0.00"]
-    with pytest.raises(ValueError, match="'0.000' is longer than four bytes"):
-        drv._ascii4(iter(["0.", "0.000", "e"]))
 
 
 @pytest.mark.parametrize("cols", [0, 1, 3, 128])
