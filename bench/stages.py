@@ -22,8 +22,11 @@ scenario runs ``REPEAT`` times untraced, for the median time of each stage by
 position and the median ``vm_hwm_mb``: the process's peak resident MB, the
 highest ``VmHWM`` of ``/proc/self/status`` read up to the stage's end, which
 counts what ``tracemalloc`` does not see, such as pocketfft's buffers, and
-only the pages touched.  Before each stage of an untraced run the cyclic
-garbage collector runs, outside the stage's timed interval, so that no stage
+only the pages touched; and the median ``minflt``, the minor page faults the
+stage took (``ru_minflt`` of ``resource.getrusage``), which shows a stage
+that first touches pages no earlier stage freed into the heap.  Before each
+stage of an untraced run the cyclic garbage collector runs, outside the
+stage's timed interval, so that no stage
 pays for a collection that the allocations of earlier ones set off.  It runs
 once more under ``tracemalloc``, for the traced MB live before and after each
 stage and the peak while it ran.  The artifacts are the same files a plain run
@@ -55,6 +58,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -99,7 +103,8 @@ def _vm_hwm_mb() -> float:
 def _run(sc: scenario.Scenario, traced: bool) -> tuple[list[dict], bool, dict, dict]:
     """(stage records, passed, artifact sizes and hashes, kernel counters) of one
     run of ``sc``.  The counters come from a traced run only, whose times are not
-    used, and ``vm_hwm_mb`` from an untraced one, as tracing allocates too."""
+    used, and ``vm_hwm_mb`` and ``minflt`` from an untraced one, as tracing
+    allocates too."""
     counters, advance, stage = {}, scenario.advance, scenario._stage
 
     def counted(netlist, stim, until_ps):
@@ -109,9 +114,12 @@ def _run(sc: scenario.Scenario, traced: bool) -> tuple[list[dict], bool, dict, d
 
     def peaked(result, name, fn, /, *args, **kwargs):
         gc.collect()  # before the stage's timer starts
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         try:
             return stage(result, name, fn, *args, **kwargs)
         finally:
+            result.stages[-1]["minflt"] = (
+                resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
             # the highest reading so far: a later read of VmHWM can be a few pages
             # lower, as the kernel keeps the peak from per-CPU page counts that lag
             prior = [record["vm_hwm_mb"] for record in result.stages[-2:-1]]
@@ -154,14 +162,14 @@ def _child(src: Path, name: str, n_words: int, outputs: tuple[str, ...],
 
 
 def _summary(name: str, n_words: int, outputs: tuple[str, ...], runs: list) -> dict:
-    """Median stage times and ``vm_hwm_mb`` of all ``runs`` but the last, a traced
-    one, with its memory and kernel counters."""
+    """Median stage times, ``vm_hwm_mb`` and ``minflt`` of all ``runs`` but the
+    last, a traced one, with its memory and kernel counters."""
     shapes = [([s["stage"] for s in stages], ok, files) for stages, ok, files, _ in runs]
     if any(shape != shapes[0] for shape in shapes):
         raise RuntimeError(f"{name}: the runs differ in stage sequence, verdict or artifacts")
     *timed, (traced, passed, artifacts, counters) = runs
     stages = [record | {key: median(run[0][i][key] for run in timed)
-                        for key in ("time_s", "vm_hwm_mb")}
+                        for key in ("time_s", "vm_hwm_mb", "minflt")}
               for i, record in enumerate(traced)]
     return {"scenario": name, "words": n_words, "outputs": list(outputs), "passed": passed,
             "stages": stages, "artifacts": artifacts, "counters": counters}

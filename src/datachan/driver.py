@@ -183,15 +183,13 @@ def _ramps(first: np.ndarray, start: np.ndarray, step: int, s: int, e: int) -> n
     """``start[k] + step * i`` (int64) for each sample i from s to e - 1, where
     segment k of the strictly ascending ``first`` (``first[0] <= s``) holds i.
 
-    A running sum of ``step`` that jumps where a segment starts: faster than
-    repeating ``start`` over short runs.
+    ``start`` repeated over the runs of the segments, plus ``step * i``: two
+    vector passes, where a running sum would be one sequential one.
     """
-    k0, k1 = first.searchsorted(s, side="right") - 1, first.searchsorted(e)
-    out = np.empty(e - s, dtype=np.int64)
-    out.fill(step)
-    out[first[k0 + 1:k1] - s] += start[k0 + 1:k1] - start[k0:k1 - 1]
-    out[0] = start[k0] + step * s
-    return np.cumsum(out, out=out)
+    k0, k1, runs = _spans(first, s, e)
+    out = np.repeat(start[k0:k1], runs)
+    out += np.arange(s * step, e * step, step)
+    return out
 
 
 def _ranks(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -372,31 +370,63 @@ def _deposit_spikes(samples: np.ndarray, t0: float, dt: float,
     Every spike covers the bins its base overlaps, clipped to the window.
     Spikes are added in the order given, so overlapping spikes accumulate
     in the same floating-point order as adding them one at a time.
+
+    A pass of spikes computes the bin values of each distinct key once and
+    gathers them; a pass, so that no work array grows with the spike count
+    on any grid.  The key of a spike is the offset of its center from its
+    first bin edge, ``c - (t0 + dt (i0 - 1/2))``, compared by its bits.
+    Where ``t0``, ``dt``, ``w`` and every center are integers, and the
+    edges and the spike ends lie within 2^51 of 0, each of these times is
+    an integer or a half-integer, and so is each sum or difference of two:
+    every one is computed exactly.  The edge-minus-end differences that the
+    values are computed from are then functions of the key alone, so spikes
+    with the same key have the same values.  A pass then has at most ``dt``
+    keys, plus one for each spike clipped at the left, whose clipped ``i0``
+    gives it its own; clipping at the right only masks bins.  On any other
+    grid each spike is its own key, and its values are computed as if it
+    were alone.  A masked bin, past a spike's last, adds -0.0 to the last
+    sample instead, which leaves every value as it is, so no masked copy
+    of the bins or values is made.
     """
     centers = np.asarray(centers, dtype=float)
-    a, b = centers - w / 2.0, centers + w / 2.0
     n = len(samples)
     # clip before the integer cast so far-away spikes cannot overflow it
-    i0 = np.clip(np.floor((a - t0) / dt + 0.5), 0, n).astype(np.int64)
-    i1 = np.clip(np.ceil((b - t0) / dt + 0.5), -1, n - 1).astype(np.int64)
+    i0 = np.clip(np.floor((centers - w / 2.0 - t0) / dt + 0.5), 0, n).astype(np.int64)
+    i1 = np.clip(np.ceil((centers + w / 2.0 - t0) / dt + 0.5), -1, n - 1).astype(np.int64)
     hit = i1 >= i0
-    a, b, centers, i0, i1 = a[hit], b[hit], centers[hit], i0[hit], i1[hit]
+    centers, i0, i1 = centers[hit], i0[hit], i1[hit]
     if not len(centers):
         return
     cols = np.arange(int((i1 - i0).max()) + 2)  # bin edges of the widest spike
+    # every bin edge is within |t0| + |dt| 2n of 0, as i1 < n and i0 >= 0
+    exact = (all(float(v).is_integer() for v in (t0, dt, w))
+             and abs(t0) + abs(dt) * (2 * n + 1) < 2.0**51
+             and float(np.abs(centers).max()) + w < 2.0**51
+             and bool((np.floor(centers) == centers).all()))
     rows = max(1, _PASS_CELLS // len(cols))
     for s in range(0, len(centers), rows):
         part = slice(s, s + rows)
-        ca, cb, cc = a[part, None], b[part, None], centers[part, None]
-        idx = i0[part, None] + cols
-        t = np.clip(t0 + dt * (idx - 0.5), ca, cb)
+        if exact:
+            key = centers[part] - (t0 + dt * (i0[part] - 0.5))
+            which, count = _ranks(key.view(np.int64))
+        else:
+            count = len(i0[part])
+            which = np.arange(count)
+        rep = np.empty(count, dtype=np.intp)  # a spike of each key
+        rep[which] = np.arange(s, s + len(which))
+        cc = centers[rep, None]
+        ca, cb = cc - w / 2.0, cc + w / 2.0
+        t = np.clip(t0 + dt * (i0[rep, None] + cols - 0.5), ca, cb)
         left = np.minimum(t, cc)
         right = np.maximum(t, cc)
         cum = 2.0 * q * (left - ca) ** 2 / w**2 + (q - 2.0 * q * (cb - right) ** 2 / w**2)
         cum -= q / 2.0  # remove double-counted apex value
-        inside = idx[:, :-1] <= i1[part, None]
-        np.add.at(samples, idx[:, :-1][inside],
-                  (np.diff(cum, axis=1) / (dt * 1e-12))[inside])  # charge per bin -> amperes
+        values = np.diff(cum, axis=1) / (dt * 1e-12)  # charge per bin -> amperes
+        idx = i0[part, None] + cols[:-1]
+        values = np.take(values, which, axis=0)
+        np.copyto(values, -0.0, where=idx > i1[part, None])
+        np.minimum(idx, n - 1, out=idx)
+        np.add.at(samples, idx.ravel(), values.ravel())
 
 
 def _fft_length(n: int) -> int:

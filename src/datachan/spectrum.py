@@ -45,6 +45,12 @@ def spectrum(trace: WaveformTrace) -> Spectrum:
     into its buffer's tail, past its samples.  Any other trace is padded in a
     copy, released before the magnitudes, the transform after them.  The
     spectrum keeps the resolution ``1 / (n dt)``, not the bin frequencies.
+
+    The transform is scaled by pocketfft (``norm="forward"``), which
+    multiplies each real and imaginary part of its result by ``1 / n``.  As
+    ``n`` is a power of two, that product is the correctly rounded
+    ``x 2^-k``, the same value as ``x / n``, subnormals included, so the
+    magnitudes are those of ``rfft(x) / n`` without the pass that divides.
     """
     x = trace.samples
     if len(x) == 0:
@@ -59,9 +65,8 @@ def spectrum(trace: WaveformTrace) -> Spectrum:
         else:
             x = np.pad(x, (0, n - len(x)), constant_values=mean)
 
-    X = np.fft.rfft(x)
+    X = np.fft.rfft(x, norm="forward")
     del x
-    X /= n
     mags = np.abs(X)
     del X
     mags[1:] *= 2.0

@@ -528,6 +528,23 @@ def test_a_view_of_a_supply_current_is_padded_in_a_copy():
     assert_same_array(current.samples, samples, "samples")
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1e-310, 5e-324, 1e300])
+def test_spectrum_scaled_by_the_transform_equals_rfft_over_n(scale):
+    # pocketfft's 1 / n factor against rfft(x) / n, at FFT lengths 1 to 2^16
+    # and padded lengths in between, on milliamps, subnormals and large
+    # samples (1e300 2^16 is still finite)
+    rng = np.random.default_rng(35)
+    lengths = [1 << k for k in range(17)] + [3, 5, 7, 100, 1000, 4095, 4097, 2**16 - 1]
+    for n in lengths:
+        samples = scale * rng.standard_normal(n)
+        if scale < 1e-300:  # the least subnormal and signed zeros among them
+            samples[::3], samples[1::7] = 5e-324, -0.0
+        trace = drv.WaveformTrace(10.0, samples)
+        got, want = spectrum(trace), ref_spectrum(trace)
+        assert_same_array(got.mags_a, want.mags_a, f"magnitudes of {n} samples")
+        assert got.rbw_hz == want.rbw_hz
+
+
 @pytest.mark.parametrize("n", [1, 2, 2**12 - 1, 2**12, 2**12 + 1, 2**22])
 def test_spectrum_frequencies_are_rfftfreq(n):
     # bin k is at k * rbw_hz, bit for bit rfftfreq's arange(n // 2 + 1) * (1 / (n d));

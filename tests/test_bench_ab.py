@@ -56,7 +56,7 @@ def test_ab_refreshes_stale_bytecode_before_the_first_run(stage_bench, tmp_path,
             exec(marshal.loads(pyc[16:]), names)
             seen.append((pyc[8:16] == struct.pack("<LL", int(st.st_mtime), st.st_size),
                          names["X"]))
-        return [{"stage": "kernel", "time_s": 1.0, "vm_hwm_mb": 1.0}], True, {}, {}
+        return [{"stage": "kernel", "time_s": 1.0, "vm_hwm_mb": 1.0, "minflt": 0}], True, {}, {}
 
     monkeypatch.setattr(bench, "ROOT", tmp_path / "this")
     monkeypatch.setattr(bench, "_child", child)

@@ -28,3 +28,14 @@ def test_memory_bench_records_each_stage(stage_bench):
     assert names.count("levels") == 1 and names.count("edges") == 2
     writers = {"write_" + key for _, _, key, _, _ in scenario.ARTIFACTS}
     assert {s["stage"] for s in full["stages"]} == STAGES | writers
+
+
+def test_memory_bench_counts_each_stage_page_faults(stage_bench):
+    # the minor page faults of each stage, a median of the untraced runs, on
+    # both sides of --ab; a run's first touch of its arrays takes some
+    _, doc, _ = stage_bench
+    for run in doc["runs"]:
+        for side in (run, run["other"]):
+            faults = [stage["minflt"] for stage in side["stages"]]
+            assert all(isinstance(n, int) and n >= 0 for n in faults)
+            assert sum(faults) > 0

@@ -246,6 +246,119 @@ def test_spike_deposit_chunks_keep_spike_order(monkeypatch):
     assert same_bits(got, want)
 
 
+@settings(max_examples=200, deadline=None)
+@given(centers=st.lists(st.integers(-400, 3000), max_size=60),
+       n=st.integers(1, 200), t0=st.integers(-300, 300),
+       dt=st.sampled_from([1, 2, 7, 10, 13]), w=st.sampled_from([1, 7, 60, 61, 250]),
+       chunk=st.sampled_from([20, 97, drv._PASS_CELLS]), dc=st.sampled_from([1e-3, -0.0]))
+def test_spike_deposit_on_an_integral_grid_matches_per_spike_loop(centers, n, t0, dt, w,
+                                                                 chunk, dc):
+    # integral centers, t0, dt and w: spikes share their values by key, which
+    # is a half-integer at odd dt, as the spike ends are at odd w; spikes
+    # clipped at either end, overlapping spikes and several deposit passes all
+    # come from these ranges; a DC draw of -0.0 keeps its sign where no spike
+    # adds to it
+    q = 50e-15
+    got = np.full(n, dc)
+    default_chunk, drv._PASS_CELLS = drv._PASS_CELLS, chunk
+    try:
+        drv._deposit_spikes(got, float(t0), float(dt), [float(c) for c in centers], q, float(w))
+    finally:
+        drv._PASS_CELLS = default_chunk
+    want = np.full(n, dc)
+    for c in centers:
+        ref_deposit_spike(want, float(t0), float(dt), float(c), q, float(w))
+    assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("dt, w", [(10.0, 60.0), (7.0, 61.0), (13.0, 7.0)])
+def test_spike_deposit_computes_each_key_once(monkeypatch, dt, w):
+    # a pass of spikes at integral times has at most dt keys, plus one per
+    # spike clipped at the left
+    monkeypatch.setattr(drv, "_PASS_CELLS", 300)
+    keys = []
+
+    def ranks(x):
+        which, count = ranks.wrapped(x)
+        keys.append((len(x), count))
+        return which, count
+
+    ranks.wrapped = drv._ranks
+    monkeypatch.setattr(drv, "_ranks", ranks)
+    # every center near t0, where the keys of the spikes clipped at the left
+    # pass through 0, then spread ones
+    centers = [float(c) for c in [*range(-40, 40), *range(40, 6000, 23)]]
+    got = np.zeros(500)
+    drv._deposit_spikes(got, 5.0, dt, centers, 50e-15, w)
+    want = np.zeros(500)
+    for c in centers:
+        ref_deposit_spike(want, 5.0, dt, c, 50e-15, w)
+    assert same_bits(got, want)
+    assert len(keys) > 1 and sum(spikes for spikes, _ in keys) > 100
+    left = sum(c - w / 2 < 5.0 - dt / 2 for c in centers)
+    assert all(count <= dt + left for _, count in keys)
+
+
+def test_spike_deposit_off_an_integral_grid_keeps_each_spike_apart():
+    # off an integral grid two spikes can have keys equal by their bits but
+    # bin values that differ in their roundings: here those of 2.6 and 5.9
+    t0, dt, w, centers = 0.1, 3.3, 7.7, [2.6, 5.9]
+    keys = [c - (t0 + dt * (np.floor((c - w / 2 - t0) / dt + 0.5) - 0.5)) for c in centers]
+    assert same_bits(keys[0], keys[1])
+    got = np.zeros(60)
+    drv._deposit_spikes(got, t0, dt, centers, 50e-15, w)
+    want = np.zeros(60)
+    for c in centers:
+        ref_deposit_spike(want, t0, dt, c, 50e-15, w)
+    assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("dt, w", [(7.0, 61.0), (3.0, 7.0), (10.0, 7.0)])
+def test_spike_deposit_at_2_52_keeps_each_spike_apart(dt, w):
+    # integral times from 2^52 on, where a half-integer rounds: past the 2^51
+    # bound, so each spike is its own key
+    t0 = 2.0**52
+    centers = [t0 + k for k in range(300)]
+    got = np.zeros(50)
+    drv._deposit_spikes(got, t0, dt, centers, 50e-15, w)
+    want = np.zeros(50)
+    for c in centers:
+        ref_deposit_spike(want, t0, dt, c, 50e-15, w)
+    assert same_bits(got, want)
+
+
+def ref_ramps(first, start, step, s, e):
+    """``_ramps`` as a running sum of ``step`` that jumps where a segment starts."""
+    k0, k1 = first.searchsorted(s, side="right") - 1, first.searchsorted(e)
+    out = np.full(e - s, step, dtype=np.int64)
+    out[first[k0 + 1:k1] - s] += start[k0 + 1:k1] - start[k0:k1 - 1]
+    out[0] = start[k0] + step * s
+    return np.cumsum(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaps=st.lists(st.integers(1, 40), min_size=1, max_size=30), origin=st.integers(0, 5),
+       starts=st.lists(st.integers(-2**40, 2**40), min_size=31, max_size=31),
+       step=st.sampled_from([1, 10, 13]), data=st.data())
+def test_ramps_match_the_running_sum(gaps, origin, starts, step, data):
+    # random segment layouts, a pass that begins inside a segment
+    # (first[0] < s) or on one, and passes inside one segment
+    first = np.cumsum([origin] + gaps[:-1]).astype(np.int64)
+    start = np.array(starts[:len(first)], dtype=np.int64)
+    end = int(first[-1]) + gaps[-1]
+    s = data.draw(st.integers(origin, end - 1))
+    e = data.draw(st.integers(s + 1, end))
+    assert same_bits(drv._ramps(first, start, step, s, e), ref_ramps(first, start, step, s, e))
+
+
+def test_ramps_inside_one_segment():
+    first, start = np.array([0, 10, 30], dtype=np.int64), np.array([5, -7, 2**50])
+    for s, e in [(0, 1), (3, 9), (10, 30), (12, 13), (31, 80)]:
+        for step in (1, 10):
+            assert same_bits(drv._ramps(first, start, step, s, e),
+                             ref_ramps(first, start, step, s, e))
+
+
 def test_supply_and_naive_current_share_the_deposit():
     from fractions import Fraction
 
